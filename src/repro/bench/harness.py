@@ -132,16 +132,11 @@ class ComparisonStudy:
         Every session is seeded from its grid coordinates, so results
         and record order are identical for any worker count.  The
         ``"process"`` backend requires a picklable *selector_factory*.
-    batch_size:
-        Points per BO round for ROBOTune sessions (see
-        :class:`~repro.core.tuner.ROBOTune` ``batch_size``); other
-        tuners are unaffected.  The default 1 keeps the paper's serial
-        loop.
     async_workers:
         Asynchronous BO worker count for ROBOTune sessions (see
         :class:`~repro.core.tuner.ROBOTune` ``async_workers``); other
-        tuners are unaffected.  Mutually exclusive with
-        ``batch_size > 1``.
+        tuners are unaffected.  The default 0 keeps the paper's serial
+        loop.
     supervise:
         Optional :class:`~repro.supervise.SupervisePolicy` for ROBOTune
         sessions (requires ``async_workers >= 1``): deadlines,
@@ -182,7 +177,6 @@ class ComparisonStudy:
                  selector_factory: Callable[[np.random.Generator], ParameterSelector] | None = None,
                  n_jobs: int | None = None,
                  parallel_backend: str = "process",
-                 batch_size: int = 1,
                  async_workers: int = 0,
                  supervise=None,
                  map_workloads: bool = False,
@@ -193,18 +187,12 @@ class ComparisonStudy:
             raise ValueError(f"fault_rate must be in [0, 1], got {fault_rate}")
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries}")
-        if batch_size < 1:
-            raise ValueError(f"batch_size must be >= 1, got {batch_size}")
         if async_workers < 0:
             raise ValueError(f"async_workers must be >= 0, got {async_workers}")
-        if async_workers > 0 and batch_size > 1:
-            raise ValueError("async_workers and batch_size > 1 are mutually "
-                             "exclusive")
         if supervise is not None and async_workers < 1:
             raise ValueError("supervise requires async_workers >= 1")
         self.fault_rate = fault_rate
         self.retries = retries
-        self.batch_size = batch_size
         self.async_workers = async_workers
         self.supervise = supervise
         self.budget = budget
@@ -242,7 +230,6 @@ class ComparisonStudy:
             return ROBOTune(selector=selector,
                             selection_cache=stores["cache"],
                             memo_buffer=stores["memo"],
-                            batch_size=self.batch_size,
                             async_workers=self.async_workers,
                             supervise=self.supervise,
                             warm_start=self.warm_start,

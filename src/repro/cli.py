@@ -78,7 +78,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the best configuration as "
                              "spark-defaults.conf text")
     _jobs(p_tune)
-    _batch(p_tune)
+    _async_workers(p_tune)
     _resilience(p_tune)
     p_tune.add_argument("--warm-start", default=None, metavar="DIR",
                         dest="warm_start",
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p_cmp)
     p_cmp.add_argument("--trials", type=int, default=1)
     _jobs(p_cmp)
-    _batch(p_cmp)
+    _async_workers(p_cmp)
     _resilience(p_cmp)
     p_cmp.add_argument("--warm-start", default=None, metavar="DIR",
                        dest="warm_start",
@@ -255,19 +255,14 @@ def _jobs(p: argparse.ArgumentParser) -> None:
                         "identical for any value")
 
 
-def _batch(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--batch", type=int, default=1, metavar="Q",
-                   help="configurations evaluated per BO round (default: 1, "
-                        "the paper's serial loop); Q > 1 proposes "
-                        "constant-liar batches and runs them concurrently "
-                        "under --jobs workers — see docs/PERFORMANCE.md")
+def _async_workers(p: argparse.ArgumentParser) -> None:
     p.add_argument("--async-workers", type=int, default=0, metavar="K",
                    dest="async_workers",
                    help="asynchronous BO worker count (default: 0 = the "
-                        "synchronous loop); K >= 1 keeps K evaluations in "
-                        "flight with busy-point penalization and folds "
-                        "completions in as they land; mutually exclusive "
-                        "with --batch > 1 — see docs/PERFORMANCE.md")
+                        "paper's serial loop); K >= 1 keeps K evaluations "
+                        "in flight with busy-point penalization and folds "
+                        "completions in as they land — see "
+                        "docs/PERFORMANCE.md")
 
 
 def _resilience(p: argparse.ArgumentParser) -> None:
@@ -300,12 +295,8 @@ def _resilience(p: argparse.ArgumentParser) -> None:
 
 def _validate_resilience(args) -> str | None:
     """Fail-fast message for bad resilience flags, or None when valid."""
-    if getattr(args, "batch", 1) < 1:
-        return f"--batch must be >= 1, got {args.batch}"
     if getattr(args, "async_workers", 0) < 0:
         return f"--async-workers must be >= 0, got {args.async_workers}"
-    if getattr(args, "async_workers", 0) > 0 and getattr(args, "batch", 1) > 1:
-        return "--async-workers and --batch > 1 are mutually exclusive"
     if hasattr(args, "faults") and not 0.0 <= args.faults <= 1.0:
         return f"--faults rate must be in [0, 1], got {args.faults}"
     if hasattr(args, "retries") and args.retries < 0:
@@ -412,7 +403,7 @@ def cmd_tune(args) -> int:
         return 2
     objective = _wrap_faults(objective, args, args.seed, tracer)
     tuner = ROBOTune(selection_cache=cache, memo_buffer=memo,
-                     n_jobs=args.jobs, batch_size=args.batch,
+                     n_jobs=args.jobs,
                      async_workers=args.async_workers,
                      supervise=_supervise_policy(args),
                      warm_start=args.warm_start, rng=args.seed)
@@ -477,7 +468,6 @@ def cmd_compare(args) -> int:
 
     def make_robotune(s, stores=None, mapper=None):
         return ROBOTune(n_jobs=args.jobs,
-                        batch_size=args.batch,
                         async_workers=args.async_workers,
                         supervise=_supervise_policy(args),
                         warm_start=args.warm_start,

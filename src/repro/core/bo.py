@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
@@ -23,7 +24,7 @@ from scipy.optimize import minimize
 from ..gp.gpr import GaussianProcessRegressor, default_bo_kernel
 from ..gp.kernels import Kernel
 from ..gp.lowrank import LowRankGaussianProcessRegressor
-from ..obs import as_tracer, evaluation_data
+from ..obs import NULL_TRACER, as_tracer, evaluation_data
 from ..sampling.lhs import latin_hypercube
 from ..space.space import ConfigSpace
 from ..sparksim.result import RunStatus
@@ -31,7 +32,7 @@ from ..supervise import (Completed, DeadlineHit, EvaluationSupervisor,
                          SupervisePolicy)
 from ..supervise.quarantine import vector_key
 from ..tuners.base import Evaluation
-from ..utils.parallel import WorkerPool, parallel_map
+from ..utils.parallel import WorkerPool
 from ..utils.rng import as_generator
 from .guard import MedianGuard
 from .hedge import GPHedge
@@ -124,6 +125,14 @@ def _safe_std(y: np.ndarray) -> float:
     return std
 
 
+#: ``Evaluation.fault`` tags of outcomes written off without a verdict
+#: from the run: the supervisor's deadline hits and worker deaths
+#: (:meth:`BOEngine._censor_outcome`) and the journal's
+#: ``recover="censor"`` crash write-offs.  They are truncated, but no
+#: guard threshold killed them.
+_WRITE_OFFS = frozenset({"deadline", "worker_death", "crash_recovery"})
+
+
 class _DegenerateObservations(Exception):
     """Observation window carries no signal for fitting a surrogate."""
 
@@ -186,32 +195,25 @@ class BOEngine:
         reproducibility reason as ``incremental``: the exact optimizers
         take different (usually better) steps, so nominated points can
         differ from the finite-difference path.
-    batch_size:
-        Evaluate q points per BO round instead of one.  Points after the
-        first are nominated against constant-liar fantasies (pending
-        points fixed at the incumbent objective, the "CL-min" lie) so a
-        round proposes q *distinct* configurations, then all q are
-        evaluated concurrently through ``repro.utils.parallel`` when the
-        objective supports ``spawn_view()`` (guard thresholds, journal
-        entries, fault accounting and Hedge gains are still charged per
-        point).  ``batch_size=1`` (the default) is the paper's serial
-        Algorithm 1, decision-for-decision.
     async_workers:
-        Fully asynchronous mode: keep up to k evaluations in flight on a
-        :class:`repro.utils.parallel.WorkerPool`, fold each completed
-        evaluation into the GP immediately, and draw the replacement
-        proposal with busy-point penalization over the in-flight set
-        (:class:`repro.core.penalize.LocalPenalizer`) instead of
-        constant-liar fantasies — no worker ever waits on a round
-        barrier.  ``0`` (the default) keeps the synchronous engine;
-        ``async_workers=1`` executes exactly the serial loop's decision
-        sequence (no pending points, objective called directly), which
-        tests pin bit-for-bit.  ``k > 1`` requires the objective to
-        expose class-level ``spawn_view()``; otherwise the engine warns,
-        counts a ``batch.serial_fallback``, and degrades to one worker.
-        Mutually exclusive with ``batch_size > 1``.  See
-        docs/PERFORMANCE.md for when to prefer async over constant-liar
-        batching.
+        Evaluations kept in flight.  Each completed evaluation is folded
+        into the GP immediately and its replacement proposal is drawn
+        with busy-point penalization over the in-flight set
+        (:class:`repro.core.penalize.LocalPenalizer`), so no worker ever
+        waits on a round barrier.  ``0`` (the default) and ``1`` both run
+        the paper's serial Algorithm 1 — one point at a time, the
+        objective called on this thread — and are bit-reproducible;
+        ``0`` additionally leaves out the ``async.*`` instrumentation.
+        At ``k > 1`` results depend on completion order.  ``k > 1``
+        requires the objective to expose class-level ``spawn_view()``;
+        otherwise the engine warns, counts a ``batch.serial_fallback``,
+        and degrades to one worker.  See docs/PERFORMANCE.md.
+    supervise:
+        Optional :class:`repro.supervise.SupervisePolicy` (requires
+        ``async_workers >= 1``): the loop then takes outcomes from an
+        :class:`~repro.supervise.EvaluationSupervisor` instead of the
+        pool — deadlines, reclaim-and-redispatch, speculative twins and
+        poison-config quarantine (docs/ROBUSTNESS.md).
     refine_starts:
         Sweep candidates polished per acquisition when ``gradients`` is
         on (the gradient refinement is cheap enough to multi-start).
@@ -245,9 +247,9 @@ class BOEngine:
         only: they never feed the guard, the Hedge gains, early
         stopping, or the budget.
     n_jobs:
-        Workers for GP multi-start fits and batched evaluation (``None``
-        defers to ``ROBOTUNE_JOBS``).  Results are identical for any
-        worker count.
+        Workers for GP multi-start fits (``None`` defers to
+        ``ROBOTUNE_JOBS``).  Results are identical for any worker
+        count.
     tracer:
         Optional :class:`repro.obs.Tracer`.  The loop emits
         ``bo.iteration``/``eval.result``/``guard.kill`` events, the GP
@@ -262,7 +264,7 @@ class BOEngine:
                  hyperopt_every: int = 5, refine: bool = True,
                  early_stop_patience: int | None = None,
                  incremental: bool = False, gradients: bool = False,
-                 batch_size: int = 1, async_workers: int = 0,
+                 async_workers: int = 0,
                  supervise: SupervisePolicy | None = None,
                  refine_starts: int = 4,
                  gp_max_exact: int = 512,
@@ -276,19 +278,14 @@ class BOEngine:
             raise ValueError("n_candidates must be >= 8")
         if hyperopt_every < 1:
             raise ValueError("hyperopt_every must be >= 1")
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if async_workers < 0:
             raise ValueError("async_workers must be >= 0")
-        if async_workers > 0 and batch_size > 1:
-            raise ValueError("async_workers and batch_size > 1 are mutually "
-                             "exclusive: async replaces constant-liar rounds")
         if supervise is not None and not isinstance(supervise,
                                                     SupervisePolicy):
             raise TypeError("supervise must be a SupervisePolicy or None")
         if supervise is not None and async_workers < 1:
             raise ValueError("supervise requires async_workers >= 1 "
-                             "(supervision wraps the async dispatch path)")
+                             "(deadlines need a worker thread to abandon)")
         if refine_starts < 1:
             raise ValueError("refine_starts must be >= 1")
         if gp_max_exact < 2:
@@ -313,7 +310,6 @@ class BOEngine:
         self.early_stop_patience = early_stop_patience
         self.incremental = incremental
         self.gradients = gradients
-        self.batch_size = batch_size
         self.async_workers = async_workers
         self.supervise = supervise
         #: unit-cube vectors quarantined by the supervisor this run
@@ -336,12 +332,34 @@ class BOEngine:
         self._gp_mode: str | None = None
         self.last_gp: GaussianProcessRegressor | None = None
 
-    # -- main loop -----------------------------------------------------------------
+    # -- the dispatch/fold loop ---------------------------------------------------
     def minimize(self, evaluate: Callable[[np.ndarray, float | None], Evaluation],
                  space: ConfigSpace, initial: Sequence[Evaluation],
                  budget: int, guard: MedianGuard | None = None,
                  ) -> list[Evaluation]:
         """Run the BO loop; returns the evaluations it performed.
+
+        One dispatch/fold loop over a :class:`WorkerPool` drives every
+        mode.  While a worker is free and budget remains, it proposes a
+        point (:meth:`_propose`, with the in-flight points penalized)
+        and dispatches it; then it folds the next completion into the
+        shared state (:meth:`_fold_in`).  The serial loop is this loop
+        at one worker on the pool's serial backend, where each task runs
+        on this thread as soon as it is collected.  Under a
+        :class:`~repro.supervise.SupervisePolicy` the loop takes
+        outcomes from an :class:`EvaluationSupervisor` instead of the
+        pool: an evaluation that blows its deadline, or whose worker
+        dies with redispatch exhausted, is folded in as a censored-at-cap
+        write-off (:meth:`_censor_outcome`), and configurations the
+        supervisor quarantines are never proposed again this run
+        (:attr:`quarantined`).
+
+        Observability (``async_workers >= 1``): ``async.dispatch`` /
+        ``async.fold`` events carry the in-flight depth, the
+        ``async.wait`` timer accumulates time blocked on the pool,
+        ``async.propose`` the proposal time during which free workers
+        idle, and the ``async.idle_worker_slots`` counter the number of
+        worker slots empty at each dispatch.
 
         Parameters
         ----------
@@ -362,15 +380,6 @@ class BOEngine:
         """
         if budget < 0:
             raise ValueError("budget must be >= 0")
-        if self.supervise is not None:
-            return self._minimize_supervised(evaluate, space, initial,
-                                             budget, guard)
-        if self.async_workers > 0:
-            return self._minimize_async(evaluate, space, initial, budget,
-                                        guard)
-        if self.batch_size > 1:
-            return self._minimize_batched(evaluate, space, initial, budget,
-                                          guard)
         evals: list[Evaluation] = []
         X = [np.asarray(e.vector, dtype=float) for e in initial]
         y = [float(e.objective) for e in initial]
@@ -380,164 +389,83 @@ class BOEngine:
         if not X:
             raise ValueError("BO requires at least one prior observation")
 
-        since_improve = 0
-        best_so_far = min(y)
-        for it in range(budget):
-            # Graceful degradation (docs/ROBUSTNESS.md): a GP that cannot
-            # be factorized even after jitter escalation, or an
-            # observation window with no spread (every evaluation censored
-            # at one cap), yields no usable surrogate — propose a
-            # space-filling LHS point for this iteration instead of
-            # raising away the whole session.
-            choice = None
-            try:
-                y_arr = np.asarray(y)
-                if float(np.ptp(y_arr)) < _STD_FLOOR:
-                    raise _DegenerateObservations
-                gp = self._fit_gp(np.vstack(X), y_arr, len(evals))
-                nominees = self._nominate(gp, y_arr, space)
-                choice = self.hedge.choose(nominees)
-                u = space.snap(choice.nominees[choice.chosen_index])
-            except (np.linalg.LinAlgError, _DegenerateObservations):
-                self.fallbacks += 1
-                u = space.snap(
-                    latin_hypercube(1, space.dim, self._rng)[0])
-
-            threshold = guard.threshold_s() if guard is not None else None
-            ev = evaluate(u, threshold)
-            evals.append(ev)
-            X.append(np.asarray(ev.vector, dtype=float))
-            y.append(float(ev.objective))
-            if guard is not None:
-                guard.observe(ev.cost_s, ev.ok)
-            self._tracer.emit("eval.result", evaluation_data(it, ev))
-            self._tracer.count("evals")
-            if ev.truncated and threshold is not None:
-                self._tracer.emit("guard.kill",
-                                  {"i": it, "threshold": float(threshold),
-                                   "cost_s": float(ev.cost_s)})
-
-            if choice is not None:
-                # Refit (cheap) and update Hedge gains with the posterior
-                # mean at every nominee, standardized and negated for
-                # minimization.  Skipped on fallback iterations — there
-                # were no nominees to score.
-                try:
-                    gp2 = self._fit_gp(np.vstack(X), np.asarray(y), None)
-                    mu = gp2.predict(choice.nominees)
-                    y_arr = np.asarray(y)
-                    std = _safe_std(y_arr)
-                    self.hedge.update(-(mu - y_arr.mean()) / std)
-                except np.linalg.LinAlgError:
-                    self.fallbacks += 1
-
-            self.records.append(BOIterationRecord(
-                iteration=it,
-                chosen_acquisition=choice.chosen_name if choice is not None
-                else "fallback/lhs",
-                probabilities=choice.probabilities if choice is not None
-                else np.array([]),
-                point=u,
-                objective=ev.objective))
-            self._tracer.emit("bo.iteration", {
-                "iteration": it,
-                "acq": self.records[-1].chosen_acquisition,
-                "objective": float(ev.objective),
-                "fallback": choice is None})
-
-            if ev.objective < best_so_far - 1e-9:
-                best_so_far = ev.objective
-                since_improve = 0
-            else:
-                since_improve += 1
-                if (self.early_stop_patience is not None
-                        and since_improve >= self.early_stop_patience):
-                    break
-        return evals
-
-    # -- asynchronous mode ---------------------------------------------------------
-    def _minimize_async(self, evaluate, space: ConfigSpace,
-                        initial: Sequence[Evaluation], budget: int,
-                        guard: MedianGuard | None) -> list[Evaluation]:
-        """Barrier-free variant of :meth:`minimize` (``async_workers=k``).
-
-        Up to k evaluations are in flight at once; the moment one
-        completes it is folded into the GP (observations, guard, Hedge
-        gains, records — the same per-point bookkeeping as the serial
-        loop, in completion order) and a replacement proposal is drawn
-        with the still-pending points locally penalized out of the
-        acquisition surface.  At ``k=1`` there is never a pending point
-        and the objective is called directly, so the decision sequence is
-        bit-identical to the serial loop (pinned by the head-parity
-        tests).  At ``k>1`` results depend on completion order — the
-        price of never idling a worker.
-
-        Observability: ``async.dispatch``/``async.fold`` events carry the
-        in-flight depth, the ``async.wait`` timer accumulates queue wait
-        (blocked on the pool), ``async.propose`` the proposal time during
-        which free workers idle, and the ``async.idle_worker_slots``
-        counter the number of worker slots empty at each dispatch.
-        """
-        evals: list[Evaluation] = []
-        X = [np.asarray(e.vector, dtype=float) for e in initial]
-        y = [float(e.objective) for e in initial]
-        if guard is not None:
-            for e in initial:
-                guard.observe(e.cost_s, e.ok)
-        if not X:
-            raise ValueError("BO requires at least one prior observation")
-
-        k = self.async_workers
-        if k > 1 and not _spawn_capable(evaluate):
+        k = max(self.async_workers, 1)
+        capable = _spawn_capable(evaluate)
+        if k > 1 and not capable:
             self._warn_serial_fallback(evaluate, k)
             k = 1
-        # One worker needs no thread: the serial pool backend runs the
-        # submitted task inside next_completed(), on this thread, which
-        # also keeps the k=1 parity contract trivially exact.
-        backend = "thread" if k > 1 else "serial"
+        policy = self.supervise
+        if policy is not None and policy.speculate and not capable:
+            # A twin would run the one shared objective concurrently
+            # with its original; without views that is unsafe.
+            policy = replace(policy, speculate=False)
+        # Concurrent evaluations, and supervised ones (an abandoned task
+        # may still be running), each get an objective view, spawned on
+        # this thread at dispatch time (the spawn_view contract).
+        views = capable and (k > 1 or policy is not None)
+        # Deadline enforcement needs this thread free to abandon a wedged
+        # task; otherwise one worker needs no thread at all.
+        backend = "thread" if k > 1 or policy is not None else "serial"
+        # async_workers=0 keeps the paper loop's trace: no async.* records.
+        atrace = self._tracer if self.async_workers else NULL_TRACER
+        record_censored = getattr(evaluate, "record_censored", None)
+
+        def task(u: np.ndarray, threshold: float | None):
+            runner = evaluate.spawn_view() if views else evaluate
+            return lambda: runner(u, threshold)
 
         since_improve = 0
         best_so_far = min(y)
-        pending: dict[int, np.ndarray] = {}
-        choices: dict[int, object] = {}
-        thresholds: dict[int, float | None] = {}
+        pending: dict[int, tuple] = {}  # tag -> (point, choice, threshold)
+        blocked: set[bytes] = set()
         issued = 0
-        folded = 0
         stop = False
-        with WorkerPool(k, backend=backend, tracer=self._tracer) as pool:
-            while folded < budget:
-                while not stop and issued < budget and len(pending) < k:
-                    self._tracer.count("async.idle_worker_slots",
-                                       k - len(pending))
-                    with self._tracer.timer("async.propose"):
-                        u, choice = self._propose(space, X, y, len(evals),
-                                                  list(pending.values()))
+        with WorkerPool(k, backend=backend, tracer=atrace) as pool:
+            supervisor = None if policy is None else EvaluationSupervisor(
+                pool, policy, tracer=self._tracer)
+            while len(evals) < budget:
+                while (not stop and issued < budget and len(pending) < k
+                       and pool.free_workers > 0):
+                    atrace.count("async.idle_worker_slots", k - len(pending))
+                    with atrace.timer("async.propose"):
+                        u, choice = self._propose(
+                            space, X, y, len(evals),
+                            [p[0] for p in pending.values()], blocked)
                     threshold = guard.threshold_s() if guard is not None \
                         else None
-                    # Views are spawned serially at dispatch time (the
-                    # spawn_view contract); one worker evaluates directly.
-                    runner = evaluate.spawn_view() if k > 1 else evaluate
-                    idx = issued
-                    pending[idx] = u
-                    choices[idx] = choice
-                    thresholds[idx] = threshold
-                    pool.submit(lambda r=runner, v=u, t=threshold: r(v, t),
-                                tag=idx)
+                    pending[issued] = (u, choice, threshold)
+                    if supervisor is None:
+                        pool.submit(task(u, threshold), tag=issued)
+                    else:
+                        supervisor.submit(partial(task, u, threshold),
+                                          tag=issued, key=vector_key(u))
+                    atrace.emit("async.dispatch",
+                                {"i": issued, "in_flight": len(pending)})
                     issued += 1
-                    self._tracer.emit("async.dispatch",
-                                      {"i": idx, "in_flight": len(pending)})
                 if not pending:
                     break
-                with self._tracer.timer("async.wait"):
-                    idx, ev = pool.next_completed()
-                u = pending.pop(idx)
-                choice = choices.pop(idx)
-                threshold = thresholds.pop(idx)
-                self._fold_in(ev, u, choice, threshold, folded, evals, X, y,
-                              guard)
-                self._tracer.emit("async.fold",
-                                  {"i": idx, "in_flight": len(pending)})
-                folded += 1
+                with atrace.timer("async.wait"):
+                    if supervisor is None:
+                        tag, ev = pool.next_completed()
+                    else:
+                        outcome = supervisor.next_outcome()
+                        tag = outcome.tag
+                u, choice, threshold = pending.pop(tag)
+                if supervisor is not None:
+                    if isinstance(outcome, Completed):
+                        ev = outcome.result
+                    else:
+                        ev = self._censor_outcome(evaluate, space, u, y,
+                                                  outcome)
+                        if record_censored is not None:
+                            record_censored(ev)
+                        if outcome.quarantined:
+                            blocked.add(vector_key(u))
+                            self.quarantined.append(
+                                np.asarray(u, dtype=float).copy())
+                self._fold_in(ev, u, choice, threshold, len(evals), evals,
+                              X, y, guard)
+                atrace.emit("async.fold", {"i": tag, "in_flight": len(pending)})
                 if ev.objective < best_so_far - 1e-9:
                     best_so_far = ev.objective
                     since_improve = 0
@@ -547,132 +475,6 @@ class BOEngine:
                             and since_improve >= self.early_stop_patience):
                         # Stop issuing; in-flight evaluations still fold
                         # (their cost is already paid).
-                        stop = True
-        return evals
-
-    # -- supervised asynchronous mode ------------------------------------------------
-    def _minimize_supervised(self, evaluate, space: ConfigSpace,
-                             initial: Sequence[Evaluation], budget: int,
-                             guard: MedianGuard | None) -> list[Evaluation]:
-        """:meth:`_minimize_async` under an :class:`EvaluationSupervisor`.
-
-        Every dispatch is accountable: an evaluation that blows its
-        deadline, or whose worker dies with redispatch exhausted, is
-        charged to the search as a censored-at-cap outcome (status
-        TIMEOUT/RUNTIME_ERROR, ``transient=True``,
-        ``fault="deadline"``/``"worker_death"``) and folded into the GP
-        like any other observation, so the loop always completes its
-        budget.  Configurations quarantined by the supervisor (repeat
-        offenders) are excluded from re-proposal for the rest of the run
-        and collected in :attr:`quarantined`.  The pool always uses the
-        thread backend — deadline enforcement requires the driver thread
-        to stay free to abandon a wedged task — which is why supervised
-        runs are not bit-reproducible (docs/ROBUSTNESS.md).
-        """
-        evals: list[Evaluation] = []
-        X = [np.asarray(e.vector, dtype=float) for e in initial]
-        y = [float(e.objective) for e in initial]
-        if guard is not None:
-            for e in initial:
-                guard.observe(e.cost_s, e.ok)
-        if not X:
-            raise ValueError("BO requires at least one prior observation")
-
-        policy = self.supervise
-        k = self.async_workers
-        capable = _spawn_capable(evaluate)
-        if not capable:
-            if k > 1:
-                self._warn_serial_fallback(evaluate, k)
-                k = 1
-            if policy.speculate:
-                # A twin would run the one shared objective concurrently
-                # with its original; without views that is unsafe.
-                policy = replace(policy, speculate=False)
-        record_censored = getattr(evaluate, "record_censored", None)
-
-        since_improve = 0
-        best_so_far = min(y)
-        pending: dict[int, np.ndarray] = {}
-        choices: dict[int, object] = {}
-        thresholds: dict[int, float | None] = {}
-        blocked: set[bytes] = set()
-        issued = 0
-        folded = 0
-        stop = False
-        with WorkerPool(k, backend="thread", tracer=self._tracer) as pool:
-            supervisor = EvaluationSupervisor(pool, policy,
-                                              tracer=self._tracer)
-            while folded < budget:
-                while (not stop and issued < budget
-                       and supervisor.in_flight < k
-                       and supervisor.free_slots > 0):
-                    self._tracer.count("async.idle_worker_slots",
-                                       k - supervisor.in_flight)
-                    with self._tracer.timer("async.propose"):
-                        u, choice = self._propose(space, X, y, len(evals),
-                                                  list(pending.values()))
-                        # Quarantined configs never run again: redraw
-                        # space-filling replacements (the bound only
-                        # matters in degenerate toy spaces where LHS can
-                        # keep landing on a blocked grid cell).
-                        for _ in range(32):
-                            if vector_key(u) not in blocked:
-                                break
-                            choice = None
-                            u = space.snap(
-                                latin_hypercube(1, space.dim, self._rng)[0])
-                    threshold = guard.threshold_s() if guard is not None \
-                        else None
-                    idx = issued
-                    pending[idx] = u
-                    choices[idx] = choice
-                    thresholds[idx] = threshold
-
-                    def factory(v=u, t=threshold):
-                        # Called by the supervisor once per physical
-                        # dispatch, on this thread: a redispatch or
-                        # speculative twin gets a fresh objective view.
-                        runner = evaluate.spawn_view() if capable \
-                            else evaluate
-                        return lambda r=runner: r(v, t)
-
-                    supervisor.submit(factory, tag=idx, key=vector_key(u))
-                    issued += 1
-                    self._tracer.emit("async.dispatch",
-                                      {"i": idx,
-                                       "in_flight": supervisor.in_flight})
-                if supervisor.in_flight == 0:
-                    break
-                with self._tracer.timer("async.wait"):
-                    outcome = supervisor.next_outcome()
-                idx = outcome.tag
-                u = pending.pop(idx)
-                choice = choices.pop(idx)
-                threshold = thresholds.pop(idx)
-                if isinstance(outcome, Completed):
-                    ev = outcome.result
-                else:
-                    ev = self._censor_outcome(evaluate, space, u, y, outcome)
-                    if record_censored is not None:
-                        record_censored(ev)
-                    if outcome.quarantined:
-                        blocked.add(vector_key(u))
-                        self.quarantined.append(
-                            np.asarray(u, dtype=float).copy())
-                self._fold_in(ev, u, choice, threshold, folded, evals, X, y,
-                              guard)
-                self._tracer.emit("async.fold",
-                                  {"i": idx,
-                                   "in_flight": supervisor.in_flight})
-                folded += 1
-                if ev.objective < best_so_far - 1e-9:
-                    best_so_far = ev.objective
-                    since_improve = 0
-                else:
-                    since_improve += 1
-                    if (self.early_stop_patience is not None
-                            and since_improve >= self.early_stop_patience):
                         stop = True
         return evals
 
@@ -708,17 +510,22 @@ class BOEngine:
 
     def _propose(self, space: ConfigSpace, X: list[np.ndarray],
                  y: list[float], n_evals: int,
-                 pending: list[np.ndarray]):
-        """One penalized proposal for the async loop: ``(point, choice)``.
+                 pending: list[np.ndarray], blocked: set[bytes]):
+        """The loop's one proposal step: ``(point, choice)``.
 
-        Mirrors the serial loop's proposal block operation-for-operation
-        when *pending* is empty (same degenerate check, same fit
-        schedule, same fallback path — the k=1 parity contract); with
-        pending points a :class:`LocalPenalizer` multiplies their
-        exclusion balls into every acquisition's candidate sweep.  A
-        proposal colliding with an in-flight point is replaced by a
-        space-filling LHS draw, as in the constant-liar rounds.
+        With nothing *pending* this is Algorithm 1's proposal: fit the
+        GP (hyperparameters on schedule), let every acquisition nominate,
+        take the Hedge choice.  With pending points a
+        :class:`LocalPenalizer` multiplies their exclusion balls into
+        every acquisition's candidate sweep.  A proposal colliding with
+        an in-flight point, or quarantined (*blocked*), is replaced by a
+        space-filling LHS draw; ``choice`` is None for every LHS point.
         """
+        # Graceful degradation (docs/ROBUSTNESS.md): a GP that cannot be
+        # factorized even after jitter escalation, or an observation
+        # window with no spread (every evaluation censored at one cap),
+        # yields no usable surrogate — propose a space-filling LHS point
+        # instead of raising away the whole session.
         choice = None
         try:
             y_arr = np.asarray(y)
@@ -740,6 +547,13 @@ class BOEngine:
             u = space.snap(latin_hypercube(1, space.dim, self._rng)[0])
         if any(np.array_equal(u, p) for p in pending):
             u = space.snap(latin_hypercube(1, space.dim, self._rng)[0])
+        # Quarantined configs never run again (the bound only matters in
+        # degenerate toy spaces where LHS keeps landing on a blocked cell).
+        for _ in range(32 if blocked else 0):
+            if vector_key(u) not in blocked:
+                break
+            choice = None
+            u = space.snap(latin_hypercube(1, space.dim, self._rng)[0])
         return u, choice
 
     def _fold_in(self, ev: Evaluation, u: np.ndarray, choice,
@@ -748,10 +562,12 @@ class BOEngine:
                  y: list[float], guard: MedianGuard | None) -> None:
         """Fold one completed evaluation into the engine's shared state.
 
-        The single place async completions mutate observations, guard,
-        Hedge gains and records (rule RPP004: worker callables return
-        results; they never touch engine state).  The bookkeeping order
-        matches the serial loop exactly.
+        The single place completions mutate observations, guard, Hedge
+        gains and records (rule RPP004: worker callables return results;
+        they never touch engine state), in Algorithm 1's order.  A
+        truncated evaluation under a kill threshold is traced as a
+        ``guard.kill`` unless it is a write-off (:data:`_WRITE_OFFS`):
+        no threshold stopped those.
         """
         evals.append(ev)
         X.append(np.asarray(ev.vector, dtype=float))
@@ -760,11 +576,15 @@ class BOEngine:
             guard.observe(ev.cost_s, ev.ok)
         self._tracer.emit("eval.result", evaluation_data(it, ev))
         self._tracer.count("evals")
-        if ev.truncated and threshold is not None:
+        if (ev.truncated and threshold is not None
+                and ev.fault not in _WRITE_OFFS):
             self._tracer.emit("guard.kill",
                               {"i": it, "threshold": float(threshold),
                                "cost_s": float(ev.cost_s)})
         if choice is not None:
+            # Refit (cheap) and update Hedge gains with the posterior mean
+            # at every nominee, standardized and negated for minimization.
+            # LHS proposals had no nominees to score.
             try:
                 gp2 = self._fit_gp(np.vstack(X), np.asarray(y), None)
                 mu = gp2.predict(choice.nominees)
@@ -808,178 +628,6 @@ class BOEngine:
                 "Wrappers must implement spawn_view themselves to keep "
                 "per-evaluation bookkeeping under concurrency "
                 "(docs/PERFORMANCE.md).", RuntimeWarning, stacklevel=3)
-
-    # -- batched mode --------------------------------------------------------------
-    def _minimize_batched(self, evaluate, space: ConfigSpace,
-                          initial: Sequence[Evaluation], budget: int,
-                          guard: MedianGuard | None) -> list[Evaluation]:
-        """q-point-per-round variant of :meth:`minimize`.
-
-        Each round nominates ``min(batch_size, remaining)`` distinct
-        points via constant-liar fantasies, evaluates them concurrently
-        (when the objective supports :meth:`spawn_view`), then performs
-        the same per-point bookkeeping as the serial loop: guard
-        observations, iteration records, Hedge gain updates and the
-        early-stop counter are all charged per evaluation, in nomination
-        order.
-        """
-        evals: list[Evaluation] = []
-        X = [np.asarray(e.vector, dtype=float) for e in initial]
-        y = [float(e.objective) for e in initial]
-        if guard is not None:
-            for e in initial:
-                guard.observe(e.cost_s, e.ok)
-        if not X:
-            raise ValueError("BO requires at least one prior observation")
-
-        since_improve = 0
-        best_so_far = min(y)
-        it = 0
-        while it < budget:
-            q = min(self.batch_size, budget - it)
-            points, choices = self._nominate_batch(space, X, y, q, len(evals))
-            # One kill threshold per round: all q points launch
-            # concurrently, so they share the guard state available at
-            # dispatch time (results still tighten it for the next round).
-            threshold = guard.threshold_s() if guard is not None else None
-            batch = self._evaluate_batch(evaluate, points, threshold)
-            for j, ev in enumerate(batch):
-                evals.append(ev)
-                X.append(np.asarray(ev.vector, dtype=float))
-                y.append(float(ev.objective))
-                if guard is not None:
-                    guard.observe(ev.cost_s, ev.ok)
-                self._tracer.emit("eval.result", evaluation_data(it + j, ev))
-                self._tracer.count("evals")
-                if ev.truncated and threshold is not None:
-                    self._tracer.emit("guard.kill",
-                                      {"i": it + j,
-                                       "threshold": float(threshold),
-                                       "cost_s": float(ev.cost_s)})
-
-            if any(c is not None for c in choices):
-                # Refit once on the real (lie-free) observations and score
-                # every round choice's nominees, exactly as the serial
-                # loop scores its single choice.
-                try:
-                    gp2 = self._fit_gp(np.vstack(X), np.asarray(y), None)
-                    y_arr = np.asarray(y)
-                    mean = float(y_arr.mean())
-                    std = _safe_std(y_arr)
-                    for choice in choices:
-                        if choice is None:
-                            continue
-                        mu = gp2.predict(choice.nominees)
-                        self.hedge.update(-(mu - mean) / std)
-                except np.linalg.LinAlgError:
-                    self.fallbacks += 1
-
-            stop = False
-            for j, (u, ev, choice) in enumerate(zip(points, batch, choices)):
-                self.records.append(BOIterationRecord(
-                    iteration=it + j,
-                    chosen_acquisition=choice.chosen_name
-                    if choice is not None else "fallback/lhs",
-                    probabilities=choice.probabilities
-                    if choice is not None else np.array([]),
-                    point=u,
-                    objective=ev.objective))
-                self._tracer.emit("bo.iteration", {
-                    "iteration": it + j,
-                    "acq": self.records[-1].chosen_acquisition,
-                    "objective": float(ev.objective),
-                    "fallback": choice is None})
-                if ev.objective < best_so_far - 1e-9:
-                    best_so_far = ev.objective
-                    since_improve = 0
-                else:
-                    since_improve += 1
-                    if (self.early_stop_patience is not None
-                            and since_improve >= self.early_stop_patience):
-                        stop = True
-            it += q
-            if stop:
-                break
-        return evals
-
-    def _nominate_batch(self, space: ConfigSpace, X: list[np.ndarray],
-                        y: list[float], q: int, n_evals: int):
-        """Propose q distinct points for one round via constant liars.
-
-        The first point comes from the regular surrogate; each subsequent
-        nomination sees the pending points appended with the incumbent
-        objective as their fantasy outcome ("CL-min" — the optimistic lie
-        deflates the posterior variance around pending points, steering
-        later nominations elsewhere).  A nominee that still collides with
-        a pending point is replaced by a space-filling LHS draw so the
-        round never burns budget re-evaluating one configuration.
-        """
-        points: list[np.ndarray] = []
-        choices: list = []
-        Xc = list(X)
-        yc = list(y)
-        lie = float(min(y))
-        for j in range(q):
-            choice = None
-            try:
-                if float(np.ptp(np.asarray(y))) < _STD_FLOOR:
-                    raise _DegenerateObservations
-                yc_arr = np.asarray(yc)
-                # Only the round's first fit may trigger scheduled
-                # hyperopt; fantasy refits reuse the current theta.
-                gp = self._fit_gp(np.vstack(Xc), yc_arr,
-                                  n_evals if j == 0 else None)
-                nominees = self._nominate(gp, yc_arr, space)
-                choice = self.hedge.choose(nominees)
-                u = space.snap(choice.nominees[choice.chosen_index])
-            except (np.linalg.LinAlgError, _DegenerateObservations):
-                self.fallbacks += 1
-                u = space.snap(latin_hypercube(1, space.dim, self._rng)[0])
-            if any(np.array_equal(u, p) for p in points):
-                u = space.snap(latin_hypercube(1, space.dim, self._rng)[0])
-            points.append(u)
-            choices.append(choice)
-            if j + 1 < q:
-                Xc.append(np.asarray(u, dtype=float))
-                yc.append(lie)
-        return points, choices
-
-    def _evaluate_batch(self, evaluate, points: list[np.ndarray],
-                        threshold: float | None) -> list[Evaluation]:
-        """Evaluate a round's points, concurrently when safely possible.
-
-        Objectives advertise concurrent evaluation by exposing
-        ``spawn_view()`` (see :class:`repro.tuners.base.Objective`); each
-        point then runs on its own view, with views spawned *serially*
-        beforehand so their RNG streams — and therefore the results — are
-        independent of worker count.  Objectives that additionally expose
-        ``evaluate_batch`` (a class-level method contracted to return the
-        same evaluations the spawned-view path would, bit-for-bit — see
-        :meth:`repro.tuners.objective.WorkloadObjective.evaluate_batch`)
-        take the vectorized fast path instead.  Capabilities are looked
-        up on the objective's *class*: delegating wrappers (journal,
-        fault injector) forward unknown attributes via ``__getattr__``,
-        and borrowing the inner objective's views would silently skip
-        their per-evaluation bookkeeping.  Anything with neither
-        capability — wrappers included — evaluates serially, in
-        nomination order, with a ``batch.serial_fallback`` event/counter
-        and a once-per-engine RuntimeWarning so the degradation is never
-        silent.
-        """
-        if len(points) > 1:
-            if getattr(type(evaluate), "evaluate_batch", None) is not None:
-                return evaluate.evaluate_batch(points, threshold)
-            if _spawn_capable(evaluate):
-                views = [evaluate.spawn_view() for _ in points]
-
-                def _run(idx: int) -> Evaluation:
-                    return views[idx](points[idx], threshold)
-
-                return parallel_map(_run, list(range(len(points))),
-                                    n_jobs=self.n_jobs, backend="thread",
-                                    tracer=self._tracer)
-            self._warn_serial_fallback(evaluate, len(points))
-        return [evaluate(u, threshold) for u in points]
 
     # -- internals ------------------------------------------------------------------
     def _select_gp(self, n_train: int):

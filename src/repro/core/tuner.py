@@ -85,18 +85,12 @@ class ROBOTune(Tuner):
         Best Recent Configs pulled on a repeated workload (paper: 4).
     guard_multiplier:
         Median multiple for the bad-configuration guard.
-    batch_size:
-        Points evaluated per BO round (forwarded to
-        :class:`BOEngine` ``batch_size``).  The default 1 runs the
-        paper's serial loop; larger values propose constant-liar batches
-        and evaluate them concurrently when the objective supports
-        ``spawn_view()``.
     async_workers:
         Asynchronous BO worker count (forwarded to :class:`BOEngine`
-        ``async_workers``).  ``0`` (default) keeps the synchronous loop;
-        ``k >= 1`` keeps ``k`` evaluations in flight with busy-point
-        penalization, folding completions into the surrogate as they
-        land.  Mutually exclusive with ``batch_size > 1``.
+        ``async_workers``).  ``0`` (default) runs the paper's serial
+        loop; ``k >= 1`` keeps ``k`` evaluations in flight with
+        busy-point penalization, folding completions into the surrogate
+        as they land.
     supervise:
         Optional :class:`repro.supervise.SupervisePolicy` (forwarded to
         :class:`BOEngine`; requires ``async_workers >= 1``).  Enables
@@ -127,8 +121,8 @@ class ROBOTune(Tuner):
         Workers for the selection phase's forest training and permutation
         importance when the default selector is constructed (an explicit
         *selector* keeps its own setting), and — unless overridden in
-        *engine_kwargs* — for the BO engine's multi-start GP fits and
-        batched evaluations.  ``None`` defers to the ``ROBOTUNE_JOBS``
+        *engine_kwargs* — for the BO engine's multi-start GP fits.
+        ``None`` defers to the ``ROBOTUNE_JOBS``
         environment variable.  Tuning decisions are identical for any
         worker count.
     """
@@ -141,7 +135,6 @@ class ROBOTune(Tuner):
                  init_samples: int = 20, memo_configs: int = 4,
                  guard_multiplier: float = 3.0,
                  store_results: int = 4,
-                 batch_size: int = 1,
                  async_workers: int = 0,
                  supervise: SupervisePolicy | None = None,
                  warm_start: str | None = None,
@@ -164,13 +157,10 @@ class ROBOTune(Tuner):
         self.memo_configs = memo_configs
         self.guard_multiplier = guard_multiplier
         self.store_results = store_results
-        if batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
         if async_workers < 0:
             raise ValueError("async_workers must be >= 0")
         if supervise is not None and async_workers < 1:
             raise ValueError("supervise requires async_workers >= 1")
-        self.batch_size = batch_size
         self.async_workers = async_workers
         self.supervise = supervise
         if warm_start is not None:
@@ -178,12 +168,11 @@ class ROBOTune(Tuner):
         self.warm_start = warm_start
         self.mapper = mapper
         self.engine_kwargs = dict(engine_kwargs or {})
-        self.engine_kwargs.setdefault("batch_size", batch_size)
         self.engine_kwargs.setdefault("async_workers", async_workers)
         self.engine_kwargs.setdefault("supervise", supervise)
         # The engine shares the worker budget: it parallelizes GP
-        # multi-start fits and batched evaluations, both of which return
-        # identical results for any worker count.
+        # multi-start fits, which return identical results for any
+        # worker count.
         self.engine_kwargs.setdefault("n_jobs", n_jobs)
         self.n_jobs = n_jobs
         self._rng = as_generator(rng)

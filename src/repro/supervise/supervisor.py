@@ -1,7 +1,7 @@
 """The evaluation supervisor: every in-flight task is accountable.
 
 :class:`EvaluationSupervisor` sits between an asynchronous driver (the
-BO engine's ``async_workers`` loop) and a :class:`WorkerPool`.  The
+BO engine's dispatch/fold loop) and a :class:`WorkerPool`.  The
 driver submits *factories* — zero-argument callables that build a fresh
 runnable thunk per physical dispatch, so a redispatch or speculative
 twin gets its own objective view — and collects :class:`Completed`,
@@ -196,14 +196,20 @@ class EvaluationSupervisor:
         if not self._tasks:
             raise RuntimeError("no supervised tasks in flight")
         while True:
-            swept = self._sweep()
-            if swept is not None:
-                return swept
             try:
-                token, payload = self.pool.next_completed(
-                    timeout=self._nearest_wait())
+                # Results already in are settled before any deadline is
+                # judged: one that waited while the driver was busy
+                # (proposing the next point) finished in time.
+                token, payload = self.pool.next_completed(timeout=0.0)
             except PoolTimeout:
-                continue  # re-sweep: something is now overdue
+                swept = self._sweep()
+                if swept is not None:
+                    return swept
+                try:
+                    token, payload = self.pool.next_completed(
+                        timeout=self._nearest_wait())
+                except PoolTimeout:
+                    continue  # re-sweep: something is now overdue
             settled = self._settle(token, payload)
             if settled is not None:
                 return settled

@@ -70,13 +70,14 @@ class Objective(Protocol):
     Objectives that can evaluate several configurations concurrently may
     additionally expose ``spawn_view() -> Objective``: a view sharing all
     slow state (simulator, space, evaluation counter) but carrying its
-    own child RNG split off the parent stream.  ``BOEngine`` in
-    ``batch_size > 1`` mode spawns one view per point of a round —
-    serially, so results never depend on worker count — and evaluates
-    the views in parallel.  The capability is detected on the objective's
-    *class*; delegating wrappers (journal, fault injector) intentionally
-    do not forward it, and batches through them run serially so their
-    per-evaluation bookkeeping stays exact.
+    own child RNG split off the parent stream.  ``BOEngine`` with
+    ``async_workers > 1`` spawns one view per dispatched point —
+    serially, on the driving thread — and evaluates the views
+    concurrently.  The capability is
+    detected on the objective's *class*; delegating wrappers (journal,
+    fault injector) intentionally do not forward it, and evaluations
+    through them run one at a time so their per-evaluation bookkeeping
+    stays exact.
     """
 
     @property

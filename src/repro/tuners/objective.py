@@ -138,7 +138,7 @@ class WorkloadObjective:
         return clone
 
     def spawn_view(self) -> "WorkloadObjective":
-        """An independently seeded view for concurrent batch evaluation.
+        """An independently seeded view for concurrent evaluation.
 
         Shares the simulator, space, metric, counter and lock, but draws
         its noise from a child generator split off this objective's
@@ -212,49 +212,3 @@ class WorkloadObjective:
             status=result.status,
             truncated=truncated,
         )
-
-    def evaluate_batch(self, U: "list[np.ndarray]",
-                       time_limit_s: float | None = None) -> list[Evaluation]:
-        """Evaluate many vectors through one vectorized simulator pass.
-
-        Bit-identical to spawning one view per vector and calling each —
-        ``[self.spawn_view()(u, time_limit_s) for u in U]`` — which is the
-        class-level capability contract ``BOEngine._evaluate_batch``
-        relies on: the child generators are split off serially exactly as
-        :meth:`spawn_view` would, then the whole batch runs through
-        :meth:`SparkSimulator.run_batch`.
-
-        Defined on :class:`WorkloadObjective` only.  A subclass that
-        overrides ``__call__`` inherits this method with the *base*
-        evaluation semantics, silently diverging from its own scalar
-        path; such subclasses must override ``evaluate_batch`` too (or
-        set it to ``None`` to fall back to per-point evaluation).
-        """
-        limit = self._time_limit_s
-        if time_limit_s is not None:
-            limit = min(limit, float(time_limit_s))
-        vectors = [np.asarray(u, dtype=float) for u in U]
-        confs = [self._space.decode(u) for u in vectors]
-        rngs = spawn(self._rng, len(vectors))
-        results = self.simulator.run_batch(self._stages, confs, rngs=rngs,
-                                           time_limit_s=limit)
-        with self._lock:
-            self._counter["n"] += len(vectors)
-        evals = []
-        for u, conf, result in zip(vectors, confs, results):
-            truncated = result.status is RunStatus.TIMEOUT
-            if result.ok:
-                objective = self._metric(result.duration_s, conf)
-            elif truncated:
-                objective = self._metric(limit, conf)
-            else:
-                objective = self._metric(self._time_limit_s, conf)
-            evals.append(Evaluation(
-                vector=u.copy(),
-                config=conf,
-                objective=float(objective),
-                cost_s=float(result.duration_s),
-                status=result.status,
-                truncated=truncated,
-            ))
-        return evals

@@ -153,9 +153,10 @@ class WorkerPool:
         runs, sleeps), which threads do regardless of core count.
     backend:
         ``"thread"`` (default) runs each task on a daemon thread;
-        ``"serial"`` defers execution to :meth:`next_completed` (FIFO), so
-        tests can exercise the submit/collect protocol deterministically
-        with no threads at all.
+        ``"serial"`` defers execution to :meth:`next_completed` (FIFO), on
+        the collecting thread — the BO engine's one-worker loop, and
+        tests that exercise the submit/collect protocol with no threads
+        at all.
     drain_timeout_s:
         Total time :meth:`close` will spend joining still-running task
         threads before abandoning them (they are daemons, so they can

@@ -1,10 +1,11 @@
-"""Batched (q-point) BO rounds: constant-liar nomination, concurrent
-evaluation, per-point bookkeeping, and determinism."""
+"""Concurrent evaluation through objective views: ``spawn_view``
+semantics, and the engine's dispatch onto views (``async_workers > 1``)
+or its audible serial fallback for wrappers that cannot spawn them."""
 
 import numpy as np
 import pytest
 
-from repro.core import BOEngine, MedianGuard
+from repro.core import BOEngine
 from repro.core.journal import EvaluationJournal, JournaledObjective
 from repro.sampling import latin_hypercube
 from repro.tuners import SyntheticObjective, synthetic_space
@@ -17,94 +18,6 @@ def make_problem(dim=4, seed=0, noise=0.01):
     U = latin_hypercube(8, dim, rng=seed)
     initial = [objective(u) for u in U]
     return space, objective, initial
-
-
-class TestValidation:
-    def test_rejects_nonpositive_batch(self):
-        with pytest.raises(ValueError):
-            BOEngine(batch_size=0)
-        with pytest.raises(ValueError):
-            BOEngine(refine_starts=0)
-
-    def test_batch_one_uses_serial_loop(self):
-        # batch_size=1 must be decision-identical to the historical path.
-        space, objective, initial = make_problem(seed=1)
-        serial = BOEngine(rng=2, n_candidates=64)
-        a = serial.minimize(objective, space, initial, budget=6)
-        space2, objective2, initial2 = make_problem(seed=1)
-        batch1 = BOEngine(rng=2, n_candidates=64, batch_size=1)
-        b = batch1.minimize(objective2, space2, initial2, budget=6)
-        np.testing.assert_array_equal(np.vstack([e.vector for e in a]),
-                                      np.vstack([e.vector for e in b]))
-
-
-class TestBatchedRounds:
-    def test_respects_budget_exactly(self):
-        space, objective, initial = make_problem(seed=3)
-        engine = BOEngine(rng=4, n_candidates=64, batch_size=4)
-        evals = engine.minimize(objective, space, initial, budget=10)
-        assert len(evals) == 10  # 4 + 4 + truncated final round of 2
-        assert objective.n_evaluations == len(initial) + 10
-
-    def test_round_points_are_distinct(self):
-        space, objective, initial = make_problem(seed=5)
-        engine = BOEngine(rng=6, n_candidates=64, batch_size=4)
-        engine.minimize(objective, space, initial, budget=12)
-        for start in range(0, 12, 4):
-            pts = [tuple(r.point) for r in engine.records[start:start + 4]]
-            assert len(set(pts)) == len(pts)
-
-    def test_improves_over_initial_design(self):
-        space, objective, initial = make_problem(seed=7)
-        engine = BOEngine(rng=8, n_candidates=128, batch_size=4)
-        evals = engine.minimize(objective, space, initial, budget=24)
-        assert min(e.objective for e in evals) \
-            < min(e.objective for e in initial)
-
-    def test_per_point_records(self):
-        space, objective, initial = make_problem(seed=9)
-        engine = BOEngine(rng=10, n_candidates=64, batch_size=3)
-        evals = engine.minimize(objective, space, initial, budget=9)
-        assert len(engine.records) == 9
-        assert [r.iteration for r in engine.records] == list(range(9))
-        for rec, ev in zip(engine.records, evals):
-            assert rec.objective == ev.objective
-
-    def test_guard_observes_every_point(self):
-        space, objective, initial = make_problem(seed=11)
-        guard = MedianGuard(3.0, static_limit_s=480.0)
-        engine = BOEngine(rng=12, n_candidates=64, batch_size=4)
-        evals = engine.minimize(objective, space, initial, budget=8,
-                                guard=guard)
-        # Only successes shape the median; every point must be charged.
-        expected = sum(e.ok for e in initial) + sum(e.ok for e in evals)
-        assert len(guard._times) == expected
-
-    def test_early_stop_counts_per_point(self):
-        space, objective, initial = make_problem(seed=13)
-        engine = BOEngine(rng=14, n_candidates=64, batch_size=4,
-                          early_stop_patience=3)
-        evals = engine.minimize(objective, space, initial, budget=40)
-        # Stops at a round boundary once the per-point counter trips.
-        assert len(evals) < 40
-        assert len(evals) % 4 == 0
-
-    def test_worker_count_does_not_change_results(self):
-        runs = []
-        for n_jobs in (1, 4):
-            space, objective, initial = make_problem(seed=15)
-            engine = BOEngine(rng=16, n_candidates=64, batch_size=4,
-                              n_jobs=n_jobs)
-            evals = engine.minimize(objective, space, initial, budget=8)
-            runs.append(np.vstack([e.vector for e in evals]))
-        np.testing.assert_array_equal(runs[0], runs[1])
-
-    def test_hedge_gains_updated_per_choice(self):
-        space, objective, initial = make_problem(seed=17)
-        engine = BOEngine(rng=18, n_candidates=64, batch_size=4)
-        before = engine.hedge.gains.copy()
-        engine.minimize(objective, space, initial, budget=8)
-        assert not np.array_equal(engine.hedge.gains, before)
 
 
 class TestSpawnViewDispatch:
@@ -127,13 +40,13 @@ class TestSpawnViewDispatch:
 
     def test_journaled_objective_spawns_concurrent_views(self, tmp_path):
         # JournaledObjective implements spawn_view itself (views share
-        # the journal behind a lock), so batches through it run
+        # the journal behind a lock), so evaluations through it run
         # concurrently while every point is still journaled.
         space, objective, initial = make_problem(seed=19)
         journal = EvaluationJournal(tmp_path / "batch.jsonl")
         wrapped = JournaledObjective(objective, journal)
         assert wrapped.spawn_view_capable
-        engine = BOEngine(rng=20, n_candidates=64, batch_size=3, n_jobs=4)
+        engine = BOEngine(rng=20, n_candidates=64, async_workers=3)
         evals = engine.minimize(wrapped, space, initial, budget=6)
         assert len(evals) == 6
         assert len(journal) == 6  # every point journaled
@@ -157,7 +70,7 @@ class TestSpawnViewDispatch:
         journal = EvaluationJournal(tmp_path / "batch2.jsonl")
         wrapped = JournaledObjective(_Plain(objective), journal)
         assert not wrapped.spawn_view_capable
-        engine = BOEngine(rng=20, n_candidates=64, batch_size=3, n_jobs=4)
+        engine = BOEngine(rng=20, n_candidates=64, async_workers=3)
         with pytest.warns(RuntimeWarning, match="degraded to serial"):
             evals = engine.minimize(wrapped, space, initial, budget=6)
         assert len(evals) == 6
@@ -184,20 +97,3 @@ class TestSpawnViewDispatch:
         ra = [a.spawn_view()(u).objective for _ in range(3)]
         rb = [b.spawn_view()(u).objective for _ in range(3)]
         assert ra == rb
-
-
-class TestROBOTuneBatch:
-    def test_batch_size_threads_through(self):
-        from repro.core.tuner import ROBOTune
-        tuner = ROBOTune(batch_size=3,
-                         engine_kwargs={"n_candidates": 64, "refine": False},
-                         rng=0)
-        assert tuner.engine_kwargs["batch_size"] == 3
-        objective = SyntheticObjective(rng=1)
-        result = tuner.tune(objective, budget=32, rng=2)
-        assert result.n_evaluations == 32
-
-    def test_rejects_bad_batch_size(self):
-        from repro.core.tuner import ROBOTune
-        with pytest.raises(ValueError):
-            ROBOTune(batch_size=0)

@@ -43,10 +43,10 @@ class TestGradientMode:
         np.testing.assert_array_equal(np.vstack([e.vector for e in a]),
                                       np.vstack([e.vector for e in b]))
 
-    def test_combines_with_batch_mode(self):
+    def test_combines_with_async_workers(self):
         space, objective, initial = make_problem(seed=7)
         engine = BOEngine(rng=8, n_candidates=64, gradients=True,
-                          batch_size=4)
+                          async_workers=4)
         evals = engine.minimize(objective, space, initial, budget=12)
         assert len(evals) == 12
 

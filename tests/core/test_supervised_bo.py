@@ -1,14 +1,16 @@
-"""BOEngine supervised execution: censored synthesis, quarantine, and
-engine-level routing (docs/ROBUSTNESS.md)."""
+"""BOEngine supervised execution: censored synthesis, quarantine,
+engine-level routing, and guard-kill accounting of write-offs
+(docs/ROBUSTNESS.md)."""
 
 import warnings
 
 import numpy as np
 import pytest
 
-from repro.core import BOEngine
+from repro.core import BOEngine, MedianGuard
+from repro.core.journal import EvaluationJournal, JournaledObjective
 from repro.faults import HangInjector, HangPlan
-from repro.obs import InMemorySink, Tracer
+from repro.obs import InMemorySink, Tracer, summarize
 from repro.sampling import latin_hypercube
 from repro.sparksim.result import RunStatus
 from repro.supervise import SupervisePolicy
@@ -187,3 +189,94 @@ class TestChaoticMix:
         # The session made progress despite the chaos: at least one
         # clean evaluation landed.
         assert any(e.fault is None for e in evals)
+
+
+def guard_kill_faults(events):
+    """``fault`` of the evaluation behind each ``guard.kill`` event (the
+    loop emits it right after that evaluation's ``eval.result``)."""
+    faults, last = [], None
+    for event in events:
+        if event["type"] == "eval.result":
+            last = event["data"]
+        elif event["type"] == "guard.kill":
+            faults.append(last["fault"])
+    return faults
+
+
+class TestGuardKillAccounting:
+    """``guard.kill`` traces only runs a kill threshold stopped.  The
+    censored write-offs — deadline hits, worker deaths, crash recovery —
+    are truncated too, but no threshold killed them."""
+
+    def test_deadline_write_offs_are_not_guard_kills(self):
+        space, objective, initial = make_problem(seed=9)
+        inj = HangInjector(objective, HangPlan(1.0, seed=1, hang_s=30.0,
+                                               death_share=0.0))
+        sink = InMemorySink()
+        tracer = Tracer([sink])
+        guard = MedianGuard(3.0, static_limit_s=480.0)
+        engine = BOEngine(rng=10, n_candidates=64, async_workers=2,
+                          supervise=SupervisePolicy(eval_timeout_s=0.2,
+                                                    quarantine_after=99),
+                          tracer=tracer)
+        evals = engine.minimize(inj, space, initial, budget=4, guard=guard)
+        tracer.close()
+        assert [e.fault for e in evals] == ["deadline"] * 4
+        assert all(e.truncated for e in evals)
+        assert guard.threshold_s() is not None
+        assert tracer.counters["supervise.deadline_hit"] == 4
+        assert guard_kill_faults(sink.events()) == []
+        assert summarize(sink.records).guard_kills == 0
+
+    def test_crash_recovery_write_offs_are_not_guard_kills(self, tmp_path):
+        # Record a 6-evaluation session, then drop the last settle line:
+        # the journal now shows that evaluation in flight at a crash.
+        path = tmp_path / "session.jsonl"
+
+        def run(journaled, tracer=None):
+            space, _, initial = make_problem(seed=19)
+            engine = BOEngine(rng=20, n_candidates=64, refine=False,
+                              tracer=tracer)
+            return engine.minimize(journaled, space, initial, budget=6,
+                                   guard=MedianGuard(3.0,
+                                                     static_limit_s=480.0))
+
+        journal = EvaluationJournal(path, fsync=False)
+        run(JournaledObjective(make_problem(seed=19)[1], journal))
+        journal.close()
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:-1]))
+
+        journal = EvaluationJournal(path, fsync=False)
+        _, records = journal.load()
+        resumed = JournaledObjective(make_problem(seed=19)[1], journal,
+                                     replay=records,
+                                     pending=journal.pending_dispatches(),
+                                     next_seq=journal.next_seq(),
+                                     recover="censor")
+        sink = InMemorySink()
+        tracer = Tracer([sink])
+        evals = run(resumed, tracer)
+        tracer.close()
+        journal.close()
+        # The write-off reached the loop truncated, under a threshold.
+        assert evals[-1].fault == "crash_recovery"
+        assert evals[-1].truncated
+        assert "crash_recovery" not in guard_kill_faults(sink.events())
+
+    def test_threshold_kills_are_still_traced(self):
+        space, objective, initial = make_problem(seed=21)
+        sink = InMemorySink()
+        tracer = Tracer([sink])
+        # A cap at the best prior truncates every run slower than it.
+        guard = MedianGuard(3.0, static_limit_s=min(e.cost_s
+                                                    for e in initial))
+        engine = BOEngine(rng=22, n_candidates=64, refine=False,
+                          tracer=tracer)
+        evals = engine.minimize(objective, space, initial, budget=8,
+                                guard=guard)
+        tracer.close()
+        killed = sum(e.truncated for e in evals)
+        assert killed > 0
+        assert guard_kill_faults(sink.events()) == [None] * killed
+        assert summarize(sink.records).guard_kills == killed

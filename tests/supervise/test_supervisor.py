@@ -113,6 +113,18 @@ class TestDeadlines:
         assert tracer.counters["supervise.deadline_hit"] == 1
         assert tracer.counters["supervise.quarantine"] == 1
 
+    def test_finished_result_is_not_written_off(self):
+        # The driver comes back after the deadline has passed, but the
+        # result has been waiting since well before it.
+        pool, sup = make(eval_timeout_s=0.2)
+        with pool:
+            sup.submit(const_factory("done"), tag=0)
+            time.sleep(0.5)
+            outcome = sup.next_outcome()
+        assert isinstance(outcome, Completed)
+        assert outcome.result == "done"
+        assert pool.abandoned_tasks == 0
+
     def test_heartbeat_pushes_deadline_out(self):
         pool, sup = make(eval_timeout_s=0.5)
         with pool:

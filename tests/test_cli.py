@@ -92,12 +92,6 @@ class TestTune:
         assert code == 2
         assert "--async-workers" in capsys.readouterr().err
 
-    def test_async_workers_and_batch_exclusive(self, capsys):
-        code = main(["tune", "--workload", "terasort", "--budget", "5",
-                     "--async-workers", "2", "--batch", "4"])
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
-
 
 class TestCompare:
     def test_compare_prints_ratios(self, capsys):

@@ -173,52 +173,3 @@ class TestAlternativeMetrics:
         assert not ev.ok
         cores = 1 * 5  # default cores x instances
         assert ev.objective == pytest.approx(obj.time_limit_s * cores)
-
-
-class TestEvaluateBatch:
-    """``evaluate_batch`` must equal the spawn_view-per-point loop exactly."""
-
-    def _vectors(self, space, n, seed):
-        rng = np.random.default_rng(seed)
-        return [rng.random(space.dim) for _ in range(n)]
-
-    def test_bit_identical_to_spawn_view_loop(self, space):
-        obj_a = make_objective(space, seed=5)
-        obj_b = make_objective(space, seed=5)
-        U = self._vectors(space, 8, seed=6)
-        batch = obj_a.evaluate_batch(U)
-        serial = [obj_b.spawn_view()(u) for u in U]
-        assert len(batch) == len(serial)
-        for b, s in zip(batch, serial):
-            assert b.vector.tobytes() == s.vector.tobytes()
-            assert b.objective == s.objective  # bit-identical, not approx
-            assert b.cost_s == s.cost_s
-            assert b.status == s.status
-            assert b.config == s.config
-
-    def test_counter_and_parent_rng_advance_identically(self, space):
-        obj_a = make_objective(space, seed=7)
-        obj_b = make_objective(space, seed=7)
-        U = self._vectors(space, 5, seed=8)
-        obj_a.evaluate_batch(U)
-        for u in U:
-            obj_b.spawn_view()(u)
-        assert obj_a.n_evaluations == obj_b.n_evaluations == 5
-        # Parent streams consumed identically: the next spawn matches.
-        assert obj_a.spawn_view()(U[0]).objective == \
-            obj_b.spawn_view()(U[0]).objective
-
-    def test_time_limit_censoring_matches(self, space):
-        obj_a = make_objective(space, seed=9, time_limit_s=100.0)
-        obj_b = make_objective(space, seed=9, time_limit_s=100.0)
-        U = self._vectors(space, 6, seed=10)
-        batch = obj_a.evaluate_batch(U, time_limit_s=1.0)
-        serial = [obj_b.spawn_view()(u, 1.0) for u in U]
-        for b, s in zip(batch, serial):
-            assert b.objective == s.objective
-            assert b.truncated == s.truncated
-
-    def test_empty_batch(self, space):
-        obj = make_objective(space, seed=11)
-        assert obj.evaluate_batch([]) == []
-        assert obj.n_evaluations == 0
