@@ -8,10 +8,10 @@ comparable record.  Where a reference implementation is kept in-tree
 (the per-repeat importance loop, the from-scratch GP refit), both sides
 are timed and the speedup is printed.
 
-The BO-engine benchmarks (analytic-gradient hyperparameter fits vs
-finite differences, async evaluation vs the serial loop) write their
-numbers to a separate ``BENCH_bo_engine.json`` so the engine-level
-record is easy to diff on its own.
+The BO-engine benchmarks (async evaluation vs the serial loop, the
+low-rank surrogate vs the exact one) write their numbers to a separate
+``BENCH_bo_engine.json`` so the engine-level record is easy to diff on
+its own.
 
 This is a smoke benchmark: it asserts only that the optimized paths are
 not slower than their in-tree reference implementations (with generous
@@ -177,42 +177,6 @@ def test_end_to_end_tune_wall_time(capsys):
     with capsys.disabled():
         print(f"end-to-end tune (kmeans/D1, budget 40): {wall:.3f}s")
     assert wall > 0
-
-
-def test_gp_hyperopt_gradient_vs_fd(capsys):
-    """Analytic NLL gradients vs finite differences at n=100.
-
-    Finite differences pay ``len(theta) + 1`` likelihood evaluations per
-    optimizer gradient, so the analytic speedup grows with the kernel's
-    hyperparameter count: measured on both the default 3-parameter BO
-    kernel and a 5-parameter two-component composite.
-    """
-    from repro.gp.kernels import ConstantKernel, Matern52, RBF, WhiteKernel
-
-    rng = np.random.default_rng(20)
-    n = 100
-    X = rng.random((n, 8))
-    y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2 + 0.05 * rng.standard_normal(n)
-
-    def composite():
-        return (ConstantKernel(1.0) * Matern52(0.5)
-                + ConstantKernel(0.5) * RBF(1.0) + WhiteKernel(1e-2))
-
-    with capsys.disabled():
-        print()
-        for label, make, floor in [("default3", default_bo_kernel, 2.0),
-                                   ("composite5", composite, 3.0)]:
-            fd = _time(lambda: GaussianProcessRegressor(
-                kernel=make(), rng=21).fit(X, y), repeats=2)
-            ag = _time(lambda: GaussianProcessRegressor(
-                kernel=make(), rng=21,
-                analytic_gradients=True).fit(X, y), repeats=2)
-            _record_bo(f"gp_hyperopt_fd_{label}_n100", fd, n=n)
-            _record_bo(f"gp_hyperopt_gradient_{label}_n100", ag, n=n,
-                       speedup=fd / ag)
-            print(f"GP hyperopt n={n} ({label}): FD {fd:.3f}s vs "
-                  f"analytic {ag:.3f}s ({fd / ag:.1f}x)")
-            assert ag <= fd / floor  # measured ~3x / ~9x; floor is slack
 
 
 class _SleepyObjective(SyntheticObjective):

@@ -69,9 +69,6 @@ class _ContextGP:
     def predict(self, X: np.ndarray, return_std: bool = False):
         return self._inner.predict(self._augment(X), return_std)
 
-    def fast_predict(self, X: np.ndarray):
-        return self._inner.fast_predict(self._augment(X))
-
     def predict_with_gradient(self, x: np.ndarray):
         xc = np.append(np.asarray(x, dtype=float), self._size)
         mu, sigma, dmu, dsigma = self._inner.predict_with_gradient(xc)
@@ -169,32 +166,11 @@ class BOEngine:
         Re-optimize GP hyperparameters every k-th new observation (the
         Cholesky refit happens every iteration regardless).
     refine:
-        Run L-BFGS-B from the best candidate (set False for speed in
-        large ablation sweeps).
+        Polish each acquisition's sweep winner with L-BFGS-B on exact
+        utility gradients (set False for speed in large ablation sweeps).
     early_stop_patience:
         Stop when the incumbent has not improved for this many
         iterations (None = always spend the full budget).
-    incremental:
-        Between hyperparameter re-optimizations, extend the GP with a
-        rank-1 Cholesky update per new observation instead of
-        refactorizing the full covariance (see
-        :meth:`GaussianProcessRegressor.update`).  Mathematically exact
-        but subject to ~1e-7 floating-point divergence from a
-        from-scratch factorization, which L-BFGS-B refinement can
-        amplify into different nominated points.  Off by default so BO
-        decisions are bit-reproducible across versions; enable when raw
-        iteration throughput matters more than exact replay.
-    gradients:
-        Power both inner optimizers with exact analytic gradients: the
-        GP hyperparameter fit uses the trace-identity likelihood
-        gradient (:class:`GaussianProcessRegressor`
-        ``analytic_gradients``), and acquisition refinement passes
-        closed-form utility gradients to L-BFGS-B from
-        ``refine_starts`` sweep starts instead of a single
-        finite-difference polish.  Off by default for the same
-        reproducibility reason as ``incremental``: the exact optimizers
-        take different (usually better) steps, so nominated points can
-        differ from the finite-difference path.
     async_workers:
         Evaluations kept in flight.  Each completed evaluation is folded
         into the GP immediately and its replacement proposal is drawn
@@ -214,29 +190,17 @@ class BOEngine:
         :class:`~repro.supervise.EvaluationSupervisor` instead of the
         pool — deadlines, reclaim-and-redispatch, speculative twins and
         poison-config quarantine (docs/ROBUSTNESS.md).
-    refine_starts:
-        Sweep candidates polished per acquisition when ``gradients`` is
-        on (the gradient refinement is cheap enough to multi-start).
     gp_max_exact:
         Training-set size above which the surrogate switches from the
         exact GP (O(n³) fit) to the low-rank
         :class:`~repro.gp.LowRankGaussianProcessRegressor` (O(n·m²) fit,
         O(m²) per prediction).  The default is far above anything a
-        cold session reaches, so decision sequences stay bit-identical
-        to prior versions unless warm-start priors (or a huge budget)
-        push the observation count past it.  A ``gp.mode`` event is
-        emitted whenever the mode changes.
+        cold session reaches, so only warm-start priors (or a huge
+        budget) push the observation count past it.  A ``gp.mode``
+        event is emitted whenever the mode changes.
     gp_inducing:
         Inducing-point count m for the low-rank path (see
         docs/PERFORMANCE.md, "Scaling the surrogate").
-    gp_chunk:
-        Acquisition sweeps stream through the surrogate in blocks of at
-        most this many candidates, bounding sweep memory at
-        O(chunk · n_train) instead of O(n_cand · n_train).  The default
-        exceeds the default sweep size, so the default path stays a
-        single block (bit-identical; BLAS blocking makes chunked matmul
-        differ in final bits).  Multi-block sweeps emit ``gp.chunk``
-        events and bump the ``gp.chunk.blocks`` counter.
     warm_start:
         Optional :class:`~repro.core.warmstart.WarmStartData`: prior
         observations folded into the surrogate before iteration 0.  The
@@ -263,13 +227,10 @@ class BOEngine:
                  hedge: GPHedge | None = None, n_candidates: int = 512,
                  hyperopt_every: int = 5, refine: bool = True,
                  early_stop_patience: int | None = None,
-                 incremental: bool = False, gradients: bool = False,
                  async_workers: int = 0,
                  supervise: SupervisePolicy | None = None,
-                 refine_starts: int = 4,
                  gp_max_exact: int = 512,
                  gp_inducing: int = 96,
-                 gp_chunk: int = 1024,
                  warm_start: WarmStartData | None = None,
                  n_jobs: int | None = None,
                  rng: np.random.Generator | int | None = None,
@@ -286,14 +247,10 @@ class BOEngine:
         if supervise is not None and async_workers < 1:
             raise ValueError("supervise requires async_workers >= 1 "
                              "(deadlines need a worker thread to abandon)")
-        if refine_starts < 1:
-            raise ValueError("refine_starts must be >= 1")
         if gp_max_exact < 2:
             raise ValueError("gp_max_exact must be >= 2")
         if gp_inducing < 1:
             raise ValueError("gp_inducing must be >= 1")
-        if gp_chunk < 8:
-            raise ValueError("gp_chunk must be >= 8")
         if warm_start is not None and not isinstance(warm_start,
                                                      WarmStartData):
             raise TypeError("warm_start must be WarmStartData or None")
@@ -308,14 +265,11 @@ class BOEngine:
         self.hyperopt_every = hyperopt_every
         self.refine = refine
         self.early_stop_patience = early_stop_patience
-        self.incremental = incremental
-        self.gradients = gradients
         self.async_workers = async_workers
         self.supervise = supervise
         #: unit-cube vectors quarantined by the supervisor this run
         #: (poison configurations that repeatedly hung or killed workers).
         self.quarantined: list[np.ndarray] = []
-        self.refine_starts = refine_starts
         self._warned_serial = False
         self.n_jobs = n_jobs
         self.records: list[BOIterationRecord] = []
@@ -324,7 +278,6 @@ class BOEngine:
         self.fallbacks: int = 0
         self.gp_max_exact = gp_max_exact
         self.gp_inducing = gp_inducing
-        self.gp_chunk = gp_chunk
         self.warm_start = warm_start
         self._theta: np.ndarray | None = None
         self._gp: GaussianProcessRegressor | None = None
@@ -650,15 +603,13 @@ class BOEngine:
             if self._gp is None:
                 self._gp = GaussianProcessRegressor(
                     kernel=self._kernel_template, normalize_y=True,
-                    n_restarts=2,
-                    analytic_gradients=self.gradients, n_jobs=self.n_jobs,
+                    n_restarts=2, n_jobs=self.n_jobs,
                     rng=self._rng, tracer=self._tracer)
             return self._gp
         if self._gp_lowrank is None:
             self._gp_lowrank = LowRankGaussianProcessRegressor(
                 kernel=self._kernel_template, normalize_y=True,
-                n_inducing=self.gp_inducing, n_restarts=2,
-                analytic_gradients=self.gradients, n_jobs=self.n_jobs,
+                n_inducing=self.gp_inducing, n_restarts=2, n_jobs=self.n_jobs,
                 rng=self._rng, tracer=self._tracer)
         return self._gp_lowrank
 
@@ -669,10 +620,11 @@ class BOEngine:
         One regressor instance per mode is reused across the whole loop —
         the kernel template is deep-copied once at construction rather
         than every iteration.  Off-schedule refits go through the GP's
-        warm :meth:`~GaussianProcessRegressor.update` path when
-        ``incremental`` is on.  With warm-start priors, the fit happens
-        jointly on datasize-augmented rows and the returned surrogate is
-        a :class:`_ContextGP` view in the session's own dimensions.
+        warm :meth:`~GaussianProcessRegressor.update` path (a rank-k
+        Cholesky extension on the exact GP).  With warm-start priors, the
+        fit happens jointly on datasize-augmented rows and the returned
+        surrogate is a :class:`_ContextGP` view in the session's own
+        dimensions.
         """
         ws = self.warm_start
         if ws is not None and ws.n > 0:
@@ -701,47 +653,16 @@ class BOEngine:
         else:
             if self._theta is not None:
                 gp.kernel.theta = self._theta
-            if self.incremental:
-                gp.update(X, y)
-            else:
-                gp.fit(X, y)
+            gp.update(X, y)
         self.last_gp = gp
         if ws is not None and ws.n > 0:
             return _ContextGP(gp, ws.n, ws.current_size)
         return gp
 
-    def _predict_sweep(self, gp, U: np.ndarray
-                       ) -> tuple[np.ndarray, np.ndarray]:
-        """Stream a candidate sweep through the surrogate in fixed blocks.
-
-        Peak memory for the cross-covariance is O(chunk · n_train)
-        instead of O(n_cand · n_train) — the difference between fitting
-        and not fitting in cache once warm-start priors push n_train
-        into the thousands.  Sweeps at or below ``gp_chunk`` (the
-        default configuration) take the single-block path, whose result
-        is bit-identical to prior versions; multi-block sweeps emit a
-        ``gp.chunk`` event and bump the ``gp.chunk.blocks`` counter.
-        """
-        n = U.shape[0]
-        if n <= self.gp_chunk:
-            return gp.predict(U, return_std=True)
-        mu = np.empty(n)
-        sigma = np.empty(n)
-        blocks = 0
-        for s in range(0, n, self.gp_chunk):
-            e = min(s + self.gp_chunk, n)
-            mu[s:e], sigma[s:e] = gp.predict(U[s:e], return_std=True)
-            blocks += 1
-        self._tracer.emit("gp.chunk", {"n": int(n),
-                                       "chunk": int(self.gp_chunk),
-                                       "blocks": int(blocks)})
-        self._tracer.count("gp.chunk.blocks", blocks)
-        return mu, sigma
-
     def _standardized(self, gp, y: np.ndarray,
                       U: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
         """(mu, sigma, f_best) on the standardized objective scale."""
-        mu, sigma = self._predict_sweep(gp, U)
+        mu, sigma = gp.predict(U, return_std=True)
         mean = float(y.mean())
         std = _safe_std(y)
         # Censored objectives included: failures repel the search.
@@ -776,58 +697,25 @@ class BOEngine:
         for i, acq in enumerate(self.hedge.functions):
             util = acq(mu, sigma, f_best)
             if penalizer is not None:
-                nominees[i] = U[int(np.argmax(penalizer.apply(util, U)))]
-            elif not self.refine:
-                nominees[i] = U[int(np.argmax(util))]
-            elif self.gradients:
-                # Multi-start polish from the k best sweep candidates —
-                # affordable because each gradient step costs one fused
-                # prediction instead of d+1 finite-difference probes.
-                k = min(self.refine_starts, len(U))
-                top = np.argsort(-util, kind="stable")[:k]
-                nominees[i] = self._refine_gradient(acq, gp, U[top],
-                                                    f_best, mean, std,
-                                                    util[top])
+                util = penalizer.apply(util, U)
+            best = int(np.argmax(util))
+            if self.refine and penalizer is None:
+                nominees[i] = self._refine(acq, gp, U[best], f_best, mean,
+                                           std, float(util[best]))
             else:
-                best_cand = int(np.argmax(util))
-                nominees[i] = self._refine(acq, gp, U[best_cand], f_best,
-                                           mean, std,
-                                           float(util[best_cand]))
+                nominees[i] = U[best]
         return nominees
 
     def _refine(self, acq, gp, start: np.ndarray,
                 f_best: float, mean: float, std: float,
                 start_util: float) -> np.ndarray:
-        """L-BFGS-B polish of a candidate under one acquisition (§4).
-
-        *start_util* is the start point's utility from the candidate
-        sweep, so accepting/rejecting the polished point costs no extra
-        GP prediction.  The polished point is kept only when it does not
-        regress the sweep winner — L-BFGS-B can report success after its
-        finite-difference line search stalls at a worse point.
-        """
-
-        def neg_util(u: np.ndarray) -> float:
-            m, s = gp.fast_predict(u[None, :])
-            mu_n = (float(m[0]) - mean) / std
-            sigma_n = float(s[0]) / std
-            return -float(acq(np.array([mu_n]), np.array([sigma_n]), f_best)[0])
-
-        res = minimize(neg_util, start, method="L-BFGS-B",
-                       bounds=[(0.0, 1.0)] * len(start),
-                       options={"maxiter": 25})
-        return np.clip(res.x, 0.0, 1.0) if res.fun <= -start_util else start
-
-    def _refine_gradient(self, acq, gp,
-                         starts: np.ndarray, f_best: float, mean: float,
-                         std: float, start_utils: np.ndarray) -> np.ndarray:
-        """Multi-start L-BFGS-B polish with exact utility gradients.
+        """L-BFGS-B polish of the sweep winner under one acquisition (§4).
 
         Each objective call returns the utility *and* its closed-form
         gradient (posterior input-gradients chained through the
         acquisition), so the optimizer never finite-differences the GP.
-        Returns the best polished point across starts, falling back to
-        the sweep winner when no start improves on it.
+        *start_util* is the start point's utility from the candidate
+        sweep; the polished point is kept only when it beats it.
         """
 
         def neg_util_and_grad(u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -840,14 +728,7 @@ class BOEngine:
                                  f_best)
             return val, grad
 
-        bounds = [(0.0, 1.0)] * starts.shape[1]
-        best_u = starts[0]
-        best_fun = -float(start_utils[0])
-        for s in starts:
-            res = minimize(neg_util_and_grad, s, jac=True,
-                           method="L-BFGS-B", bounds=bounds,
-                           options={"maxiter": 25})
-            if res.fun < best_fun:
-                best_fun = float(res.fun)
-                best_u = np.clip(res.x, 0.0, 1.0)
-        return best_u
+        res = minimize(neg_util_and_grad, start, jac=True, method="L-BFGS-B",
+                       bounds=[(0.0, 1.0)] * len(start),
+                       options={"maxiter": 25})
+        return np.clip(res.x, 0.0, 1.0) if res.fun < -start_util else start

@@ -116,7 +116,8 @@ class ROBOTune(Tuner):
         is charged to ``search_cost_s``.
     engine_kwargs:
         Extra arguments forwarded to :class:`BOEngine` (portfolio, candidate
-        counts, early stopping, gradients, ...).
+        counts, hyperopt schedule, refinement on/off, early stopping,
+        async workers, ...).
     n_jobs:
         Workers for the selection phase's forest training and permutation
         importance when the default selector is constructed (an explicit

@@ -32,7 +32,110 @@ def default_bo_kernel() -> Kernel:
         + WhiteKernel(1e-2, bounds=(1e-6, 1e1))
 
 
-class GaussianProcessRegressor:
+class _LikelihoodGP:
+    """What both regressors share: construction, target normalization,
+    the multi-start marginal-likelihood fit and the training-set views.
+
+    Subclasses supply ``fit``, ``_nll`` (value only) and
+    ``_nll_and_grad`` (value and exact theta-gradient, computed on a
+    private kernel copy).
+    """
+
+    def __init__(self, kernel: Kernel | None = None, *, alpha: float = 1e-10,
+                 normalize_y: bool = True, n_restarts: int = 2,
+                 optimize: bool = True, n_jobs: int | None = None,
+                 rng: np.random.Generator | int | None = None,
+                 tracer=None):
+        if alpha < 0:
+            raise ValueError("alpha must be non-negative")
+        self.kernel = copy.deepcopy(kernel) if kernel is not None \
+            else default_bo_kernel()
+        self.alpha = alpha
+        self.normalize_y = normalize_y
+        self.n_restarts = n_restarts
+        self.optimize = optimize
+        self.n_jobs = n_jobs
+        self.rng = rng
+        self.tracer = as_tracer(tracer)
+        self._fitted = False
+
+    def _refit(self, X: np.ndarray, y: np.ndarray):
+        """``fit`` at the current hyperparameters, never re-optimizing."""
+        saved_optimize = self.optimize
+        self.optimize = False
+        try:
+            return self.fit(X, y)
+        finally:
+            self.optimize = saved_optimize
+
+    def _normalize_targets(self, y: np.ndarray) -> None:
+        self._y_raw = y.copy()
+        if self.normalize_y:
+            self._y_mean = float(y.mean())
+            self._y_std = float(y.std())
+            if self._y_std == 0.0:
+                self._y_std = 1.0
+        else:
+            self._y_mean, self._y_std = 0.0, 1.0
+        self._y = (y - self._y_mean) / self._y_std
+
+    def log_marginal_likelihood(self, theta: np.ndarray | None = None) -> float:
+        """Log marginal likelihood at *theta* (default: current kernel)."""
+        if theta is None:
+            theta = self.kernel.theta
+        saved = self.kernel.theta
+        try:
+            return -self._nll(np.asarray(theta, dtype=float))
+        finally:
+            self.kernel.theta = saved
+
+    def _optimize_theta(self) -> None:
+        """Multi-start L-BFGS-B on the exact likelihood gradient.
+
+        One fused value-and-gradient call per step shares a single
+        factorization between the NLL and all its partial derivatives.
+        Starts are the incumbent theta plus ``n_restarts`` uniform draws
+        inside the bounds; the best is kept in start order.
+        """
+        rng = as_generator(self.rng)
+        bounds = self.kernel.bounds
+        starts = [self.kernel.theta]
+        for _ in range(self.n_restarts):
+            starts.append(rng.uniform(bounds[:, 0], bounds[:, 1]))
+
+        def _run_start(start: np.ndarray) -> tuple[float, np.ndarray]:
+            # Each restart optimizes a private kernel copy, so threaded
+            # workers never race on shared hyperparameter state and the
+            # result matches the serial loop bit-for-bit.
+            res = minimize(self._nll_and_grad, start,
+                           args=(copy.deepcopy(self.kernel),), jac=True,
+                           method="L-BFGS-B", bounds=bounds,
+                           options={"maxiter": 100})
+            return float(res.fun), res.x
+
+        results = parallel_map(_run_start, starts, n_jobs=self.n_jobs,
+                               backend="thread", tracer=self.tracer)
+        best_theta, best_nll = self.kernel.theta, np.inf
+        for fun, x in results:
+            if fun < best_nll:
+                best_nll, best_theta = fun, x
+        self.kernel.theta = best_theta
+
+    @property
+    def X_train_(self) -> np.ndarray:
+        if not self._fitted:
+            raise RuntimeError("GP is not fitted")
+        return self._X
+
+    @property
+    def y_train_(self) -> np.ndarray:
+        """Training targets in original (denormalized) units."""
+        if not self._fitted:
+            raise RuntimeError("GP is not fitted")
+        return self._y * self._y_std + self._y_mean
+
+
+class GaussianProcessRegressor(_LikelihoodGP):
     """GP regression on the unit hypercube.
 
     Parameters
@@ -49,53 +152,25 @@ class GaussianProcessRegressor:
         magnitudes vary wildly across workloads.
     n_restarts:
         Random restarts (beyond the incumbent theta) for the marginal
-        likelihood optimization.
+        likelihood optimization, which L-BFGS-B runs on the exact
+        gradient from the kernels' ``∂K/∂θ`` and the Rasmussen–Williams
+        trace identity.
     optimize:
         If False, keep the kernel's current hyperparameters (useful for
         tests and for very small training sets).
-    analytic_gradients:
-        Use the kernels' analytic ``∂K/∂θ`` and the Rasmussen–Williams
-        trace identity to hand L-BFGS-B an exact likelihood gradient
-        instead of finite differences.  One fused value-and-gradient call
-        replaces ``len(theta) + 1`` likelihood evaluations per gradient
-        step, all sharing a single Cholesky.  Off by default: the analytic
-        optimizer takes different (usually better) steps than the
-        finite-difference one, so fitted hyperparameters match only to
-        optimizer tolerance, not bit-for-bit.  Kernels without
-        ``value_and_theta_gradient`` silently fall back to the
-        finite-difference path.
     n_jobs:
         Workers for the multi-start likelihood optimization (``None``
         defers to ``ROBOTUNE_JOBS``).  Each restart runs on a private
         kernel copy and winners are chosen in start order, so the fitted
         model is identical for any worker count.
     tracer:
-        Optional :class:`repro.obs.Tracer`: each (re)fit emits a
-        ``gp.fit`` event and accumulates in the ``gp.fit`` timer;
-        :meth:`predict` calls bump the ``gp.predict``/``gp.predict.points``
-        counters.  The hot :meth:`fast_predict` path is deliberately left
-        uninstrumented.
+        Optional :class:`repro.obs.Tracer`: each (re)fit, including a
+        rank-k :meth:`update`, emits a ``gp.fit`` event and accumulates
+        in the ``gp.fit`` timer; :meth:`predict` calls bump the
+        ``gp.predict``/``gp.predict.points`` counters.  The single-point
+        :meth:`fast_predict` and :meth:`predict_with_gradient` paths are
+        deliberately left uninstrumented.
     """
-
-    def __init__(self, kernel: Kernel | None = None, *, alpha: float = 1e-10,
-                 normalize_y: bool = True, n_restarts: int = 2,
-                 optimize: bool = True, analytic_gradients: bool = False,
-                 n_jobs: int | None = None,
-                 rng: np.random.Generator | int | None = None,
-                 tracer=None):
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
-        self.kernel = copy.deepcopy(kernel) if kernel is not None \
-            else default_bo_kernel()
-        self.alpha = alpha
-        self.normalize_y = normalize_y
-        self.n_restarts = n_restarts
-        self.optimize = optimize
-        self.analytic_gradients = analytic_gradients
-        self.n_jobs = n_jobs
-        self.rng = rng
-        self.tracer = as_tracer(tracer)
-        self._fitted = False
 
     # -- fitting ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray) -> "GaussianProcessRegressor":
@@ -150,31 +225,22 @@ class GaussianProcessRegressor:
                 or X.shape[0] < self._X.shape[0]
                 or not np.array_equal(self.kernel.theta, self._theta_chol)
                 or not np.array_equal(X[: self._X.shape[0]], self._X)):
-            saved_optimize = self.optimize
-            self.optimize = False
-            try:
-                return self.fit(X, y)
-            finally:
-                self.optimize = saved_optimize
+            return self._refit(X, y)
         n_old = self._X.shape[0]
-        k = X.shape[0] - n_old
-        if k == 0:
+        if X.shape[0] == n_old:
             if not np.array_equal(self._y_raw, y):
                 self._normalize_targets(y)
                 self._weights = cho_solve(self._chol, self._y)
             return self
-        X_new = X[n_old:]
-        if not self._extend_cholesky(X_new):
+        with self.tracer.timer("gp.fit"):
+            extended = self._extend_cholesky(X[n_old:])
+            if extended:
+                self._X = X
+                self._normalize_targets(y)
+                self._weights = cho_solve(self._chol, self._y)
+        if not extended:
             # Appended block made the factor numerically unstable: refit.
-            saved_optimize = self.optimize
-            self.optimize = False
-            try:
-                return self.fit(X, y)
-            finally:
-                self.optimize = saved_optimize
-        self._X = X
-        self._normalize_targets(y)
-        self._weights = cho_solve(self._chol, self._y)
+            return self._refit(X, y)
         self.tracer.emit("gp.fit", {"n": int(X.shape[0]),
                                     "optimized": False,
                                     "incremental": True,
@@ -209,17 +275,6 @@ class GaussianProcessRegressor:
         d2[n_old:, n_old:] = _cdist_sq(X_new, X_new)
         self._d2 = d2
         return True
-
-    def _normalize_targets(self, y: np.ndarray) -> None:
-        self._y_raw = y.copy()
-        if self.normalize_y:
-            self._y_mean = float(y.mean())
-            self._y_std = float(y.std())
-            if self._y_std == 0.0:
-                self._y_std = 1.0
-        else:
-            self._y_mean, self._y_std = 0.0, 1.0
-        self._y = (y - self._y_mean) / self._y_std
 
     def _K_train(self, kernel: Kernel | None = None) -> np.ndarray:
         """Training covariance (without jitter), from cached distances when
@@ -275,54 +330,6 @@ class GaussianProcessRegressor:
         grad = np.array([0.5 * np.sum(M * G) for G in grads])
         return nll, grad
 
-    def _kernel_has_theta_gradient(self) -> bool:
-        try:
-            self.kernel.value_and_theta_gradient(self._X[:1])
-        except NotImplementedError:
-            return False
-        return True
-
-    def log_marginal_likelihood(self, theta: np.ndarray | None = None) -> float:
-        """Log marginal likelihood at *theta* (default: current kernel)."""
-        if theta is None:
-            theta = self.kernel.theta
-        saved = self.kernel.theta
-        try:
-            return -self._nll(np.asarray(theta, dtype=float))
-        finally:
-            self.kernel.theta = saved
-
-    def _optimize_theta(self) -> None:
-        rng = as_generator(self.rng)
-        bounds = self.kernel.bounds
-        starts = [self.kernel.theta]
-        for _ in range(self.n_restarts):
-            starts.append(rng.uniform(bounds[:, 0], bounds[:, 1]))
-        use_grad = self.analytic_gradients and self._kernel_has_theta_gradient()
-
-        def _run_start(start: np.ndarray) -> tuple[float, np.ndarray]:
-            # Each restart optimizes a private kernel copy, so threaded
-            # workers never race on shared hyperparameter state and the
-            # result matches the serial loop bit-for-bit.
-            kernel = copy.deepcopy(self.kernel)
-            if use_grad:
-                res = minimize(self._nll_and_grad, start, args=(kernel,),
-                               jac=True, method="L-BFGS-B",
-                               bounds=bounds, options={"maxiter": 100})
-            else:
-                res = minimize(self._nll, start, args=(kernel,),
-                               method="L-BFGS-B",
-                               bounds=bounds, options={"maxiter": 100})
-            return float(res.fun), res.x
-
-        results = parallel_map(_run_start, starts, n_jobs=self.n_jobs,
-                               backend="thread", tracer=self.tracer)
-        best_theta, best_nll = self.kernel.theta, np.inf
-        for fun, x in results:
-            if fun < best_nll:
-                best_nll, best_theta = fun, x
-        self.kernel.theta = best_theta
-
     def _precompute(self) -> None:
         K = self._K_train() + self.alpha * np.eye(self._X.shape[0])
         # Escalate jitter if the optimized kernel is barely positive definite.
@@ -368,8 +375,8 @@ class GaussianProcessRegressor:
     def fast_predict(self, X: np.ndarray
                      ) -> tuple[np.ndarray, np.ndarray]:
         """Posterior mean and std without input validation or finiteness
-        checks — the hot path for acquisition refinement, where the same
-        fitted model is queried thousands of times with single points.
+        checks, for callers that query one fitted model many times with
+        single points.
 
         Arithmetic is identical to ``predict(X, return_std=True)``; only
         the defensive ``asarray``/shape/finite checks are skipped, so both
@@ -420,16 +427,3 @@ class GaussianProcessRegressor:
             dvar = -2.0 * (dk.T @ v[:, 0])
             dsigma = dvar / (2.0 * float(np.sqrt(var[0]))) * self._y_std
         return float(mean[0]), float(std[0]), dmu, dsigma
-
-    @property
-    def X_train_(self) -> np.ndarray:
-        if not self._fitted:
-            raise RuntimeError("GP is not fitted")
-        return self._X
-
-    @property
-    def y_train_(self) -> np.ndarray:
-        """Training targets in original (denormalized) units."""
-        if not self._fitted:
-            raise RuntimeError("GP is not fitted")
-        return self._y * self._y_std + self._y_mean

@@ -100,6 +100,7 @@ class Kernel(ABC):
         """Log-space box bounds, shape ``(len(theta), 2)``."""
 
     # -- analytic gradients --------------------------------------------------------
+    @abstractmethod
     def value_and_theta_gradient(self, X: np.ndarray,
                                  d2: np.ndarray | None = None
                                  ) -> tuple[np.ndarray, list[np.ndarray]]:
@@ -116,8 +117,8 @@ class Kernel(ABC):
         Contract: the returned matrices never alias each other or *d2*,
         so callers may mutate ``K`` (e.g. add diagonal jitter) freely.
         """
-        raise NotImplementedError
 
+    @abstractmethod
     def cross_value_and_theta_gradient(self, X: np.ndarray, Y: np.ndarray
                                        ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Cross covariance ``k(X, Y)`` together with ``∂k(X, Y)/∂θ_i``.
@@ -129,17 +130,16 @@ class Kernel(ABC):
         ``(n, p)`` matrix per log-space hyperparameter, in :attr:`theta`
         order; the matrices never alias each other.
         """
-        raise NotImplementedError
 
+    @abstractmethod
     def diag_theta_gradient(self, X: np.ndarray
                             ) -> tuple[np.ndarray, list[np.ndarray]]:
         """``diag(k(X, X))`` together with ``∂diag/∂θ_i`` vectors."""
-        raise NotImplementedError
 
+    @abstractmethod
     def latent_diag_theta_gradient(self, X: np.ndarray
                                    ) -> tuple[np.ndarray, list[np.ndarray]]:
         """:meth:`latent_diag` together with its ``∂/∂θ_i`` vectors."""
-        raise NotImplementedError
 
     def theta_gradient(self, X: np.ndarray) -> np.ndarray:
         """Stack of ``∂k(X, X)/∂θ_i``, shape ``(len(theta), n, n)``.
@@ -154,6 +154,7 @@ class Kernel(ABC):
             return np.empty((0, n, n))
         return np.stack(grads)
 
+    @abstractmethod
     def input_gradient(self, x: np.ndarray, X: np.ndarray) -> np.ndarray:
         """Jacobian ``∂k(x, X_j)/∂x`` of the cross-covariance vector.
 
@@ -163,7 +164,6 @@ class Kernel(ABC):
         distinct point sets, white-noise components contribute zero, so
         the Jacobian is that of the latent (noise-free) covariance.
         """
-        raise NotImplementedError
 
     # -- composition -------------------------------------------------------------
     def __add__(self, other: "Kernel") -> "Sum":

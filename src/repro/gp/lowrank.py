@@ -24,17 +24,12 @@ regressor.
 
 from __future__ import annotations
 
-import copy
 import math
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
-from scipy.optimize import minimize
 
-from ..obs import as_tracer
-from ..utils.parallel import parallel_map
-from ..utils.rng import as_generator
-from .gpr import default_bo_kernel
+from .gpr import _LikelihoodGP
 from .kernels import Kernel
 
 __all__ = ["LowRankGaussianProcessRegressor", "select_inducing"]
@@ -77,7 +72,7 @@ def select_inducing(kernel: Kernel, X: np.ndarray, m: int) -> np.ndarray:
     return np.asarray(chosen, dtype=int)
 
 
-class LowRankGaussianProcessRegressor:
+class LowRankGaussianProcessRegressor(_LikelihoodGP):
     """SoR/DTC approximation of :class:`~repro.gp.GaussianProcessRegressor`.
 
     Drop-in for the exact regressor: identical constructor semantics plus
@@ -87,7 +82,9 @@ class LowRankGaussianProcessRegressor:
     acquisition portfolio and :class:`repro.core.LocalPenalizer` work
     unchanged.
 
-    Parameters mirror the exact GP; additionally:
+    Parameters mirror the exact GP (hyperparameters are fit by the same
+    multi-start optimizer, on the SoR likelihood's exact gradient);
+    additionally:
 
     n_inducing:
         Maximum number of inducing points m.  Fit costs O(n·m²) and each
@@ -95,34 +92,17 @@ class LowRankGaussianProcessRegressor:
 
     ``update`` never re-optimizes hyperparameters and always equals an
     ``optimize=False`` fit from scratch on the concatenated data — with
-    an O(n·m²) refit there is nothing to gain from incremental
-    factorization, and the exact-equality property keeps warm-started
-    sessions reproducible.
+    an O(n·m²) refit there is nothing to gain from extending a factor,
+    and the exact-equality property keeps warm-started sessions
+    reproducible.
     """
 
     def __init__(self, kernel: Kernel | None = None, *,
-                 n_inducing: int = 96, alpha: float = 1e-10,
-                 normalize_y: bool = True, n_restarts: int = 2,
-                 optimize: bool = True, analytic_gradients: bool = False,
-                 n_jobs: int | None = None,
-                 rng: np.random.Generator | int | None = None,
-                 tracer=None):
-        if alpha < 0:
-            raise ValueError("alpha must be non-negative")
+                 n_inducing: int = 96, **kwargs):
+        super().__init__(kernel, **kwargs)
         if n_inducing < 1:
             raise ValueError("n_inducing must be >= 1")
-        self.kernel = copy.deepcopy(kernel) if kernel is not None \
-            else default_bo_kernel()
         self.n_inducing = n_inducing
-        self.alpha = alpha
-        self.normalize_y = normalize_y
-        self.n_restarts = n_restarts
-        self.optimize = optimize
-        self.analytic_gradients = analytic_gradients
-        self.n_jobs = n_jobs
-        self.rng = rng
-        self.tracer = as_tracer(tracer)
-        self._fitted = False
 
     # -- fitting ------------------------------------------------------------------
     def fit(self, X: np.ndarray, y: np.ndarray
@@ -165,23 +145,7 @@ class LowRankGaussianProcessRegressor:
         arrays — including re-running inducing selection, since appended
         observations can shift which points best summarize the set.
         """
-        saved_optimize = self.optimize
-        self.optimize = False
-        try:
-            return self.fit(X, y)
-        finally:
-            self.optimize = saved_optimize
-
-    def _normalize_targets(self, y: np.ndarray) -> None:
-        self._y_raw = y.copy()
-        if self.normalize_y:
-            self._y_mean = float(y.mean())
-            self._y_std = float(y.std())
-            if self._y_std == 0.0:
-                self._y_std = 1.0
-        else:
-            self._y_mean, self._y_std = 0.0, 1.0
-        self._y = (y - self._y_mean) / self._y_std
+        return self._refit(X, y)
 
     def _noise_diag(self, kernel: Kernel) -> np.ndarray:
         """Per-point observation-noise variance Λ (white noise + jitter)."""
@@ -301,54 +265,6 @@ class LowRankGaussianProcessRegressor:
             for g_mn, g_mm, g_lam in zip(dKmn, dKmm, dlam)])
         return nll, grad
 
-    def _kernel_has_theta_gradient(self) -> bool:
-        try:
-            self.kernel.cross_value_and_theta_gradient(self._Z[:1],
-                                                       self._X[:1])
-            self.kernel.diag_theta_gradient(self._X[:1])
-            self.kernel.latent_diag_theta_gradient(self._X[:1])
-        except NotImplementedError:
-            return False
-        return True
-
-    def log_marginal_likelihood(self, theta: np.ndarray | None = None) -> float:
-        """Log marginal likelihood at *theta* (default: current kernel)."""
-        if theta is None:
-            theta = self.kernel.theta
-        saved = self.kernel.theta
-        try:
-            return -self._nll(np.asarray(theta, dtype=float))
-        finally:
-            self.kernel.theta = saved
-
-    def _optimize_theta(self) -> None:
-        rng = as_generator(self.rng)
-        bounds = self.kernel.bounds
-        starts = [self.kernel.theta]
-        for _ in range(self.n_restarts):
-            starts.append(rng.uniform(bounds[:, 0], bounds[:, 1]))
-        use_grad = self.analytic_gradients and self._kernel_has_theta_gradient()
-
-        def _run_start(start: np.ndarray) -> tuple[float, np.ndarray]:
-            kernel = copy.deepcopy(self.kernel)
-            if use_grad:
-                res = minimize(self._nll_and_grad, start, args=(kernel,),
-                               jac=True, method="L-BFGS-B",
-                               bounds=bounds, options={"maxiter": 100})
-            else:
-                res = minimize(self._nll, start, args=(kernel,),
-                               method="L-BFGS-B",
-                               bounds=bounds, options={"maxiter": 100})
-            return float(res.fun), res.x
-
-        results = parallel_map(_run_start, starts, n_jobs=self.n_jobs,
-                               backend="thread", tracer=self.tracer)
-        best_theta, best_nll = self.kernel.theta, np.inf
-        for fun, x in results:
-            if fun < best_nll:
-                best_nll, best_theta = fun, x
-        self.kernel.theta = best_theta
-
     def _precompute(self) -> None:
         jitter = self.alpha if self.alpha > 0 else 1e-10
         for _ in range(8):
@@ -443,19 +359,6 @@ class LowRankGaussianProcessRegressor:
             dvar = -2.0 * (g.T @ a[:, 0]) + 2.0 * (h.T @ t[:, 0])
             dsigma = dvar / (2.0 * float(np.sqrt(var[0]))) * self._y_std
         return float(mean[0]), float(std[0]), dmu, dsigma
-
-    @property
-    def X_train_(self) -> np.ndarray:
-        if not self._fitted:
-            raise RuntimeError("GP is not fitted")
-        return self._X
-
-    @property
-    def y_train_(self) -> np.ndarray:
-        """Training targets in original (denormalized) units."""
-        if not self._fitted:
-            raise RuntimeError("GP is not fitted")
-        return self._y * self._y_std + self._y_mean
 
     @property
     def inducing_indices_(self) -> np.ndarray:

@@ -47,7 +47,6 @@ EVENT_TYPES: dict[str, str] = {
     "acq.winner": "the acquisition function whose nominee was chosen",
     "gp.fit": "a GP surrogate (re)fit: size and hyperparameter state",
     "gp.mode": "the engine switched between exact and low-rank surrogates",
-    "gp.chunk": "a candidate sweep streamed through the surrogate in blocks",
     "warmstart.load": "prior-journal observations assembled for the "
                       "surrogate warm start",
     "transfer.map": "a workload-mapper probe matched (or missed) a prior "
@@ -93,7 +92,6 @@ COUNTERS: dict[str, str] = {
     "gp.predict": "GP posterior predictions served",
     "gp.predict.points": "candidate points pushed through GP predictions",
     "gp.mode.switch": "exact <-> low-rank surrogate switches",
-    "gp.chunk.blocks": "blocks streamed through chunked acquisition sweeps",
     "async.idle_worker_slots": "free worker slots observed at async "
                                "dispatch points",
     "batch.serial_fallback": "concurrent evaluations degraded to serial",

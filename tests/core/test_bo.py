@@ -100,8 +100,6 @@ class TestValidation:
             BOEngine(n_candidates=2)
         with pytest.raises(ValueError):
             BOEngine(hyperopt_every=0)
-        with pytest.raises(ValueError):
-            BOEngine(refine_starts=0)
         space, objective, initial = make_problem()
         with pytest.raises(ValueError):
             BOEngine(rng=0).minimize(objective, space, initial, budget=-1)

@@ -1,4 +1,4 @@
-"""Incremental-GP and refinement behavior of the BO engine."""
+"""Rank-k GP refits and refinement behavior of the BO engine."""
 
 import numpy as np
 
@@ -16,29 +16,7 @@ def make_problem(dim=3, seed=0):
     return space, objective, initial
 
 
-def run(engine_kwargs, seed):
-    space, objective, initial = make_problem(seed=seed)
-    engine = BOEngine(rng=seed + 1, n_candidates=96, **engine_kwargs)
-    evals = engine.minimize(objective, space, initial, budget=12)
-    return [tuple(e.vector) for e in evals], [e.objective for e in evals]
-
-
 class TestIncremental:
-    def test_default_is_full_refit(self):
-        assert BOEngine().incremental is False
-
-    def test_default_matches_explicit_full(self):
-        for seed in (0, 5):
-            assert run({}, seed) == run({"incremental": False}, seed)
-
-    def test_incremental_finds_comparable_optimum(self):
-        # Rank-1 updates drift at float precision, so decision sequences
-        # may diverge; optimization quality must not.
-        for seed in (0, 3):
-            _, obj_full = run({"incremental": False}, seed)
-            _, obj_inc = run({"incremental": True}, seed)
-            assert min(obj_inc) <= 1.5 * min(obj_full)
-
     def test_gp_instance_is_reused(self):
         space, objective, initial = make_problem(seed=2)
         engine = BOEngine(rng=3, n_candidates=64)
@@ -47,17 +25,16 @@ class TestIncremental:
 
     def test_incremental_gp_grows_without_refit(self):
         space, objective, initial = make_problem(seed=4)
-        engine = BOEngine(rng=5, n_candidates=64, incremental=True,
-                          hyperopt_every=100)
+        engine = BOEngine(rng=5, n_candidates=64, hyperopt_every=100)
         engine.minimize(objective, space, initial, budget=6)
         assert engine.last_gp.X_train_.shape[0] == len(initial) + 6
 
 
 class TestRefine:
     def test_refined_nominee_never_worse_than_start(self):
-        # _refine accepts the polished point only when it does not regress
-        # the sweep winner; either way the evaluated point stays within
-        # the unit box.
+        # _refine accepts the polished point only when it beats the sweep
+        # winner; either way the evaluated point stays within the unit
+        # box.
         space, objective, initial = make_problem(seed=6)
         engine = BOEngine(rng=7, n_candidates=64, refine=True)
         evals = engine.minimize(objective, space, initial, budget=6)

@@ -261,38 +261,3 @@ class TestGPModeSwitch:
             BOEngine(gp_max_exact=1)
         with pytest.raises(ValueError):
             BOEngine(gp_inducing=0)
-        with pytest.raises(ValueError):
-            BOEngine(gp_chunk=4)
-
-
-class TestChunkedSweeps:
-    def test_blocks_match_single_call(self):
-        rng = np.random.default_rng(0)
-        X = rng.random((30, 3))
-        y = rng.random(30)
-        gp = GaussianProcessRegressor(optimize=False).fit(X, y)
-        sink = InMemorySink()
-        tracer = Tracer([sink])
-        engine = BOEngine(rng=1, gp_chunk=8, tracer=tracer)
-        U = rng.random((20, 3))
-        mu_b, sd_b = engine._predict_sweep(gp, U)
-        mu, sd = gp.predict(U, return_std=True)
-        np.testing.assert_allclose(mu_b, mu, atol=1e-10)
-        np.testing.assert_allclose(sd_b, sd, atol=1e-10)
-        assert tracer.counters["gp.chunk.blocks"] == 3     # 8 + 8 + 4
-        tracer.close()
-        chunk_events = [r for r in sink.records if r.get("type") == "gp.chunk"]
-        assert len(chunk_events) == 1
-        assert chunk_events[0]["data"]["blocks"] == 3
-
-    def test_single_block_is_bitwise_identical(self):
-        rng = np.random.default_rng(2)
-        X = rng.random((25, 3))
-        y = rng.random(25)
-        gp = GaussianProcessRegressor(optimize=False).fit(X, y)
-        engine = BOEngine(rng=3)                # default chunk: 1024
-        U = rng.random((100, 3))
-        mu_s, sd_s = engine._predict_sweep(gp, U)
-        mu, sd = gp.predict(U, return_std=True)
-        np.testing.assert_array_equal(mu_s, mu)
-        np.testing.assert_array_equal(sd_s, sd)

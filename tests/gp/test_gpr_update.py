@@ -5,6 +5,7 @@ import pytest
 
 from repro.gp import GaussianProcessRegressor, Matern52, WhiteKernel
 from repro.gp.gpr import default_bo_kernel
+from repro.obs import InMemorySink, Tracer
 
 
 def make_data(n, d=3, seed=0):
@@ -118,6 +119,23 @@ class TestFallbacks:
         assert gp.optimize  # caller's setting restored
 
 
+class TestTracing:
+    def test_rank_k_update_is_timed_like_a_fit(self):
+        # Every refit that emits a gp.fit event accumulates in the gp.fit
+        # timer, the rank-k extension included.
+        sink = InMemorySink()
+        tracer = Tracer([sink])
+        X, y = make_data(22)
+        gp = GaussianProcessRegressor(kernel=default_bo_kernel(), alpha=1e-8,
+                                      optimize=False, tracer=tracer)
+        gp.fit(X[:20], y[:20])
+        gp.update(X, y)
+        tracer.close()
+        fits = [r["data"] for r in sink.records if r.get("type") == "gp.fit"]
+        assert [f["incremental"] for f in fits] == [False, True]
+        assert tracer.timers["gp.fit"]["count"] == 2
+
+
 class TestFastPredict:
     def test_bitwise_equal_to_predict(self):
         gp, X, y = fitted_gp(n=30, optimize=True)
@@ -136,8 +154,9 @@ class TestGramCache:
         np.testing.assert_allclose(K_cached, K_direct, rtol=1e-12, atol=1e-12)
 
     def test_optimized_fit_unchanged_by_cache(self):
-        # The cached-Gram likelihood path must land on the same
-        # hyperparameters as direct kernel evaluation (Matérn is bit-exact).
+        # The cached-Gram path must land on the same hyperparameters and
+        # the same factorization as direct kernel evaluation (Matérn is
+        # bit-exact).
         X, y = make_data(30, seed=5)
         gp = GaussianProcessRegressor(kernel=default_bo_kernel(), rng=5)
         gp.fit(X, y)
@@ -150,3 +169,4 @@ class TestGramCache:
         ref = NoCache(kernel=default_bo_kernel(), rng=5)
         ref.fit(X, y)
         np.testing.assert_array_equal(gp.kernel.theta, ref.kernel.theta)
+        np.testing.assert_array_equal(gp._weights, ref._weights)

@@ -191,8 +191,7 @@ class TestApiParity:
     def test_analytic_gradient_matches_numeric_nll_slope(self):
         X, y = _data(11, 30)
         gp = LowRankGaussianProcessRegressor(
-            _kernel(), n_inducing=10, optimize=False,
-            analytic_gradients=True).fit(X, y)
+            _kernel(), n_inducing=10, optimize=False).fit(X, y)
         theta = gp.kernel.theta.copy()
         nll, grad = gp._nll_and_grad(theta, gp.kernel)
         assert nll == pytest.approx(gp._nll(theta), rel=1e-10)

@@ -1,7 +1,8 @@
 """End-to-end decision-sequence parity with the pre-observability tuners.
 
 The golden digests below were produced by this exact script at the commit
-*before* the observability layer landed (tracing did not exist yet).  If
+*before* the observability layer landed (tracing did not exist yet;
+ROBOTune's was re-pinned since, see ``GOLDEN``).  If
 any of them changes, instrumentation has leaked into a decision path —
 an RNG draw, a clock read, a reordered operation — which breaks the
 contract that tracing only ever observes.
@@ -29,7 +30,11 @@ from repro.tuners.random_search import RandomSearch
 from repro.tuners.synthetic import SyntheticObjective, synthetic_space
 
 GOLDEN = {
-    "ROBOTune": "923ae24e93865dcb",
+    # Re-pinned on purpose when analytic-gradient refinement from the one
+    # sweep winner and rank-k refits became the only acquisition and
+    # hyperparameter-fit path (finite-difference paths deleted).  The
+    # other three tuners never touch the GP and keep their digests.
+    "ROBOTune": "0c0340b508a2dce7",
     "BestConfig": "0ccfb94ddcd088ba",
     "Gunther": "75b71643a8e147bf",
     "RandomSearch": "49eb07eee9cc8517",
