@@ -5,8 +5,8 @@ permutation importance, incremental GP updates, one BO iteration, a small
 end-to-end tune) and appends the wall-clock numbers to
 ``BENCH_hotpaths.json`` at the repo root, so successive commits leave a
 comparable record.  Where a reference implementation is kept in-tree
-(the per-repeat importance loop, the from-scratch GP refit), both sides
-are timed and the speedup is printed.
+(the per-repeat OOB importance scorer, the from-scratch GP refit), both
+sides are timed and the speedup is printed.
 
 The BO-engine benchmarks (async evaluation vs the serial loop, the
 low-rank surrogate vs the exact one) write their numbers to a separate
@@ -29,7 +29,9 @@ import numpy as np
 from repro.core import BOEngine
 from repro.core.tuner import ROBOTune
 from repro.gp.gpr import GaussianProcessRegressor, default_bo_kernel
-from repro.ml import RandomForestRegressor, grouped_permutation_importance
+from repro.ml import RandomForestRegressor
+from repro.ml.importance import (_permuted_oob_scores_batched,
+                                 _permuted_oob_scores_loop)
 from repro.sampling import latin_hypercube
 from repro.space.spark_params import spark_space
 from repro.tuners import SyntheticObjective, synthetic_space
@@ -107,11 +109,13 @@ def test_grouped_importance_batched_vs_loop(capsys):
     X = rng.random((250, 10))
     y = 5 * X[:, 0] + 2 * X[:, 1] * X[:, 2] + rng.normal(0, 0.05, 250)
     forest = RandomForestRegressor(60, rng=2).fit(X, y)
-    groups = {f"g{j}": [j] for j in range(10)}
-    batched = _time(lambda: grouped_permutation_importance(
-        forest, groups, n_repeats=10, rng=3, batched=True))
-    loop = _time(lambda: grouped_permutation_importance(
-        forest, groups, n_repeats=10, rng=3, batched=False), repeats=1)
+    perm_rng = np.random.default_rng(3)
+    perms = [np.stack([perm_rng.permutation(250) for _ in range(10)])
+             for _ in range(10)]
+    batched = _time(lambda: [_permuted_oob_scores_batched(forest, (j,), p)
+                             for j, p in enumerate(perms)])
+    loop = _time(lambda: [_permuted_oob_scores_loop(forest, (j,), p)
+                          for j, p in enumerate(perms)], repeats=1)
     _record("grouped_importance_batched", batched, n=250)
     _record("grouped_importance_loop", loop, n=250)
     with capsys.disabled():
@@ -271,41 +275,6 @@ def test_async_bo_throughput_scaling(capsys):
         print()
     assert walls[1] <= serial * 1.5   # parity mode: no pool, no overhead
     assert walls[4] <= serial / 2.0   # the throughput gate (measured ~3x)
-
-
-def test_sparksim_run_batch_vs_scalar_loop(capsys):
-    """Vectorized batch simulation vs the scalar run() loop, 64 configs.
-
-    ``run_batch`` shares the stage arithmetic across the whole batch in
-    NumPy; the contract is bit-identity (tests/sparksim/test_batch_parity
-    .py), this benchmark records what that sharing buys.
-    """
-    from repro.sparksim import SparkSimulator
-    from repro.utils.rng import spawn
-
-    space = spark_space()
-    sim = SparkSimulator()
-    stages = get_workload("terasort", "D1").build_stages()
-    rng = np.random.default_rng(26)
-    confs = [space.decode(rng.random(space.dim)) for _ in range(64)]
-
-    def scalar():
-        rngs = spawn(np.random.default_rng(27), len(confs))
-        return [sim.run(stages, c, rng=r, time_limit_s=480.0)
-                for c, r in zip(confs, rngs)]
-
-    def batch():
-        rngs = spawn(np.random.default_rng(27), len(confs))
-        return sim.run_batch(stages, confs, rngs=rngs, time_limit_s=480.0)
-
-    s = _time(scalar, repeats=3)
-    b = _time(batch, repeats=3)
-    _record_bo("sparksim_scalar_loop_64cfg_terasort", s, n=64)
-    _record_bo("sparksim_run_batch_64cfg_terasort", b, n=64, speedup=s / b)
-    with capsys.disabled():
-        print(f"sparksim 64 configs (terasort/D1): scalar {s * 1e3:.1f}ms "
-              f"vs run_batch {b * 1e3:.1f}ms ({s / b:.1f}x)")
-    assert b <= s * 1.2  # batch path must never be slower (slack for noise)
 
 
 def test_gp_lowrank_scaling_vs_exact(capsys):

@@ -15,7 +15,7 @@ import re
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterator
 
-from ..context import ModuleContext, repro_subpath
+from ..context import ModuleContext
 from ..findings import Finding
 from ..registry import FlowRule, register
 

@@ -101,7 +101,7 @@ def _permuted_oob_scores_loop(forest: _BaseForestRegressor,
                               cols: tuple[int, ...],
                               perms: np.ndarray) -> np.ndarray:
     """Reference per-repeat implementation (one full OOB pass per
-    permutation); kept for parity testing and as a fallback."""
+    permutation) that tests compare the batched scorer against."""
     X = forest._X_train
     scores = np.empty(perms.shape[0], dtype=float)
     for r, perm in enumerate(perms):
@@ -117,7 +117,6 @@ def grouped_permutation_importance(
         *, n_repeats: int = 10,
         rng: np.random.Generator | int | None = None,
         n_jobs: int | None = None,
-        batched: bool = True,
         tracer=None,
 ) -> list[GroupImportance]:
     """Grouped MDA importances from a fitted bootstrap forest.
@@ -136,10 +135,6 @@ def grouped_permutation_importance(
     n_jobs:
         Workers scoring groups concurrently (thread backend — the work is
         numpy-dominated).  ``None`` defers to ``ROBOTUNE_JOBS``.
-    batched:
-        Use the single-pass batched OOB scorer (default).  ``False``
-        selects the reference per-repeat loop; both produce bit-identical
-        importances.
     tracer:
         Optional :class:`repro.obs.Tracer`; scoring time accumulates in
         the ``importance`` timer and the group fan-out is recorded via
@@ -170,13 +165,10 @@ def grouped_permutation_importance(
         perms = np.stack([rng.permutation(n) for _ in range(n_repeats)])
         tasks.append((label, cols, perms))
 
-    scorer = _permuted_oob_scores_batched if batched \
-        else _permuted_oob_scores_loop
-
     def score_group(task: tuple[str, tuple[int, ...], np.ndarray]
                     ) -> GroupImportance:
         label, cols, perms = task
-        drops = baseline - scorer(forest, cols, perms)
+        drops = baseline - _permuted_oob_scores_batched(forest, cols, perms)
         return GroupImportance(
             group=label,
             columns=cols,

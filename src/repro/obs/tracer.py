@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Callable, Iterable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 

@@ -9,12 +9,9 @@ a seek per flush.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cluster import NodeSpec
 
-__all__ = ["effective_disk_bw", "shuffle_write_bw", "read_seconds",
-           "effective_disk_bw_batch", "shuffle_write_bw_batch"]
+__all__ = ["effective_disk_bw", "shuffle_write_bw", "read_seconds"]
 
 
 def effective_disk_bw(node: NodeSpec, concurrent_streams: int) -> float:
@@ -44,33 +41,6 @@ def shuffle_write_bw(node: NodeSpec, concurrent_streams: int,
     flushes_per_mb = 1024.0 / buffer_kb
     # Interleaved flushing amortizes seeks heavily; keep a mild penalty
     # that favours 64-512 KB buffers over 16-32 KB ones.
-    seek_s_per_mb = flushes_per_mb * (node.disk_seek_ms / 1000.0) * 0.05
-    seconds_per_mb = 1.0 / base + seek_s_per_mb
-    return 1.0 / seconds_per_mb
-
-
-def effective_disk_bw_batch(node: NodeSpec,
-                            concurrent_streams: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`effective_disk_bw` over a per-config int array.
-
-    Element-wise bit-identical to the scalar function (same expression,
-    same operation order).
-    """
-    c = np.asarray(concurrent_streams)
-    if np.any(c < 1):
-        raise ValueError("concurrent_streams must be >= 1")
-    agg_eff = 0.5 + 0.5 / (1.0 + (c - 1) / 8.0)
-    return node.disk_bw_mbps * agg_eff / c
-
-
-def shuffle_write_bw_batch(node: NodeSpec, concurrent_streams: np.ndarray,
-                           buffer_kb: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`shuffle_write_bw`, element-wise bit-identical."""
-    buf = np.asarray(buffer_kb)
-    if np.any(buf <= 0):
-        raise ValueError("buffer_kb must be positive")
-    base = effective_disk_bw_batch(node, concurrent_streams)
-    flushes_per_mb = 1024.0 / buf
     seek_s_per_mb = flushes_per_mb * (node.disk_seek_ms / 1000.0) * 0.05
     seconds_per_mb = 1.0 / base + seek_s_per_mb
     return 1.0 / seconds_per_mb

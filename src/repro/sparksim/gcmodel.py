@@ -16,9 +16,7 @@ are several times slower, matching the long right tails in Figure 5.
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["gc_slowdown", "gc_slowdown_batch"]
+__all__ = ["gc_slowdown"]
 
 
 def gc_slowdown(heap_mb: float, live_mb: float, alloc_factor: float) -> float:
@@ -53,24 +51,3 @@ def gc_slowdown(heap_mb: float, live_mb: float, alloc_factor: float) -> float:
     large_heap = 0.015 * max(heap_mb - 64 * 1024, 0.0) / (128 * 1024)
     return 1.0 + young + pressure + large_heap
 
-
-def gc_slowdown_batch(heap_mb: np.ndarray, live_mb: np.ndarray,
-                      alloc_factor: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`gc_slowdown` over aligned per-config arrays.
-
-    Bit-identical to the scalar function element-wise: every expression
-    mirrors the scalar one's operation order, and the conditional
-    pressure term is selected with ``np.where`` rather than re-deriving
-    the branch arithmetic.
-    """
-    heap = np.asarray(heap_mb, dtype=float)
-    live = np.asarray(live_mb, dtype=float)
-    alloc = np.asarray(alloc_factor, dtype=float)
-    if np.any(heap <= 0):
-        raise ValueError("heap_mb must be positive")
-    util = np.minimum(np.maximum(live, 0.0) / heap, 0.98)
-    young = 0.03 * alloc
-    x = (util - 0.6) / 0.38
-    pressure = np.where(util > 0.6, 1.8 * x ** 2.0, 0.0)
-    large_heap = 0.015 * np.maximum(heap - 64 * 1024, 0.0) / (128 * 1024)
-    return 1.0 + young + pressure + large_heap

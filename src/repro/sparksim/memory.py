@@ -19,11 +19,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .conf import SparkConf
 
-__all__ = ["ExecutorMemory", "executor_memory", "execution_available_batch"]
+__all__ = ["ExecutorMemory", "executor_memory"]
 
 RESERVED_MB = 300.0
 
@@ -64,20 +62,6 @@ class ExecutorMemory:
         free = self.total_unified_mb - min(execution_demand_mb,
                                            self.total_unified_mb)
         return max(free, min(self.storage_floor_mb, self.total_unified_mb))
-
-
-def execution_available_batch(total_unified_mb: np.ndarray,
-                              storage_floor_mb: np.ndarray,
-                              cached_mb: np.ndarray) -> np.ndarray:
-    """Vectorized :meth:`ExecutorMemory.execution_available_mb`.
-
-    Operates on per-config arrays of the two derived capacities plus the
-    current cache occupancy; element-wise bit-identical to the method.
-    """
-    protected = np.minimum(np.maximum(np.asarray(cached_mb, dtype=float), 0.0),
-                           storage_floor_mb)
-    return np.maximum(np.asarray(total_unified_mb, dtype=float) - protected,
-                      0.0)
 
 
 def executor_memory(conf: SparkConf) -> ExecutorMemory:

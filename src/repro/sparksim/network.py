@@ -10,14 +10,10 @@ between requests.
 
 from __future__ import annotations
 
-import numpy as np
-
 from .cluster import NodeSpec
 from .conf import SparkConf
 
-__all__ = ["fetch_efficiency", "shuffle_fetch_seconds", "remote_read_seconds",
-           "fetch_efficiency_batch", "shuffle_fetch_seconds_batch",
-           "remote_read_seconds_batch"]
+__all__ = ["fetch_efficiency", "shuffle_fetch_seconds", "remote_read_seconds"]
 
 
 def fetch_efficiency(conf: SparkConf, node: NodeSpec) -> float:
@@ -71,56 +67,3 @@ def remote_read_seconds(mb: float, node: NodeSpec) -> float:
     bw = min(node.net_bw_mbps * 0.8, node.disk_bw_mbps)
     return mb / bw if mb else 0.0
 
-
-def fetch_efficiency_batch(window_mb: np.ndarray, reqs_in_flight: np.ndarray,
-                           conns_per_peer: np.ndarray,
-                           node: NodeSpec) -> np.ndarray:
-    """Vectorized :func:`fetch_efficiency` over aligned per-config arrays.
-
-    Takes the three configuration fields directly (already gathered into
-    arrays) instead of a :class:`SparkConf`; element-wise bit-identical to
-    the scalar function.
-    """
-    window = np.asarray(window_mb, dtype=float)
-    reqs = np.minimum(reqs_in_flight, 64)
-    conns = np.asarray(conns_per_peer)
-    rtt_s = node.net_rtt_ms / 1000.0
-    eff_window = window * (1.0 + 0.15 * (np.minimum(reqs, 16) - 1) / 15.0) \
-        * (1.0 + 0.1 * (conns - 1) / 7.0)
-    achievable = eff_window / max(rtt_s, 1e-6)
-    eff = np.minimum(1.0, achievable / node.net_bw_mbps)
-    return np.maximum(0.05, np.minimum(eff, 0.92))
-
-
-def shuffle_fetch_seconds_batch(total_mb: np.ndarray, window_mb: np.ndarray,
-                                reqs_in_flight: np.ndarray,
-                                conns_per_peer: np.ndarray, node: NodeSpec,
-                                nodes_used: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`shuffle_fetch_seconds`, element-wise bit-identical.
-
-    The scalar function's early returns (no data, single node) become an
-    explicit zero mask applied after the uniform arithmetic.
-    """
-    total = np.asarray(total_mb, dtype=float)
-    nodes = np.asarray(nodes_used)
-    if np.any(total < 0):
-        raise ValueError("total_mb must be non-negative")
-    if np.any(nodes < 1):
-        raise ValueError("nodes_used must be >= 1")
-    remote_fraction = 1.0 - 1.0 / nodes
-    remote_mb = total * remote_fraction
-    per_node_mb = remote_mb / nodes
-    bw = node.net_bw_mbps * fetch_efficiency_batch(
-        window_mb, reqs_in_flight, conns_per_peer, node)
-    out = per_node_mb / bw
-    out[(total == 0.0) | (remote_mb == 0.0)] = 0.0
-    return out
-
-
-def remote_read_seconds_batch(mb: np.ndarray, node: NodeSpec) -> np.ndarray:
-    """Vectorized :func:`remote_read_seconds`, element-wise bit-identical."""
-    mb = np.asarray(mb, dtype=float)
-    if np.any(mb < 0):
-        raise ValueError("mb must be non-negative")
-    bw = min(node.net_bw_mbps * 0.8, node.disk_bw_mbps)
-    return np.where(mb != 0.0, mb / bw, 0.0)

@@ -1,17 +1,13 @@
 """Task scheduling: turning per-task durations into a stage makespan.
 
-Two interchangeable schedulers are provided:
-
-* :func:`list_schedule_exact` — a discrete-event greedy list scheduler
-  (each task goes to the earliest-free slot, via a heap).  This is the
-  reference semantics.
-* :func:`list_schedule_fast` — a vectorized wave approximation: task *i*
-  runs in slot ``i % slots``; the makespan is the maximum per-slot sum.
-  Exact for equal durations and within a few percent for the lognormal
-  task-noise used here, at a fraction of the cost (pure NumPy).
-
-The simulator uses the fast path; tests assert agreement with the exact
-event-driven scheduler on randomized inputs.
+Every stage runs :func:`apply_speculation`, then
+:func:`list_schedule_fast`: a vectorized wave approximation of greedy
+list scheduling in which task *i* runs in slot ``i % slots`` and the
+makespan is the maximum per-slot sum.  It is exact for equal durations
+and within a few percent for the lognormal task noise used here, at a
+fraction of the cost of an event loop (pure NumPy).  Tests check it
+against a heap-based earliest-free-slot scheduler and an event-driven
+stage model (``tests/sparksim/oracle.py``) on randomized inputs.
 
 Speculative execution (``spark.speculation``) is modelled here: once the
 configured quantile of tasks has finished, any task whose duration exceeds
@@ -21,59 +17,24 @@ time, so the straggler's effective duration is capped.
 
 from __future__ import annotations
 
-import heapq
-
 import numpy as np
 
 from .conf import SparkConf
 
 __all__ = [
-    "list_schedule_exact",
     "list_schedule_fast",
     "apply_speculation",
     "stage_makespan",
 ]
 
 
-def list_schedule_exact(durations: np.ndarray, slots: int,
-                        dispatch_s: float = 0.0) -> float:
-    """Greedy earliest-free-slot schedule; returns the makespan.
-
-    Parameters
-    ----------
-    durations:
-        Per-task run times, scheduled in array order.
-    slots:
-        Concurrent task capacity.
-    dispatch_s:
-        Serial driver-side dispatch cost per task: task *i* cannot start
-        before ``i * dispatch_s`` (a centralized scheduler bottleneck).
-    """
-    durations = np.asarray(durations, dtype=float)
-    if slots < 1:
-        raise ValueError("slots must be >= 1")
-    if durations.size == 0:
-        return 0.0
-    if np.any(durations < 0):
-        raise ValueError("durations must be non-negative")
-    free = [0.0] * min(slots, durations.size)
-    heapq.heapify(free)
-    makespan = 0.0
-    for i, d in enumerate(durations):
-        start = heapq.heappop(free)
-        start = max(start, i * dispatch_s)
-        end = start + float(d)
-        heapq.heappush(free, end)
-        makespan = max(makespan, end)
-    return makespan
-
-
 def list_schedule_fast(durations: np.ndarray, slots: int,
                        dispatch_s: float = 0.0) -> float:
-    """Vectorized wave approximation of :func:`list_schedule_exact`.
+    """Vectorized wave approximation of greedy list scheduling.
 
     Task *i* is assigned to slot ``i % slots``; each slot's finish time is
-    the sum of its tasks, plus the dispatch-serialization lower bound.
+    the sum of its tasks, plus the dispatch-serialization lower bound (the
+    driver launches task *i* no earlier than ``i * dispatch_s``).
     """
     durations = np.asarray(durations, dtype=float)
     if slots < 1:
@@ -129,10 +90,9 @@ def apply_speculation(durations: np.ndarray, conf: SparkConf,
 
 
 def stage_makespan(durations: np.ndarray, conf: SparkConf, slots: int,
-                   dispatch_s: float = 0.0, *, exact: bool = False) -> tuple[float, int]:
+                   dispatch_s: float = 0.0) -> tuple[float, int]:
     """Makespan of a stage, with speculation applied; returns (seconds, waves)."""
     durations, _extra = apply_speculation(durations, conf, slots)
     waves = -(-durations.size // max(min(slots, durations.size), 1)) \
         if durations.size else 0
-    fn = list_schedule_exact if exact else list_schedule_fast
-    return fn(durations, slots, dispatch_s), waves
+    return list_schedule_fast(durations, slots, dispatch_s), waves

@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from ..utils.rng import as_generator
+from ..utils.rng import as_generator, spawn
 from .cluster import ClusterSpec, paper_cluster
 from .conf import SparkConf
 from .disk import effective_disk_bw
@@ -81,15 +81,10 @@ class SparkSimulator:
     ----------
     cluster:
         Hardware model; defaults to the paper's 5-worker testbed.
-    exact_scheduler:
-        Use the heap-based event-driven scheduler instead of the vectorized
-        wave scheduler (slower; mainly for validation).
     """
 
-    def __init__(self, cluster: ClusterSpec | None = None, *,
-                 exact_scheduler: bool = False):
+    def __init__(self, cluster: ClusterSpec | None = None):
         self.cluster = cluster or paper_cluster()
-        self.exact_scheduler = exact_scheduler
 
     # -- public API ---------------------------------------------------------------
     def run(self, stages: Sequence[StageSpec],
@@ -159,19 +154,18 @@ class SparkSimulator:
                   confs: Sequence[SparkConf | Mapping[str, object]],
                   rngs=None,
                   time_limit_s: float | None = None) -> list[ExecutionResult]:
-        """Simulate many configurations in one vectorized pass.
-
-        Bit-identical to calling :meth:`run` once per configuration with
-        the matching generator from *rngs* (a sequence of per-config
-        generators/seeds, or a single seed/generator/None split via
-        :func:`repro.utils.rng.spawn`) — property-tested in
-        ``tests/sparksim/test_batch_parity.py``.  The per-stage task
-        arithmetic runs as ``(B,)`` NumPy expressions across all still-
-        running configurations; see :mod:`repro.sparksim.batch`.
+        """Simulate several configurations: :meth:`run` once per
+        configuration with the matching generator from *rngs* (a sequence
+        of per-config generators/seeds, or a single seed/generator/None
+        split via :func:`repro.utils.rng.spawn`).
         """
-        from .batch import run_batch as _run_batch
-        return _run_batch(self, stages, confs, rngs=rngs,
-                          time_limit_s=time_limit_s)
+        if rngs is None or isinstance(rngs, (int, np.random.Generator)):
+            rngs = spawn(rngs, len(confs))
+        elif len(rngs) != len(confs):
+            raise ValueError(f"got {len(rngs)} generators for "
+                             f"{len(confs)} configurations")
+        return [self.run(stages, conf, rng=rng, time_limit_s=time_limit_s)
+                for conf, rng in zip(confs, rngs)]
 
     # -- stage simulation -----------------------------------------------------------
     def _run_stage(self, spec: StageSpec, conf: SparkConf,
@@ -271,13 +265,8 @@ class SparkSimulator:
                                              size=int(stragglers.sum()))
 
         dispatch = _DISPATCH_BASE_S / (0.5 + 0.25 * min(conf.driver_cores, 6))
-        if self.exact_scheduler:
-            from .eventsim import event_driven_makespan
-            makespan, waves = event_driven_makespan(
-                durations, conf, placement.task_slots, dispatch)
-        else:
-            makespan, waves = stage_makespan(
-                durations, conf, placement.task_slots, dispatch)
+        makespan, waves = stage_makespan(
+            durations, conf, placement.task_slots, dispatch)
         stage_time = max(makespan, fetch_floor)
         stage_time += self._stage_overheads(spec, conf, placement, node)
         stage_time *= run_noise

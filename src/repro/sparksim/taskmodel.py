@@ -13,19 +13,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
 from .cluster import NodeSpec
 from .conf import SparkConf
-from .disk import (effective_disk_bw, effective_disk_bw_batch,
-                   shuffle_write_bw, shuffle_write_bw_batch)
-from .network import remote_read_seconds, remote_read_seconds_batch
+from .disk import effective_disk_bw, shuffle_write_bw
+from .network import remote_read_seconds
 from .serialization import CodecModel, SerializerModel
 
 __all__ = ["TaskCosts", "MemoryState", "locality_fraction",
            "hdfs_read_seconds", "shuffle_write_seconds", "spill_seconds",
-           "locality_fraction_batch", "hdfs_read_seconds_batch",
-           "shuffle_write_seconds_batch", "spill_seconds_batch",
            "SORT_CPU_S_PER_MB", "MEM_READ_MBPS"]
 
 # CPU cost of sort-merging one MB of shuffle data (reference core).
@@ -163,116 +158,3 @@ def spill_seconds(state: MemoryState, conf: SparkConf, node: NodeSpec,
     passes = state.spill_passes
     return (cpu + io) * passes / node.cpu_speed, state.spill_mb * passes
 
-
-# -- vectorized batch counterparts ------------------------------------------------
-#
-# Each *_batch function mirrors its scalar twin element-wise over aligned
-# per-config arrays, reproducing the scalar operation order exactly so the
-# results are bit-identical (tests/sparksim/test_batch_parity.py).  Scalar
-# early returns become zero masks applied after the uniform arithmetic;
-# conditional branches become masked assignments, never re-derived algebra.
-
-
-def locality_fraction_batch(locality_wait_s: np.ndarray,
-                            nodes_used: np.ndarray, n_workers: int,
-                            replication: int) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`locality_fraction` over per-config arrays."""
-    wait = np.asarray(locality_wait_s, dtype=float)
-    nodes = np.asarray(nodes_used)
-    if n_workers > 0:
-        coverage = np.minimum(nodes * replication / n_workers, 1.0)
-    else:
-        coverage = np.ones_like(wait)
-    base_local = np.minimum(0.98, coverage)
-    recovered = (1.0 - base_local) * (wait / (wait + 2.0))
-    local = base_local + recovered
-    delay = wait * (1.0 - local) * 0.5
-    return local, delay
-
-
-def hdfs_read_seconds_batch(per_task_mb: np.ndarray, node: NodeSpec,
-                            concurrent_per_node: np.ndarray,
-                            local_fraction: np.ndarray,
-                            deser_mbps: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`hdfs_read_seconds` over per-config arrays."""
-    per_task = np.asarray(per_task_mb, dtype=float)
-    disk = per_task / effective_disk_bw_batch(
-        node, np.maximum(concurrent_per_node, 1))
-    remote = remote_read_seconds_batch(per_task, node)
-    io = local_fraction * disk + (1.0 - local_fraction) * (disk + remote) * 0.9
-    deser = per_task / deser_mbps
-    return io + deser
-
-
-def shuffle_write_seconds_batch(logical_out_mb: np.ndarray, node: NodeSpec,
-                                concurrent_per_node: np.ndarray,
-                                ser_mbps: np.ndarray, size_ratio: np.ndarray,
-                                comp_mbps: np.ndarray,
-                                codec_ratio: np.ndarray,
-                                shuffle_compress: np.ndarray,
-                                buffer_kb: np.ndarray,
-                                bypass_threshold: np.ndarray,
-                                reduce_partitions: np.ndarray,
-                                map_side_agg: bool,
-                                gc_factor: np.ndarray
-                                ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`shuffle_write_seconds`.
-
-    Serializer/codec models are passed as pre-gathered field arrays; the
-    stage-level ``map_side_agg`` flag stays scalar (uniform across the
-    batch).
-    """
-    logical = np.asarray(logical_out_mb, dtype=float)
-    if map_side_agg:
-        bypass = np.zeros(logical.shape, dtype=bool)
-    else:
-        bypass = reduce_partitions <= bypass_threshold
-    sort_cpu = logical * SORT_CPU_S_PER_MB * np.where(bypass, 0.25, 1.0)
-    tiny = bypass & (reduce_partitions > 500)
-    sort_cpu[tiny] += logical[tiny] * SORT_CPU_S_PER_MB * 0.5
-    ser_cpu = logical / ser_mbps
-    wire_mb = logical * size_ratio
-    comp_cpu = np.zeros_like(logical)
-    m = np.asarray(shuffle_compress, dtype=bool)
-    comp_cpu[m] = wire_mb[m] / comp_mbps[m]
-    wire_mb[m] *= codec_ratio[m]
-    bw = shuffle_write_bw_batch(node, np.maximum(concurrent_per_node, 1),
-                                buffer_kb)
-    disk_s = wire_mb / bw
-    cpu_s = (sort_cpu + ser_cpu + comp_cpu) * gc_factor / node.cpu_speed
-    seconds = cpu_s + disk_s
-    zero = logical <= 0.0
-    seconds[zero] = 0.0
-    wire_mb[zero] = 0.0
-    return seconds, wire_mb
-
-
-def spill_seconds_batch(spill_mb: np.ndarray, exec_avail_per_task_mb: np.ndarray,
-                        node: NodeSpec, concurrent_per_node: np.ndarray,
-                        ser_mbps: np.ndarray, deser_mbps: np.ndarray,
-                        size_ratio: np.ndarray, comp_mbps: np.ndarray,
-                        decomp_mbps: np.ndarray, codec_ratio: np.ndarray,
-                        spill_compress: np.ndarray
-                        ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized :func:`spill_seconds` (plus the spill-pass arithmetic of
-    :attr:`MemoryState.spill_passes`) over per-config arrays."""
-    spill = np.asarray(spill_mb, dtype=float)
-    avail = np.asarray(exec_avail_per_task_mb, dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw_passes = np.minimum(1.0 + spill / avail, 3.0)
-    passes = np.where((spill <= 0.0) | (avail <= 0.0), 1.0, raw_passes)
-    logical = spill / 2.5
-    bytes_mb = logical * size_ratio
-    cpu = logical / ser_mbps + logical / deser_mbps
-    m = np.asarray(spill_compress, dtype=bool)
-    cpu[m] += bytes_mb[m] / comp_mbps[m] \
-        + bytes_mb[m] * codec_ratio[m] / decomp_mbps[m]
-    bytes_mb[m] *= codec_ratio[m]
-    disk_bw = effective_disk_bw_batch(node, np.maximum(concurrent_per_node, 1))
-    io = 2.0 * bytes_mb / disk_bw
-    seconds = (cpu + io) * passes / node.cpu_speed
-    spilled = spill * passes
-    zero = spill <= 0.0
-    seconds[zero] = 0.0
-    spilled[zero] = 0.0
-    return seconds, spilled

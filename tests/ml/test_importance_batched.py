@@ -30,15 +30,6 @@ class TestScorerParity:
 
 
 class TestImportanceParity:
-    def test_batched_equals_loop_bitwise(self):
-        forest, groups = make_problem(seed=1)
-        a = grouped_permutation_importance(forest, groups, n_repeats=5,
-                                           rng=11, batched=True)
-        b = grouped_permutation_importance(forest, groups, n_repeats=5,
-                                           rng=11, batched=False)
-        assert [(g.group, g.columns, g.importance, g.std) for g in a] \
-            == [(g.group, g.columns, g.importance, g.std) for g in b]
-
     def test_n_jobs_does_not_change_result(self):
         forest, groups = make_problem(seed=2)
         a = grouped_permutation_importance(forest, groups, n_repeats=4,

@@ -1,12 +1,14 @@
-"""Tests for the DES core and the event-driven stage model."""
+"""Tests for the DES core and the event-driven stage model in the
+scheduling oracle."""
 
 import numpy as np
 import pytest
 
+from oracle import (EventDrivenStage, EventQueue, Simulation,
+                    event_driven_makespan, list_schedule_exact)
+
 from repro.sparksim import SparkConf
-from repro.sparksim.engine import EventQueue, Simulation
-from repro.sparksim.eventsim import EventDrivenStage, event_driven_makespan
-from repro.sparksim.scheduler import list_schedule_exact
+from repro.sparksim.scheduler import stage_makespan
 
 
 class TestEventQueue:
@@ -97,22 +99,23 @@ class TestSimulation:
 class TestEventDrivenStage:
     def test_matches_exact_list_schedule_without_speculation(self):
         rng = np.random.default_rng(0)
-        for _ in range(10):
-            n = int(rng.integers(1, 80))
-            slots = int(rng.integers(1, 16))
-            d = np.exp(rng.normal(0.0, 0.2, n))
-            stage = EventDrivenStage(d, slots, conf=SparkConf())
-            assert stage.run() == pytest.approx(
-                list_schedule_exact(d, slots))
+        for dispatch_s in (0.0, 0.001, 0.05, 0.5):
+            for _ in range(10):
+                n = int(rng.integers(1, 80))
+                slots = int(rng.integers(1, 16))
+                d = np.exp(rng.normal(0.0, 0.2, n))
+                stage = EventDrivenStage(d, slots, dispatch_s,
+                                         conf=SparkConf())
+                assert stage.run() == pytest.approx(
+                    list_schedule_exact(d, slots, dispatch_s))
 
     def test_dispatch_cost_serializes_launches(self):
         d = np.full(10, 0.001)
         stage = EventDrivenStage(d, slots=10, dispatch_s=0.5,
                                  conf=SparkConf())
-        # Wait: each launch is delayed dispatch_s after slot pickup; with
-        # all slots free, tasks dispatch immediately but pay the launch
-        # latency, so the makespan is at least dispatch + duration.
-        assert stage.run() >= 0.5
+        # Every slot is free, but the driver launches one task per
+        # dispatch_s: the last starts at 9 * 0.5 and runs 0.001.
+        assert stage.run() == 4.501
 
     def test_speculation_rescues_straggler(self):
         conf = SparkConf({"spark.speculation": True,
@@ -156,7 +159,6 @@ class TestMakespanAdapter:
         assert t == pytest.approx(3.0)
 
     def test_close_to_fast_path(self):
-        from repro.sparksim.scheduler import stage_makespan
         rng = np.random.default_rng(5)
         d = np.exp(rng.normal(0, 0.1, 60))
         t_event, _ = event_driven_makespan(d, SparkConf(), 12)

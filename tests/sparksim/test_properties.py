@@ -1,17 +1,22 @@
 """Property-based tests of simulator invariants.
 
 These encode the structural guarantees the tuning experiments depend on:
-any decodable configuration yields a well-formed result, determinism under
-a fixed seed, monotonicity in dataset size, and agreement between the
-vectorized and event-driven scheduler backends end to end.
+any decodable configuration yields a well-formed result on the paper's
+workloads and on random stage graphs, determinism under a fixed seed,
+monotonicity in dataset size, and agreement end to end between the
+vectorized wave scheduler and the event-driven scheduling oracle.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import event_driven_makespan
+
+import repro.sparksim.simulator as simulator_module
 from repro.space import spark_space
 from repro.sparksim import RunStatus, SparkSimulator
+from repro.sparksim.stage import CachedRDD, CacheLevel, InputSource, StageSpec
 from repro.workloads import Dataset, get_workload
 
 SPACE = spark_space()
@@ -44,6 +49,79 @@ class TestTotality:
         res = SIM.run(get_workload(name, "D1").build_stages(), conf, rng=1,
                       time_limit_s=480.0)
         assert np.isfinite(res.duration_s)
+
+
+@st.composite
+def stage_graphs(draw):
+    """A structurally valid random stage DAG (linear chain).
+
+    Mixes the three input sources: the first stage always reads HDFS;
+    later stages fetch shuffle output when the predecessor wrote one,
+    read a cached RDD when one exists, or fall back to HDFS.
+    """
+    n = draw(st.integers(1, 5))
+    stages = []
+    prev_shuffle = 0.0
+    cached = None
+    for i in range(n):
+        if i == 0:
+            source, reads = InputSource.HDFS, None
+        elif prev_shuffle > 0.0 and draw(st.booleans()):
+            source, reads = InputSource.SHUFFLE, None
+        elif cached is not None and draw(st.booleans()):
+            source, reads = InputSource.CACHE, cached.name
+        else:
+            source, reads = InputSource.HDFS, None
+        shuffle_ratio = draw(st.sampled_from([0.0, 0.3, 1.0, 1.8]))
+        cache_out = None
+        if draw(st.booleans()):
+            cache_out = CachedRDD(
+                name=f"rdd{i}",
+                logical_mb=draw(st.sampled_from([256.0, 2048.0, 8192.0])),
+                level=draw(st.sampled_from([CacheLevel.MEMORY,
+                                            CacheLevel.MEMORY_SER])))
+        stages.append(StageSpec(
+            name=f"s{i}",
+            input_mb=draw(st.sampled_from([128.0, 1024.0, 16384.0])),
+            input_source=source,
+            reads_cached=reads,
+            compute_s_per_mb=draw(st.sampled_from([0.002, 0.01, 0.05])),
+            shuffle_write_ratio=shuffle_ratio,
+            cache_output=cache_out,
+            shuffle_agg=draw(st.booleans()),
+            broadcast_mb=draw(st.sampled_from([0.0, 64.0])),
+            driver_collect_mb=draw(st.sampled_from([0.0, 32.0])),
+        ))
+        prev_shuffle = shuffle_ratio
+        if cache_out is not None:
+            cached = cache_out
+    return stages
+
+
+class TestRandomStageGraphs:
+    @given(stage_graphs(), unit_vectors,
+           st.sampled_from([None, 45.0, 480.0]), st.integers(0, 10_000))
+    @settings(max_examples=60, deadline=None)
+    def test_run_is_wellformed_and_reproducible(self, stages, u, limit,
+                                                seed):
+        conf = SPACE.decode(u)
+        res = SIM.run(stages, conf, rng=seed, time_limit_s=limit)
+        assert isinstance(res.status, RunStatus)
+        assert np.isfinite(res.duration_s)
+        assert res.duration_s > 0
+        if res.status is RunStatus.SUCCESS:
+            assert len(res.stages) == len(stages)
+            assert res.duration_s >= sum(m.duration_s for m in res.stages)
+            if limit is not None:
+                assert res.duration_s <= limit
+        elif res.status is RunStatus.TIMEOUT:
+            assert res.duration_s == limit
+        else:
+            # The failing stage contributes no metrics.  No cap is
+            # asserted: a failure is charged its elapsed time plus the
+            # failure's own cost, which can pass the limit.
+            assert len(res.stages) < len(stages)
+        assert SIM.run(stages, conf, rng=seed, time_limit_s=limit) == res
 
 
 class TestDeterminismAndNoise:
@@ -88,14 +166,15 @@ class TestMonotonicity:
 
 
 class TestSchedulerBackends:
-    def test_exact_and_fast_agree_end_to_end(self):
-        exact_sim = SparkSimulator(exact_scheduler=True)
+    def test_exact_and_fast_agree_end_to_end(self, monkeypatch):
         conf = {"spark.executor.cores": 8,
                 "spark.executor.memory": 24 * 1024,
                 "spark.executor.instances": 15,
                 "spark.default.parallelism": 200}
         stages = get_workload("pagerank", "D1").build_stages()
         fast = SIM.run(stages, conf, rng=7)
-        exact = exact_sim.run(stages, conf, rng=7)
+        monkeypatch.setattr(simulator_module, "stage_makespan",
+                            event_driven_makespan)
+        exact = SIM.run(stages, conf, rng=7)
         assert fast.status == exact.status
         assert fast.duration_s == pytest.approx(exact.duration_s, rel=0.15)

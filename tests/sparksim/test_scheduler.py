@@ -1,12 +1,15 @@
-"""Tests for the task schedulers (exact event-driven vs vectorized wave)."""
+"""Tests for the vectorized wave scheduler against the exact list
+scheduler of the scheduling oracle."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from oracle import list_schedule_exact
+
 from repro.sparksim import SparkConf
-from repro.sparksim.scheduler import (apply_speculation, list_schedule_exact,
-                                      list_schedule_fast, stage_makespan)
+from repro.sparksim.scheduler import (apply_speculation, list_schedule_fast,
+                                      stage_makespan)
 
 
 class TestExactScheduler:
@@ -142,9 +145,10 @@ class TestStageMakespan:
         assert waves == 3
         assert t == pytest.approx(3.0)
 
-    def test_exact_flag_consistency(self):
+    def test_consistent_with_exact_oracle(self):
         rng = np.random.default_rng(2)
         d = np.exp(rng.normal(0, 0.1, 40))
         t_fast, _ = stage_makespan(d, SparkConf(), 8)
-        t_exact, _ = stage_makespan(d, SparkConf(), 8, exact=True)
+        capped, _ = apply_speculation(d, SparkConf(), 8)
+        t_exact = list_schedule_exact(capped, 8)
         assert abs(t_fast - t_exact) <= d.max()

@@ -5,6 +5,8 @@ import pytest
 
 from repro.sparksim import (CachedRDD, CacheLevel, InputSource, RunStatus,
                             SparkConf, SparkSimulator, StageSpec)
+from repro.utils.rng import spawn
+from repro.workloads import get_workload
 
 
 SANE = {
@@ -204,3 +206,33 @@ class TestSpill:
         stages = one_stage(input_mb=2000.0, expansion=2.0)
         res = sim.run(stages, SANE, rng=0)
         assert res.stages[0].spilled_mb == 0.0
+
+
+class TestValidationAndRngHandling:
+    """``run_batch`` is ``run`` once per configuration."""
+
+    def test_empty_stage_list_rejected(self, sim, space):
+        conf = space.decode(np.full(space.dim, 0.5))
+        with pytest.raises(ValueError):
+            sim.run_batch([], [conf])
+
+    def test_rng_count_mismatch_rejected(self, sim, space):
+        stages = get_workload("terasort", "D1").build_stages()
+        confs = [space.decode(np.full(space.dim, 0.5))] * 2
+        with pytest.raises(ValueError):
+            sim.run_batch(stages, confs, rngs=[np.random.default_rng(0)])
+
+    def test_empty_batch_returns_empty(self, sim):
+        stages = get_workload("terasort", "D1").build_stages()
+        assert sim.run_batch(stages, []) == []
+
+    def test_seed_rngs_spawned_like_scalar(self, sim, space):
+        """``rngs=int`` must mean ``spawn(int, B)``, stream-for-stream."""
+        stages = get_workload("terasort", "D1").build_stages()
+        rng = np.random.default_rng(21)
+        confs = [space.decode(rng.random(space.dim)) for _ in range(3)]
+        batch = sim.run_batch(stages, confs, rngs=17, time_limit_s=480.0)
+        scalar = [sim.run(stages, c, rng=r, time_limit_s=480.0)
+                  for c, r in zip(confs,
+                                  spawn(np.random.default_rng(17), 3))]
+        assert batch == scalar
