@@ -1,11 +1,12 @@
 """Hot-path perf-regression smoke benchmark.
 
-Times the optimized compute kernels (vectorized forest training, batched
-permutation importance, incremental GP updates, one BO iteration, a small
-end-to-end tune) and appends the wall-clock numbers to
+Times the optimized compute kernels (vectorized forest training,
+path-restricted permutation importance, incremental GP updates, one BO
+iteration, a small end-to-end tune) and appends the wall-clock numbers to
 ``BENCH_hotpaths.json`` at the repo root, so successive commits leave a
-comparable record.  Where a reference implementation is kept in-tree
-(the per-repeat OOB importance scorer, the from-scratch GP refit), both
+comparable record.  Where a reference implementation is kept (the scalar
+CART threshold search, the per-repeat OOB importance loop in
+``tests/ml/importance_reference.py``, the from-scratch GP refit), both
 sides are timed and the speedup is printed.
 
 The BO-engine benchmarks (async evaluation vs the serial loop, the
@@ -29,9 +30,7 @@ import numpy as np
 from repro.core import BOEngine
 from repro.core.tuner import ROBOTune
 from repro.gp.gpr import GaussianProcessRegressor, default_bo_kernel
-from repro.ml import RandomForestRegressor
-from repro.ml.importance import (_permuted_oob_scores_batched,
-                                 _permuted_oob_scores_loop)
+from repro.ml import RandomForestRegressor, grouped_permutation_importance
 from repro.sampling import latin_hypercube
 from repro.space.spark_params import spark_space
 from repro.tuners import SyntheticObjective, synthetic_space
@@ -105,16 +104,19 @@ def test_split_search_batched_vs_scalar(capsys):
 
 
 def test_grouped_importance_batched_vs_loop(capsys):
+    from tests.ml.importance_reference import permuted_oob_scores_loop
     rng = np.random.default_rng(1)
     X = rng.random((250, 10))
     y = 5 * X[:, 0] + 2 * X[:, 1] * X[:, 2] + rng.normal(0, 0.05, 250)
     forest = RandomForestRegressor(60, rng=2).fit(X, y)
+    # Ten single-column groups, ten permutations each, on both sides.
+    groups = {f"x{j}": [j] for j in range(10)}
     perm_rng = np.random.default_rng(3)
     perms = [np.stack([perm_rng.permutation(250) for _ in range(10)])
              for _ in range(10)]
-    batched = _time(lambda: [_permuted_oob_scores_batched(forest, (j,), p)
-                             for j, p in enumerate(perms)])
-    loop = _time(lambda: [_permuted_oob_scores_loop(forest, (j,), p)
+    batched = _time(lambda: grouped_permutation_importance(
+        forest, groups, n_repeats=10, rng=3))
+    loop = _time(lambda: [permuted_oob_scores_loop(forest, (j,), p)
                           for j, p in enumerate(perms)], repeats=1)
     _record("grouped_importance_batched", batched, n=250)
     _record("grouped_importance_loop", loop, n=250)

@@ -3,7 +3,10 @@
 Both expose *out-of-bag* (OOB) predictions, which the paper's parameter
 selection uses as the baseline for Mean-Decrease-in-Accuracy importance:
 each tree is evaluated only on samples it never saw during training, giving
-an unbiased generalization estimate without a held-out set.
+an unbiased generalization estimate without a held-out set.  A fitted
+forest also holds all its trees in one :class:`~repro.ml.tree.NodeTable`,
+through which the permutation-importance scorer descends every OOB
+(tree, sample) pair in one call.
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from ..obs import as_tracer
 from ..utils.parallel import parallel_map, resolve_n_jobs
 from ..utils.rng import as_generator, spawn
 from .metrics import r2_score
-from .tree import DecisionTreeRegressor
+from .tree import DecisionTreeRegressor, NodeTable
 
 __all__ = ["RandomForestRegressor", "ExtraTreesRegressor"]
 
@@ -107,6 +110,11 @@ class _BaseForestRegressor:
         for t, (_, oob) in enumerate(fitted):
             if oob is not None:
                 self.oob_mask_[t] = oob
+        self.nodes_, roots = NodeTable.concat([t.nodes_ for t in self.trees_])
+        # Every OOB (tree, sample) pair in tree-major order: the root it
+        # descends from and its sample.
+        trees, self.oob_rows_ = np.nonzero(self.oob_mask_)
+        self.oob_roots_ = roots[trees]
         self.n_features_ = X.shape[1]
         self._X_train = X
         self._y_train = y
@@ -119,6 +127,8 @@ class _BaseForestRegressor:
         self._check_fitted()
         X = np.asarray(X, dtype=float)
         out = np.zeros(X.shape[0], dtype=float)
+        # Tree by tree: one forest-wide descent would hold a (tree, row)
+        # pair for every tree and every row of an unbounded X at once.
         for tree in self.trees_:
             out += tree.predict(X)
         return out / len(self.trees_)
@@ -136,23 +146,32 @@ class _BaseForestRegressor:
         predictions used by MDA importance.  Samples that are in-bag for
         every tree get NaN.
         """
-        self._check_fitted()
-        if not self.bootstrap:
-            raise RuntimeError("OOB estimates require bootstrap=True")
+        self._check_oob()
         if X is None:
             X = self._X_train
         X = np.asarray(X, dtype=float)
         if X.shape != self._X_train.shape:
             raise ValueError("X must have the training matrix's shape")
-        n = X.shape[0]
-        total = np.zeros(n, dtype=float)
-        count = np.zeros(n, dtype=np.int64)
-        for t, tree in enumerate(self.trees_):
-            mask = self.oob_mask_[t]
-            if not np.any(mask):
-                continue
-            total[mask] += tree.predict(X[mask])
-            count[mask] += 1
+        # Tree by tree, each on its own OOB rows: the pairs come out in
+        # oob_rows_ order.  This pass runs once per forest, so its per-call
+        # cost is small, and it stays on DecisionTreeRegressor.predict, the
+        # tree layer tunebench/layers.py times.  The permutation scorer,
+        # which needs every pair's path, descends the node table instead.
+        values = [tree.predict(X[mask])
+                  for tree, mask in zip(self.trees_, self.oob_mask_)
+                  if mask.any()]
+        return self._oob_average(np.concatenate(values or [np.empty(0)]))
+
+    def _oob_average(self, values: np.ndarray) -> np.ndarray:
+        """Per-sample mean of per-pair *values*, one per OOB pair in the
+        order of :attr:`oob_rows_`; NaN for samples with no OOB tree.
+
+        ``np.bincount`` adds the pairs in order, so each sample's total is
+        summed tree by tree, exactly as a per-tree loop accumulates it.
+        """
+        n = self._X_train.shape[0]
+        total = np.bincount(self.oob_rows_, weights=values, minlength=n)
+        count = np.bincount(self.oob_rows_, minlength=n)
         with np.errstate(invalid="ignore"):
             pred = total / count
         pred[count == 0] = np.nan
@@ -160,7 +179,10 @@ class _BaseForestRegressor:
 
     def oob_score(self, X: np.ndarray | None = None) -> float:
         """OOB R² score (ignoring samples with no OOB trees)."""
-        pred = self.oob_prediction(X)
+        return self._oob_r2(self.oob_prediction(X))
+
+    def _oob_r2(self, pred: np.ndarray) -> float:
+        """R² of per-sample OOB predictions *pred*, skipping NaN samples."""
         ok = ~np.isnan(pred)
         if not np.any(ok):
             raise RuntimeError("no sample has an OOB prediction; "
@@ -183,6 +205,11 @@ class _BaseForestRegressor:
     def _check_fitted(self) -> None:
         if not self._fitted:
             raise RuntimeError(f"{type(self).__name__} is not fitted")
+
+    def _check_oob(self) -> None:
+        self._check_fitted()
+        if not self.bootstrap:
+            raise RuntimeError("OOB estimates require bootstrap=True")
 
 
 class RandomForestRegressor(_BaseForestRegressor):

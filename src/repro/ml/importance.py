@@ -25,7 +25,6 @@ from ..obs import as_tracer
 from ..utils.parallel import parallel_map
 from ..utils.rng import as_generator
 from .forest import _BaseForestRegressor
-from .metrics import r2_score
 
 __all__ = ["GroupImportance", "grouped_permutation_importance"]
 
@@ -52,63 +51,52 @@ class GroupImportance:
     std: float
 
 
-def _permuted_oob_scores_batched(forest: _BaseForestRegressor,
-                                 cols: tuple[int, ...],
-                                 perms: np.ndarray) -> np.ndarray:
+def _oob_paths(forest: _BaseForestRegressor
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Leaf value and tested-feature mask of every OOB pair's unpermuted
+    path, in ``forest.oob_rows_`` order."""
+    forest._check_oob()
+    X = forest._X_train
+    tested = np.zeros((forest.oob_rows_.size, X.shape[1]), dtype=bool)
+    leaves = forest.nodes_.descend(X, forest.oob_roots_, forest.oob_rows_,
+                                   tested)
+    return forest.nodes_.value[leaves], tested
+
+
+def _permuted_oob_scores(forest: _BaseForestRegressor,
+                         values: np.ndarray, tested: np.ndarray,
+                         cols: tuple[int, ...], perms: np.ndarray
+                         ) -> tuple[np.ndarray, int]:
     """OOB R² of the forest with one group permuted, for every permutation.
 
-    Equivalent to ``forest.oob_score(Xp)`` per permutation, but makes a
-    single pass over the trees: for each tree the OOB rows of all repeats
-    are stacked into one prediction batch, so the per-call tree traversal
-    overhead is paid once per tree instead of once per (tree, repeat).
-    Only the group's columns are materialized per repeat — the full
-    training matrix is never copied.  Per-sample predictions, their
-    accumulation order over trees, and the final R² are bit-identical to
-    the per-repeat loop.
+    *values* and *tested* come from :func:`_oob_paths`.  A pair whose
+    path tests none of the group's columns reads only untouched columns,
+    so it reaches the same leaf after any permutation: only the other
+    pairs are descended again, through the R permuted training matrices
+    stacked into one.  Each repeat's per-sample sums then run over the
+    pairs in tree order, so every score is bit-identical to
+    ``forest.oob_score(Xp)`` on the permuted copy.  Also returns the
+    number of (pair, repeat) descents made.
     """
     X = forest._X_train
-    y = forest._y_train
     n_rep, n = perms.shape
     col_idx = np.asarray(cols, dtype=np.intp)
-    Xg = X[:, col_idx]                       # (n, g) group values
-    totals = np.zeros((n_rep, n), dtype=float)
-    counts = np.zeros(n, dtype=np.int64)
-    for t, tree in enumerate(forest.trees_):
-        mask = forest.oob_mask_[t]
-        if not np.any(mask):
-            continue
-        rows = np.nonzero(mask)[0]
-        m = rows.size
-        batch = np.broadcast_to(X[rows], (n_rep, m, X.shape[1])).copy()
-        # Xp[rows, cols] == X[perm, cols][rows] for each repeat's perm.
-        batch[:, :, col_idx] = Xg[perms[:, rows]]
-        preds = tree.predict(batch.reshape(n_rep * m, X.shape[1]))
-        totals[:, rows] += preds.reshape(n_rep, m)
-        counts[rows] += 1
+    touched = np.nonzero(tested[:, col_idx].any(axis=1))[0]
+    stacked = np.repeat(X[np.newaxis], n_rep, axis=0)
+    # stacked[r, i, c] == X[perms[r, i], c] for the group's columns.
+    stacked[:, :, col_idx] = X[:, col_idx][perms]
+    rows = (forest.oob_rows_[touched]
+            + n * np.arange(n_rep)[:, np.newaxis]).ravel()
+    leaves = forest.nodes_.descend(stacked.reshape(n_rep * n, X.shape[1]),
+                                   np.tile(forest.oob_roots_[touched], n_rep),
+                                   rows)
+    moved = forest.nodes_.value[leaves].reshape(n_rep, touched.size)
     scores = np.empty(n_rep, dtype=float)
-    with np.errstate(invalid="ignore"):
-        preds = totals / counts
-    ok = counts > 0
-    if not np.any(ok):
-        raise RuntimeError("no sample has an OOB prediction; "
-                           "increase n_estimators")
+    permuted = values.copy()
     for r in range(n_rep):
-        scores[r] = r2_score(y[ok], preds[r, ok])
-    return scores
-
-
-def _permuted_oob_scores_loop(forest: _BaseForestRegressor,
-                              cols: tuple[int, ...],
-                              perms: np.ndarray) -> np.ndarray:
-    """Reference per-repeat implementation (one full OOB pass per
-    permutation) that tests compare the batched scorer against."""
-    X = forest._X_train
-    scores = np.empty(perms.shape[0], dtype=float)
-    for r, perm in enumerate(perms):
-        Xp = X.copy()
-        Xp[:, cols] = X[np.ix_(perm, cols)]
-        scores[r] = forest.oob_score(Xp)
-    return scores
+        permuted[touched] = moved[r]
+        scores[r] = forest._oob_r2(forest._oob_average(permuted))
+    return scores, int(rows.size)
 
 
 def grouped_permutation_importance(
@@ -137,9 +125,10 @@ def grouped_permutation_importance(
         numpy-dominated).  ``None`` defers to ``ROBOTUNE_JOBS``.
     tracer:
         Optional :class:`repro.obs.Tracer`; scoring time accumulates in
-        the ``importance`` timer and the group fan-out is recorded via
+        the ``importance`` timer, the group fan-out is recorded via
         :func:`repro.utils.parallel.parallel_map`'s ``parallel.map``
-        event.
+        event, and one ``importance`` event counts the OOB pairs and the
+        (pair, repeat) descents the permuted groups made.
 
     Returns
     -------
@@ -150,7 +139,6 @@ def grouped_permutation_importance(
     rng = as_generator(rng)
     tracer = as_tracer(tracer)
     X = forest._X_train
-    baseline = forest.oob_score()
     n = X.shape[0]
 
     # Permutations are drawn up front, in the exact order the sequential
@@ -166,18 +154,26 @@ def grouped_permutation_importance(
         tasks.append((label, cols, perms))
 
     def score_group(task: tuple[str, tuple[int, ...], np.ndarray]
-                    ) -> GroupImportance:
+                    ) -> tuple[GroupImportance, int]:
         label, cols, perms = task
-        drops = baseline - _permuted_oob_scores_batched(forest, cols, perms)
+        scores, descents = _permuted_oob_scores(forest, values, tested,
+                                                cols, perms)
+        drops = baseline - scores
         return GroupImportance(
             group=label,
             columns=cols,
             importance=float(drops.mean()),
             std=float(drops.std(ddof=1)) if n_repeats > 1 else 0.0,
-        )
+        ), descents
 
     with tracer.timer("importance"):
-        results = parallel_map(score_group, tasks, n_jobs=n_jobs,
-                               backend="thread", tracer=tracer)
+        values, tested = _oob_paths(forest)
+        baseline = forest._oob_r2(forest._oob_average(values))
+        scored = parallel_map(score_group, tasks, n_jobs=n_jobs,
+                              backend="thread", tracer=tracer)
+    tracer.emit("importance", {"groups": len(tasks), "repeats": n_repeats,
+                               "oob_pairs": int(forest.oob_rows_.size),
+                               "descents": sum(d for _, d in scored)})
+    results = [g for g, _ in scored]
     results.sort(key=lambda g: g.importance, reverse=True)
     return results

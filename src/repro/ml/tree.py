@@ -1,7 +1,9 @@
 """CART regression trees (Breiman et al., 1984).
 
-Flat-array tree representation for fast vectorized prediction.  Two split
-strategies are provided:
+Flat-array tree representation (:class:`NodeTable`) for fast vectorized
+prediction: one descent kernel routes any set of (start node, row) pairs
+through one tree or through many trees concatenated into one table.  Two
+split strategies are provided:
 
 * ``"best"`` — exhaustive variance-reduction search over sorted feature
   values (classic CART), used by :class:`~repro.ml.forest.RandomForestRegressor`;
@@ -19,7 +21,7 @@ import numpy as np
 
 from ..utils.rng import as_generator
 
-__all__ = ["DecisionTreeRegressor", "resolve_max_features"]
+__all__ = ["DecisionTreeRegressor", "NodeTable", "resolve_max_features"]
 
 _LEAF = -1
 
@@ -69,6 +71,67 @@ class _Nodes:
         self.right.append(-1)
         self.value.append(0.0)
         return len(self.feature) - 1
+
+
+@dataclass(frozen=True)
+class NodeTable:
+    """Fitted nodes as flat arrays: one tree, or many trees concatenated.
+
+    Node ``i`` splits on ``feature[i]`` at ``threshold[i]`` (rows with
+    ``X[:, feature[i]] <= threshold[i]`` go to ``left[i]``, the rest to
+    ``right[i]``), or is a leaf (``feature[i] == -1``) predicting
+    ``value[i]``.
+    """
+
+    feature: np.ndarray
+    threshold: np.ndarray
+    left: np.ndarray
+    right: np.ndarray
+    value: np.ndarray
+
+    @classmethod
+    def concat(cls, tables: list["NodeTable"]
+               ) -> tuple["NodeTable", np.ndarray]:
+        """One table holding every tree of *tables*, and each tree's root.
+
+        Child links are shifted by their tree's root offset, so a descent
+        that starts at ``roots[t]`` stays inside tree ``t``.
+        """
+        sizes = [len(t.feature) for t in tables]
+        roots = np.concatenate(([0], np.cumsum(sizes)[:-1])).astype(np.int64)
+        shift = np.repeat(roots, sizes)
+        feature = np.concatenate([t.feature for t in tables])
+        split = feature != _LEAF
+        left = np.concatenate([t.left for t in tables])
+        right = np.concatenate([t.right for t in tables])
+        return cls(feature,
+                   np.concatenate([t.threshold for t in tables]),
+                   np.where(split, left + shift, _LEAF),
+                   np.where(split, right + shift, _LEAF),
+                   np.concatenate([t.value for t in tables])), roots
+
+    def descend(self, X: np.ndarray, node: np.ndarray, rows: np.ndarray,
+                tested: np.ndarray | None = None) -> np.ndarray:
+        """Leaf reached by each (start node, row) pair.
+
+        Pair ``k`` starts at ``node[k]`` and is routed by row ``rows[k]``
+        of *X*; all pairs advance one level per step until each sits at a
+        leaf.  When *tested* (boolean, ``(len(rows), X.shape[1])``) is
+        given, ``tested[k, f]`` is set for every feature ``f`` a split on
+        pair ``k``'s path reads.
+        """
+        node = np.array(node, dtype=np.int64)
+        live = np.nonzero(self.feature[node] != _LEAF)[0]
+        while live.size:
+            cur = node[live]
+            feat = self.feature[cur]
+            if tested is not None:
+                tested[live, feat] = True
+            go_left = X[rows[live], feat] <= self.threshold[cur]
+            cur = np.where(go_left, self.left[cur], self.right[cur])
+            node[live] = cur
+            live = live[self.feature[cur] != _LEAF]
+        return node
 
 
 class DecisionTreeRegressor:
@@ -153,11 +216,11 @@ class DecisionTreeRegressor:
             stack.append((lid, left_idx, depth + 1))
             stack.append((rid, right_idx, depth + 1))
 
-        self._feature = np.asarray(nodes.feature, dtype=np.int64)
-        self._threshold = np.asarray(nodes.threshold, dtype=float)
-        self._left = np.asarray(nodes.left, dtype=np.int64)
-        self._right = np.asarray(nodes.right, dtype=np.int64)
-        self._value = np.asarray(nodes.value, dtype=float)
+        self.nodes_ = NodeTable(np.asarray(nodes.feature, dtype=np.int64),
+                                np.asarray(nodes.threshold, dtype=float),
+                                np.asarray(nodes.left, dtype=np.int64),
+                                np.asarray(nodes.right, dtype=np.int64),
+                                np.asarray(nodes.value, dtype=float))
         total_gain = gain_by_feature.sum()
         self.feature_importances_ = (gain_by_feature / total_gain
                                      if total_gain > 0.0 else gain_by_feature)
@@ -334,36 +397,29 @@ class DecisionTreeRegressor:
         if X.ndim != 2 or X.shape[1] != self.n_features_:
             raise ValueError(f"X must have shape (n, {self.n_features_})")
         n = X.shape[0]
-        node = np.zeros(n, dtype=np.int64)
-        active = self._feature[node] != _LEAF
-        # Advance all rows level-by-level until every row is at a leaf.
-        while np.any(active):
-            rows = np.nonzero(active)[0]
-            cur = node[rows]
-            feat = self._feature[cur]
-            go_left = X[rows, feat] <= self._threshold[cur]
-            node[rows] = np.where(go_left, self._left[cur], self._right[cur])
-            active[rows] = self._feature[node[rows]] != _LEAF
-        return self._value[node]
+        leaves = self.nodes_.descend(X, np.zeros(n, dtype=np.int64),
+                                     np.arange(n))
+        return self.nodes_.value[leaves]
 
     @property
     def node_count(self) -> int:
         """Total number of nodes in the fitted tree."""
         if not self._fitted:
             raise RuntimeError("tree is not fitted")
-        return len(self._feature)
+        return len(self.nodes_.feature)
 
     @property
     def depth(self) -> int:
         """Depth of the fitted tree (root = depth 0)."""
         if not self._fitted:
             raise RuntimeError("tree is not fitted")
-        depth = np.zeros(len(self._feature), dtype=np.int64)
+        nodes = self.nodes_
+        depth = np.zeros(len(nodes.feature), dtype=np.int64)
         best = 0
-        for i in range(len(self._feature)):
-            if self._feature[i] != _LEAF:
-                depth[self._left[i]] = depth[i] + 1
-                depth[self._right[i]] = depth[i] + 1
+        for i in range(len(nodes.feature)):
+            if nodes.feature[i] != _LEAF:
+                depth[nodes.left[i]] = depth[i] + 1
+                depth[nodes.right[i]] = depth[i] + 1
         if len(depth):
             best = int(depth.max())
         return best

@@ -52,6 +52,9 @@ EVENT_TYPES: dict[str, str] = {
     "transfer.map": "a workload-mapper probe matched (or missed) a prior "
                     "selection signature",
     "forest.fit": "a tree ensemble finished fitting",
+    "importance": "a grouped permutation-importance sweep finished: "
+                  "groups, repeats, OOB pairs and the (pair, repeat) "
+                  "descents made",
     "guard.threshold": "the kill threshold changed value",
     "guard.kill": "an evaluation was truncated by the kill threshold",
     "memo.hit": "a memoized-sampling store served prior knowledge",

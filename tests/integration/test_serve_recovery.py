@@ -82,29 +82,33 @@ def test_sigkill_restart_resumes_bit_identically(tmp_path):
 
 def test_second_daemon_does_not_steal_a_live_session(tmp_path):
     # Two daemons over one store: the session claimed by the live first
-    # daemon must not be double-claimed by the second.  The session gets
-    # a budget big enough to still be running through the whole
-    # observation window.
-    long_spec = SessionSpec(workload="pagerank", dataset="D1", seed=42,
-                            **fast_spec_kwargs(budget=60))
+    # daemon must not be double-claimed by the second.  The first daemon
+    # is SIGSTOPped mid-session, so the session stays claimed and RUNNING
+    # through the whole observation window however fast it runs: a
+    # stopped process's pid is alive, and the store must keep treating it
+    # as the owner.
     store_root = tmp_path / "store"
     with DaemonHarness(store_root, workers=1) as first:
-        sid = first.client().submit(long_spec)
-        # Wait until the first daemon holds the claim.
-        for _ in range(2400):
-            if first.store.lock_holder(sid) is not None:
-                break
-            time.sleep(0.05)
-        holder = first.store.lock_holder(sid)
-        assert holder is not None and holder["pid"] == first.proc.pid
-        with DaemonHarness(store_root, workers=1) as second:
-            info = second.store.daemon_info()
-            assert info["pid"] == second.proc.pid
-            # Give the rival time to (incorrectly) try a takeover.
-            time.sleep(1.0)
-            still = first.store.lock_holder(sid)
-            assert still is not None and still["pid"] == first.proc.pid
+        sid = first.client().submit(SPEC)
+        try:
+            # Journal progress means the claim (and its RUNNING
+            # transition, which releases index.lock) is done.
+            first.pause_when_journal_reaches(sid, 6)
+            holder = first.store.lock_holder(sid)
+            assert holder is not None and holder["pid"] == first.proc.pid
+            with DaemonHarness(store_root, workers=1) as second:
+                info = second.store.daemon_info()
+                assert info["pid"] == second.proc.pid
+                # Give the rival time to (incorrectly) try a takeover.
+                time.sleep(1.0)
+                still = first.store.lock_holder(sid)
+                assert still is not None and still["pid"] == first.proc.pid
+                assert first.store.state(sid) == "RUNNING"
+        finally:
+            first.resume()
         view = first.client().wait(sid, timeout_s=570)
     assert view["state"] == "DONE"
+    # One trace file: only the first daemon ever claimed the session.
+    assert [p.name for p in first.store.trace_paths(sid)] == ["trace-0.jsonl"]
     assert view["result"]["digest"] == result_payload(
-        long_spec, run_session(long_spec))["digest"]
+        SPEC, run_session(SPEC))["digest"]

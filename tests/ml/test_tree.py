@@ -48,13 +48,13 @@ class TestFitBasics:
         # Use node assignment by predicting and grouping on leaf value id.
         # Simpler check: no leaf has fewer than 10 training rows.
         node = np.zeros(len(X), dtype=int)
-        active = tree._feature[node] != -1
+        active = tree.nodes_.feature[node] != -1
         while active.any():
             rows = np.nonzero(active)[0]
             cur = node[rows]
-            go_left = X[rows, tree._feature[cur]] <= tree._threshold[cur]
-            node[rows] = np.where(go_left, tree._left[cur], tree._right[cur])
-            active[rows] = tree._feature[node[rows]] != -1
+            go_left = X[rows, tree.nodes_.feature[cur]] <= tree.nodes_.threshold[cur]
+            node[rows] = np.where(go_left, tree.nodes_.left[cur], tree.nodes_.right[cur])
+            active[rows] = tree.nodes_.feature[node[rows]] != -1
         _, counts = np.unique(node, return_counts=True)
         assert counts.min() >= 10
 

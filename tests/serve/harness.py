@@ -3,7 +3,8 @@
 The harness treats the service exactly like an operator would — it
 spawns ``python -m repro serve --store DIR`` as a subprocess, talks to
 it only through the public transports, and can SIGKILL it mid-session
-to exercise crash recovery.  Nothing here imports daemon internals.
+to exercise crash recovery, or SIGSTOP it to hold a session live for as
+long as a test needs.  Nothing here imports daemon internals.
 
 Set ``REPRO_SERVE_ARTIFACTS=/some/dir`` (the CI serve-smoke job does)
 and :func:`export_artifacts` copies per-session trace summaries there
@@ -141,15 +142,41 @@ class DaemonHarness:
         deterministic *progress point* regardless of machine speed.
         Returns the line count observed at the kill.
         """
+        return self._when_journal_reaches(sid, n_lines, self.kill,
+                                          attempts, poll_s)
+
+    def pause_when_journal_reaches(self, sid: str, n_lines: int, *,
+                                   attempts: int = 2400,
+                                   poll_s: float = 0.05) -> int:
+        """SIGSTOP the daemon once *sid*'s journal holds >= n_lines lines.
+
+        The session then stays claimed and RUNNING, by a daemon whose pid
+        is alive, until :meth:`resume`, however fast it would otherwise
+        finish.  Call :meth:`resume` in a ``finally``: a stopped process
+        does not act on :meth:`stop`'s SIGTERM.  Returns the line count
+        observed at the pause.
+        """
+        return self._when_journal_reaches(
+            sid, n_lines, lambda: self.proc.send_signal(signal.SIGSTOP),
+            attempts, poll_s)
+
+    def resume(self) -> None:
+        """SIGCONT a daemon paused by :meth:`pause_when_journal_reaches`."""
+        assert self.proc is not None
+        if self.proc.poll() is None:
+            self.proc.send_signal(signal.SIGCONT)
+
+    def _when_journal_reaches(self, sid: str, n_lines: int, act,
+                              attempts: int, poll_s: float) -> int:
         path = self.store.journal_path(sid)
         for _ in range(attempts):
             if path.exists():
                 lines = path.read_text().count("\n")
                 if lines >= n_lines:
-                    self.kill()
+                    act()
                     return lines
             if self.proc is not None and self.proc.poll() is not None:
-                raise RuntimeError("daemon exited before the kill point")
+                raise RuntimeError("daemon exited before the progress point")
             time.sleep(poll_s)
         raise RuntimeError(
             f"journal for {sid} never reached {n_lines} lines")
