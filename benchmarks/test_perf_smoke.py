@@ -1,18 +1,19 @@
 """Hot-path perf-regression smoke benchmark.
 
-Times the optimized compute kernels (vectorized forest training,
+Times the optimized compute kernels (lockstep forest training,
 path-restricted permutation importance, incremental GP updates, one BO
 iteration, a small end-to-end tune) and appends the wall-clock numbers to
 ``BENCH_hotpaths.json`` at the repo root, so successive commits leave a
-comparable record.  Where a reference implementation is kept (the scalar
-CART threshold search, the per-repeat OOB importance loop in
+comparable record.  Where a reference implementation is kept (the
+one-tree-at-a-time depth-first grower in ``tests/ml/tree_reference.py``,
+the per-repeat OOB importance loop in
 ``tests/ml/importance_reference.py``, the from-scratch GP refit), both
 sides are timed and the speedup is printed.
 
-The BO-engine benchmarks (async evaluation vs the serial loop, the
-low-rank surrogate vs the exact one) write their numbers to a separate
-``BENCH_bo_engine.json`` so the engine-level record is easy to diff on
-its own.
+The BO-engine benchmarks (async evaluation vs the serial loop) write
+their numbers to a separate ``BENCH_bo_engine.json`` so the engine-level
+record is easy to diff on its own; the low-rank vs exact GP timings go
+to ``BENCH_hotpaths.json`` with the other kernels.
 
 This is a smoke benchmark: it asserts only that the optimized paths are
 not slower than their in-tree reference implementations (with generous
@@ -80,27 +81,24 @@ def test_forest_fit_wall_time(capsys):
     assert wall > 0
 
 
-def test_split_search_batched_vs_scalar(capsys):
-    from repro.ml.tree import DecisionTreeRegressor
-    # Node-sized matrices: most split searches in a fitted tree happen on
-    # a few dozen rows, where per-column call overhead dominates.
+def test_forest_fit_lockstep_vs_reference(capsys):
+    from tests.ml.tree_reference import reference_forest
+    # Cold-session shape: parameter selection fits 150 trees on 100 LHS
+    # runs of 44 parameters, half of them candidates per split.
     rng = np.random.default_rng(7)
-    nodes = [rng.random((int(n), 12)) for n in rng.integers(8, 80, 60)]
-    ys = [3 * M[:, 0] + rng.normal(0, 0.2, M.shape[0]) for M in nodes]
-    sses = [float(np.sum((y - y.mean()) ** 2)) for y in ys]
-    tree = DecisionTreeRegressor()
-    batched = _time(lambda: [tree._best_thresholds_batch(M, y, s)
-                             for M, y, s in zip(nodes, ys, sses)], repeats=5)
-    scalar = _time(lambda: [[tree._best_threshold(M[:, j], y, s)
-                             for j in range(M.shape[1])]
-                            for M, y, s in zip(nodes, ys, sses)], repeats=5)
-    _record("split_search_batched_60nodes_x12", batched, n=60)
-    _record("split_search_scalar_60nodes_x12", scalar, n=60)
+    X = rng.random((100, 44))
+    y = np.log(50 + 200 * X[:, 0] ** 2 + 80 * X[:, 3] * X[:, 7]
+               + rng.gamma(2.0, 5.0, 100))
+    lockstep = _time(lambda: RandomForestRegressor(
+        150, max_features=0.5, rng=1).fit(X, y), repeats=3)
+    reference = _time(lambda: reference_forest(
+        X, y, 150, rng=1, max_features=0.5), repeats=1)
+    _record("forest_fit_lockstep_150x100x44", lockstep, n=100)
+    _record("forest_fit_reference_150x100x44", reference, n=100)
     with capsys.disabled():
-        print(f"CART split search (60 nodes x 12 feats): "
-              f"batched {batched * 1e3:.2f}ms vs "
-              f"scalar {scalar * 1e3:.2f}ms ({scalar / batched:.1f}x)")
-    assert batched <= scalar * 1.5
+        print(f"forest fit (150 trees, 100x44): lockstep {lockstep:.3f}s vs "
+              f"reference {reference:.3f}s ({reference / lockstep:.1f}x)")
+    assert lockstep <= reference * 1.5
 
 
 def test_grouped_importance_batched_vs_loop(capsys):
@@ -285,28 +283,33 @@ def test_gp_lowrank_scaling_vs_exact(capsys):
     The exact GP's O(n^3) fit and O(n^2) predict dominate large-n
     sessions (warm starts routinely fold hundreds of prior rows into the
     surrogate); the low-rank path caps the cost at O(n·m^2) / O(m^2).
-    Gate: at n=1000 the low-rank fit+predict cycle must be >= 5x faster
-    than the exact GP while staying within a relative-RMSE tolerance of
-    the exact posterior mean (measured ~12x / ~0.07).
+    Gate: at n=1000 and n=2000 the median exact/low-rank ratio of the
+    fit+predict cycle, over interleaved repeats, must be >= 5x, while
+    the low-rank posterior mean stays within a relative-RMSE tolerance
+    of the exact one.  Interleaving exposes both sides to the same
+    machine drift, and the median drops the odd slow run that made a
+    single pair read anywhere from 1.9x to 7.6x.  On a 2-vCPU VM the
+    n=1000 median still reads 3.1–6.4x (rel RMSE 0.10): there the ratio
+    itself sits at the gate (ROADMAP item 5).
     """
     from repro.gp import LowRankGaussianProcessRegressor
 
     rng = np.random.default_rng(30)
     dim = 8
     n_max = 2000
+    repeats = 7
     X_all = rng.random((n_max, dim))
     y_all = (np.sin(3 * X_all[:, 0]) + X_all[:, 1] ** 2
              + 0.3 * X_all[:, 2] * X_all[:, 3]
              + 0.05 * rng.standard_normal(n_max))
     Q = rng.random((256, dim))
 
-    walls: dict[int, tuple[float, float]] = {}
+    ratios: dict[int, float] = {}
     rel_rmse: dict[int, float] = {}
     with capsys.disabled():
         print()
         for n in (100, 300, 1000, 2000):
             X, y = X_all[:n], y_all[:n]
-            repeats = 2 if n <= 300 else 1
 
             def exact_cycle():
                 gp = GaussianProcessRegressor(
@@ -319,24 +322,28 @@ def test_gp_lowrank_scaling_vs_exact(capsys):
                     optimize=False).fit(X, y)
                 return gp.predict(Q)
 
-            ex = _time(exact_cycle, repeats=repeats)
-            lo = _time(lowrank_cycle, repeats=repeats)
-            walls[n] = (ex, lo)
+            ex, lo = [], []
+            for _ in range(repeats):
+                ex.append(_time(exact_cycle, repeats=1))
+                lo.append(_time(lowrank_cycle, repeats=1))
+            ratios[n] = float(np.median(np.divide(ex, lo)))
             mu_e, mu_l = exact_cycle(), lowrank_cycle()
             spread = float(np.ptp(mu_e)) or 1.0
             rel_rmse[n] = float(np.sqrt(np.mean((mu_l - mu_e) ** 2))
                                 / spread)
-            _record(f"gp_exact_fit_predict_n{n}", ex, n=n)
-            _record(f"gp_lowrank_m96_fit_predict_n{n}", lo, n=n)
-            print(f"GP fit+predict n={n}: exact {ex:.3f}s vs "
-                  f"low-rank(m=96) {lo:.3f}s ({ex / lo:.1f}x, "
+            _record(f"gp_exact_fit_predict_n{n}", float(np.median(ex)), n=n)
+            _record(f"gp_lowrank_m96_fit_predict_n{n}", float(np.median(lo)),
+                    n=n)
+            print(f"GP fit+predict n={n}: exact {np.median(ex):.3f}s vs "
+                  f"low-rank(m=96) {np.median(lo):.3f}s (median of "
+                  f"{repeats} paired ratios {ratios[n]:.1f}x, "
+                  f"range {min(np.divide(ex, lo)):.1f}-"
+                  f"{max(np.divide(ex, lo)):.1f}x, "
                   f"rel RMSE {rel_rmse[n]:.3f})")
 
-    ex_1k, lo_1k = walls[1000]
-    assert lo_1k <= ex_1k / 5.0       # the scale-up gate (measured ~12x)
-    assert rel_rmse[1000] <= 0.15     # posterior stays faithful (meas ~0.07)
-    ex_2k, lo_2k = walls[2000]
-    assert lo_2k <= ex_2k / 5.0       # the gap must widen, never close
+    assert ratios[1000] >= 5.0        # the scale-up gate
+    assert rel_rmse[1000] <= 0.15     # posterior stays faithful
+    assert ratios[2000] >= 5.0        # the gap must widen, never close
 
 
 def test_zzy_write_bo_engine_file(capsys):

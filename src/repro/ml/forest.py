@@ -17,30 +17,38 @@ from ..obs import as_tracer
 from ..utils.parallel import parallel_map, resolve_n_jobs
 from ..utils.rng import as_generator, spawn
 from .metrics import r2_score
-from .tree import DecisionTreeRegressor, NodeTable
+from .tree import DecisionTreeRegressor, NodeTable, grow_trees
 
 __all__ = ["RandomForestRegressor", "ExtraTreesRegressor"]
 
 
-def _fit_tree_job(task) -> tuple[DecisionTreeRegressor, np.ndarray | None]:
-    """Fit one tree of the ensemble (module-level for process pools).
+def _fit_group_job(task) -> tuple[list[DecisionTreeRegressor],
+                                   list[np.ndarray | None], int]:
+    """Fit one contiguous group of the ensemble's trees in lockstep
+    (module-level for process pools).
 
-    Each task carries its own child generator, so the fitted tree — and
-    the bootstrap/OOB split drawn from that generator — is identical
-    whether tasks run serially, on threads, or across processes.
+    Each tree carries its own child generator, which draws its bootstrap
+    and then every split, so the fitted trees — and the bootstrap/OOB
+    splits — are identical however the trees are grouped, and whether
+    groups run serially, on threads, or across processes.  Returns the
+    trees, their OOB masks and the group's split-search call count.
     """
-    X, y, params, splitter, crng, bootstrap = task
+    X, y, params, splitter, crngs, bootstrap = task
     n = X.shape[0]
-    if bootstrap:
-        idx = crng.integers(0, n, size=n)
-        oob = np.ones(n, dtype=bool)
-        oob[idx] = False
-    else:
-        idx = np.arange(n)
-        oob = None
-    tree = DecisionTreeRegressor(splitter=splitter, rng=crng, **params)
-    tree.fit(X[idx], y[idx])
-    return tree, oob
+    trees, rows, oobs = [], [], []
+    for crng in crngs:
+        if bootstrap:
+            idx = crng.integers(0, n, size=n)
+            oob = np.ones(n, dtype=bool)
+            oob[idx] = False
+        else:
+            idx = np.arange(n)
+            oob = None
+        trees.append(DecisionTreeRegressor(splitter=splitter, rng=crng,
+                                           **params))
+        rows.append(idx)
+        oobs.append(oob)
+    return trees, oobs, grow_trees(trees, X, y, rows)
 
 
 class _BaseForestRegressor:
@@ -94,20 +102,28 @@ class _BaseForestRegressor:
                       min_samples_split=self.min_samples_split,
                       min_samples_leaf=self.min_samples_leaf,
                       max_features=self.max_features)
-        tasks = [(X, y, params, self._splitter, crng, self.bootstrap)
-                 for crng in child_rngs]
+        # Contiguous groups of trees, one per worker (one when serial);
+        # each group grows its trees in lockstep.
+        jobs = resolve_n_jobs(self.n_jobs)
+        groups = 1 if self.parallel_backend == "serial" else min(
+            jobs, self.n_estimators)
+        cuts = [self.n_estimators * g // groups for g in range(groups + 1)]
+        tasks = [(X, y, params, self._splitter, child_rngs[a:b],
+                  self.bootstrap) for a, b in zip(cuts, cuts[1:])]
         with self.tracer.timer("forest.fit"):
-            fitted = parallel_map(_fit_tree_job, tasks,
-                                  n_jobs=resolve_n_jobs(self.n_jobs),
+            fitted = parallel_map(_fit_group_job, tasks, n_jobs=jobs,
                                   backend=self.parallel_backend,
                                   tracer=self.tracer)
-        self.tracer.emit("forest.fit", {"trees": int(self.n_estimators),
-                                        "n": int(n),
-                                        "features": int(X.shape[1])})
-        self.trees_ = [tree for tree, _ in fitted]
+        self.trees_ = [tree for trees, _, _ in fitted for tree in trees]
+        oobs = [oob for _, group, _ in fitted for oob in group]
+        self.tracer.emit("forest.fit", {
+            "trees": int(self.n_estimators), "n": int(n),
+            "features": int(X.shape[1]),
+            "nodes": sum(tree.node_count for tree in self.trees_),
+            "batches": sum(batches for _, _, batches in fitted)})
         # oob_mask_[t, i] is True when sample i is out-of-bag for tree t.
         self.oob_mask_ = np.zeros((self.n_estimators, n), dtype=bool)
-        for t, (_, oob) in enumerate(fitted):
+        for t, oob in enumerate(oobs):
             if oob is not None:
                 self.oob_mask_[t] = oob
         self.nodes_, roots = NodeTable.concat([t.nodes_ for t in self.trees_])

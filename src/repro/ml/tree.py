@@ -2,8 +2,14 @@
 
 Flat-array tree representation (:class:`NodeTable`) for fast vectorized
 prediction: one descent kernel routes any set of (start node, row) pairs
-through one tree or through many trees concatenated into one table.  Two
-split strategies are provided:
+through one tree or through many trees concatenated into one table.
+
+Trees grow in lockstep (:func:`grow_trees`): each step takes the next
+depth-first node of every unfinished tree and searches all of them in
+batched calls, while each tree draws from its own generator in one-tree
+order, so a tree's nodes do not depend on what grows beside it.  A
+single :class:`DecisionTreeRegressor` is a forest of one.  Two split
+strategies are provided:
 
 * ``"best"`` — exhaustive variance-reduction search over sorted feature
   values (classic CART), used by :class:`~repro.ml.forest.RandomForestRegressor`;
@@ -15,7 +21,7 @@ split strategies are provided:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,25 +58,6 @@ def resolve_max_features(max_features: int | float | str | None,
     else:
         k = int(max_features)
     return max(1, min(k, n_features))
-
-
-@dataclass
-class _Nodes:
-    """Growable flat arrays describing the tree."""
-
-    feature: list[int] = field(default_factory=list)
-    threshold: list[float] = field(default_factory=list)
-    left: list[int] = field(default_factory=list)
-    right: list[int] = field(default_factory=list)
-    value: list[float] = field(default_factory=list)
-
-    def add(self) -> int:
-        self.feature.append(_LEAF)
-        self.threshold.append(0.0)
-        self.left.append(-1)
-        self.right.append(-1)
-        self.value.append(0.0)
-        return len(self.feature) - 1
 
 
 @dataclass(frozen=True)
@@ -185,208 +172,8 @@ class DecisionTreeRegressor:
             raise ValueError("y must be 1-D with len(y) == len(X)")
         if X.shape[0] == 0:
             raise ValueError("cannot fit on empty data")
-        rng = as_generator(self.rng)
-        self.n_features_ = X.shape[1]
-        k = resolve_max_features(self.max_features, self.n_features_)
-        nodes = _Nodes()
-        # Total variance-reduction gain credited to each feature (for MDI).
-        gain_by_feature = np.zeros(self.n_features_, dtype=float)
-
-        # Iterative depth-first construction with an explicit stack avoids
-        # recursion limits on deep trees.
-        root = nodes.add()
-        stack: list[tuple[int, np.ndarray, int]] = [(root, np.arange(X.shape[0]), 0)]
-        while stack:
-            node, idx, depth = stack.pop()
-            y_node = y[idx]
-            nodes.value[node] = float(y_node.mean())
-            if (len(idx) < self.min_samples_split
-                    or (self.max_depth is not None and depth >= self.max_depth)
-                    or np.ptp(y_node) == 0.0):
-                continue
-            split = self._find_split(X, y, idx, k, rng)
-            if split is None:
-                continue
-            feat, thr, left_idx, right_idx, gain = split
-            gain_by_feature[feat] += gain
-            nodes.feature[node] = feat
-            nodes.threshold[node] = thr
-            lid, rid = nodes.add(), nodes.add()
-            nodes.left[node], nodes.right[node] = lid, rid
-            stack.append((lid, left_idx, depth + 1))
-            stack.append((rid, right_idx, depth + 1))
-
-        self.nodes_ = NodeTable(np.asarray(nodes.feature, dtype=np.int64),
-                                np.asarray(nodes.threshold, dtype=float),
-                                np.asarray(nodes.left, dtype=np.int64),
-                                np.asarray(nodes.right, dtype=np.int64),
-                                np.asarray(nodes.value, dtype=float))
-        total_gain = gain_by_feature.sum()
-        self.feature_importances_ = (gain_by_feature / total_gain
-                                     if total_gain > 0.0 else gain_by_feature)
-        self._fitted = True
+        grow_trees([self], X, y, [np.arange(X.shape[0])])
         return self
-
-    def _find_split(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray,
-                    k: int, rng: np.random.Generator):
-        """Best (feature, threshold) for this node, or None if unsplittable."""
-        if self.splitter == "random":
-            return self._find_split_random(X, y, idx, k, rng)
-        return self._find_split_best(X, y, idx, k, rng)
-
-    def _find_split_best(self, X: np.ndarray, y: np.ndarray, idx: np.ndarray,
-                         k: int, rng: np.random.Generator):
-        """CART split search, vectorized across candidate features.
-
-        Produces the same (feature, threshold, gain) the per-feature loop
-        would: the first ``k`` non-constant features in permutation order
-        are scored in one batch (first-occurrence-of-max tie-breaking, like
-        the loop's strict ``>`` comparison), and only if none of them
-        yields a positive gain does the scan extend feature-by-feature
-        through the rest (sklearn-compatible fallback).
-        """
-        features = rng.permutation(X.shape[1])
-        y_node = y[idx]
-        base_sse = float(np.sum((y_node - y_node.mean()) ** 2))
-        M = X[np.ix_(idx, features)]
-        nonconst = np.nonzero(M.min(axis=0) != M.max(axis=0))[0]
-        if nonconst.size == 0:
-            return None
-        first = nonconst[:k]
-        thrs, gains = self._best_thresholds_batch(M[:, first], y_node,
-                                                  base_sse)
-        best: tuple[int, float] | None = None
-        best_gain = 0.0
-        if np.any(gains > 0.0):
-            j = int(np.argmax(gains))
-            best = (int(features[first[j]]), float(thrs[j]))
-            best_gain = float(gains[j])
-        else:
-            for pos in nonconst[k:]:
-                res = self._best_threshold(M[:, pos], y_node, base_sse)
-                if res is not None:
-                    best = (int(features[pos]), res[0])
-                    best_gain = res[1]
-                    break
-        if best is None:
-            return None
-        feat, thr = best
-        mask = X[idx, feat] <= thr
-        left_idx, right_idx = idx[mask], idx[~mask]
-        if len(left_idx) < self.min_samples_leaf or len(right_idx) < self.min_samples_leaf:
-            return None
-        return feat, thr, left_idx, right_idx, best_gain
-
-    def _find_split_random(self, X: np.ndarray, y: np.ndarray,
-                           idx: np.ndarray, k: int,
-                           rng: np.random.Generator):
-        """Extremely-randomized split search (one uniform threshold per
-        candidate feature, drawn in permutation order)."""
-        n_feat = X.shape[1]
-        features = rng.permutation(n_feat)
-        best_gain = 0.0
-        best: tuple[int, float] | None = None
-        y_node = y[idx]
-        base_sse = float(np.sum((y_node - y_node.mean()) ** 2))
-        tried = 0
-        for feat in features:
-            col = X[idx, feat]
-            lo, hi = col.min(), col.max()
-            if lo == hi:
-                continue  # constant feature: not a candidate, try the next
-            tried += 1
-            thr = float(rng.uniform(lo, hi))
-            gain = self._split_gain_at(col, y_node, thr, base_sse)
-            if gain is not None and gain > best_gain:
-                best_gain, best = gain, (int(feat), thr)
-            # Stop after k candidate features, but if none of them yielded
-            # a valid split keep scanning the rest (sklearn-compatible).
-            if tried >= k and best is not None:
-                break
-        if best is None:
-            return None
-        feat, thr = best
-        mask = X[idx, feat] <= thr
-        left_idx, right_idx = idx[mask], idx[~mask]
-        if len(left_idx) < self.min_samples_leaf or len(right_idx) < self.min_samples_leaf:
-            return None
-        return feat, thr, left_idx, right_idx, best_gain
-
-    def _best_thresholds_batch(self, M: np.ndarray, y: np.ndarray,
-                               base_sse: float
-                               ) -> tuple[np.ndarray, np.ndarray]:
-        """Exhaustive CART threshold search on every column of *M* at once.
-
-        Per-column results are bit-identical to :meth:`_best_threshold`
-        (same cumulative-sum formulation, evaluated along axis 0); columns
-        with no valid split get gain ``-inf``.
-        """
-        n, f = M.shape
-        order = np.argsort(M, axis=0, kind="stable")
-        cs = np.take_along_axis(M, order, axis=0)
-        ys = y[order]
-        csum = np.cumsum(ys, axis=0)
-        csum2 = np.cumsum(ys ** 2, axis=0)
-        total, total2 = csum[-1], csum2[-1]
-        left_n = np.arange(1, n, dtype=float)[:, None]
-        m = self.min_samples_leaf
-        valid = cs[1:] > cs[:-1]
-        valid &= (left_n >= m) & ((n - left_n) >= m)
-        ls, ls2 = csum[:-1], csum2[:-1]
-        rs, rs2 = total - ls, total2 - ls2
-        sse = (ls2 - ls ** 2 / left_n) + (rs2 - rs ** 2 / (n - left_n))
-        sse = np.where(valid, sse, np.inf)
-        best_i = np.argmin(sse, axis=0)
-        cols = np.arange(f)
-        best_sse = sse[best_i, cols]
-        gains = base_sse - best_sse
-        ok = np.isfinite(best_sse) & (gains > 0.0)
-        gains = np.where(ok, gains, -np.inf)
-        thrs = np.where(ok, 0.5 * (cs[best_i, cols]
-                                   + cs[np.minimum(best_i + 1, n - 1), cols]),
-                        np.nan)
-        return thrs, gains
-
-    def _best_threshold(self, col: np.ndarray, y: np.ndarray,
-                        base_sse: float) -> tuple[float, float] | None:
-        """Exhaustive CART threshold search on one feature via prefix sums."""
-        order = np.argsort(col, kind="stable")
-        cs, ys = col[order], y[order]
-        n = len(cs)
-        csum = np.cumsum(ys)
-        csum2 = np.cumsum(ys ** 2)
-        total, total2 = csum[-1], csum2[-1]
-        # Candidate split after position i (1-based left count), only where
-        # the feature value actually changes.
-        left_n = np.arange(1, n)
-        valid = cs[1:] > cs[:-1]
-        m = self.min_samples_leaf
-        valid &= (left_n >= m) & ((n - left_n) >= m)
-        if not np.any(valid):
-            return None
-        ls, ls2 = csum[:-1], csum2[:-1]
-        rs, rs2 = total - ls, total2 - ls2
-        sse = (ls2 - ls ** 2 / left_n) + (rs2 - rs ** 2 / (n - left_n))
-        sse = np.where(valid, sse, np.inf)
-        best_i = int(np.argmin(sse))
-        gain = base_sse - float(sse[best_i])
-        if not np.isfinite(sse[best_i]) or gain <= 0.0:
-            return None
-        thr = 0.5 * (cs[best_i] + cs[best_i + 1])
-        return float(thr), gain
-
-    def _split_gain_at(self, col: np.ndarray, y: np.ndarray, thr: float,
-                       base_sse: float) -> float | None:
-        """Variance-reduction gain of splitting at a given threshold."""
-        mask = col <= thr
-        nl = int(mask.sum())
-        nr = len(col) - nl
-        if nl < self.min_samples_leaf or nr < self.min_samples_leaf:
-            return None
-        yl, yr = y[mask], y[~mask]
-        sse = float(np.sum((yl - yl.mean()) ** 2) + np.sum((yr - yr.mean()) ** 2))
-        gain = base_sse - sse
-        return gain if gain > 0.0 else None
 
     # -- prediction ---------------------------------------------------------------
     def predict(self, X: np.ndarray) -> np.ndarray:
@@ -423,3 +210,380 @@ class DecisionTreeRegressor:
         if len(depth):
             best = int(depth.max())
         return best
+
+
+#: Bound on the padded rows (nodes x padded node size) one batched split
+#: search holds.  Its working arrays then stay near ``_BATCH_ROWS * k``
+#: floats each, however many trees grow in lockstep.
+_BATCH_ROWS = 1024
+
+
+def grow_trees(trees: list[DecisionTreeRegressor], X: np.ndarray,
+               y: np.ndarray, rows: list[np.ndarray]) -> int:
+    """Fit every tree of *trees* in lockstep; return the split-search
+    calls made.
+
+    Tree ``t`` is fitted on ``X[rows[t]], y[rows[t]]`` and draws every
+    split from its own ``rng``, so it ends with the node table and
+    importances a one-tree depth-first grower gives it, bit for bit,
+    whatever else grows beside it.  All trees take the first tree's
+    hyperparameters.
+    """
+    grower = _Lockstep(trees[0], X, y, rows,
+                       [as_generator(t.rng) for t in trees])
+    grower.run()
+    for t, tree in enumerate(trees):
+        tree.n_features_ = X.shape[1]
+        tree.nodes_, tree.feature_importances_ = grower.result(t)
+        tree._fitted = True
+    return grower.batches
+
+
+class _Lockstep:
+    """Depth-first growth of several trees, one node of each per step.
+
+    Every tree keeps its own stack of nodes to split, in the order a
+    one-tree depth-first grower pops them (right child first).  A step
+    pops the top node of every tree whose stack is not empty and searches
+    all of them at once.  Per tree, nodes are numbered, permutations
+    drawn and gains summed in that grower's order, so no tree depends on
+    the others; the batched arithmetic is per node too:
+
+    * Node mean, range and SSE are row-wise reductions over nodes of one
+      size, which NumPy sums per row exactly as it sums the node alone.
+    * The CART search runs per size class (nodes padded to the next power
+      of two, at most :data:`_BATCH_ROWS` padded rows a call).  Padded
+      rows hold NaN, which a stable argsort puts after every real value,
+      so each column's order and cumulative sums over its real rows are
+      the node's own.  Candidate features a node lacks are all-NaN
+      columns, which never split.
+    """
+
+    def __init__(self, params: DecisionTreeRegressor, X: np.ndarray,
+                 y: np.ndarray, rows: list[np.ndarray],
+                 rngs: list[np.random.Generator]):
+        self.X, self.y, self.rows, self.rngs = X, y, rows, rngs
+        self.splitter = params.splitter
+        self.max_depth = params.max_depth
+        self.min_samples_split = params.min_samples_split
+        self.min_samples_leaf = params.min_samples_leaf
+        self.k = resolve_max_features(params.max_features, X.shape[1])
+        self.batches = 0
+        T, d = len(rows), X.shape[1]
+        # A tree on n rows has at most n leaves, so at most 2n - 1 nodes.
+        cap = 2 * max(len(r) for r in rows) - 1
+        self.feature = np.full((T, cap), _LEAF, dtype=np.int64)
+        self.threshold = np.zeros((T, cap))
+        self.left = np.full((T, cap), -1, dtype=np.int64)
+        self.right = np.full((T, cap), -1, dtype=np.int64)
+        self.value = np.zeros((T, cap))
+        self.size = [1] * T
+        # Total variance-reduction gain credited to each feature (for MDI).
+        self.gain = np.zeros((T, d))
+        # Per tree: (node, rows, depth, node SSE) of nodes still to split.
+        self.stacks: list[list[tuple[int, np.ndarray, int, float]]] = [
+            [] for _ in range(T)]
+
+    def run(self) -> None:
+        """Grow every tree until no node is left to split."""
+        T = len(self.rows)
+        self._admit(list(range(T)), [0] * T, list(self.rows), [0] * T)
+        live = [t for t in range(T) if self.stacks[t]]
+        while live:
+            nodes = [self.stacks[t].pop() for t in live]
+            if self.splitter == "best":
+                splits = self._search_best(live, nodes)
+            else:
+                splits = [self._find_split_random(idx, sse, self.rngs[t])
+                          for t, (_, idx, _, sse) in zip(live, nodes)]
+            self._split(live, nodes, splits)
+            live = [t for t in live if self.stacks[t]]
+
+    def result(self, t: int) -> tuple[NodeTable, np.ndarray]:
+        """Tree *t*'s node table and normalized MDI importances."""
+        s = self.size[t]
+        table = NodeTable(self.feature[t, :s].copy(),
+                          self.threshold[t, :s].copy(),
+                          self.left[t, :s].copy(), self.right[t, :s].copy(),
+                          self.value[t, :s].copy())
+        gain = self.gain[t].copy()
+        total = gain.sum()
+        return table, (gain / total if total > 0.0 else gain)
+
+    # -- nodes ----------------------------------------------------------------------
+    def _admit(self, trees: list[int], ids: list[int],
+               rows: list[np.ndarray], depths: list[int]) -> None:
+        """Set new nodes' values; stack those a split may divide.
+
+        Nodes are pushed in list order, so a split's left child goes on
+        its tree's stack before the right one and is popped after it.
+        """
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        ys = self.y[np.concatenate(rows)]
+        starts = np.cumsum(sizes) - sizes
+        mean = np.empty(len(rows))
+        spread = np.empty(len(rows))
+        sse = np.empty(len(rows))
+        order = np.argsort(sizes, kind="stable")
+        cuts = np.flatnonzero(np.diff(sizes[order])) + 1
+        for group in np.split(order, cuts):
+            Y = ys[starts[group][:, None] + np.arange(sizes[group[0]])]
+            mu = Y.mean(axis=1)
+            mean[group] = mu
+            spread[group] = Y.max(axis=1) - Y.min(axis=1)
+            Y -= mu[:, None]
+            Y *= Y
+            sse[group] = Y.sum(axis=1)
+        self.value[trees, ids] = mean
+        splittable = (sizes >= self.min_samples_split) & (spread != 0.0)
+        if self.max_depth is not None:
+            splittable &= np.asarray(depths) < self.max_depth
+        sse = sse.tolist()
+        for i in np.flatnonzero(splittable).tolist():
+            self.stacks[trees[i]].append((ids[i], rows[i], depths[i], sse[i]))
+
+    def _split(self, live: list[int], nodes: list[tuple],
+               splits: list[tuple[int, float, float] | None]) -> None:
+        """Divide each node whose search found a split; admit the children.
+
+        Each side keeps its rows in the node's order, and a split that
+        leaves either side under ``min_samples_leaf`` rows is dropped.
+        """
+        at = [b for b, split in enumerate(splits) if split is not None]
+        if not at:
+            return
+        rows = [nodes[b][1] for b in at]
+        sizes = np.fromiter(map(len, rows), dtype=np.int64, count=len(at))
+        flat = np.concatenate(rows)
+        feats = [splits[b][0] for b in at]
+        thrs = [splits[b][1] for b in at]
+        go_left = (self.X[flat, np.repeat(feats, sizes)]
+                   <= np.repeat(thrs, sizes))
+        lefts, rights = flat[go_left], flat[~go_left]
+        seen = np.concatenate(([0], np.cumsum(go_left)))
+        ends = np.cumsum(sizes)
+        n_left = seen[ends] - seen[ends - sizes]
+        left_end = np.cumsum(n_left).tolist()
+        right_end = (ends - left_end).tolist()
+        m = self.min_samples_leaf
+        split_t, split_ids, split_feats, split_thrs, gains = [], [], [], [], []
+        kids_t, kids_ids, kids_rows, kids_depth = [], [], [], []
+        for i, (b, size, nl, le, re) in enumerate(zip(
+                at, sizes.tolist(), n_left.tolist(), left_end, right_end)):
+            nr = size - nl
+            if nl < m or nr < m:
+                continue
+            t = live[b]
+            node, _, depth, _ = nodes[b]
+            lid = self.size[t]
+            self.size[t] = lid + 2
+            split_t.append(t)
+            split_ids.append(node)
+            split_feats.append(feats[i])
+            split_thrs.append(thrs[i])
+            gains.append(splits[b][2])
+            kids_t += [t, t]
+            kids_ids += [lid, lid + 1]
+            kids_rows += [lefts[le - nl:le], rights[re - nr:re]]
+            kids_depth += [depth + 1, depth + 1]
+        if not split_t:
+            return
+        lids = np.asarray(kids_ids[::2])
+        self.feature[split_t, split_ids] = split_feats
+        self.threshold[split_t, split_ids] = split_thrs
+        self.left[split_t, split_ids] = lids
+        self.right[split_t, split_ids] = lids + 1
+        # One split per tree a step: no (tree, feature) pair repeats here.
+        self.gain[split_t, split_feats] += gains
+        self._admit(kids_t, kids_ids, kids_rows, kids_depth)
+
+    # -- split search ---------------------------------------------------------------
+    def _search_best(self, live: list[int], nodes: list[tuple]
+                     ) -> list[tuple[int, float, float] | None]:
+        """CART split of every node, batched by padded node size.
+
+        Each node draws its feature permutation from its tree's generator,
+        then scores its first ``k`` non-constant features in permutation
+        order; the first (strict ``>``) best gain wins.  Only when none of
+        them gains are the node's remaining non-constant features scanned,
+        and the first with a positive gain wins (sklearn-compatible).
+        """
+        B, d = len(nodes), self.X.shape[1]
+        perms = np.empty((B, d), dtype=np.int64)
+        for b, t in enumerate(live):
+            perms[b] = self.rngs[t].permutation(d)
+        rows = [idx for _, idx, _, _ in nodes]
+        n = np.fromiter(map(len, rows), dtype=np.int64, count=B)
+        base = np.array([sse for _, _, _, sse in nodes])
+        out = (np.zeros(B, dtype=np.int64), np.zeros(B), np.zeros(B),
+               np.zeros(B, dtype=bool))
+        width = np.frexp(n - 1)[1]          # padded size 2**width >= n
+        for w in np.unique(width).tolist():
+            group = np.flatnonzero(width == w)
+            step = max(1, _BATCH_ROWS >> w)
+            for s in range(0, len(group), step):
+                self._search_chunk(group[s:s + step], 1 << w, rows, n, perms,
+                                   base, out)
+        feat, thr, gain, found = (a.tolist() for a in out)
+        return [(f, t, g) if ok else None
+                for f, t, g, ok in zip(feat, thr, gain, found)]
+
+    def _search_chunk(self, c: np.ndarray, P: int, rows: list[np.ndarray],
+                      n: np.ndarray, perms: np.ndarray, base: np.ndarray,
+                      out: tuple[np.ndarray, ...]) -> None:
+        """:meth:`_search_best` for the nodes *c*, all padded to *P* rows."""
+        nc = n[c]
+        starts = np.cumsum(nc) - nc
+        flat = np.concatenate([rows[i] for i in c])
+        # Padded with each node's last row: min and max stay the node's.
+        R = flat[starts[:, None] + np.minimum(np.arange(P), nc[:, None] - 1)]
+        real = np.arange(P) < nc[:, None]
+        XN = self.X[R]
+        perm = perms[c]
+        nonconst = np.take_along_axis(XN.min(axis=1) != XN.max(axis=1),
+                                      perm, axis=1)
+        rank = np.cumsum(nonconst, axis=1)  # 1-based, in permutation order
+        n_varied = nonconst.sum(axis=1)
+        if not n_varied.any():
+            return                          # every feature constant: no split
+        Y = self.y[R]
+        Y[~real] = 0.0
+        k = self.k
+        F, fv = _candidates(nonconst & (rank <= k), rank, perm, k)
+        thrs, gains = self._thresholds(R, real, nc, Y, F, fv, base[c])
+        gained = (gains > 0.0).any(axis=1)
+        hit = np.flatnonzero(gained)
+        _settle(out, c[hit], F[hit], thrs[hit], gains[hit],
+                gains[hit].argmax(axis=1))
+        more = np.flatnonzero(~gained & (n_varied > k))
+        if more.size == 0:
+            return
+        rest = rank[more] - k
+        F, fv = _candidates(nonconst[more] & (rest > 0), rest, perm[more],
+                            int(n_varied[more].max()) - k)
+        thrs, gains = self._thresholds(R[more], real[more], nc[more],
+                                       Y[more], F, fv, base[c][more])
+        ok = gains > 0.0
+        hit = np.flatnonzero(ok.any(axis=1))
+        _settle(out, c[more[hit]], F[hit], thrs[hit], gains[hit],
+                ok[hit].argmax(axis=1))
+
+    def _thresholds(self, R: np.ndarray, real: np.ndarray, n: np.ndarray,
+                    Y: np.ndarray, F: np.ndarray, fv: np.ndarray,
+                    base: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Best CART threshold and gain of node ``i``'s feature ``F[i, j]``.
+
+        ``R`` holds each node's rows (``real`` marks the unpadded ones),
+        ``Y`` their targets (0 on padding) and ``fv`` the real candidates.
+        One column per (node, feature): stable argsort, cumulative sums
+        of ``y`` and ``y**2``, and the SSE of every left/right division
+        where the value changes and both sides keep ``min_samples_leaf``
+        rows.  Gains that are not positive are ``-inf``.
+        """
+        self.batches += 1
+        b, w = F.shape
+        P = R.shape[1]
+        cols = np.arange(b * w)[:, None]
+        node = np.repeat(np.arange(b), w)       # each column's node
+        S = self.X[R[:, None, :], F[:, :, None]].reshape(b * w, P)
+        np.copyto(S, np.nan, where=~(fv[:, :, None]
+                                     & real[:, None, :]).reshape(b * w, P))
+        size = n[node][:, None]
+        m = self.min_samples_leaf
+        with np.errstate(divide="ignore", invalid="ignore"):
+            order = np.argsort(S, axis=1, kind="stable")
+            cs = S[cols, order]
+            ys = Y[node[:, None], order]
+            csum = np.cumsum(ys, axis=1)
+            np.square(ys, out=ys)
+            csum2 = np.cumsum(ys, axis=1)
+            total, total2 = csum[cols, size - 1], csum2[cols, size - 1]
+            left_n = np.arange(1, P, dtype=float)
+            right_n = size - left_n
+            # NaN padding already fails the comparison past a node's last
+            # row, which is all min_samples_leaf=1 asks for.
+            valid = cs[:, 1:] > cs[:, :-1]
+            if m > 1:
+                valid &= (left_n >= m) & (right_n >= m)
+            ls, ls2 = csum[:, :-1], csum2[:, :-1]
+            sse = np.square(ls)
+            sse /= left_n
+            np.subtract(ls2, sse, out=sse)
+            rs = total - ls
+            np.square(rs, out=rs)
+            rs /= right_n
+            np.subtract(total2 - ls2, rs, out=rs)
+            sse += rs
+            np.copyto(sse, np.inf, where=~valid)
+            best = np.argmin(sse, axis=1)[:, None]
+            best_sse = sse[cols, best][:, 0]
+            gains = base[node] - best_sse
+            ok = np.isfinite(best_sse) & (gains > 0.0)
+            lo = cs[cols, best][:, 0]
+            hi = cs[cols, np.minimum(best + 1, P - 1)][:, 0]
+            thrs = np.where(ok, 0.5 * (lo + hi), np.nan)
+        return (thrs.reshape(b, w),
+                np.where(ok, gains, -np.inf).reshape(b, w))
+
+    def _find_split_random(self, idx: np.ndarray, base_sse: float,
+                           rng: np.random.Generator
+                           ) -> tuple[int, float, float] | None:
+        """Extremely-randomized split search (one uniform threshold per
+        candidate feature, drawn in permutation order)."""
+        self.batches += 1
+        features = rng.permutation(self.X.shape[1])
+        M = self.X[np.ix_(idx, features)]
+        lows, highs = M.min(axis=0), M.max(axis=0)
+        best_gain = 0.0
+        best: tuple[int, float, float] | None = None
+        y_node = self.y[idx]
+        tried = 0
+        # Constant features are not candidates: scan the others in order.
+        for j in np.flatnonzero(lows != highs).tolist():
+            tried += 1
+            thr = float(rng.uniform(lows[j], highs[j]))
+            gain = self._split_gain_at(M[:, j], y_node, thr, base_sse)
+            if gain is not None and gain > best_gain:
+                best_gain, best = gain, (int(features[j]), thr, gain)
+            # Stop after k candidate features, but if none of them yielded
+            # a valid split keep scanning the rest (sklearn-compatible).
+            if tried >= self.k and best is not None:
+                break
+        return best
+
+    def _split_gain_at(self, col: np.ndarray, y: np.ndarray, thr: float,
+                       base_sse: float) -> float | None:
+        """Variance-reduction gain of splitting at a given threshold."""
+        mask = col <= thr
+        nl = int(mask.sum())
+        nr = len(col) - nl
+        if nl < self.min_samples_leaf or nr < self.min_samples_leaf:
+            return None
+        yl, yr = y[mask], y[~mask]
+        sse = float(np.sum((yl - yl.mean()) ** 2) + np.sum((yr - yr.mean()) ** 2))
+        gain = base_sse - sse
+        return gain if gain > 0.0 else None
+
+
+def _candidates(mask: np.ndarray, rank: np.ndarray, perm: np.ndarray,
+                width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Node ``i``'s features where ``mask[i]`` holds, left-aligned by
+    ``rank`` (1-based) into ``width`` columns, and which slots are real."""
+    ii, pos = np.nonzero(mask)
+    jj = rank[ii, pos] - 1
+    F = np.zeros((mask.shape[0], width), dtype=np.int64)
+    F[ii, jj] = perm[ii, pos]
+    real = np.zeros(F.shape, dtype=bool)
+    real[ii, jj] = True
+    return F, real
+
+
+def _settle(out: tuple[np.ndarray, ...], at: np.ndarray, F: np.ndarray,
+            thrs: np.ndarray, gains: np.ndarray, j: np.ndarray) -> None:
+    """Record column ``j[i]`` of row ``i`` as node ``at[i]``'s split."""
+    feat, thr, gain, found = out
+    rows = np.arange(len(at))
+    feat[at] = F[rows, j]
+    thr[at] = thrs[rows, j]
+    gain[at] = gains[rows, j]
+    found[at] = True

@@ -51,7 +51,8 @@ EVENT_TYPES: dict[str, str] = {
                       "surrogate warm start",
     "transfer.map": "a workload-mapper probe matched (or missed) a prior "
                     "selection signature",
-    "forest.fit": "a tree ensemble finished fitting",
+    "forest.fit": "a tree ensemble finished fitting: trees, rows, "
+                  "features, nodes and split-search batches",
     "importance": "a grouped permutation-importance sweep finished: "
                   "groups, repeats, OOB pairs and the (pair, repeat) "
                   "descents made",

@@ -19,6 +19,11 @@ def assert_forests_identical(a, b):
     Xq = np.random.default_rng(99).random((50, a._X_train.shape[1]))
     for ta, tb in zip(a.trees_, b.trees_):
         np.testing.assert_array_equal(ta.predict(Xq), tb.predict(Xq))
+        for name in ("feature", "threshold", "left", "right", "value"):
+            assert np.array_equal(getattr(ta.nodes_, name),
+                                  getattr(tb.nodes_, name)), name
+        assert np.array_equal(ta.feature_importances_,
+                              tb.feature_importances_)
 
 
 @pytest.mark.parametrize("cls", [RandomForestRegressor, ExtraTreesRegressor])
@@ -28,6 +33,24 @@ def test_parallel_fit_matches_serial(cls, backend):
     serial = cls(20, rng=7).fit(X, y)
     par = cls(20, n_jobs=2, parallel_backend=backend, rng=7).fit(X, y)
     assert_forests_identical(serial, par)
+
+
+@pytest.mark.parametrize("cls", [RandomForestRegressor, ExtraTreesRegressor])
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("n_jobs", [2, 3])
+def test_tree_groups_match_serial_bitwise(n_jobs, backend, cls):
+    """Workers get contiguous groups of trees (23 trees: uneven groups);
+    every tree, its bootstrap and the forest's MDI stay bit-identical."""
+    X, y = make_data(n=80, seed=6)
+    serial = cls(23, max_features=0.5, rng=12).fit(X, y)
+    par = cls(23, max_features=0.5, n_jobs=n_jobs, parallel_backend=backend,
+              rng=12).fit(X, y)
+    assert_forests_identical(serial, par)
+    assert np.array_equal(serial.feature_importances_,
+                          par.feature_importances_)
+    for name in ("feature", "threshold", "left", "right", "value"):
+        assert np.array_equal(getattr(serial.nodes_, name),
+                              getattr(par.nodes_, name)), name
 
 
 @pytest.mark.parametrize("cls", [RandomForestRegressor, ExtraTreesRegressor])

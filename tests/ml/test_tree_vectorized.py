@@ -1,7 +1,15 @@
-"""Parity of the vectorized CART split search with the scalar reference."""
+"""The reference grower's two CART threshold searches agree, and its
+batched split search picks what a plain per-feature loop picks.
+
+``tree_reference`` is what the lockstep grower in :mod:`repro.ml.tree` is
+checked against bit for bit (``test_tree_lockstep.py``); these tests pin
+the reference itself.
+"""
 
 import numpy as np
 import pytest
+
+from tree_reference import ReferenceTree
 
 from repro.ml.tree import DecisionTreeRegressor
 
@@ -24,7 +32,7 @@ class TestBatchThresholds:
     def test_batch_matches_scalar_per_column(self, seed):
         rng = np.random.default_rng(seed)
         X, y = random_dataset(rng, n=int(rng.integers(5, 80)), d=5)
-        tree = DecisionTreeRegressor()
+        tree = ReferenceTree()
         base_sse = float(np.sum((y - y.mean()) ** 2))
         # Only non-constant columns enter the batched path in _find_split.
         nonconst = [j for j in range(X.shape[1])
@@ -41,7 +49,7 @@ class TestBatchThresholds:
                 assert gains[out_j] == ref_gain
 
     def test_all_tied_column_has_no_split(self):
-        tree = DecisionTreeRegressor()
+        tree = ReferenceTree()
         y = np.array([1.0, 2.0, 3.0])
         M = np.array([[1.0], [1.0], [1.0]])
         _, gains = tree._best_thresholds_batch(
@@ -66,7 +74,7 @@ class TestWholeTreeParity:
         """_find_split_best must pick what a plain per-feature loop picks."""
         for trial in range(20):
             X, y = random_dataset(np.random.default_rng(trial), 40, 5)
-            tree = DecisionTreeRegressor()
+            tree = ReferenceTree()
             idx = np.arange(len(y))
             base_sse = float(np.sum((y - y.mean()) ** 2))
             k = X.shape[1]  # every feature in the batch, no extension scan
