@@ -1,14 +1,17 @@
 """Hot-path perf-regression smoke benchmark.
 
 Times the optimized compute kernels (lockstep forest training,
-path-restricted permutation importance, incremental GP updates, one BO
-iteration, a small end-to-end tune) and appends the wall-clock numbers to
-``BENCH_hotpaths.json`` at the repo root, so successive commits leave a
-comparable record.  Where a reference implementation is kept (the
-one-tree-at-a-time depth-first grower in ``tests/ml/tree_reference.py``,
-the per-repeat OOB importance loop in
-``tests/ml/importance_reference.py``, the from-scratch GP refit), both
-sides are timed and the speedup is printed.
+path-restricted permutation importance, incremental GP updates, one
+acquisition-refine evaluation, one BO iteration, a small end-to-end
+tune) and appends the wall-clock numbers to ``BENCH_hotpaths.json`` at
+the repo root, so successive commits leave a comparable record.  Where a
+reference implementation is kept (the one-tree-at-a-time depth-first
+grower in ``tests/ml/tree_reference.py``, the per-repeat OOB importance
+loop in ``tests/ml/importance_reference.py``, the from-scratch GP refit,
+the refine evaluation on ``scipy.stats``, the per-class kernel Jacobians
+and ``cho_solve`` in ``tests/core/acquisition_reference.py`` and
+``tests/gp/kernel_reference.py``), both sides are timed and the speedup
+is printed.
 
 The BO-engine benchmarks (async evaluation vs the serial loop) write
 their numbers to a separate ``BENCH_bo_engine.json`` so the engine-level
@@ -22,6 +25,7 @@ slack for machine noise), never absolute times.
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from pathlib import Path
@@ -29,6 +33,8 @@ from pathlib import Path
 import numpy as np
 
 from repro.core import BOEngine
+from repro.core.acquisition import (ExpectedImprovement, LowerConfidenceBound,
+                                    ProbabilityOfImprovement)
 from repro.core.tuner import ROBOTune
 from repro.gp.gpr import GaussianProcessRegressor, default_bo_kernel
 from repro.ml import RandomForestRegressor, grouped_permutation_importance
@@ -150,6 +156,52 @@ def test_gp_update_vs_refit(capsys):
         print(f"GP growth to n={n}: incremental {inc:.3f}s vs "
               f"refit {full:.3f}s ({full / inc:.1f}x)")
     assert inc <= full * 1.5
+
+
+def test_refine_eval_lean_vs_reference(capsys):
+    from tests.core import acquisition_reference as acq_ref
+    from tests.gp import kernel_reference
+    # Cold-session shape: an exact GP on ~90 observations of 6 selected
+    # parameters; one L-BFGS-B evaluation is the posterior with its input
+    # gradient, then one acquisition's value and gradient.
+    rng = np.random.default_rng(8)
+    X = rng.random((90, 6))
+    y = np.log(50 + 200 * X[:, 0] ** 2 + 80 * X[:, 3] * X[:, 4]
+               + rng.gamma(2.0, 5.0, 90))
+    gp = GaussianProcessRegressor(rng=8, n_restarts=1).fit(X, y)
+    mean, std = float(y.mean()), float(y.std())
+    f_best = (float(y.min()) - mean) / std
+    points = rng.random((50, 6))
+    acqs = (ProbabilityOfImprovement(), ExpectedImprovement(),
+            LowerConfidenceBound())
+
+    def lean():
+        for acq, u in itertools.product(acqs, points):
+            mu, sigma, dmu, dsigma = gp.predict_with_gradient(u)
+            acq(np.array([(mu - mean) / std]), np.array([sigma / std]),
+                f_best)
+            acq.gradient((mu - mean) / std, sigma / std, dmu / std,
+                         dsigma / std, f_best)
+
+    def reference():
+        for acq, u in itertools.product(acqs, points):
+            mu, sigma, dmu, dsigma = kernel_reference.predict_with_gradient(
+                gp, u)
+            acq_ref.utility(acq, np.array([(mu - mean) / std]),
+                            np.array([sigma / std]), f_best)
+            acq_ref.gradient(acq, (mu - mean) / std, sigma / std,
+                             dmu / std, dsigma / std, f_best)
+
+    calls = len(points) * len(acqs)
+    lean_s = _time(lean, repeats=5) / calls
+    reference_s = _time(reference, repeats=5) / calls
+    _record("refine_eval_lean_n90_d6", lean_s, n=90)
+    _record("refine_eval_reference_n90_d6", reference_s, n=90)
+    with capsys.disabled():
+        print(f"refine evaluation (n=90, d=6): lean {lean_s * 1e6:.0f}us vs "
+              f"reference {reference_s * 1e6:.0f}us "
+              f"({reference_s / lean_s:.1f}x)")
+    assert lean_s <= reference_s * 1.5
 
 
 def test_bo_iteration_wall_time(capsys):

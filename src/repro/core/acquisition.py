@@ -18,7 +18,7 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 __all__ = ["AcquisitionFunction", "ProbabilityOfImprovement",
            "ExpectedImprovement", "LowerConfidenceBound",
@@ -28,6 +28,22 @@ DEFAULT_XI = 0.01
 DEFAULT_KAPPA = 1.96
 
 _EPS = 1e-12
+
+_SQRT_2PI = np.sqrt(2 * np.pi)
+
+
+def _norm_pdf(z) -> np.ndarray:
+    """Standard normal density, bit-for-bit what ``scipy.stats.norm.pdf``
+    returns (its ``_norm_pdf`` after exact ``(z - 0)/1`` steps).
+
+    *z* is taken as an array (0-d for a scalar) so NumPy's array
+    ``square`` and ``exp`` loops run, as they do inside scipy.stats; a
+    Python-float ``**`` would call C ``pow`` instead.  NaN gives NaN and
+    ``±inf`` gives 0.0.  ``norm.cdf`` likewise reduces to ``ndtr``, which
+    maps NaN, ``+inf`` and ``-inf`` to NaN, 1.0 and 0.0 as it does.
+    """
+    z = np.asarray(z, dtype=float)
+    return np.exp(-z**2/2.0) / _SQRT_2PI
 
 
 class AcquisitionFunction(ABC):
@@ -74,7 +90,7 @@ class ProbabilityOfImprovement(AcquisitionFunction):
         d = f_best - mu - self.xi
         with np.errstate(divide="ignore", invalid="ignore"):
             z = np.where(sigma > _EPS, d / np.maximum(sigma, _EPS), np.nan)
-        out = norm.cdf(z)
+        out = ndtr(z)
         # Deterministic points improve with probability 0 or 1.
         out = np.where(sigma > _EPS, out, (d > 0).astype(float))
         return out
@@ -84,7 +100,7 @@ class ProbabilityOfImprovement(AcquisitionFunction):
         if sigma <= _EPS:
             return np.zeros_like(dmu)
         z = (f_best - mu - self.xi) / sigma
-        return norm.pdf(z) * (-dmu - z * dsigma) / sigma
+        return _norm_pdf(z) * (-dmu - z * dsigma) / sigma
 
 
 class ExpectedImprovement(AcquisitionFunction):
@@ -101,7 +117,7 @@ class ExpectedImprovement(AcquisitionFunction):
         d = f_best - mu - self.xi
         with np.errstate(divide="ignore", invalid="ignore"):
             z = d / np.maximum(sigma, _EPS)
-        ei = d * norm.cdf(z) + sigma * norm.pdf(z)
+        ei = d * ndtr(z) + sigma * _norm_pdf(z)
         return np.where(sigma > _EPS, np.maximum(ei, 0.0), 0.0)
 
     def gradient(self, mu, sigma, dmu, dsigma, f_best):
@@ -110,7 +126,7 @@ class ExpectedImprovement(AcquisitionFunction):
         if sigma <= _EPS:
             return np.zeros_like(dmu)
         z = (f_best - mu - self.xi) / sigma
-        return -norm.cdf(z) * dmu + norm.pdf(z) * dsigma
+        return -ndtr(z) * dmu + _norm_pdf(z) * dsigma
 
 
 class LowerConfidenceBound(AcquisitionFunction):

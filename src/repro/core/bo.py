@@ -715,7 +715,9 @@ class BOEngine:
         gradient (posterior input-gradients chained through the
         acquisition), so the optimizer never finite-differences the GP.
         *start_util* is the start point's utility from the candidate
-        sweep; the polished point is kept only when it beats it.
+        sweep; the polished point is kept only when it beats it.  Each
+        run adds to the ``bo.refine`` timer and its function evaluations
+        to the ``bo.refine.evals`` counter.
         """
 
         def neg_util_and_grad(u: np.ndarray) -> tuple[float, np.ndarray]:
@@ -728,7 +730,10 @@ class BOEngine:
                                  f_best)
             return val, grad
 
-        res = minimize(neg_util_and_grad, start, jac=True, method="L-BFGS-B",
-                       bounds=[(0.0, 1.0)] * len(start),
-                       options={"maxiter": 25})
+        with self._tracer.timer("bo.refine"):
+            res = minimize(neg_util_and_grad, start, jac=True,
+                           method="L-BFGS-B",
+                           bounds=[(0.0, 1.0)] * len(start),
+                           options={"maxiter": 25})
+        self._tracer.count("bo.refine.evals", res.nfev)
         return np.clip(res.x, 0.0, 1.0) if res.fun < -start_util else start

@@ -27,7 +27,7 @@ Everything here operates on the engine's *standardized* objective scale
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import norm
+from scipy.special import ndtr
 
 from ..gp.gpr import GaussianProcessRegressor
 
@@ -106,7 +106,7 @@ class LocalPenalizer:
             dist = np.linalg.norm(U - self._pending[j], axis=1)
             gap = self._mu[j] - self._f_best
             z = (self._L * dist - gap) / (np.sqrt(2.0) * self._sigma[j])
-            out *= norm.cdf(z)
+            out *= ndtr(z)
         return out
 
     def apply(self, util: np.ndarray, U: np.ndarray) -> np.ndarray:

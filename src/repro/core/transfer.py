@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.stats import spearmanr
 
 from ..sampling.lhs import maximin_latin_hypercube
 from ..space.space import ConfigSpace
@@ -113,6 +112,10 @@ class WorkloadMapper:
     def map(self, evaluate: Callable[[np.ndarray, float | None], Evaluation]
             ) -> MappingResult:
         """Probe a new workload and try to match it to a known one."""
+        # Imported here: scipy.stats costs ~0.6 s and ~20 MB at import,
+        # and nothing else on the tuner's start-up path needs it.
+        from scipy.stats import spearmanr
+
         sig, cost = self.signature(evaluate)
         best_name: str | None = None
         best_rho = -np.inf

@@ -13,7 +13,8 @@ import copy
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 
 from ..obs import as_tracer
@@ -24,6 +25,56 @@ from .kernels import ConstantKernel, Kernel, Matern52, WhiteKernel, _cdist_sq
 __all__ = ["GaussianProcessRegressor", "default_bo_kernel"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def _potrf(a: np.ndarray, check_finite: bool = True) -> np.ndarray:
+    """Lower Cholesky factor of *a* straight from LAPACK ``dpotrf``.
+
+    The routine, arguments and checks of scipy.linalg's lower-triangular
+    factor wrapper, without that wrapper's per-call cost (about as much
+    again as the factorization at the sizes a BO session fits):
+    ``ValueError`` for a non-finite (when *check_finite*) or non-square
+    *a*, ``np.linalg.LinAlgError`` when *a* is not positive definite.
+    As there, the upper triangle keeps *a*'s entries.
+    """
+    if check_finite:
+        a = np.asarray_chkfinite(a)
+    if a.ndim != 2:
+        raise ValueError("Input array needs to be 2D but received a "
+                         f"{a.ndim}d-array.")
+    if a.shape[0] != a.shape[1]:
+        raise ValueError("Input array is expected to be square but has "
+                         f"the shape: {a.shape}.")
+    c, info = dpotrf(a, lower=1, clean=0)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite")
+    if info < 0:
+        raise ValueError(f"LAPACK reported an illegal value in {-info}-th "
+                         'argument on entry to "POTRF".')
+    return c
+
+
+def _potrs(c: np.ndarray, b: np.ndarray,
+           check_finite: bool = True) -> np.ndarray:
+    """Solve ``A x = b`` given :func:`_potrf`'s factor *c* of ``A``.
+
+    LAPACK ``dpotrs`` with the checks of scipy.linalg's matching solve
+    wrapper: ``ValueError`` for non-finite inputs (when *check_finite*),
+    a non-square *c* or mismatched shapes.
+    """
+    if check_finite:
+        b = np.asarray_chkfinite(b)
+        c = np.asarray_chkfinite(c)
+    if c.ndim != 2 or c.shape[0] != c.shape[1]:
+        raise ValueError("The factored matrix c is not square.")
+    if c.shape[1] != b.shape[0]:
+        raise ValueError(f"incompatible dimensions ({c.shape} and {b.shape})")
+    x, info = dpotrs(c, b, lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal "
+                         "potrs")
+    return x
 
 
 def default_bo_kernel() -> Kernel:
@@ -230,14 +281,14 @@ class GaussianProcessRegressor(_LikelihoodGP):
         if X.shape[0] == n_old:
             if not np.array_equal(self._y_raw, y):
                 self._normalize_targets(y)
-                self._weights = cho_solve(self._chol, self._y)
+                self._weights = _potrs(self._chol, self._y)
             return self
         with self.tracer.timer("gp.fit"):
             extended = self._extend_cholesky(X[n_old:])
             if extended:
                 self._X = X
                 self._normalize_targets(y)
-                self._weights = cho_solve(self._chol, self._y)
+                self._weights = _potrs(self._chol, self._y)
         if not extended:
             # Appended block made the factor numerically unstable: refit.
             return self._refit(X, y)
@@ -253,7 +304,7 @@ class GaussianProcessRegressor(_LikelihoodGP):
         k = X_new.shape[0]
         K12 = self.kernel(self._X, X_new)
         K22 = self.kernel(X_new) + self.alpha * np.eye(k)
-        L = self._chol[0]
+        L = self._chol
         B = solve_triangular(L, K12, lower=True, check_finite=False)
         S = K22 - B.T @ B
         try:
@@ -265,7 +316,7 @@ class GaussianProcessRegressor(_LikelihoodGP):
         c[:n_old, :n_old] = L
         c[n_old:, :n_old] = B.T
         c[n_old:, n_old:] = Ls
-        self._chol = (c, True)
+        self._chol = c
         # Extend the cached squared-distance matrix with the new block.
         d2 = np.empty((n, n))
         d2[:n_old, :n_old] = self._d2
@@ -295,12 +346,12 @@ class GaussianProcessRegressor(_LikelihoodGP):
         kernel.theta = theta
         K = self._K_train(kernel) + self.alpha * np.eye(self._X.shape[0])
         try:
-            L = cho_factor(K, lower=True)
+            L = _potrf(K)
         except np.linalg.LinAlgError:
             return 1e25
-        a = cho_solve(L, self._y)
+        a = _potrs(L, self._y)
         n = self._X.shape[0]
-        logdet = 2.0 * float(np.sum(np.log(np.diag(L[0]))))
+        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
         return 0.5 * float(self._y @ a) + 0.5 * logdet + 0.5 * n * _LOG_2PI
 
     def _nll_and_grad(self, theta: np.ndarray, kernel: Kernel
@@ -318,14 +369,14 @@ class GaussianProcessRegressor(_LikelihoodGP):
         K, grads = kernel.value_and_theta_gradient(self._X, d2=self._d2)
         K[np.diag_indices_from(K)] += self.alpha
         try:
-            L = cho_factor(K, lower=True)
+            L = _potrf(K)
         except np.linalg.LinAlgError:
             return 1e25, np.zeros(len(theta))
-        a = cho_solve(L, self._y)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(L[0]))))
+        a = _potrs(L, self._y)
+        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
         nll = 0.5 * float(self._y @ a) + 0.5 * logdet + 0.5 * n * _LOG_2PI
         # M = K⁻¹ − ααᵀ turns every partial into one O(n²) contraction.
-        M = cho_solve(L, np.eye(n), check_finite=False)
+        M = _potrs(L, np.eye(n), check_finite=False)
         M -= np.outer(a, a)
         grad = np.array([0.5 * np.sum(M * G) for G in grads])
         return nll, grad
@@ -336,7 +387,7 @@ class GaussianProcessRegressor(_LikelihoodGP):
         jitter = self.alpha if self.alpha > 0 else 1e-10
         for _ in range(8):
             try:
-                self._chol = cho_factor(K + 0.0, lower=True)
+                self._chol = _potrf(K + 0.0)
                 break
             except np.linalg.LinAlgError:
                 K = K + jitter * np.eye(K.shape[0])
@@ -344,7 +395,7 @@ class GaussianProcessRegressor(_LikelihoodGP):
         else:  # pragma: no cover - pathological kernels only
             raise np.linalg.LinAlgError("covariance matrix not positive definite")
         self._theta_chol = self.kernel.theta.copy()
-        self._weights = cho_solve(self._chol, self._y)
+        self._weights = _potrs(self._chol, self._y)
 
     # -- prediction ---------------------------------------------------------------
     def predict(self, X: np.ndarray, return_std: bool = False):
@@ -366,7 +417,7 @@ class GaussianProcessRegressor(_LikelihoodGP):
         mean = mean * self._y_std + self._y_mean
         if not return_std:
             return mean
-        v = cho_solve(self._chol, Ks.T)
+        v = _potrs(self._chol, Ks.T)
         var = self.kernel.latent_diag(X) - np.einsum("ij,ji->i", Ks, v)
         var = np.maximum(var, 1e-12)
         std = np.sqrt(var) * self._y_std
@@ -385,7 +436,7 @@ class GaussianProcessRegressor(_LikelihoodGP):
         Ks = self.kernel(X, self._X)
         mean = Ks @ self._weights
         mean = mean * self._y_std + self._y_mean
-        v = cho_solve(self._chol, Ks.T, check_finite=False)
+        v = _potrs(self._chol, Ks.T, check_finite=False)
         var = self.kernel.latent_diag(X) - np.einsum("ij,ji->i", Ks, v)
         var = np.maximum(var, 1e-12)
         std = np.sqrt(var) * self._y_std
@@ -409,17 +460,18 @@ class GaussianProcessRegressor(_LikelihoodGP):
             raise RuntimeError("GP is not fitted")
         x = np.asarray(x, dtype=float)
         xq = x[None, :]
-        # Mean/std arithmetic mirrors fast_predict exactly (same shapes,
+        # One kernel pass gives the row and its Jacobian; mean/std
+        # arithmetic mirrors fast_predict exactly (same (1, n) shapes,
         # same reductions) so both entry points return the same bits.
-        Ks = self.kernel(xq, self._X)
+        k, dk = self.kernel.value_and_input_gradient(x, self._X)
+        Ks = k[None, :]
         mean = Ks @ self._weights
         mean = mean * self._y_std + self._y_mean
-        v = cho_solve(self._chol, Ks.T, check_finite=False)
+        v = _potrs(self._chol, Ks.T, check_finite=False)
         var = self.kernel.latent_diag(xq) - np.einsum("ij,ji->i", Ks, v)
         clipped = var[0] < 1e-12
         var = np.maximum(var, 1e-12)
         std = np.sqrt(var) * self._y_std
-        dk = self.kernel.input_gradient(x, self._X)
         dmu = (dk.T @ self._weights) * self._y_std
         if clipped:
             dsigma = np.zeros_like(x)

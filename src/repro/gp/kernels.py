@@ -155,14 +155,18 @@ class Kernel(ABC):
         return np.stack(grads)
 
     @abstractmethod
-    def input_gradient(self, x: np.ndarray, X: np.ndarray) -> np.ndarray:
-        """Jacobian ``∂k(x, X_j)/∂x`` of the cross-covariance vector.
+    def value_and_input_gradient(self, x: np.ndarray, X: np.ndarray
+                                 ) -> tuple[np.ndarray, np.ndarray]:
+        """Cross-covariance row ``k(x, X)`` and its Jacobian in *x*.
 
-        *x* is a single query point of shape ``(d,)``; the result has
-        shape ``(n, d)`` with row *j* holding the gradient of
+        *x* is a single query point of shape ``(d,)``.  Returns the
+        ``(n,)`` row, equal bit-for-bit to ``self(x[None], X)[0]``, and
+        the ``(n, d)`` Jacobian whose row *j* holds the gradient of
         ``k(x, X_j)`` with respect to *x*.  Like :meth:`__call__` with
-        distinct point sets, white-noise components contribute zero, so
-        the Jacobian is that of the latent (noise-free) covariance.
+        distinct point sets, white-noise components contribute zero to
+        both, so they describe the latent (noise-free) covariance.
+        Composites combine their children's rows instead of evaluating
+        the kernel a second time.
         """
 
     # -- composition -------------------------------------------------------------
@@ -210,8 +214,9 @@ class ConstantKernel(Kernel):
     def latent_diag_theta_gradient(self, X):
         return self.diag_theta_gradient(X)
 
-    def input_gradient(self, x, X):
-        return np.zeros((X.shape[0], x.shape[0]))
+    def value_and_input_gradient(self, x, X):
+        return (self(x[None], X)[0],
+                np.zeros((X.shape[0], x.shape[0])))
 
     @property
     def theta(self):
@@ -267,11 +272,11 @@ class RBF(Kernel):
     def latent_diag_theta_gradient(self, X):
         return self.diag_theta_gradient(X)
 
-    def input_gradient(self, x, X):
+    def value_and_input_gradient(self, x, X):
         diff = x[None, :] - X
         inv_l2 = 1.0 / self.length_scale ** 2
         k = np.exp(-0.5 * np.sum(diff ** 2, axis=1) * inv_l2)
-        return (-inv_l2) * diff * k[:, None]
+        return self(x[None], X)[0], (-inv_l2) * diff * k[:, None]
 
     @property
     def theta(self):
@@ -339,12 +344,12 @@ class Matern52(Kernel):
     def latent_diag_theta_gradient(self, X):
         return self.diag_theta_gradient(X)
 
-    def input_gradient(self, x, X):
+    def value_and_input_gradient(self, x, X):
         diff = x[None, :] - X
         r = np.sqrt(np.sum(diff ** 2, axis=1))
         s = math.sqrt(5.0) * r / self.length_scale
         coef = -(5.0 / (3.0 * self.length_scale ** 2)) * (1.0 + s) * np.exp(-s)
-        return coef[:, None] * diff
+        return self(x[None], X)[0], coef[:, None] * diff
 
     @property
     def theta(self):
@@ -405,8 +410,9 @@ class WhiteKernel(Kernel):
         n = X.shape[0]
         return np.zeros(n), [np.zeros(n)]
 
-    def input_gradient(self, x, X):
-        return np.zeros((X.shape[0], x.shape[0]))
+    def value_and_input_gradient(self, x, X):
+        return (self(x[None], X)[0],
+                np.zeros((X.shape[0], x.shape[0])))
 
     @property
     def theta(self):
@@ -481,8 +487,10 @@ class Sum(_Binary):
         d2, g2 = self.k2.latent_diag_theta_gradient(X)
         return d1 + d2, g1 + g2
 
-    def input_gradient(self, x, X):
-        return self.k1.input_gradient(x, X) + self.k2.input_gradient(x, X)
+    def value_and_input_gradient(self, x, X):
+        k1, g1 = self.k1.value_and_input_gradient(x, X)
+        k2, g2 = self.k2.value_and_input_gradient(x, X)
+        return k1 + k2, g1 + g2
 
 
 class Product(_Binary):
@@ -524,10 +532,7 @@ class Product(_Binary):
         grads = [g * d2 for g in g1] + [d1 * g for g in g2]
         return d1 * d2, grads
 
-    def input_gradient(self, x, X):
-        xq = x[None, :]
-        k1 = self.k1(xq, X)[0]
-        k2 = self.k2(xq, X)[0]
-        g1 = self.k1.input_gradient(x, X)
-        g2 = self.k2.input_gradient(x, X)
-        return g1 * k2[:, None] + k1[:, None] * g2
+    def value_and_input_gradient(self, x, X):
+        k1, g1 = self.k1.value_and_input_gradient(x, X)
+        k2, g2 = self.k2.value_and_input_gradient(x, X)
+        return k1 * k2, g1 * k2[:, None] + k1[:, None] * g2

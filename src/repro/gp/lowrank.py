@@ -27,9 +27,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import solve_triangular
 
-from .gpr import _LikelihoodGP
+from .gpr import _LikelihoodGP, _potrf, _potrs
 from .kernels import Kernel
 
 __all__ = ["LowRankGaussianProcessRegressor", "select_inducing"]
@@ -230,8 +230,8 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
         Vs = V / sqrt_lam[None, :]
         B = Vs @ Vs.T
         B[np.diag_indices_from(B)] += 1.0
-        LB_factor = cho_factor(B, lower=True)
-        LB = np.tril(LB_factor[0])
+        LB_factor = _potrf(B)
+        LB = np.tril(LB_factor)
 
         n = X.shape[0]
         yt = self._y / sqrt_lam
@@ -243,7 +243,7 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
         nll = 0.5 * (quad + logdet + n * _LOG_2PI)
 
         # α = Qσ⁻¹y = (y − Kmnᵀ w)/Λ with w = Lm⁻ᵀB⁻¹VΛ⁻¹y.
-        c = cho_solve(LB_factor, beta, check_finite=False)
+        c = _potrs(LB_factor, beta, check_finite=False)
         w = solve_triangular(Lm, c, lower=True, trans="T", check_finite=False)
         alpha_vec = (self._y - Kmn.T @ w) / lam
         # A = Kmm⁻¹Kmn and AP = AQσ⁻¹ − (Aα)αᵀ, both m×n.
@@ -251,7 +251,7 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
         D = A / lam[None, :]
         G1 = D @ Kmn.T
         R = solve_triangular(
-            Lm, cho_solve(LB_factor, V / lam[None, :], check_finite=False),
+            Lm, _potrs(LB_factor, V / lam[None, :], check_finite=False),
             lower=True, trans="T", check_finite=False)
         AP = D - G1 @ R - np.outer(A @ alpha_vec, alpha_vec)
         W = AP @ A.T
@@ -287,9 +287,10 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
         self._theta_chol = self.kernel.theta.copy()
 
     # -- prediction ---------------------------------------------------------------
-    def _mean_var(self, X: np.ndarray
+    def _mean_var(self, X: np.ndarray, Ks: np.ndarray
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Normalized posterior mean and DTC variance at *X*.
+        """Normalized posterior mean and DTC variance at *X*, given the
+        cross covariance ``Ks = k(X, Z)``.
 
         ``var = k** − ‖Lm⁻¹k*‖² + ‖LB⁻¹Lm⁻¹k*‖²`` — prior variance minus
         the Nyström explained part, plus the posterior uncertainty of the
@@ -297,7 +298,6 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
         like the exact GP's.  Also returns the two triangular solves for
         gradient reuse.
         """
-        Ks = self.kernel(X, self._Z)
         mean = Ks @ self._weights
         a = solve_triangular(self._Lm, Ks.T, lower=True, check_finite=False)
         t = solve_triangular(self._LB, a, lower=True, check_finite=False)
@@ -315,7 +315,7 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
             raise ValueError(f"X must have shape (n, {self._X.shape[1]})")
         self.tracer.count("gp.predict")
         self.tracer.count("gp.predict.points", X.shape[0])
-        mean, var, _, _ = self._mean_var(X)
+        mean, var, _, _ = self._mean_var(X, self.kernel(X, self._Z))
         mean = mean * self._y_std + self._y_mean
         if not return_std:
             return mean
@@ -326,7 +326,7 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
     def fast_predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Mean and std without validation or counters — the refinement
         hot path.  Arithmetic identical to :meth:`predict`."""
-        mean, var, _, _ = self._mean_var(X)
+        mean, var, _, _ = self._mean_var(X, self.kernel(X, self._Z))
         mean = mean * self._y_std + self._y_mean
         var = np.maximum(var, 1e-12)
         std = np.sqrt(var) * self._y_std
@@ -344,12 +344,13 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
             raise RuntimeError("GP is not fitted")
         x = np.asarray(x, dtype=float)
         xq = x[None, :]
-        mean, var, a, t = self._mean_var(xq)
+        # One kernel pass gives the row and its Jacobian.
+        k, dk = self.kernel.value_and_input_gradient(x, self._Z)
+        mean, var, a, t = self._mean_var(xq, k[None, :])
         mean = mean * self._y_std + self._y_mean
         clipped = var[0] < 1e-12
         var = np.maximum(var, 1e-12)
         std = np.sqrt(var) * self._y_std
-        dk = self.kernel.input_gradient(x, self._Z)
         dmu = (dk.T @ self._weights) * self._y_std
         if clipped:
             dsigma = np.zeros_like(x)

@@ -96,6 +96,8 @@ COUNTERS: dict[str, str] = {
     "gp.predict": "GP posterior predictions served",
     "gp.predict.points": "candidate points pushed through GP predictions",
     "gp.mode.switch": "exact <-> low-rank surrogate switches",
+    "bo.refine.evals": "acquisition evaluations (posterior, value and "
+                       "gradient) made by the L-BFGS-B refine",
     "async.idle_worker_slots": "free worker slots observed at async "
                                "dispatch points",
     "batch.serial_fallback": "concurrent evaluations degraded to serial",
@@ -117,6 +119,7 @@ COUNTERS: dict[str, str] = {
 #: The timer catalog: every name passed to ``tracer.timer`` (RPX003).
 TIMERS: dict[str, str] = {
     "gp.fit": "GP surrogate (re)fits",
+    "bo.refine": "L-BFGS-B polishes of acquisition sweep winners",
     "forest.fit": "tree-ensemble fits",
     "importance": "permutation-importance sweeps",
     "parallel.map": "parallel_map batch dispatches",

@@ -39,9 +39,9 @@ class TestRank1Parity:
         mu_f, sd_f = ref.predict(Xq, return_std=True)
         np.testing.assert_allclose(mu_u, mu_f, atol=1e-8)
         np.testing.assert_allclose(sd_u, sd_f, atol=1e-8)
-        # cho_factor leaves garbage above the diagonal; compare the
+        # The factor keeps garbage above the diagonal; compare the
         # reconstructed covariance from the lower triangles only.
-        L_u, L_f = np.tril(gp._chol[0]), np.tril(ref._chol[0])
+        L_u, L_f = np.tril(gp._chol), np.tril(ref._chol)
         np.testing.assert_allclose(L_u @ L_u.T, L_f @ L_f.T, atol=1e-8)
 
     def test_repeated_updates_stay_close(self):

@@ -134,7 +134,8 @@ class TestKernelThetaGradients:
             Bare()
         for hook in ("value_and_theta_gradient",
                      "cross_value_and_theta_gradient", "diag_theta_gradient",
-                     "latent_diag_theta_gradient", "input_gradient"):
+                     "latent_diag_theta_gradient",
+                     "value_and_input_gradient"):
             assert hook in str(exc.value)
 
 
@@ -146,7 +147,7 @@ class TestKernelInputGradients:
         rng = np.random.default_rng(hash((name, dim, "in")) % 2**32)
         X = rng.random((11, dim))
         x = rng.random(dim)
-        analytic = kernel.input_gradient(x, X)
+        _, analytic = kernel.value_and_input_gradient(x, X)
         numeric = central_difference_input(kernel, x, X)
         assert analytic.shape == (11, dim)
         np.testing.assert_allclose(analytic, numeric, atol=TOL)
@@ -155,7 +156,8 @@ class TestKernelInputGradients:
         X = np.random.default_rng(1).random((5, 3))
         x = X[2].copy()  # even exactly on a training point
         np.testing.assert_array_equal(
-            WhiteKernel(0.5).input_gradient(x, X), np.zeros((5, 3)))
+            WhiteKernel(0.5).value_and_input_gradient(x, X)[1],
+            np.zeros((5, 3)))
 
 
 def make_gp_data(n=30, dim=4, seed=0):

@@ -1,0 +1,52 @@
+"""The fused kernel hook keeps both halves' bits.
+
+``value_and_input_gradient(x, X)`` must return exactly the row
+``kernel(x[None], X)[0]`` and exactly the Jacobian of the per-class
+reference in ``kernel_reference``, for every kernel class and the
+nested default kernel, with *x* on and off the training rows.
+"""
+
+import numpy as np
+import pytest
+
+from kernel_reference import input_gradient
+from repro.gp import ConstantKernel, Matern52, RBF, WhiteKernel
+from repro.gp.gpr import default_bo_kernel
+
+
+def kernels():
+    return {
+        "constant": ConstantKernel(2.5),
+        "rbf": RBF(0.7),
+        "matern52": Matern52(0.4),
+        "white": WhiteKernel(0.3),
+        "sum": Matern52(0.6) + RBF(1.3),
+        "product": ConstantKernel(1.7) * RBF(0.5),
+        "rbf_product": RBF(0.9) * Matern52(0.35),
+        "default": default_bo_kernel(),
+        "nested": (ConstantKernel(0.8) * Matern52(0.4)) * RBF(1.5)
+        + WhiteKernel(1e-2),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(kernels()))
+@pytest.mark.parametrize("n,dim", [(1, 1), (2, 3), (30, 6), (120, 11)])
+@pytest.mark.parametrize("on_row", [False, True])
+def test_row_and_jacobian_are_bitwise(name, n, dim, on_row):
+    kernel = kernels()[name]
+    rng = np.random.default_rng([sorted(kernels()).index(name), n, dim])
+    X = rng.random((n, dim))
+    x = X[n // 2].copy() if on_row else rng.random(dim)
+    value, jac = kernel.value_and_input_gradient(x, X)
+    assert value.shape == (n,) and jac.shape == (n, dim)
+    assert np.array_equal(value, kernel(x[None], X)[0])
+    assert np.array_equal(jac, input_gradient(kernel, x, X))
+
+
+def test_white_noise_row_is_latent():
+    # Like a cross covariance, the row leaves the noise out even on a
+    # training point.
+    X = np.random.default_rng(3).random((4, 2))
+    value, jac = WhiteKernel(0.5).value_and_input_gradient(X[1].copy(), X)
+    assert np.array_equal(value, np.zeros(4))
+    assert np.array_equal(jac, np.zeros((4, 2)))

@@ -51,3 +51,25 @@ class TestPublicSurface:
         for name in PACKAGES:
             module = importlib.import_module(name)
             assert module.__doc__, f"{name} lacks a module docstring"
+
+
+class TestStartupImports:
+    def test_scipy_stats_stays_out_of_startup(self):
+        """Importing the tuner, the CLI or the daemon must not pull in
+        scipy.stats (~0.6 s and ~20 MB); only workload mapping needs it,
+        and imports it when it runs."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import sys, repro, repro.core.tuner, repro.cli, "
+                "repro.serve.daemon; "
+                "print(sorted(m for m in sys.modules "
+                "if m.split('.')[:2] == ['scipy', 'stats']))")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.strip() == "[]"
