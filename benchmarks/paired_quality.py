@@ -5,7 +5,9 @@ regress.  This script runs the same ROBOTune sessions (the five Table-1
 workloads on dataset D1, paper settings, one session per workload and
 seed) on whichever ``repro`` is importable, records each session's
 best-so-far curve and CPU time, and compares recorded builds pair by
-pair.
+pair.  Each session is ``repro.serve.run_session`` of
+``SessionSpec(workload, "D1", budget, seed)``: the session ``repro tune``
+and ``repro submit`` run for those flags.
 
 Run it once per build, pointing ``PYTHONPATH`` at that checkout::
 
@@ -14,9 +16,8 @@ Run it once per build, pointing ``PYTHONPATH`` at that checkout::
     PYTHONPATH=src python benchmarks/paired_quality.py run --out change.json
     python benchmarks/paired_quality.py compare parent.json change.json
 
-``--engine '{"refine": false}'`` forwards extra ``BOEngine`` arguments
-(through ``ROBOTune(engine_kwargs=...)``).  ``compare`` takes the
-reference build first and prints, for every other build against it:
+``compare`` takes the reference build first and prints, for every other
+build against it:
 
 * the geometric mean of best-found ratios (build / reference) and the
   counts of sessions that found the same, a better or a worse best;
@@ -47,21 +48,13 @@ WORKLOADS = ("pagerank", "kmeans", "connectedcomponents",
 FRACTIONS = (0.05, 0.10)
 
 
-def run_session(workload: str, seed: int, budget: int,
-                engine: dict) -> dict:
+def session(workload: str, seed: int, budget: int) -> dict:
     """One paper-settings session; returns its curve and costs."""
-    from repro.core.selection import ParameterSelector
-    from repro.core.tuner import ROBOTune
-    from repro.space.spark_params import spark_space
-    from repro.tuners.objective import WorkloadObjective
-    from repro.workloads.registry import get_workload
+    from repro.serve import SessionSpec, run_session
 
-    objective = WorkloadObjective(get_workload(workload, "D1"),
-                                  spark_space(), rng=seed)
-    tuner = ROBOTune(selector=ParameterSelector(rng=seed), rng=seed,
-                     engine_kwargs=dict(engine))
+    spec = SessionSpec(workload, "D1", budget, seed)
     cpu0, t0 = time.process_time(), time.perf_counter()
-    result = tuner.tune(objective, budget, rng=seed)
+    result = run_session(spec)
     return {"workload": workload, "seed": seed,
             "best_s": float(result.best_time_s),
             "curve": [float(v) for v in result.best_curve()],
@@ -70,19 +63,16 @@ def run_session(workload: str, seed: int, budget: int,
 
 
 def run(args: argparse.Namespace) -> None:
-    engine = json.loads(args.engine)
-    jobs = [(w, s, args.budget, engine)
-            for s in args.seeds for w in WORKLOADS]
+    jobs = [(w, s, args.budget) for s in args.seeds for w in WORKLOADS]
     with ProcessPoolExecutor(max_workers=args.jobs,
                              mp_context=multiprocessing.get_context("spawn")
                              ) as pool:
-        sessions = list(pool.map(run_session, *zip(*jobs)))
+        sessions = list(pool.map(session, *zip(*jobs)))
     for rec in sessions:
         print(f"{rec['workload']:>20} seed {rec['seed']}: best "
               f"{rec['best_s']:.2f} s, cpu {rec['cpu_s']:.1f} s")
     with open(args.out, "w") as fh:
-        json.dump({"engine": engine, "budget": args.budget,
-                   "sessions": sessions}, fh)
+        json.dump({"budget": args.budget, "sessions": sessions}, fh)
 
 
 def within(curve: np.ndarray, target: float) -> int:
@@ -129,12 +119,10 @@ def compare(args: argparse.Namespace) -> None:
         with open(path) as fh:
             records.append(json.load(fh))
     ref = records[0]["sessions"]
-    print(f"reference: {args.files[0]} "
-          f"(engine {records[0]['engine'] or 'defaults'})")
+    print(f"reference: {args.files[0]}")
     for path, rec in zip(args.files[1:], records[1:]):
         s = pair_stats(ref, rec["sessions"])
-        print(f"\n{path} (engine {rec['engine'] or 'defaults'}), "
-              f"{s['n']} paired sessions:")
+        print(f"\n{path}, {s['n']} paired sessions:")
         print(f"  best-found ratio, geometric mean: {s['geo_mean']:.4f} "
               f"({s['same']} same, {s['better']} better, "
               f"{s['worse']} worse; worst {s['worst']:.4f})")
@@ -152,8 +140,6 @@ def main(argv: list[str] | None = None) -> None:
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3, 4, 5])
     p_run.add_argument("--budget", type=int, default=100)
-    p_run.add_argument("--engine", default="{}",
-                       help="JSON dict of extra BOEngine arguments")
     p_run.add_argument("--jobs", type=int, default=2)
     p_cmp = sub.add_parser("compare", help="reference file first")
     p_cmp.add_argument("files", nargs="+")

@@ -26,11 +26,10 @@ from ..core.warmstart import journal_paths
 from ..faults import FaultInjector, FaultPlan, RetryPolicy
 from ..obs import JsonlTraceWriter, Tracer, load_trace, summarize
 from ..space.spark_params import spark_space
-from ..sparksim.cluster import ClusterSpec
 from ..tuners.base import Tuner, TuningResult
 from ..tuners.bestconfig import BestConfig
 from ..tuners.gunther import Gunther
-from ..tuners.objective import DEFAULT_TIME_LIMIT_S, WorkloadObjective
+from ..tuners.objective import WorkloadObjective
 from ..tuners.random_search import RandomSearch
 from ..utils.parallel import parallel_map
 from ..workloads.datasets import DATASET_LABELS
@@ -130,8 +129,7 @@ class ComparisonStudy:
         sweeps concurrently (each sweep still visits its datasets in
         order, because the knowledge stores are shared within a sweep).
         Every session is seeded from its grid coordinates, so results
-        and record order are identical for any worker count.  The
-        ``"process"`` backend requires a picklable *selector_factory*.
+        and record order are identical for any worker count.
     async_workers:
         Asynchronous BO worker count for ROBOTune sessions (see
         :class:`~repro.core.tuner.ROBOTune` ``async_workers``); other
@@ -157,9 +155,10 @@ class ComparisonStudy:
         Fail-fast validated at construction; ``None`` starts cold.
     trace_dir:
         Directory for per-session JSONL traces.  Each session gets its
-        own file (``{tuner}-{workload}-{dataset}-trial{N}.jsonl``) and
-        its own :class:`~repro.obs.Tracer`, constructed inside the
-        session so the ``"process"`` backend never pickles one; the
+        own file, ``{tuner}-{workload}-{dataset}-trial{N}-s{seed}.jsonl``
+        with the session seed in eight hex digits, and its own
+        :class:`~repro.obs.Tracer`, constructed inside the session so
+        the ``"process"`` backend never pickles one; the
         record's ``trace_path`` points at the file and
         :meth:`StudyResult.trace_summaries` folds them back up.  ``None``
         (the default) traces nothing.
@@ -169,12 +168,9 @@ class ComparisonStudy:
                  workloads: Sequence[str] | None = None,
                  datasets: Sequence[str] | None = None,
                  tuners: Sequence[str] | None = None,
-                 cluster: ClusterSpec | None = None,
-                 time_limit_s: float = DEFAULT_TIME_LIMIT_S,
                  keep_results: bool = False,
                  fault_rate: float = 0.0,
                  retries: int = 2,
-                 selector_factory: Callable[[np.random.Generator], ParameterSelector] | None = None,
                  n_jobs: int | None = None,
                  parallel_backend: str = "process",
                  async_workers: int = 0,
@@ -208,10 +204,7 @@ class ComparisonStudy:
             journal_paths(warm_start)  # fail fast before any session runs
         # Stored as a plain string to keep the study picklable.
         self.warm_start = str(warm_start) if warm_start is not None else None
-        self.cluster = cluster
-        self.time_limit_s = time_limit_s
         self.keep_results = keep_results
-        self.selector_factory = selector_factory
         self.n_jobs = n_jobs
         self.parallel_backend = parallel_backend
         # Stored as a plain string to keep the study picklable for the
@@ -225,9 +218,7 @@ class ComparisonStudy:
                     stores: dict,
                     mapper: WorkloadMapper | None = None) -> Tuner:
         if name == "ROBOTune":
-            selector = (self.selector_factory(rng) if self.selector_factory
-                        else ParameterSelector(n_repeats=5, rng=rng))
-            return ROBOTune(selector=selector,
+            return ROBOTune(selector=ParameterSelector(n_repeats=5, rng=rng),
                             selection_cache=stores["cache"],
                             memo_buffer=stores["memo"],
                             async_workers=self.async_workers,
@@ -302,8 +293,7 @@ class ComparisonStudy:
         seed = zlib.crc32(key.encode())
         rng = np.random.default_rng(seed)
         wl = get_workload(workload, dataset)
-        objective = WorkloadObjective(wl, self.space, cluster=self.cluster,
-                                      time_limit_s=self.time_limit_s,
+        objective = WorkloadObjective(wl, self.space,
                                       rng=np.random.default_rng(seed + 1))
         tracer = trace_path = None
         if self.trace_dir:

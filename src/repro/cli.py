@@ -9,7 +9,8 @@ Commands
     knowledge stores and write the best configuration as a
     ``spark-defaults.conf`` file.
 ``compare``
-    Compare ROBOTune with BestConfig / Gunther / Random Search.
+    Compare ROBOTune with BestConfig / Gunther / Random Search through
+    the paper-figure study harness (:class:`repro.bench.ComparisonStudy`).
 ``importance``
     Rank parameter groups for a workload (RF + grouped MDA).
 ``simulate``
@@ -28,19 +29,19 @@ import argparse
 import json
 import signal
 import sys
+import tempfile
 import threading
+from contextlib import nullcontext
 from pathlib import Path
 
 import numpy as np
 
+from .bench.harness import TUNER_NAMES, ComparisonStudy
 from .bench.reporting import format_table
 from .core.journal import EvaluationJournal
 from .core.memo import ConfigMemoizationBuffer, ParameterSelectionCache
 from .core.selection import ParameterSelector
-from .core.transfer import WorkloadMapper
-from .core.tuner import ROBOTune
 from .core.warmstart import journal_paths
-from .faults import FaultInjector, FaultPlan, RetryPolicy
 from .obs import (InMemorySink, JsonlTraceWriter, Tracer, render_aggregate,
                   render_summary, summarize)
 from .space.encoder import ConfigurationEncoder
@@ -48,10 +49,7 @@ from .space.spark_params import spark_space
 from .sparksim.analysis import TraceAnalyzer
 from .sparksim.conf import SparkConf
 from .sparksim.simulator import SparkSimulator
-from .tuners.bestconfig import BestConfig
-from .tuners.gunther import Gunther
 from .tuners.objective import WorkloadObjective
-from .tuners.random_search import RandomSearch
 from .utils.parallel import resolve_n_jobs
 from .workloads.datasets import DATASET_LABELS, SCALE_UNITS, TABLE1
 from .workloads.registry import WORKLOADS, get_workload
@@ -112,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="compare the four tuners")
     _common(p_cmp)
     p_cmp.add_argument("--trials", type=int, default=1)
-    _jobs(p_cmp)
+    _jobs(p_cmp, "running the study's sessions concurrently")
     _async_workers(p_cmp)
     _resilience(p_cmp)
     p_cmp.add_argument("--warm-start", default=None, metavar="DIR",
@@ -130,8 +128,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "charged to search cost); pass several "
                             "workloads as --workload a,b,c")
     p_cmp.add_argument("--trace", default=None, metavar="DIR",
-                       help="write one JSONL trace per (tuner, trial) "
-                            "session into DIR")
+                       help="write one JSONL trace per session into DIR "
+                            "({tuner}-{workload}-{dataset}-trial{n}-"
+                            "s{seed}.jsonl)")
     p_cmp.add_argument("--trace-summary", action="store_true",
                        help="print the cross-tuner trace aggregation table "
                             "after the comparison")
@@ -247,12 +246,12 @@ def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--seed", type=int, default=0)
 
 
-def _jobs(p: argparse.ArgumentParser) -> None:
+def _jobs(p: argparse.ArgumentParser,
+          what: str = "forest training and permutation importance") -> None:
     p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help="worker processes/threads for forest training and "
-                        "permutation importance (default: ROBOTUNE_JOBS "
-                        "env var, else 1; -1 = all CPUs); results are "
-                        "identical for any value")
+                   help=f"worker processes/threads for {what} (default: "
+                        "ROBOTUNE_JOBS env var, else 1; -1 = all CPUs); "
+                        "results are identical for any value")
 
 
 def _async_workers(p: argparse.ArgumentParser) -> None:
@@ -343,15 +342,6 @@ def _supervise_policy(args):
                            quarantine_after=args.quarantine_after)
 
 
-def _wrap_faults(objective, args, seed: int, tracer=None):
-    """Apply --faults/--retries to an objective (no-op at rate 0)."""
-    if not getattr(args, "faults", 0.0):
-        return objective
-    retry = RetryPolicy(max_retries=args.retries) if args.retries else None
-    return FaultInjector(objective, FaultPlan(args.faults, seed=seed),
-                         retry=retry, tracer=tracer)
-
-
 def _make_tracer(path, summary: bool, meta: dict):
     """Tracer + in-memory sink for --trace/--trace-summary.
 
@@ -382,10 +372,20 @@ def cmd_workloads(args) -> int:
 
 
 def cmd_tune(args) -> int:
-    space = spark_space()
-    workload = get_workload(args.workload, args.dataset)
-    objective = WorkloadObjective(workload, space, rng=args.seed,
-                                  metric=args.metric)
+    from .serve import SessionSpec
+    from .serve.runner import build_objective, build_tuner, drive
+    try:
+        spec = SessionSpec(
+            workload=args.workload, dataset=args.dataset,
+            budget=args.budget, seed=args.seed, metric=args.metric,
+            fault_rate=args.faults, retries=args.retries,
+            async_workers=args.async_workers,
+            eval_timeout_s=args.eval_timeout, speculate=args.speculate,
+            quarantine_after=args.quarantine_after)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    workload = get_workload(spec.workload, spec.dataset)
     cache = memo = None
     if args.store_dir:
         store = Path(args.store_dir)
@@ -401,24 +401,14 @@ def cmd_tune(args) -> int:
     except FileExistsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    objective = _wrap_faults(objective, args, args.seed, tracer)
-    tuner = ROBOTune(selection_cache=cache, memo_buffer=memo,
-                     n_jobs=args.jobs,
-                     async_workers=args.async_workers,
-                     supervise=_supervise_policy(args),
-                     warm_start=args.warm_start, rng=args.seed)
-    if args.journal:
-        journal = EvaluationJournal(args.journal)
-        if args.resume:
-            result = tuner.resume(objective, args.budget, journal,
-                                  rng=args.seed, tracer=tracer,
-                                  recover=args.recover)
-        else:
-            result = tuner.checkpoint(objective, args.budget, journal,
-                                      rng=args.seed, tracer=tracer)
-    else:
-        result = tuner.tune(objective, args.budget, rng=args.seed,
-                            tracer=tracer)
+    # run_session's steps, called one by one: the faults line below
+    # reads the counters of the objective build_objective returns.
+    objective = build_objective(spec, tracer=tracer)
+    tuner = build_tuner(spec, selection_cache=cache, memo_buffer=memo,
+                        warm_start=args.warm_start, n_jobs=args.jobs)
+    journal = EvaluationJournal(args.journal) if args.journal else None
+    result = drive(spec, tuner, objective, journal=journal,
+                   resume=args.resume, recover=args.recover, tracer=tracer)
     if tracer is not None:
         tracer.close()
 
@@ -448,7 +438,7 @@ def cmd_tune(args) -> int:
         print(f"journal:         {args.journal} ({n} evaluations"
               f"{', resumed' if args.resume else ''})")
     if args.emit_conf:
-        encoder = ConfigurationEncoder(space)
+        encoder = ConfigurationEncoder(objective.space)
         Path(args.emit_conf).write_text(  # repro: noqa RPF002 -- user-requested spark-defaults.conf export; a one-shot artifact after tuning ends, not evaluation state
             encoder.to_conf_file(result.best_config))
         print(f"best config written to {args.emit_conf}")
@@ -461,80 +451,37 @@ def cmd_tune(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    space = spark_space()
     workload_names = [w.strip() for w in args.workload.split(",")
                       if w.strip()]
-    multi = len(workload_names) > 1
-
-    def make_robotune(s, stores=None, mapper=None):
-        return ROBOTune(n_jobs=args.jobs,
-                        async_workers=args.async_workers,
-                        supervise=_supervise_policy(args),
-                        warm_start=args.warm_start,
-                        mapper=mapper,
-                        selection_cache=stores["cache"] if stores else None,
-                        memo_buffer=stores["memo"] if stores else None,
-                        rng=s)
-
-    tuners = {"ROBOTune": make_robotune,
-              "BestConfig": lambda s, stores=None, mapper=None: BestConfig(),
-              "Gunther": lambda s, stores=None, mapper=None: Gunther(),
-              "RandomSearch":
-                  lambda s, stores=None, mapper=None: RandomSearch()}
-    trace_dir = Path(args.trace) if args.trace else None
-    if trace_dir is not None:
-        trace_dir.mkdir(parents=True, exist_ok=True)
-    summaries = []
+    # --trace-summary alone still needs the study's per-session traces;
+    # they go to a directory removed after the fold-up.
+    with (tempfile.TemporaryDirectory() if args.trace_summary
+          and not args.trace else nullcontext(args.trace)) as trace_dir:
+        study = ComparisonStudy(
+            budget=args.budget, trials=args.trials,
+            workloads=workload_names, datasets=[args.dataset],
+            fault_rate=args.faults, retries=args.retries, n_jobs=args.jobs,
+            async_workers=args.async_workers,
+            supervise=_supervise_policy(args),
+            map_workloads=args.map_workloads, warm_start=args.warm_start,
+            trace_dir=trace_dir, base_seed=args.seed)
+        try:
+            study_result = study.run()
+        except FileExistsError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        summaries = study_result.trace_summaries() \
+            if args.trace_summary else []
     rows = []
-    baseline_cost = baseline_best = None
-    for name, make in tuners.items():
-        bests, costs = [], []
-        for t in range(args.trials):
-            seed = args.seed * 997 + t
-            # --map-workloads: one mapper and one set of knowledge
-            # stores per (tuner, trial), shared across the workloads.
-            mapper = WorkloadMapper(space) \
-                if args.map_workloads and name == "ROBOTune" else None
-            stores = {"cache": ParameterSelectionCache(),
-                      "memo": ConfigMemoizationBuffer()} \
-                if args.map_workloads else None
-            for w_i, wname in enumerate(workload_names):
-                objective = WorkloadObjective(
-                    get_workload(wname, args.dataset), space,
-                    rng=seed + 1 + w_i)
-                trace_name = f"{name}-{wname}-trial{t}.jsonl" if multi \
-                    else f"{name}-trial{t}.jsonl"
-                try:
-                    tracer, trace_mem = _make_tracer(
-                        trace_dir / trace_name
-                        if trace_dir is not None else None,
-                        args.trace_summary,
-                        {"command": "compare", "tuner": name,
-                         "workload": f"{wname}/{args.dataset}",
-                         "trial": t, "budget": args.budget, "seed": seed})
-                except FileExistsError as exc:
-                    print(f"error: {exc}", file=sys.stderr)
-                    return 2
-                objective = _wrap_faults(objective, args, seed + 2 + w_i,
-                                         tracer)
-                res = make(seed, stores, mapper).tune(objective, args.budget,
-                                                      rng=seed, tracer=tracer)
-                if tracer is not None:
-                    tracer.close()
-                    if trace_mem is not None:
-                        summaries.append(summarize(trace_mem.records))
-                try:
-                    bests.append(res.best_time_s)
-                except RuntimeError:
-                    # Every evaluation failed (heavy fault injection on a
-                    # tiny budget): report NaN rather than crashing.
-                    bests.append(float("nan"))
-                costs.append(res.search_cost_s)
+    for name in TUNER_NAMES:
+        records = study_result.filter(tuner=name)
+        bests = [r.best_time_s for r in records]
         rows.append([name, float(np.nanmean(bests)) if not
                      all(np.isnan(bests)) else float("nan"),
-                     float(np.mean(costs)) / 60.0])
-        if name == "RandomSearch":
-            baseline_best, baseline_cost = rows[-1][1], rows[-1][2]
+                     float(np.mean([r.search_cost_s for r in records]))
+                     / 60.0])
+    # TUNER_NAMES ends with RandomSearch, the ratios' baseline.
+    _, baseline_best, baseline_cost = rows[-1]
     for row in rows:
         row.append(row[1] / baseline_best)
         row.append(row[2] / baseline_cost)
@@ -542,8 +489,8 @@ def cmd_compare(args) -> int:
         ["Tuner", "best (s)", "cost (min)", "best/RS", "cost/RS"], rows,
         title=f"{','.join(workload_names)}/{args.dataset}, "
               f"budget {args.budget}, {args.trials} trial(s)"))
-    if trace_dir is not None:
-        print(f"traces written to {trace_dir}/")
+    if args.trace:
+        print(f"traces written to {args.trace}/")
     if summaries:
         print()
         print(render_aggregate(summaries))

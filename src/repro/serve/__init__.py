@@ -7,13 +7,15 @@ See docs/SERVING.md for the service model.  The public surface:
 * :class:`TuningDaemon` — the scheduler daemon (``repro serve``).
 * :class:`ServiceClient` — the thin client the CLI verbs wrap.
 * :func:`run_session` / :func:`result_payload` — the shared session
-  runner that makes served results bit-identical to in-process runs.
+  runner that makes served results bit-identical to in-process runs;
+  :func:`build_objective`, :func:`build_tuner` and :func:`drive` are
+  its steps, which ``repro tune`` calls directly.
 """
 
 from .client import ServiceClient, WaitTimeout
 from .daemon import TuningDaemon
 from .runner import (CancellableObjective, build_objective, build_tuner,
-                     result_payload, run_session)
+                     drive, result_payload, run_session)
 from .session import (STATES, TERMINAL_STATES, TRANSITIONS, SessionCancelled,
                       SessionSpec, evaluation_digest)
 from .store import Claim, SessionStore, StaleClaimError
@@ -29,5 +31,5 @@ __all__ = [
     "Transport", "FileTransport", "SocketTransport",
     "handle_request", "parse_address",
     "run_session", "result_payload", "build_objective", "build_tuner",
-    "CancellableObjective",
+    "drive", "CancellableObjective",
 ]

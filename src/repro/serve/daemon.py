@@ -109,10 +109,6 @@ class TuningDaemon:
         """Ask the daemon to finish in-flight sessions and exit."""
         self._stop.set()
 
-    @property
-    def sessions_settled(self) -> int:
-        return self._settled
-
     # -- main loop ----------------------------------------------------------------
     def run(self) -> int:
         """Serve until stopped/drained; returns sessions settled."""

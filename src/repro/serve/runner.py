@@ -1,13 +1,15 @@
 """Build and run one tuning session from its :class:`SessionSpec`.
 
 This module is the *only* place a spec turns into an objective and a
-tuner, and it is used by both sides of the service's bit-identity
-contract: the daemon runs sessions through :func:`run_session` with a
-journal, and the black-box harness (``tests/serve/harness.py``) replays
-the same spec in process through the same function without one.  Because
-construction is shared, "served results equal in-process results" is a
-property of the journaling layer (which records but never decides), not
-of two codepaths staying accidentally in sync.
+tuner.  The daemon runs sessions through :func:`run_session` with a
+journal; ``repro tune`` builds through :func:`build_objective` and
+:func:`build_tuner` and runs through :func:`drive`; the black-box
+harness (``tests/serve/harness.py``) and ``benchmarks/paired_quality.py``
+replay specs in process through :func:`run_session` without one.
+Because construction is shared, one (workload, dataset, seed, budget)
+names one session however it is started, and "served results equal
+in-process results" is a property of the journaling layer (which records
+but never decides), not of codepaths staying accidentally in sync.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from ..tuners.objective import DEFAULT_TIME_LIMIT_S, WorkloadObjective
 from ..workloads.registry import get_workload
 from .session import SessionCancelled, SessionSpec, evaluation_digest
 
-__all__ = ["build_objective", "build_tuner", "run_session",
+__all__ = ["build_objective", "build_tuner", "drive", "run_session",
            "result_payload", "CancellableObjective"]
 
 
@@ -92,34 +94,45 @@ def build_objective(spec: SessionSpec, *, tracer=None):
     return objective
 
 
-def build_tuner(spec: SessionSpec) -> ROBOTune:
-    """The spec's ROBOTune, seeded exactly like ``repro tune`` would."""
-    selector = None
-    if spec.selection_samples is not None or spec.selection_repeats is not None:
-        selector = ParameterSelector(
-            n_samples=spec.selection_samples or 100,
-            n_repeats=spec.selection_repeats or 10,
-            rng=spec.seed)
+def build_tuner(spec: SessionSpec, *, selection_cache=None,
+                memo_buffer=None, warm_start: str | None = None,
+                n_jobs: int | None = None) -> ROBOTune:
+    """The spec's ROBOTune.
+
+    Every session seeds its selector one way: a generator of its own
+    from ``spec.seed``, with the paper's 100 samples and 10 repeats
+    unless the spec sets them.  The keyword extras are what ``repro
+    tune`` adds around a spec (JSON-backed knowledge stores, a
+    warm-start journal directory and a worker count); they are not spec
+    fields, so served sessions never carry them.  *n_jobs* changes wall
+    time only, never a decision.
+    """
     supervise = None
     if spec.eval_timeout_s is not None:
         supervise = SupervisePolicy(eval_timeout_s=spec.eval_timeout_s,
                                     speculate=spec.speculate,
                                     quarantine_after=spec.quarantine_after)
+    selector = ParameterSelector(n_samples=spec.selection_samples or 100,
+                                 n_repeats=spec.selection_repeats or 10,
+                                 n_jobs=n_jobs, rng=spec.seed)
     return ROBOTune(selector=selector,
+                    selection_cache=selection_cache,
+                    memo_buffer=memo_buffer,
                     init_samples=spec.init_samples,
                     # Tiny smoke sessions may shrink init_samples below the
                     # default memo replay width; clamp instead of refusing.
                     memo_configs=min(4, spec.init_samples),
                     async_workers=spec.async_workers,
                     supervise=supervise,
+                    warm_start=warm_start,
+                    n_jobs=n_jobs,
                     rng=spec.seed)
 
 
-def run_session(spec: SessionSpec, *, journal=None, resume: bool = False,
-                recover: str = "redispatch", tracer=None,
-                should_cancel: Callable[[], bool] | None = None
-                ) -> ROBOTuneResult:
-    """Execute one session: the daemon's path and the test comparator.
+def drive(spec: SessionSpec, tuner: ROBOTune, objective, *, journal=None,
+          resume: bool = False, recover: str = "redispatch",
+          tracer=None) -> ROBOTuneResult:
+    """Run *tuner* on *objective* for the spec's budget and seed.
 
     With *journal* the session checkpoints (or, with ``resume=True``,
     resumes) through the crash-safe journal layer; without one it runs
@@ -127,10 +140,6 @@ def run_session(spec: SessionSpec, *, journal=None, resume: bool = False,
     the spec alone, so the two produce bit-identical evaluation streams
     for deterministic specs.
     """
-    objective = build_objective(spec, tracer=tracer)
-    if should_cancel is not None:
-        objective = CancellableObjective(objective, should_cancel)
-    tuner = build_tuner(spec)
     if journal is None:
         return tuner.tune(objective, spec.budget, rng=spec.seed,
                           tracer=tracer)
@@ -139,6 +148,22 @@ def run_session(spec: SessionSpec, *, journal=None, resume: bool = False,
                             tracer=tracer, recover=recover)
     return tuner.checkpoint(objective, spec.budget, journal, rng=spec.seed,
                             tracer=tracer)
+
+
+def run_session(spec: SessionSpec, *, journal=None, resume: bool = False,
+                recover: str = "redispatch", tracer=None,
+                should_cancel: Callable[[], bool] | None = None
+                ) -> ROBOTuneResult:
+    """Execute one session: the daemon's path and the test comparator.
+
+    Builds the spec's objective and tuner and runs them through
+    :func:`drive`; *should_cancel* is checked before every evaluation.
+    """
+    objective = build_objective(spec, tracer=tracer)
+    if should_cancel is not None:
+        objective = CancellableObjective(objective, should_cancel)
+    return drive(spec, build_tuner(spec), objective, journal=journal,
+                 resume=resume, recover=recover, tracer=tracer)
 
 
 def result_payload(spec: SessionSpec,

@@ -19,7 +19,7 @@ from .disk import effective_disk_bw, shuffle_write_bw
 from .network import remote_read_seconds
 from .serialization import CodecModel, SerializerModel
 
-__all__ = ["TaskCosts", "MemoryState", "locality_fraction",
+__all__ = ["MemoryState", "locality_fraction",
            "hdfs_read_seconds", "shuffle_write_seconds", "spill_seconds",
            "SORT_CPU_S_PER_MB", "MEM_READ_MBPS"]
 
@@ -54,22 +54,6 @@ class MemoryState:
         if self.spill_mb <= 0.0 or self.exec_avail_per_task_mb <= 0.0:
             return 1.0
         return min(1.0 + self.spill_mb / self.exec_avail_per_task_mb, 3.0)
-
-
-@dataclass(frozen=True)
-class TaskCosts:
-    """Seconds per component of one (average) task."""
-
-    read_s: float = 0.0
-    compute_s: float = 0.0
-    shuffle_write_s: float = 0.0
-    spill_s: float = 0.0
-    output_write_s: float = 0.0
-
-    @property
-    def total_s(self) -> float:
-        return (self.read_s + self.compute_s + self.shuffle_write_s
-                + self.spill_s + self.output_write_s)
 
 
 def locality_fraction(conf: SparkConf, nodes_used: int, n_workers: int,

@@ -77,6 +77,25 @@ class TestROBOTuneSessions:
         assert d2.selection_cost_s == 0.0
 
 
+class TestWorkloadMapping:
+    def test_mapping_charges_probes_and_leaves_baselines_alone(self):
+        kw = dict(workloads=["terasort", "kmeans"], datasets=["D1"],
+                  trials=1, budget=8, keep_results=True)
+        mapped = ComparisonStudy(**kw, map_workloads=True).run()
+        plain = ComparisonStudy(**kw).run()
+        robotune = mapped.filter(tuner="ROBOTune")
+        assert len(robotune) == 2
+        for rec in robotune:
+            assert rec.result.mapping_cost_s > 0
+        for tuner in ("BestConfig", "Gunther", "RandomSearch"):
+            for workload in ("terasort", "kmeans"):
+                [a] = mapped.filter(tuner=tuner, workload=workload)
+                [b] = plain.filter(tuner=tuner, workload=workload)
+                np.testing.assert_array_equal(a.curve, b.curve)
+                assert a.statuses == b.statuses
+                assert a.search_cost_s == b.search_cost_s
+
+
 class TestAsyncWorkers:
     def test_async_study_runs(self):
         study = ComparisonStudy(

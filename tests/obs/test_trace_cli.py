@@ -5,8 +5,13 @@ trace covering the bo/gp/guard/hedge/memo/fault/parallel event families,
 and ``--trace-summary`` renders the fold-up.
 """
 
+import tempfile
+import zlib
+
 from repro.cli import main
 from repro.obs import load_trace, validate_trace
+
+TUNERS = ("ROBOTune", "BestConfig", "Gunther", "RandomSearch")
 
 
 class TestTuneTracing:
@@ -66,14 +71,31 @@ class TestCompareTracing:
                      "--trace", str(trace_dir), "--trace-summary"])
         out = capsys.readouterr().out
         assert code == 0
+        # The study names each trace by its grid coordinates and the
+        # session seed, crc32 of "base_seed|tuner|workload|dataset|trial".
         files = sorted(p.name for p in trace_dir.glob("*.jsonl"))
-        assert files == ["BestConfig-trial0.jsonl", "Gunther-trial0.jsonl",
-                         "ROBOTune-trial0.jsonl", "RandomSearch-trial0.jsonl"]
+        assert files == sorted(
+            f"{tuner}-terasort-D1-trial0-s"
+            f"{zlib.crc32(f'3|{tuner}|terasort|D1|0'.encode()):08x}.jsonl"
+            for tuner in TUNERS)
         for path in trace_dir.glob("*.jsonl"):
             records = load_trace(path)
             assert validate_trace(records) == []
             assert records[0]["tuner"] == path.name.split("-")[0]
         # The aggregate table groups sessions by tuner.
         assert "sessions" in out
-        for tuner in ("ROBOTune", "BestConfig", "Gunther", "RandomSearch"):
+        for tuner in TUNERS:
             assert tuner in out
+
+    def test_summary_alone_traces_into_a_removed_directory(
+            self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        code = main(["compare", "--workload", "terasort", "--budget", "8",
+                     "--trials", "1", "--seed", "3", "--trace-summary"])
+        out = capsys.readouterr().out
+        assert code == 0
+        assert "traces written" not in out
+        aggregate = out.split("sessions")[1]
+        for tuner in TUNERS:
+            assert tuner in aggregate
+        assert list(tmp_path.iterdir()) == []

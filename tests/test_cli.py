@@ -103,6 +103,12 @@ class TestCompare:
         for tuner in ("ROBOTune", "BestConfig", "Gunther", "RandomSearch"):
             assert tuner in out
 
+    def test_compare_maps_workloads(self, capsys):
+        code = main(["compare", "--workload", "terasort,kmeans",
+                     "--map-workloads", "--budget", "8", "--trials", "1"])
+        assert code == 0
+        assert "terasort,kmeans/D1" in capsys.readouterr().out
+
 
 class TestImportance:
     def test_importance_table(self, capsys):
