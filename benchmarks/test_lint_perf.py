@@ -12,27 +12,17 @@ comparable record.
 
 from __future__ import annotations
 
-import json
 import time
-from pathlib import Path
 
 from repro.analysis import analyze_paths
 
-REPO_ROOT = Path(__file__).resolve().parent.parent
-LINT_BENCH_FILE = REPO_ROOT / "BENCH_lint.json"
+from conftest import REPO_ROOT, BenchRecord
+
+LINT_BENCH = BenchRecord("BENCH_lint.json")
+_record = LINT_BENCH.record
 
 #: Cached re-runs must beat the cold serial run by at least this factor.
 MIN_SPEEDUP = 3.0
-
-_entries: list[dict] = []
-
-
-def _record(name: str, wall_s: float, n: int, **extra) -> float:
-    entry = {"name": name, "wall_s": round(wall_s, 6), "n": n,
-             "timestamp": time.time()}
-    entry.update(extra)
-    _entries.append(entry)
-    return wall_s
 
 
 def _time(fn, repeats: int = 3) -> float:
@@ -92,14 +82,5 @@ def test_flow_phase_overhead_is_bounded(capsys):
 
 def test_zzz_write_lint_bench_file(capsys):
     """Flush collected timings (runs last by name ordering)."""
-    existing = []
-    if LINT_BENCH_FILE.exists():
-        try:
-            existing = json.loads(LINT_BENCH_FILE.read_text())
-        except json.JSONDecodeError:
-            existing = []
-    existing.extend(_entries)
-    LINT_BENCH_FILE.write_text(json.dumps(existing, indent=2) + "\n")
-    with capsys.disabled():
-        print(f"[{len(_entries)} timings appended to {LINT_BENCH_FILE.name}]")
-    assert LINT_BENCH_FILE.exists()
+    LINT_BENCH.flush(capsys)
+    assert LINT_BENCH.path.exists()

@@ -26,9 +26,7 @@ slack for machine noise), never absolute times.
 from __future__ import annotations
 
 import itertools
-import json
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -44,27 +42,12 @@ from repro.tuners import SyntheticObjective, synthetic_space
 from repro.tuners.objective import WorkloadObjective
 from repro.workloads.registry import get_workload
 
-BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_hotpaths.json"
-BO_BENCH_FILE = Path(__file__).resolve().parent.parent / "BENCH_bo_engine.json"
+from conftest import BenchRecord
 
-_entries: list[dict] = []
-_bo_entries: list[dict] = []
-
-
-def _record(name: str, wall_s: float, n: int) -> float:
-    _entries.append({"name": name, "wall_s": round(wall_s, 6), "n": n,
-                     "timestamp": time.time()})
-    return wall_s
-
-
-def _record_bo(name: str, wall_s: float, n: int,
-               speedup: float | None = None) -> float:
-    entry = {"name": name, "wall_s": round(wall_s, 6), "n": n,
-             "timestamp": time.time()}
-    if speedup is not None:
-        entry["speedup"] = round(speedup, 3)
-    _bo_entries.append(entry)
-    return wall_s
+BENCH = BenchRecord("BENCH_hotpaths.json")
+BO_BENCH = BenchRecord("BENCH_bo_engine.json")
+_record = BENCH.record
+_record_bo = BO_BENCH.record
 
 
 def _time(fn, repeats: int = 3) -> float:
@@ -271,7 +254,7 @@ def test_async_bo_vs_serial_fixed_latency(capsys):
     k4 = run(4)
     _record_bo("bo_serial_b12_sleep200ms", serial, n=budget)
     _record_bo("bo_async_k4_b12_sleep200ms", k4, n=budget,
-               speedup=serial / k4)
+               speedup=round(serial / k4, 3))
     with capsys.disabled():
         print(f"BO (budget {budget}, 200ms/eval): serial {serial:.3f}s "
               f"vs async k=4 {k4:.3f}s ({serial / k4:.1f}x)")
@@ -321,7 +304,7 @@ def test_async_bo_throughput_scaling(capsys):
         for k in (1, 2, 4, 8):
             walls[k] = run(k)
             _record_bo(f"bo_async_k{k}_b12_dispersed", walls[k], n=budget,
-                       speedup=serial / walls[k])
+                       speedup=round(serial / walls[k], 3))
             print(f", k={k} {walls[k]:.3f}s ({serial / walls[k]:.1f}x)",
                   end="")
         print()
@@ -399,30 +382,11 @@ def test_gp_lowrank_scaling_vs_exact(capsys):
 
 
 def test_zzy_write_bo_engine_file(capsys):
-    existing = []
-    if BO_BENCH_FILE.exists():
-        try:
-            existing = json.loads(BO_BENCH_FILE.read_text())
-        except (ValueError, OSError):
-            existing = []
-    existing.extend(_bo_entries)
-    BO_BENCH_FILE.write_text(json.dumps(existing, indent=2) + "\n")
-    with capsys.disabled():
-        print(f"[{len(_bo_entries)} timings appended to "
-              f"{BO_BENCH_FILE.name}]")
-    assert BO_BENCH_FILE.exists()
+    BO_BENCH.flush(capsys)
+    assert BO_BENCH.path.exists()
 
 
 def test_zzz_write_bench_file(capsys):
     """Runs last (alphabetical within file ordering is execution order)."""
-    existing = []
-    if BENCH_FILE.exists():
-        try:
-            existing = json.loads(BENCH_FILE.read_text())
-        except (ValueError, OSError):
-            existing = []
-    existing.extend(_entries)
-    BENCH_FILE.write_text(json.dumps(existing, indent=2) + "\n")
-    with capsys.disabled():
-        print(f"[{len(_entries)} timings appended to {BENCH_FILE.name}]")
-    assert BENCH_FILE.exists()
+    BENCH.flush(capsys)
+    assert BENCH.path.exists()

@@ -31,7 +31,7 @@ from ..sparksim.result import RunStatus
 from ..supervise import (Completed, DeadlineHit, EvaluationSupervisor,
                          SupervisePolicy)
 from ..supervise.quarantine import vector_key
-from ..tuners.base import Evaluation
+from ..tuners.base import Evaluation, can_spawn, censored_write_off
 from ..utils.parallel import WorkerPool
 from ..utils.rng import as_generator
 from .guard import MedianGuard
@@ -87,21 +87,6 @@ class _ContextGP:
         return self._inner.kernel
 
 
-def _spawn_capable(evaluate) -> bool:
-    """Can *evaluate* actually produce concurrent views?
-
-    Capabilities are looked up on the objective's *class* (delegating
-    wrappers forward unknown attributes, and borrowing the inner
-    objective's views would skip their bookkeeping).  Wrappers that do
-    implement ``spawn_view`` additionally expose ``spawn_view_capable``
-    so a spawnable wrapper around a non-spawnable inner objective still
-    degrades audibly instead of blowing up at dispatch time.
-    """
-    if getattr(type(evaluate), "spawn_view", None) is None:
-        return False
-    return bool(getattr(evaluate, "spawn_view_capable", True))
-
-
 #: Standardization floor: observation windows whose spread is below this
 #: (all evaluations censored at one cap, or a single repeated value) carry
 #: no ranking signal; dividing by their std would overflow or go NaN.
@@ -123,8 +108,8 @@ def _safe_std(y: np.ndarray) -> float:
 
 
 #: ``Evaluation.fault`` tags of outcomes written off without a verdict
-#: from the run: the supervisor's deadline hits and worker deaths
-#: (:meth:`BOEngine._censor_outcome`) and the journal's
+#: from the run (:func:`~repro.tuners.base.censored_write_off`): the
+#: supervisor's deadline hits and worker deaths and the journal's
 #: ``recover="censor"`` crash write-offs.  They are truncated, but no
 #: guard threshold killed them.
 _WRITE_OFFS = frozenset({"deadline", "worker_death", "crash_recovery"})
@@ -303,9 +288,9 @@ class BOEngine:
         outcomes from an :class:`EvaluationSupervisor` instead of the
         pool: an evaluation that blows its deadline, or whose worker
         dies with redispatch exhausted, is folded in as a censored-at-cap
-        write-off (:meth:`_censor_outcome`), and configurations the
-        supervisor quarantines are never proposed again this run
-        (:attr:`quarantined`).
+        write-off (:func:`~repro.tuners.base.censored_write_off`), and
+        configurations the supervisor quarantines are never proposed
+        again this run (:attr:`quarantined`).
 
         Observability (``async_workers >= 1``): ``async.dispatch`` /
         ``async.fold`` events carry the in-flight depth, the
@@ -343,7 +328,7 @@ class BOEngine:
             raise ValueError("BO requires at least one prior observation")
 
         k = max(self.async_workers, 1)
-        capable = _spawn_capable(evaluate)
+        capable = can_spawn(evaluate)
         if k > 1 and not capable:
             self._warn_serial_fallback(evaluate, k)
             k = 1
@@ -408,8 +393,13 @@ class BOEngine:
                     if isinstance(outcome, Completed):
                         ev = outcome.result
                     else:
-                        ev = self._censor_outcome(evaluate, space, u, y,
-                                                  outcome)
+                        # The run never returned: censored "at least
+                        # this bad" and charged the full cap.
+                        status, fault = (RunStatus.TIMEOUT, "deadline") \
+                            if isinstance(outcome, DeadlineHit) \
+                            else (RunStatus.RUNTIME_ERROR, "worker_death")
+                        ev = censored_write_off(evaluate, u, status=status,
+                                                fault=fault)
                         if record_censored is not None:
                             record_censored(ev)
                         if outcome.quarantined:
@@ -430,36 +420,6 @@ class BOEngine:
                         # (their cost is already paid).
                         stop = True
         return evals
-
-    def _censor_outcome(self, evaluate, space: ConfigSpace, u: np.ndarray,
-                        y: list[float], outcome) -> Evaluation:
-        """Synthesize the censored evaluation for a supervisor verdict.
-
-        The run never returned, so the objective is censored "at least
-        this bad": the objective's own censoring hook at the full cap
-        when it has one, else the cap itself, else the worst observation
-        so far (never ``inf`` — it would wreck GP standardization).  The
-        cap is charged to search cost: that is what a real cluster spent
-        before the watchdog gave up on the evaluation.
-        """
-        conf = space.decode(u)
-        limit = getattr(evaluate, "time_limit_s", None)
-        censor = getattr(evaluate, "censor_value", None)
-        if censor is not None:
-            objective = float(censor(conf, None))
-        elif limit is not None:
-            objective = float(limit)
-        else:
-            objective = float(max(y))
-        cost = float(limit) if limit is not None else objective
-        if isinstance(outcome, DeadlineHit):
-            status, fault = RunStatus.TIMEOUT, "deadline"
-        else:
-            status, fault = RunStatus.RUNTIME_ERROR, "worker_death"
-        return Evaluation(vector=np.asarray(u, dtype=float).copy(),
-                          config=conf, objective=objective, cost_s=cost,
-                          status=status, truncated=True, transient=True,
-                          fault=fault)
 
     def _propose(self, space: ConfigSpace, X: list[np.ndarray],
                  y: list[float], n_evals: int,
@@ -563,11 +523,12 @@ class BOEngine:
     def _warn_serial_fallback(self, evaluate, n_points: int) -> None:
         """Record that concurrent evaluation degraded to serial.
 
-        Wrapper objectives (journal, fault injector) intentionally hide
-        the inner ``spawn_view`` — borrowing it would skip their
-        per-evaluation bookkeeping — but the resulting serialization used
-        to be silent.  Now it emits a ``batch.serial_fallback`` event,
-        bumps the counter of the same name, and warns once per engine.
+        That happens to an objective whose class has no ``spawn_view``,
+        or to an :class:`~repro.tuners.base.ObjectiveWrapper` around one
+        (borrowing the inner objective's views would skip a wrapper's
+        per-evaluation bookkeeping).  It emits a
+        ``batch.serial_fallback`` event, bumps the counter of the same
+        name, and warns once per engine.
         """
         self._tracer.emit("batch.serial_fallback",
                           {"objective": type(evaluate).__name__,

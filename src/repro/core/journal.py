@@ -44,8 +44,9 @@ from typing import Any, Mapping, TextIO
 
 import numpy as np
 
+from ..obs.sinks import jsonable, read_jsonl
 from ..sparksim.result import RunStatus
-from ..tuners.base import Evaluation
+from ..tuners.base import Evaluation, ObjectiveWrapper, censored_write_off
 
 __all__ = ["EvaluationJournal", "JournaledObjective", "EvalRecord",
            "DispatchRecord", "RECOVER_MODES"]
@@ -54,15 +55,6 @@ _FORMAT_VERSION = 2
 
 #: How resume treats dispatches that never settled (in flight at crash).
 RECOVER_MODES = ("redispatch", "censor")
-
-
-def _jsonable(value: Any) -> Any:
-    """Coerce numpy scalars/arrays that leak into configs or states."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON-serializable: {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -170,7 +162,7 @@ class EvaluationJournal:
             if self._fh is None:
                 self.path.parent.mkdir(parents=True, exist_ok=True)
                 self._fh = open(self.path, "a", encoding="utf-8")
-            self._fh.write(json.dumps(payload, default=_jsonable) + "\n")
+            self._fh.write(json.dumps(payload, default=jsonable) + "\n")
             self._fh.flush()
             if self._fsync:
                 os.fsync(self._fh.fileno())
@@ -206,35 +198,28 @@ class EvaluationJournal:
         meta: dict[str, Any] = {}
         records: list[EvalRecord] = []
         dispatches: list[DispatchRecord] = []
-        with open(self.path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    payload = json.loads(line)
-                except json.JSONDecodeError:
-                    break  # torn write from a crash: resume from here
-                if payload.get("kind") == "meta":
-                    meta = {k: v for k, v in payload.items()
-                            if k not in ("kind", "version")}
-                elif payload.get("kind") == "dispatch":
-                    dispatches.append(DispatchRecord(
-                        seq=payload["seq"], vector=payload["vector"]))
-                elif payload.get("kind") == "eval":
-                    records.append(EvalRecord(
-                        vector=payload["vector"],
-                        config=payload["config"],
-                        objective=payload["objective"],
-                        cost_s=payload["cost_s"],
-                        status=payload["status"],
-                        truncated=payload.get("truncated", False),
-                        transient=payload.get("transient", False),
-                        fault=payload.get("fault"),
-                        attempts=payload.get("attempts", 1),
-                        rng_state=payload.get("rng_state"),
-                        seq=payload.get("seq"),
-                    ))
+        # A torn write from a crash ends the file: resume from there.
+        for payload in read_jsonl(self.path):
+            if payload.get("kind") == "meta":
+                meta = {k: v for k, v in payload.items()
+                        if k not in ("kind", "version")}
+            elif payload.get("kind") == "dispatch":
+                dispatches.append(DispatchRecord(
+                    seq=payload["seq"], vector=payload["vector"]))
+            elif payload.get("kind") == "eval":
+                records.append(EvalRecord(
+                    vector=payload["vector"],
+                    config=payload["config"],
+                    objective=payload["objective"],
+                    cost_s=payload["cost_s"],
+                    status=payload["status"],
+                    truncated=payload.get("truncated", False),
+                    transient=payload.get("transient", False),
+                    fault=payload.get("fault"),
+                    attempts=payload.get("attempts", 1),
+                    rng_state=payload.get("rng_state"),
+                    seq=payload.get("seq"),
+                ))
         return meta, records, dispatches
 
     def __len__(self) -> int:
@@ -244,7 +229,7 @@ class EvaluationJournal:
         return len(self.load()[1])
 
 
-class JournaledObjective:
+class JournaledObjective(ObjectiveWrapper):
     """Objective wrapper that records to — or replays from — a journal.
 
     In **recording** mode (``replay=None``) every live evaluation writes
@@ -252,8 +237,8 @@ class JournaledObjective:
     together with the objective's RNG snapshot; decisions are untouched.
 
     In **replay** mode the queued records are served in order *without*
-    executing anything (the fault injector's evaluation index is advanced
-    via its ``skip`` hook so fault coordinates stay aligned); when the
+    executing anything (:meth:`skip` advances every injector below, so
+    fault coordinates stay aligned); when the
     queue drains, the objective's RNG state is restored from the last
     record and evaluation switches to live recording.  A vector mismatch
     between a replayed record and what the tuner asked to evaluate means
@@ -280,7 +265,7 @@ class JournaledObjective:
         if recover not in RECOVER_MODES:
             raise ValueError(
                 f"recover must be one of {RECOVER_MODES}, got {recover!r}")
-        self._objective = objective
+        super().__init__(objective)
         self._journal = journal
         self._shared: dict[str, Any] = {"queue": deque(replay or ()),
                         "restored": not replay,
@@ -290,39 +275,6 @@ class JournaledObjective:
                         "next_seq": int(next_seq),
                         "recover": recover,
                         "lock": threading.Lock()}
-
-    # -- Objective protocol -------------------------------------------------------
-    @property
-    def space(self) -> Any:
-        return self._objective.space
-
-    @property
-    def time_limit_s(self) -> float:
-        return self._objective.time_limit_s
-
-    def with_space(self, space: Any) -> "JournaledObjective":
-        clone = object.__new__(JournaledObjective)
-        clone.__dict__ = dict(self.__dict__)
-        clone._objective = self._objective.with_space(space)
-        return clone
-
-    def spawn_view(self) -> "JournaledObjective":
-        """A view for one concurrent evaluation (shares journal + queue)."""
-        clone = object.__new__(JournaledObjective)
-        clone.__dict__ = dict(self.__dict__)
-        clone._objective = self._objective.spawn_view()
-        return clone
-
-    @property
-    def spawn_view_capable(self) -> bool:
-        """True when the wrapped objective can actually spawn views."""
-        inner = self.__dict__["_objective"]
-        if getattr(type(inner), "spawn_view", None) is None:
-            return False
-        return bool(getattr(inner, "spawn_view_capable", True))
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.__dict__["_objective"], name)
 
     @property
     def n_replayed(self) -> int:
@@ -349,28 +301,23 @@ class JournaledObjective:
         self._journal.append_dispatch(seq, evaluation.vector)
         self._journal.append(evaluation, None, seq=seq)
 
+    def _take_pending(self, u: np.ndarray) -> DispatchRecord | None:
+        """Remove and return the unsettled dispatch of vector *u*, if any
+        (the caller holds the lock)."""
+        for pending in self._shared["pending"]:
+            vec = np.asarray(pending.vector, dtype=float)
+            if vec.shape == u.shape and np.array_equal(vec, u):
+                self._shared["pending"].remove(pending)
+                return pending
+        return None
+
     def _recover_censored(self, rec: DispatchRecord, u: np.ndarray,
                           time_limit_s: float | None) -> Evaluation:
-        """Write one crashed in-flight dispatch off as censored-at-cap."""
-        limit = self._objective.time_limit_s if time_limit_s is None \
-            else float(time_limit_s)
-        conf = self._objective.space.decode(u)
-        censor = getattr(self._objective, "censor_value", None)
-        objective = float(censor(conf, None)) if censor is not None \
-            else float(limit)
-        ev = Evaluation(
-            vector=np.asarray(u, dtype=float).copy(),
-            config=conf,
-            objective=objective,
-            cost_s=float(limit),
-            status=RunStatus.TIMEOUT,
-            truncated=True,
-            transient=True,
-            fault="crash_recovery",
-        )
-        skip = getattr(self._objective, "skip", None)
-        if skip is not None:
-            skip(1)
+        """Write one crashed in-flight dispatch off as censored-at-cap,
+        charged the limit it was dispatched under."""
+        ev = censored_write_off(self._objective, u, status=RunStatus.TIMEOUT,
+                                fault="crash_recovery", limit_s=time_limit_s)
+        self.skip(1)
         self._journal.append(ev, None, seq=rec.seq)
         return ev
 
@@ -392,9 +339,7 @@ class JournaledObjective:
                     "journal replay mismatch: the tuner requested a "
                     "different configuration than the journal recorded "
                     "(wrong seed, tuner settings, or journal file?)")
-            skip = getattr(self._objective, "skip", None)
-            if skip is not None:
-                skip(1)
+            self.skip(1)
             return ev
         if not self._shared["restored"]:
             self._shared["restored"] = True
@@ -405,31 +350,17 @@ class JournaledObjective:
         u_arr = np.asarray(u, dtype=float)
         if self._shared["recover"] == "censor":
             with self._shared["lock"]:
-                crashed: DispatchRecord | None = None
-                for pending in self._shared["pending"]:
-                    vec = np.asarray(pending.vector, dtype=float)
-                    if vec.shape == u_arr.shape \
-                            and np.array_equal(vec, u_arr):
-                        crashed = pending
-                        break
-                if crashed is not None:
-                    self._shared["pending"].remove(crashed)
+                crashed = self._take_pending(u_arr)
             if crashed is not None:
                 return self._recover_censored(crashed, u_arr, time_limit_s)
         with self._shared["lock"]:
-            seq = self._shared["next_seq"]
-            self._shared["next_seq"] = seq + 1
             # A re-executed vector settles its original dispatch record.
-            redispatched: DispatchRecord | None = None
-            for pending in self._shared["pending"]:
-                vec = np.asarray(pending.vector, dtype=float)
-                if vec.shape == u_arr.shape and np.array_equal(vec, u_arr):
-                    redispatched = pending
-                    break
-            if redispatched is not None:
-                self._shared["pending"].remove(redispatched)
+            redispatched = self._take_pending(u_arr)
+            if redispatched is None:
+                seq = self._shared["next_seq"]
+                self._shared["next_seq"] = seq + 1
+            else:
                 seq = redispatched.seq
-                self._shared["next_seq"] -= 1
         if redispatched is None:
             self._journal.append_dispatch(seq, u_arr)
         ev = self._objective(u, time_limit_s)

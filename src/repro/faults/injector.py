@@ -32,19 +32,63 @@ from __future__ import annotations
 
 import threading
 from dataclasses import replace
+from typing import Any
 
 import numpy as np
 
 from ..obs import as_tracer
 from ..sparksim.result import RunStatus
-from ..tuners.base import Evaluation
+from ..tuners.base import Evaluation, ObjectiveWrapper
 from .plan import FaultEvent, FaultPlan, HangEvent, HangPlan
 from .retry import RetryPolicy
 
 __all__ = ["FaultInjector", "HangInjector", "WorkerDeath"]
 
 
-class FaultInjector:
+class _PlanInjector(ObjectiveWrapper):
+    """Plan-index bookkeeping shared by the two injectors.
+
+    The evaluation index (the plan's coordinate) and the injection
+    counters live in one dict that every ``with_space``/``spawn_view``
+    view shares, so the index is global to the tuning session; the lock
+    keeps index claims atomic when views run concurrently under
+    ``async_workers > 1``.
+    """
+
+    def __init__(self, objective: Any, tracer: Any,
+                 **counters: float) -> None:
+        super().__init__(objective)
+        self.tracer = as_tracer(tracer)
+        self._shared: dict[str, Any] = {"index": 0, **counters,
+                                        "lock": threading.Lock()}
+
+    def _claim(self) -> int:
+        """Take the next plan index."""
+        with self._shared["lock"]:
+            index = self._shared["index"]
+            self._shared["index"] = index + 1
+        return index
+
+    def _bump(self, **amounts: float) -> None:
+        with self._shared["lock"]:
+            for key, amount in amounts.items():
+                self._shared[key] += amount
+
+    def skip(self, n: int = 1) -> None:
+        """Advance the plan index without executing (journal replay); the
+        wrapped objective skips too, so stacked injectors stay aligned."""
+        if n < 0:
+            raise ValueError("n must be >= 0")
+        self._bump(index=n)
+        super().skip(n)
+
+    @property
+    def stats(self) -> dict[str, Any]:
+        """The plan index and the injection counters."""
+        return {k: v for k, v in self._shared.items() if k != "lock"}
+
+
+class FaultInjector(_PlanInjector):
     """Wrap an objective with deterministic fault injection and retries.
 
     Parameters
@@ -61,82 +105,24 @@ class FaultInjector:
         Optional :class:`repro.obs.Tracer`; every injected fault emits a
         ``fault.injected`` event and every retry a ``retry.attempt``
         event.  Shared by ``with_space`` views, like the counters.
+
+    Views share the plan index, counters and retry policy, so under
+    concurrent evaluation retries with backoff run *on the worker*,
+    charged to the returned evaluation's ``cost_s`` exactly as in the
+    serial loop.
     """
 
     def __init__(self, objective, plan: FaultPlan,
                  retry: RetryPolicy | None = None, tracer=None):
-        self._objective = objective
+        super().__init__(objective, tracer, injected=0, transient=0,
+                         retries=0, backoff_s=0.0)
         self.plan = plan
         self.retry = retry
-        self.tracer = as_tracer(tracer)
-        # Shared across with_space/spawn_view views so the evaluation
-        # index (the fault plan's coordinate) is global to the tuning
-        # session; the lock keeps index claims atomic when views run
-        # concurrently under async_workers > 1.
-        self._shared = {"index": 0, "injected": 0, "transient": 0,
-                        "retries": 0, "backoff_s": 0.0,
-                        "lock": threading.Lock()}
-
-    # -- Objective protocol -------------------------------------------------------
-    @property
-    def space(self):
-        return self._objective.space
-
-    @property
-    def time_limit_s(self) -> float:
-        return self._objective.time_limit_s
-
-    def with_space(self, space) -> "FaultInjector":
-        """Re-bound view sharing the plan, retry policy and fault index."""
-        clone = object.__new__(FaultInjector)
-        clone.__dict__ = dict(self.__dict__)
-        clone._objective = self._objective.with_space(space)
-        return clone
-
-    def spawn_view(self) -> "FaultInjector":
-        """A view for one concurrent evaluation (async dispatch path).
-
-        The view wraps a freshly spawned view of the inner objective but
-        shares the fault-plan index, counters and retry policy, so
-        retries with backoff run *on the worker* — charged to the
-        returned evaluation's ``cost_s`` exactly as in the serial loop.
-        """
-        clone = object.__new__(FaultInjector)
-        clone.__dict__ = dict(self.__dict__)
-        clone._objective = self._objective.spawn_view()
-        return clone
-
-    @property
-    def spawn_view_capable(self) -> bool:
-        """True when the wrapped objective can actually spawn views."""
-        inner = self.__dict__["_objective"]
-        if getattr(type(inner), "spawn_view", None) is None:
-            return False
-        return bool(getattr(inner, "spawn_view_capable", True))
-
-    def __getattr__(self, name: str):
-        # Delegate everything else (workload, simulator, n_evaluations,
-        # rng_state/set_rng_state, ...) to the wrapped objective.
-        return getattr(self.__dict__["_objective"], name)
-
-    def skip(self, n: int = 1) -> None:
-        """Advance the fault-plan index without executing (journal replay)."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        with self._shared["lock"]:
-            self._shared["index"] += n
-
-    @property
-    def stats(self) -> dict:
-        """Injection counters: injected, transient, retries, backoff_s."""
-        return {k: v for k, v in self._shared.items() if k != "lock"}
 
     # -- evaluation ---------------------------------------------------------------
     def __call__(self, u: np.ndarray,
                  time_limit_s: float | None = None) -> Evaluation:
-        with self._shared["lock"]:
-            index = self._shared["index"]
-            self._shared["index"] = index + 1
+        index = self._claim()
         max_attempts = 1 + (self.retry.max_retries if self.retry else 0)
         spent = 0.0
         for attempt in range(max_attempts):
@@ -144,9 +130,7 @@ class FaultInjector:
             if ev.transient and attempt + 1 < max_attempts:
                 wait = self.retry.delay_s(attempt)
                 spent += ev.cost_s + wait
-                with self._shared["lock"]:
-                    self._shared["retries"] += 1
-                    self._shared["backoff_s"] += wait
+                self._bump(retries=1, backoff_s=wait)
                 self.tracer.emit("retry.attempt",
                                  {"index": index, "attempt": attempt,
                                   "wait_s": float(wait)})
@@ -154,8 +138,7 @@ class FaultInjector:
                 continue
             break
         if ev.transient:
-            with self._shared["lock"]:
-                self._shared["transient"] += 1
+            self._bump(transient=1)
         if spent > 0.0 or attempt > 0:
             ev = replace(ev, cost_s=ev.cost_s + spent, attempts=attempt + 1)
         return ev
@@ -166,8 +149,7 @@ class FaultInjector:
         ev = self._objective(u, time_limit_s)
         if event is None:
             return ev
-        with self._shared["lock"]:
-            self._shared["injected"] += 1
+        self._bump(injected=1)
         self.tracer.emit("fault.injected",
                          {"index": index, "attempt": attempt,
                           "kind": event.kind, "aborts": bool(event.aborts)})
@@ -249,7 +231,7 @@ class WorkerDeath(RuntimeError):
     """
 
 
-class HangInjector:
+class HangInjector(_PlanInjector):
     """Wrap an objective with deterministic liveness faults.
 
     The liveness analogue of :class:`FaultInjector`: where that class
@@ -282,66 +264,14 @@ class HangInjector:
             raise ValueError(
                 f"poison_kind must be 'worker_death' or 'hang', "
                 f"got {poison_kind!r}")
-        self._objective = objective
+        super().__init__(objective, tracer, hangs=0, deaths=0)
         self.plan = plan
-        self.tracer = as_tracer(tracer)
         self._poison = poison
         self._poison_kind = poison_kind
-        self._shared = {"index": 0, "hangs": 0, "deaths": 0,
-                        "lock": threading.Lock()}
 
-    # -- Objective protocol -------------------------------------------------------
-    @property
-    def space(self):
-        return self._objective.space
-
-    @property
-    def time_limit_s(self) -> float:
-        return self._objective.time_limit_s
-
-    def with_space(self, space) -> "HangInjector":
-        clone = object.__new__(HangInjector)
-        clone.__dict__ = dict(self.__dict__)
-        clone._objective = self._objective.with_space(space)
-        return clone
-
-    def spawn_view(self) -> "HangInjector":
-        clone = object.__new__(HangInjector)
-        clone.__dict__ = dict(self.__dict__)
-        clone._objective = self._objective.spawn_view()
-        return clone
-
-    @property
-    def spawn_view_capable(self) -> bool:
-        inner = self.__dict__["_objective"]
-        if getattr(type(inner), "spawn_view", None) is None:
-            return False
-        return bool(getattr(inner, "spawn_view_capable", True))
-
-    def __getattr__(self, name: str):
-        return getattr(self.__dict__["_objective"], name)
-
-    def skip(self, n: int = 1) -> None:
-        """Advance the plan index without executing (journal replay)."""
-        if n < 0:
-            raise ValueError("n must be >= 0")
-        with self._shared["lock"]:
-            self._shared["index"] += n
-        inner_skip = getattr(self.__dict__["_objective"], "skip", None)
-        if inner_skip is not None:
-            inner_skip(n)
-
-    @property
-    def stats(self) -> dict:
-        """Injection counters: index, hangs, deaths."""
-        return {k: v for k, v in self._shared.items() if k != "lock"}
-
-    # -- evaluation ---------------------------------------------------------------
     def __call__(self, u: np.ndarray,
                  time_limit_s: float | None = None) -> Evaluation:
-        with self._shared["lock"]:
-            index = self._shared["index"]
-            self._shared["index"] = index + 1
+        index = self._claim()
         if self._poison is not None \
                 and self._poison(np.asarray(u, dtype=float)):
             event = HangEvent(self._poison_kind, hang_s=self.plan.hang_s)
@@ -354,12 +284,10 @@ class HangInjector:
                               "aborts": event.kind == "worker_death"})
             self.tracer.count("faults.injected")
             if event.kind == "worker_death":
-                with self._shared["lock"]:
-                    self._shared["deaths"] += 1
+                self._bump(deaths=1)
                 raise WorkerDeath(
                     f"injected worker death at evaluation {index}")
-            with self._shared["lock"]:
-                self._shared["hangs"] += 1
+            self._bump(hangs=1)
             # A bounded *real* wall-clock wedge: the supervisor's
             # deadline should fire long before this returns.
             threading.Event().wait(event.hang_s)

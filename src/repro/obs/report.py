@@ -11,10 +11,11 @@ comparison studies.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
+
+from .sinks import read_jsonl
 
 __all__ = ["TraceSummary", "load_trace", "summarize", "render_summary",
            "render_aggregate"]
@@ -26,17 +27,7 @@ def load_trace(path: str | Path) -> list[dict[str, Any]]:
     path = Path(path)
     if not path.exists():
         raise FileNotFoundError(f"no trace at {path}")
-    records: list[dict[str, Any]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                break
-    return records
+    return read_jsonl(path)
 
 
 @dataclass

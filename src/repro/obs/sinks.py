@@ -13,6 +13,9 @@ Two built-ins cover the repo's needs:
 Any object with ``write(record)`` and ``close()`` works as a sink, so
 callers can fan out to several at once (the CLI does exactly that when
 both flags are given).
+
+:func:`jsonable` and :func:`read_jsonl` are the JSONL encoding default
+and the torn-line-tolerant reader; the evaluation journal uses them too.
 """
 
 from __future__ import annotations
@@ -24,16 +27,33 @@ from typing import Any, Mapping, TextIO
 
 import numpy as np
 
-__all__ = ["InMemorySink", "JsonlTraceWriter"]
+__all__ = ["InMemorySink", "JsonlTraceWriter", "jsonable", "read_jsonl"]
 
 
-def _jsonable(value: Any) -> Any:
-    """Coerce numpy scalars/arrays that survive the tracer's scrubbing."""
+def jsonable(value: Any) -> Any:
+    """``json.dumps`` default: coerce numpy scalars/arrays that leak into
+    records (configs, RNG states, event payloads)."""
     if isinstance(value, np.generic):
         return value.item()
     if isinstance(value, np.ndarray):
         return value.tolist()
     raise TypeError(f"not JSON-serializable: {type(value).__name__}")
+
+
+def read_jsonl(path: Path) -> list[dict[str, Any]]:
+    """Parse a JSONL file's records up to its first corrupt line: a torn
+    final write (the classic crash artifact) ends the file there."""
+    records: list[dict[str, Any]] = []
+    with open(path, encoding="utf-8") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError:
+                break
+    return records
 
 
 class InMemorySink:
@@ -80,7 +100,7 @@ class JsonlTraceWriter:
         if self._fh is None:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(json.dumps(record, default=_jsonable) + "\n")
+        self._fh.write(json.dumps(record, default=jsonable) + "\n")
         self._fh.flush()
         if self._fsync:
             os.fsync(self._fh.fileno())

@@ -21,6 +21,7 @@ from ..core.tuner import ROBOTune, ROBOTuneResult
 from ..faults import FaultInjector, FaultPlan, RetryPolicy
 from ..space.spark_params import spark_space
 from ..supervise import SupervisePolicy
+from ..tuners.base import ObjectiveWrapper
 from ..tuners.objective import DEFAULT_TIME_LIMIT_S, WorkloadObjective
 from ..workloads.registry import get_workload
 from .session import SessionCancelled, SessionSpec, evaluation_digest
@@ -29,7 +30,7 @@ __all__ = ["build_objective", "build_tuner", "drive", "run_session",
            "result_payload", "CancellableObjective"]
 
 
-class CancellableObjective:
+class CancellableObjective(ObjectiveWrapper):
     """Objective wrapper that aborts the session when a check fires.
 
     *should_cancel* is consulted before every evaluation (one cheap
@@ -41,34 +42,8 @@ class CancellableObjective:
 
     def __init__(self, objective: Any,
                  should_cancel: Callable[[], bool]) -> None:
-        self._objective = objective
+        super().__init__(objective)
         self._should_cancel = should_cancel
-
-    @property
-    def space(self) -> Any:
-        return self._objective.space
-
-    @property
-    def time_limit_s(self) -> float:
-        return self._objective.time_limit_s
-
-    def with_space(self, space: Any) -> "CancellableObjective":
-        return CancellableObjective(self._objective.with_space(space),
-                                    self._should_cancel)
-
-    def spawn_view(self) -> "CancellableObjective":
-        return CancellableObjective(self._objective.spawn_view(),
-                                    self._should_cancel)
-
-    @property
-    def spawn_view_capable(self) -> bool:
-        inner = self.__dict__["_objective"]
-        if getattr(type(inner), "spawn_view", None) is None:
-            return False
-        return bool(getattr(inner, "spawn_view_capable", True))
-
-    def __getattr__(self, name: str) -> Any:
-        return getattr(self.__dict__["_objective"], name)
 
     def __call__(self, u, time_limit_s=None):
         if self._should_cancel():

@@ -12,14 +12,15 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
-from typing import Protocol
+from typing import Any, Protocol, TypeVar
 
 import numpy as np
 
 from ..space.space import ConfigSpace, Configuration
 from ..sparksim.result import RunStatus
 
-__all__ = ["Evaluation", "Objective", "TuningResult", "Tuner", "workload_key"]
+__all__ = ["Evaluation", "Objective", "ObjectiveWrapper", "TuningResult",
+           "Tuner", "can_spawn", "censored_write_off", "workload_key"]
 
 
 def workload_key(objective: "Objective") -> str:
@@ -73,11 +74,12 @@ class Objective(Protocol):
     own child RNG split off the parent stream.  ``BOEngine`` with
     ``async_workers > 1`` spawns one view per dispatched point —
     serially, on the driving thread — and evaluates the views
-    concurrently.  The capability is
-    detected on the objective's *class*; delegating wrappers (journal,
-    fault injector) intentionally do not forward it, and evaluations
-    through them run one at a time so their per-evaluation bookkeeping
-    stays exact.
+    concurrently.  The capability is detected by :func:`can_spawn`, on
+    the objective's *class*: an :class:`ObjectiveWrapper` (journal, fault
+    and hang injectors, cancel check) spawns views of its own around the
+    inner objective's, so its bookkeeping stays exact.  An objective
+    whose class has no ``spawn_view``, or a wrapper around one, runs one
+    evaluation at a time.
     """
 
     @property
@@ -88,6 +90,98 @@ class Objective(Protocol):
 
     def __call__(self, u: np.ndarray,
                  time_limit_s: float | None = None) -> Evaluation: ...
+
+
+def can_spawn(objective: Any) -> bool:
+    """Can *objective* actually produce concurrent views?
+
+    ``spawn_view`` is looked up on the objective's *class*: delegating
+    wrappers forward unknown attributes, and borrowing the inner
+    objective's views would skip the wrapper's bookkeeping.  A class
+    that does implement it may expose ``spawn_view_capable``, so a
+    spawnable wrapper around a non-spawnable objective still degrades
+    audibly instead of failing at dispatch time.
+    """
+    if getattr(type(objective), "spawn_view", None) is None:
+        return False
+    return bool(getattr(objective, "spawn_view_capable", True))
+
+
+_W = TypeVar("_W", bound="ObjectiveWrapper")
+
+
+class ObjectiveWrapper:
+    """Base of objectives that wrap another objective.
+
+    Forwards ``space``, ``time_limit_s`` and every attribute it does not
+    define (``workload``, ``n_evaluations``, the ``censor_value`` /
+    ``metric_value`` / ``rng_state`` / ``set_rng_state`` /
+    ``record_censored`` hooks, ...) to the wrapped objective.  Views
+    (:meth:`with_space`, :meth:`spawn_view`) are shallow copies around the
+    inner objective's own view, so whatever state a subclass keeps in
+    mutable holders (counters, locks, queues) stays shared between a
+    wrapper and its views.  :meth:`skip` passes journal-replay skips down
+    the stack.  Subclasses define ``__call__``.
+    """
+
+    def __init__(self, objective: Any) -> None:
+        self._objective = objective
+
+    @property
+    def space(self) -> ConfigSpace:
+        return self._objective.space
+
+    @property
+    def time_limit_s(self) -> float:
+        return self._objective.time_limit_s
+
+    def __getattr__(self, name: str) -> Any:
+        return getattr(self.__dict__["_objective"], name)
+
+    def _view(self: _W, inner: Any) -> _W:
+        clone = object.__new__(type(self))
+        clone.__dict__ = {**self.__dict__, "_objective": inner}
+        return clone
+
+    def with_space(self: _W, space: ConfigSpace) -> _W:
+        """The same wrapper over the inner objective re-bound to *space*."""
+        return self._view(self._objective.with_space(space))
+
+    def spawn_view(self: _W) -> _W:
+        """The same wrapper over a view for one concurrent evaluation."""
+        return self._view(self._objective.spawn_view())
+
+    @property
+    def spawn_view_capable(self) -> bool:
+        """True when the wrapped objective can actually spawn views."""
+        return can_spawn(self._objective)
+
+    def skip(self, n: int = 1) -> None:
+        """Let the wrapped objective account for *n* replayed evaluations."""
+        skip = getattr(self._objective, "skip", None)
+        if skip is not None:
+            skip(n)
+
+
+def censored_write_off(objective: Any, u: np.ndarray, *, status: RunStatus,
+                       fault: str, limit_s: float | None = None
+                       ) -> Evaluation:
+    """A run that returned no verdict, written off as censored at the cap.
+
+    The value is the objective's own ``censor_value`` at its full cap
+    when it has that hook, else the charged limit.  *limit_s* is what
+    the run is charged to search cost: None charges the full cap, which
+    is what a cluster spent before a watchdog gave up; crash recovery
+    passes the limit the dispatch ran under.
+    """
+    config = objective.space.decode(u)
+    charged = float(objective.time_limit_s if limit_s is None else limit_s)
+    censor = getattr(objective, "censor_value", None)
+    value = float(censor(config, None)) if censor is not None else charged
+    return Evaluation(vector=np.asarray(u, dtype=float).copy(),
+                      config=config, objective=value, cost_s=charged,
+                      status=status, truncated=True, transient=True,
+                      fault=fault)
 
 
 @dataclass
