@@ -34,7 +34,7 @@ def _write_fixture(directory, objective, space) -> int:
     per_journal = N_PRIOR // 4
     U = latin_hypercube(N_PRIOR, space.dim, rng=90)
     for j in range(4):
-        journal = EvaluationJournal(directory / f"s{j}.jsonl", fsync=False)
+        journal = EvaluationJournal(directory / f"s{j}.jsonl")
         journal.write_meta({"tuner": "ROBOTune", "workload": "warmsmoke/D1",
                             "budget": per_journal})
         for u in U[j * per_journal:(j + 1) * per_journal]:

@@ -15,14 +15,12 @@ from ..context import ModuleContext
 from ..findings import Finding
 from ..registry import Rule, register
 
-#: Modules that own durable file output.  The journal is the only writer
-#: of evaluation state, the trace sink is the only writer of trace
-#: records (it reuses the journal's fsync discipline), and the session
-#: store is the only writer of service lifecycle state (spec/state/
-#: result/lock files, all via its atomic durable-write helper);
-#: everything else must either go through them or carry an explicit
-#: justification.
-_OWNED_IO_MODULES = ("core/journal.py", "obs/sinks.py", "serve/store.py")
+#: Modules that own durable file output: only the durable-write module
+#: opens files for writing.  The journal, the trace sink, the session
+#: store and the memo stores write through its fsync'd appender, atomic
+#: replace and exclusive create; everything else must either go through
+#: them or carry an explicit justification.
+_OWNED_IO_MODULES = ("obs/durable.py",)
 
 
 def _is_swallow_body(body: list[ast.stmt]) -> bool:
@@ -86,11 +84,13 @@ class RawFileWrite(Rule):
     id = "RPF002"
     title = "raw file write outside owned-I/O modules"
     rationale = (
-        "Evaluation state must go through the fsync'd EvaluationJournal "
-        "API so a crash loses at most the record in flight; ad-hoc "
+        "Durable state goes through repro.obs.durable (the fsync'd JSONL "
+        "appender behind EvaluationJournal and the trace writer, the "
+        "atomic replace, the exclusive create) so a crash loses at most "
+        "the record in flight and never leaves a torn file; ad-hoc "
         "open(...).write/Path.write_text sites are where torn, "
-        "un-fsync'd state sneaks in.  Non-journal artifact writers must "
-        "say what they write and why it is crash-tolerant.")
+        "un-fsync'd state sneaks in.  Other artifact writers must say "
+        "what they write and why it is crash-tolerant.")
 
     _WRITE_MODES = frozenset("wax+")
 

@@ -15,9 +15,12 @@ state *after* the evaluation, which is what makes resume bit-identical:
   last snapshot, and the first live evaluation draws exactly the noise it
   would have drawn in an uninterrupted run.
 
-A torn final line (the classic crash artifact) is tolerated: parsing
-stops at the first corrupt line and the session resumes from the last
-intact record.
+Records go through :class:`repro.obs.durable.JsonlAppender`.  A torn
+final line (the classic crash artifact) is tolerated: parsing stops at
+the first corrupt line, the session resumes from the last intact record,
+and the resumed session's first append cuts the torn bytes off before
+writing, so a second crash still finds every record the first resume
+read.
 
 Format version 2 adds **dispatch/settle pairs** for crash-safe
 *in-flight* recovery (docs/ROBUSTNESS.md, "Supervised execution"): a
@@ -34,17 +37,15 @@ unchanged.
 
 from __future__ import annotations
 
-import json
-import os
 import threading
 from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping, TextIO
+from typing import Any, Mapping
 
 import numpy as np
 
-from ..obs.sinks import jsonable, read_jsonl
+from ..obs.durable import JsonlAppender, read_jsonl
 from ..sparksim.result import RunStatus
 from ..tuners.base import Evaluation, ObjectiveWrapper, censored_write_off
 
@@ -101,17 +102,13 @@ class EvaluationJournal:
     Parameters
     ----------
     path:
-        Journal file; created on the first write.
-    fsync:
-        Force each record to stable storage (the crash-safety guarantee;
-        disable only in tests where speed matters more than durability).
+        Journal file; created on the first write, and cut back to its
+        intact records before the first append to a torn one.
     """
 
-    def __init__(self, path: str | Path, *, fsync: bool = True) -> None:
+    def __init__(self, path: str | Path) -> None:
         self.path = Path(path)
-        self._fsync = fsync
-        self._fh: TextIO | None = None
-        self._lock = threading.Lock()  # spawned views append concurrently
+        self._appender = JsonlAppender(self.path)
 
     # -- writing ------------------------------------------------------------------
     def write_meta(self, meta: Mapping[str, Any]) -> None:
@@ -125,12 +122,12 @@ class EvaluationJournal:
             raise FileExistsError(
                 f"journal {self.path} already holds a session; resume from "
                 "it or remove it before starting a new one")
-        self._write_line({"kind": "meta", "version": _FORMAT_VERSION,
-                          **dict(meta)})
+        self._appender.write({"kind": "meta", "version": _FORMAT_VERSION,
+                              **dict(meta)})
 
     def append_dispatch(self, seq: int, vector: Any) -> None:
         """Durably record that evaluation *seq* is about to execute."""
-        self._write_line({
+        self._appender.write({
             "kind": "dispatch",
             "seq": int(seq),
             "vector": [float(v) for v in np.asarray(vector)],
@@ -155,22 +152,10 @@ class EvaluationJournal:
         }
         if seq is not None:
             payload["seq"] = int(seq)
-        self._write_line(payload)
-
-    def _write_line(self, payload: dict[str, Any]) -> None:
-        with self._lock:
-            if self._fh is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._fh = open(self.path, "a", encoding="utf-8")
-            self._fh.write(json.dumps(payload, default=jsonable) + "\n")
-            self._fh.flush()
-            if self._fsync:
-                os.fsync(self._fh.fileno())
+        self._appender.write(payload)
 
     def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None
+        self._appender.close()
 
     # -- reading ------------------------------------------------------------------
     def load(self) -> tuple[dict[str, Any], list[EvalRecord]]:
@@ -198,7 +183,6 @@ class EvaluationJournal:
         meta: dict[str, Any] = {}
         records: list[EvalRecord] = []
         dispatches: list[DispatchRecord] = []
-        # A torn write from a crash ends the file: resume from there.
         for payload in read_jsonl(self.path):
             if payload.get("kind") == "meta":
                 meta = {k: v for k, v in payload.items()

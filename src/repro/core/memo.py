@@ -12,7 +12,10 @@
 
 Both stores are keyed by the workload identity *without* the dataset and
 both persist to JSON so tuning sessions in different processes share
-knowledge, like the paper's long-running tuning service.
+knowledge, like the paper's long-running tuning service.  Every write
+replaces the file atomically (:func:`repro.obs.durable.replace_text`): a
+crash mid-write leaves the previous table, never a torn file the next
+session would fail to parse.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from pathlib import Path
 from typing import Any, Mapping
 
 from ..obs import NULL_TRACER
+from ..obs.durable import replace_text
 
 __all__ = ["ParameterSelectionCache", "ConfigMemoizationBuffer", "MemoizedConfig"]
 
@@ -82,7 +86,7 @@ class ParameterSelectionCache:
 
     def _flush(self) -> None:
         if self._path is not None:
-            self._path.write_text(json.dumps(self._table, indent=2))  # repro: noqa RPF002 -- memo table is a warm-start cache, not evaluation state: full-file idempotent rewrite, losing it only costs re-selection
+            replace_text(self._path, json.dumps(self._table, indent=2))
 
 
 class ConfigMemoizationBuffer:
@@ -188,4 +192,4 @@ class ConfigMemoizationBuffer:
         }
         if self._blocked:
             raw["__blocked__"] = self._blocked
-        self._path.write_text(json.dumps(raw, indent=2))  # repro: noqa RPF002 -- memo buffer persistence is a warm-start cache (idempotent full rewrite), not journaled evaluation state
+        replace_text(self._path, json.dumps(raw, indent=2))

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Iterable, Mapping, Sequence
 
-from .sinks import read_jsonl
+from .durable import read_jsonl
 
 __all__ = ["TraceSummary", "load_trace", "summarize", "render_summary",
            "render_aggregate"]

@@ -2,58 +2,27 @@
 
 Two built-ins cover the repo's needs:
 
-* :class:`JsonlTraceWriter` — append-only JSONL with the same durability
-  discipline as :class:`repro.core.journal.EvaluationJournal`: one
-  ``json.dumps`` line per record, flushed and fsync'd so a killed
-  process loses at most the record in flight, and a refusal to append a
-  second trace to a non-empty file.
+* :class:`JsonlTraceWriter` — the durable JSONL appender of
+  :mod:`repro.obs.durable` (one ``json.dumps`` line per record, flushed
+  and fsync'd so a killed process loses at most the record in flight,
+  the same appender the evaluation journal writes through), plus a
+  refusal to append a second trace to a non-empty file.
 * :class:`InMemorySink` — a list of records, for tests and for the
   CLI's ``--trace-summary`` fold-up.
 
 Any object with ``write(record)`` and ``close()`` works as a sink, so
 callers can fan out to several at once (the CLI does exactly that when
 both flags are given).
-
-:func:`jsonable` and :func:`read_jsonl` are the JSONL encoding default
-and the torn-line-tolerant reader; the evaluation journal uses them too.
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
-from typing import Any, Mapping, TextIO
+from typing import Any, Mapping
 
-import numpy as np
+from .durable import JsonlAppender
 
-__all__ = ["InMemorySink", "JsonlTraceWriter", "jsonable", "read_jsonl"]
-
-
-def jsonable(value: Any) -> Any:
-    """``json.dumps`` default: coerce numpy scalars/arrays that leak into
-    records (configs, RNG states, event payloads)."""
-    if isinstance(value, np.generic):
-        return value.item()
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    raise TypeError(f"not JSON-serializable: {type(value).__name__}")
-
-
-def read_jsonl(path: Path) -> list[dict[str, Any]]:
-    """Parse a JSONL file's records up to its first corrupt line: a torn
-    final write (the classic crash artifact) ends the file there."""
-    records: list[dict[str, Any]] = []
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                records.append(json.loads(line))
-            except json.JSONDecodeError:
-                break
-    return records
+__all__ = ["InMemorySink", "JsonlTraceWriter"]
 
 
 class InMemorySink:
@@ -73,8 +42,8 @@ class InMemorySink:
         return None
 
 
-class JsonlTraceWriter:
-    """Durable JSONL trace file (the journal's write discipline).
+class JsonlTraceWriter(JsonlAppender):
+    """Durable JSONL trace file.
 
     Parameters
     ----------
@@ -82,30 +51,11 @@ class JsonlTraceWriter:
         Trace file; parent directories are created on the first write.
         Refuses to write into an existing non-empty file — interleaving
         two traces would corrupt both.
-    fsync:
-        Force every record to stable storage; disable only where speed
-        matters more than crash-durability (e.g. large study sweeps).
     """
 
-    def __init__(self, path: str | Path, *, fsync: bool = True) -> None:
-        self.path = Path(path)
-        self._fsync = fsync
-        self._fh: TextIO | None = None
+    def __init__(self, path: str | Path) -> None:
+        super().__init__(path)
         if self.path.exists() and self.path.stat().st_size > 0:
             raise FileExistsError(
                 f"trace {self.path} already holds records; remove it or "
                 "pick a fresh path")
-
-    def write(self, record: Mapping[str, Any]) -> None:
-        if self._fh is None:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._fh = open(self.path, "a", encoding="utf-8")
-        self._fh.write(json.dumps(record, default=jsonable) + "\n")
-        self._fh.flush()
-        if self._fsync:
-            os.fsync(self._fh.fileno())
-
-    def close(self) -> None:
-        if self._fh is not None:
-            self._fh.close()
-            self._fh = None

@@ -18,8 +18,9 @@ Layout (everything under one *root* directory)::
 Durability and concurrency rules:
 
 * ``state.json`` is the **source of truth**; every transition is written
-  via write-to-temp → fsync → atomic rename → fsync(dir), so a crash
-  leaves either the old or the new state, never a torn file.
+  via write-to-temp → fsync → atomic rename → fsync(dir)
+  (:func:`repro.obs.durable.replace_text`), so a crash leaves either the
+  old or the new state, never a torn file.
 * ``index.json`` is a cache over the per-session state files, updated
   under ``index.lock`` and always reconstructible bit-for-bit with
   :meth:`SessionStore.rebuild_index` (the hypothesis suite in
@@ -47,6 +48,7 @@ from typing import Any, Mapping
 
 from ..core.journal import EvaluationJournal
 from ..obs import as_tracer
+from ..obs.durable import create_exclusive, replace_text
 from .session import STATES, TERMINAL_STATES, TRANSITIONS, SessionSpec
 
 __all__ = ["SessionStore", "Claim", "StaleClaimError"]
@@ -93,15 +95,10 @@ class SessionStore:
     tracer:
         Optional :class:`repro.obs.Tracer`; the store emits the
         ``serve.submit`` / ``serve.state`` events (docs/OBSERVABILITY.md).
-    fsync:
-        Force durability on every state write (disable only in tests
-        where speed matters more than crash-safety).
     """
 
-    def __init__(self, root: str | Path, *, tracer=None,
-                 fsync: bool = True) -> None:
+    def __init__(self, root: str | Path, *, tracer=None) -> None:
         self.root = Path(root)
-        self._fsync = fsync
         self.tracer = as_tracer(tracer)
         self._local = threading.Lock()  # serializes THIS handle's claims
 
@@ -126,22 +123,9 @@ class SessionStore:
         return sorted(self.session_dir(sid).glob("trace-*.jsonl"))
 
     # -- durable writes -----------------------------------------------------------
-    def _write_json(self, path: Path, payload: Mapping[str, Any]) -> None:
-        """Atomic durable JSON write: temp → fsync → rename → fsync(dir)."""
-        path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.parent / f".{path.name}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(payload, sort_keys=True))
-            fh.flush()
-            if self._fsync:
-                os.fsync(fh.fileno())
-        os.replace(tmp, path)
-        if self._fsync:
-            fd = os.open(path.parent, os.O_RDONLY)
-            try:
-                os.fsync(fd)
-            finally:
-                os.close(fd)
+    @staticmethod
+    def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
+        replace_text(path, json.dumps(payload, sort_keys=True))
 
     @staticmethod
     def _read_json(path: Path) -> dict[str, Any]:
@@ -157,17 +141,12 @@ class SessionStore:
         self.root.mkdir(parents=True, exist_ok=True)
         while True:
             try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                create_exclusive(path, str(os.getpid()))
             except FileExistsError:
                 if self._takeover_stale(path):
                     continue
                 time.sleep(spin_s)
                 continue
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(str(os.getpid()))
-                fh.flush()
-                if self._fsync:
-                    os.fsync(fh.fileno())
             return
 
     @staticmethod
@@ -366,7 +345,8 @@ class SessionStore:
         token = os.urandom(8).hex()
         while True:
             try:
-                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+                create_exclusive(path, json.dumps(
+                    {"pid": os.getpid(), "owner": owner, "token": token}))
             except FileExistsError:
                 try:
                     holder = self._read_json(path)
@@ -381,12 +361,6 @@ class SessionStore:
                 if not self._force_takeover(path):
                     return None
                 continue
-            with os.fdopen(fd, "w", encoding="utf-8") as fh:
-                fh.write(json.dumps({"pid": os.getpid(), "owner": owner,
-                                     "token": token}))
-                fh.flush()
-                if self._fsync:
-                    os.fsync(fh.fileno())
             return token
 
     def lock_holder(self, sid: str) -> dict[str, Any] | None:

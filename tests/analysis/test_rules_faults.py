@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pytest
 from lintutils import active, rules_of
 
 
@@ -90,21 +91,20 @@ class TestRawFileWrite:
         """)
         assert rules_of(findings, "RPF002") == []
 
-    def test_journal_module_is_exempt(self, lint):
-        findings = lint("""\
-            def _write_line(path, payload):
-                fh = open(path, "a", encoding="utf-8")
-                fh.write(payload)
-        """, rel="src/repro/core/journal.py")
-        assert rules_of(findings, "RPF002") == []
-
-    def test_trace_sink_module_is_exempt(self, lint):
+    @pytest.mark.parametrize("module, flagged", [
+        ("obs/durable.py", False),
+        ("core/journal.py", True),
+        ("obs/sinks.py", True),
+        ("serve/store.py", True),
+        ("core/memo.py", True),
+    ])
+    def test_durable_module_owns_io(self, lint, module, flagged):
         findings = lint("""\
             def _append(path, payload):
                 fh = open(path, "a", encoding="utf-8")
                 fh.write(payload)
-        """, rel="src/repro/obs/sinks.py")
-        assert rules_of(findings, "RPF002") == []
+        """, rel=f"src/repro/{module}")
+        assert len(rules_of(findings, "RPF002")) == int(flagged)
 
     def test_outside_repro_package_is_exempt(self, lint):
         findings = lint("""\

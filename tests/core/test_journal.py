@@ -61,7 +61,7 @@ class RecordingObjective:
 
 class TestJournalFile:
     def test_round_trip(self, tmp_path):
-        journal = EvaluationJournal(tmp_path / "run.jsonl", fsync=False)
+        journal = EvaluationJournal(tmp_path / "run.jsonl")
         journal.write_meta({"tuner": "ROBOTune", "workload": "pagerank/D1"})
         evs = [make_eval(x=0.1), make_eval(x=0.9, objective=7.0,
                                            status=RunStatus.TIMEOUT,
@@ -89,7 +89,7 @@ class TestJournalFile:
         assert records[1].rng_state == {"step": 1}
 
     def test_numpy_values_serialized(self, tmp_path):
-        journal = EvaluationJournal(tmp_path / "run.jsonl", fsync=False)
+        journal = EvaluationJournal(tmp_path / "run.jsonl")
         ev = make_eval(config={"cores": np.int64(8), "frac": np.float64(0.5)})
         journal.append(ev, {"key": np.array([1, 2])})
         journal.close()
@@ -99,7 +99,7 @@ class TestJournalFile:
 
     def test_torn_final_line_tolerated(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        journal = EvaluationJournal(path, fsync=False)
+        journal = EvaluationJournal(path)
         journal.write_meta({"tuner": "RandomSearch"})
         journal.append(make_eval())
         journal.append(make_eval())
@@ -113,7 +113,7 @@ class TestJournalFile:
 
     def test_write_meta_refuses_existing_session(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        journal = EvaluationJournal(path, fsync=False)
+        journal = EvaluationJournal(path)
         journal.write_meta({"tuner": "ROBOTune"})
         journal.close()
         with pytest.raises(FileExistsError, match="already holds a session"):
@@ -127,7 +127,7 @@ class TestJournalFile:
 
     def test_creates_parent_directories(self, tmp_path):
         path = tmp_path / "deep" / "nested" / "run.jsonl"
-        journal = EvaluationJournal(path, fsync=False)
+        journal = EvaluationJournal(path)
         journal.append(make_eval())
         journal.close()
         assert path.exists()
@@ -156,7 +156,7 @@ class SpawnableObjective(RecordingObjective):
 class TestDispatchSettle:
     def test_live_calls_write_dispatch_then_settle(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        journal = EvaluationJournal(path, fsync=False)
+        journal = EvaluationJournal(path)
         wrapped = JournaledObjective(RecordingObjective(), journal)
         wrapped(np.array([0.2, 0.8]))
         wrapped(np.array([0.4, 0.6]))
@@ -172,7 +172,7 @@ class TestDispatchSettle:
         assert journal.next_seq() == 2
 
     def test_unsettled_dispatch_is_pending(self, tmp_path):
-        journal = EvaluationJournal(tmp_path / "run.jsonl", fsync=False)
+        journal = EvaluationJournal(tmp_path / "run.jsonl")
         wrapped = JournaledObjective(RecordingObjective(), journal)
         wrapped(np.array([0.2, 0.8]))
         # Simulate a crash mid-evaluation: dispatch written, no settle.
@@ -187,7 +187,7 @@ class TestDispatchSettle:
 
     def test_record_censored_settles_immediately(self, tmp_path):
         path = tmp_path / "run.jsonl"
-        journal = EvaluationJournal(path, fsync=False)
+        journal = EvaluationJournal(path)
         wrapped = JournaledObjective(RecordingObjective(), journal)
         censored = make_eval(status=RunStatus.TIMEOUT, truncated=True,
                              transient=True, fault="deadline")
@@ -202,7 +202,7 @@ class TestDispatchSettle:
 
     def test_v1_journal_loads_unchanged(self, tmp_path):
         # A pre-supervision journal: eval records with no seq, no dispatches.
-        journal = EvaluationJournal(tmp_path / "run.jsonl", fsync=False)
+        journal = EvaluationJournal(tmp_path / "run.jsonl")
         journal.write_meta({"tuner": "ROBOTune"})
         journal.append(make_eval(x=0.1))
         journal.append(make_eval(x=0.9))
@@ -218,7 +218,7 @@ class TestDispatchSettle:
 class TestCrashRecovery:
     def _crashed_session(self, tmp_path, objective_cls=RecordingObjective):
         """One settled evaluation plus one dispatch that never settled."""
-        journal = EvaluationJournal(tmp_path / "run.jsonl", fsync=False)
+        journal = EvaluationJournal(tmp_path / "run.jsonl")
         inner = objective_cls()
         wrapped = JournaledObjective(inner, journal)
         wrapped(np.array([0.2, 0.8]))
@@ -227,7 +227,7 @@ class TestCrashRecovery:
         return journal
 
     def test_invalid_recover_mode_rejected(self, tmp_path):
-        journal = EvaluationJournal(tmp_path / "run.jsonl", fsync=False)
+        journal = EvaluationJournal(tmp_path / "run.jsonl")
         with pytest.raises(ValueError, match="recover"):
             JournaledObjective(RecordingObjective(), journal,
                                recover="retry")
@@ -312,7 +312,7 @@ class TestCrashRecovery:
 
 class TestJournaledViews:
     def test_spawn_view_shares_journal_and_sequence(self, tmp_path):
-        journal = EvaluationJournal(tmp_path / "run.jsonl", fsync=False)
+        journal = EvaluationJournal(tmp_path / "run.jsonl")
         wrapped = JournaledObjective(SpawnableObjective(), journal)
         assert wrapped.spawn_view_capable
         views = [wrapped.spawn_view() for _ in range(3)]
@@ -325,14 +325,14 @@ class TestJournaledViews:
         assert journal.next_seq() == 3
 
     def test_spawn_view_capable_tracks_inner(self, tmp_path):
-        journal = EvaluationJournal(tmp_path / "run.jsonl", fsync=False)
+        journal = EvaluationJournal(tmp_path / "run.jsonl")
         wrapped = JournaledObjective(RecordingObjective(), journal)
         assert not wrapped.spawn_view_capable  # inner has no spawn_view
 
 
 class TestJournaledObjective:
     def test_recording_appends_with_rng_snapshot(self, tmp_path):
-        journal = EvaluationJournal(tmp_path / "run.jsonl", fsync=False)
+        journal = EvaluationJournal(tmp_path / "run.jsonl")
         inner = RecordingObjective()
         wrapped = JournaledObjective(inner, journal)
         wrapped(np.array([0.2, 0.8]))
@@ -346,7 +346,7 @@ class TestJournaledObjective:
         assert wrapped.n_replayed == 0
 
     def test_replay_serves_without_executing(self, tmp_path):
-        journal = EvaluationJournal(tmp_path / "run.jsonl", fsync=False)
+        journal = EvaluationJournal(tmp_path / "run.jsonl")
         inner = RecordingObjective()
         wrapped = JournaledObjective(inner, journal)
         u = [np.array([0.2, 0.8]), np.array([0.4, 0.6])]
@@ -365,7 +365,7 @@ class TestJournaledObjective:
             assert orig.objective == again.objective
 
     def test_rng_restored_when_replay_drains(self, tmp_path):
-        journal = EvaluationJournal(tmp_path / "run.jsonl", fsync=False)
+        journal = EvaluationJournal(tmp_path / "run.jsonl")
         inner = RecordingObjective()
         wrapped = JournaledObjective(inner, journal)
         straight = [wrapped(np.array([0.1 * i, 0.5])) for i in range(3)]
@@ -382,7 +382,7 @@ class TestJournaledObjective:
         assert fresh.calls == 1
 
     def test_vector_mismatch_raises(self, tmp_path):
-        journal = EvaluationJournal(tmp_path / "run.jsonl", fsync=False)
+        journal = EvaluationJournal(tmp_path / "run.jsonl")
         wrapped = JournaledObjective(RecordingObjective(), journal)
         wrapped(np.array([0.2, 0.8]))
         _, records = journal.load()
@@ -399,7 +399,7 @@ class TestJournaledObjective:
             def __call__(self, u, time_limit_s=None):
                 return make_eval(x=float(np.asarray(u)[0]))
 
-        journal = EvaluationJournal(tmp_path / "run.jsonl", fsync=False)
+        journal = EvaluationJournal(tmp_path / "run.jsonl")
         wrapped = JournaledObjective(Bare(), journal)
         wrapped(np.array([0.2, 0.8]))
         _, records = journal.load()
@@ -407,3 +407,51 @@ class TestJournaledObjective:
         resumed = JournaledObjective(Bare(), journal, replay=records)
         ev = resumed(np.array([0.2, 0.8]))     # no skip/set_rng_state hooks
         assert ev.objective == 42.0
+
+
+class TestTornTail:
+    """A crash tears the journal's final record; resume, crash and tear
+    again, resume again: no evaluation is lost or written twice."""
+
+    VECTORS = [np.array([0.125 * i, 1.0 - 0.125 * i]) for i in range(1, 5)]
+
+    def _run(self, path, n, *, resume):
+        """The session's first *n* evaluations, fresh or resumed."""
+        journal = EvaluationJournal(path)
+        if resume:
+            _, records = journal.load()
+            wrapped = JournaledObjective(
+                RecordingObjective(), journal, replay=records,
+                pending=journal.pending_dispatches(),
+                next_seq=journal.next_seq())
+        else:
+            journal.write_meta({"tuner": "RandomSearch"})
+            wrapped = JournaledObjective(RecordingObjective(), journal)
+        for u in self.VECTORS[:n]:
+            wrapped(u)
+        journal.close()
+
+    def test_every_tear_offset_resumes_to_the_uninterrupted_bytes(
+            self, tmp_path):
+        ref_path = tmp_path / "straight.jsonl"
+        self._run(ref_path, len(self.VECTORS), resume=False)
+        ref = ref_path.read_bytes()
+        lines = ref.splitlines(keepends=True)  # meta, (dispatch, eval) * 4
+        after_three = len(b"".join(lines[:7]))
+        path = tmp_path / "run.jsonl"
+        for torn in (3, 4):                    # evaluation 2's two records
+            start = len(b"".join(lines[:torn]))
+            # The last offset drops only the record's newline.
+            for cut in range(start, start + len(lines[torn])):
+                path.write_bytes(ref[:cut])
+                _, before = EvaluationJournal(path).load()
+                self._run(path, 3, resume=True)
+                resumed = path.read_bytes()
+                assert resumed == ref[:after_three], cut
+                _, after = EvaluationJournal(path).load()
+                assert len(after) == 3 and after[:len(before)] == before
+                for tear in (1, 9):            # newline only, mid-record
+                    path.write_bytes(resumed[:-tear])
+                    self._run(path, len(self.VECTORS), resume=True)
+                    assert path.read_bytes() == ref, (cut, tear)
+                    assert len(EvaluationJournal(path)) == len(self.VECTORS)

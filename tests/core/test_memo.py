@@ -1,6 +1,7 @@
 """Tests for the parameter-selection cache and config memoization buffer."""
 
 import json
+import os
 
 import pytest
 
@@ -158,3 +159,43 @@ class TestConfigMemoizationBuffer:
         tuner = ROBOTune(selection_cache=cache, memo_buffer=buf)
         assert tuner.memo_buffer is buf
         assert tuner.selection_cache is cache
+
+
+class TestAtomicWrites:
+    """Each write replaces the store's file atomically: a crash between
+    the temp write and the rename leaves the previous table loadable."""
+
+    WRITES = {
+        ParameterSelectionCache: lambda store, i: store.put(f"wl{i}", ["a"]),
+        ConfigMemoizationBuffer: lambda store, i: store.add(
+            f"wl{i}", {"p": i}, 10.0 + i, dataset="D1"),
+    }
+
+    @pytest.mark.parametrize("cls", list(WRITES), ids=lambda c: c.__name__)
+    def test_failed_replace_keeps_the_previous_file(self, tmp_path,
+                                                    monkeypatch, cls):
+        path = tmp_path / "store.json"
+        self.WRITES[cls](cls(path), 0)
+        before = path.read_bytes()
+
+        def crash(src, dst):
+            raise OSError("killed before the rename")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "replace", crash)
+            with pytest.raises(OSError, match="before the rename"):
+                self.WRITES[cls](cls(path), 1)
+        assert path.read_bytes() == before
+        reloaded = cls(path)
+        assert "wl0" in reloaded and "wl1" not in reloaded
+
+    def test_written_bytes_are_indented_json(self, tmp_path):
+        cache = ParameterSelectionCache(tmp_path / "cache.json")
+        cache.put("wl", ["a", "b"])
+        assert (tmp_path / "cache.json").read_text() == json.dumps(
+            {"wl": ["a", "b"]}, indent=2)
+        buf = ConfigMemoizationBuffer(tmp_path / "memo.json")
+        buf.add("wl", {"p": 1}, 10.0, dataset="D1")
+        assert (tmp_path / "memo.json").read_text() == json.dumps(
+            {"wl": [{"config": {"p": 1}, "objective": 10.0,
+                     "dataset": "D1"}]}, indent=2)

@@ -241,13 +241,13 @@ class TestGuardKillAccounting:
                                    guard=MedianGuard(3.0,
                                                      static_limit_s=480.0))
 
-        journal = EvaluationJournal(path, fsync=False)
+        journal = EvaluationJournal(path)
         run(JournaledObjective(make_problem(seed=19)[1], journal))
         journal.close()
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:-1]))
 
-        journal = EvaluationJournal(path, fsync=False)
+        journal = EvaluationJournal(path)
         _, records = journal.load()
         resumed = JournaledObjective(make_problem(seed=19)[1], journal,
                                      replay=records,

@@ -18,7 +18,7 @@ from repro.workloads.registry import get_workload
 
 
 def write_journal(path, workload_key, configs, objectives, faults=None):
-    journal = EvaluationJournal(path, fsync=False)
+    journal = EvaluationJournal(path)
     journal.write_meta({"tuner": "ROBOTune", "workload": workload_key,
                         "budget": len(configs)})
     faults = faults or [None] * len(configs)

@@ -144,6 +144,32 @@ class TestKillAndResume:
             faults=0.15)
         assert any(e.fault is not None for e in straight.evaluations)
 
+    def test_resume_cuts_torn_tails(self, space, tmp_path):
+        # Two crashes, each tearing the final record (mid-record, then
+        # only its newline): every resume keeps what the last one wrote.
+        straight_path = tmp_path / "straight.jsonl"
+        tuner, rng = make_tuner("RandomSearch")
+        straight = tuner.checkpoint(make_objective(space), 40, straight_path,
+                                    rng=rng)
+        journal_path = tmp_path / "session.jsonl"
+        tuner, rng = make_tuner("RandomSearch")
+        with pytest.raises(Killed):
+            tuner.checkpoint(KillAfter(make_objective(space), 10), 40,
+                             journal_path, rng=rng)
+        journal_path.write_bytes(journal_path.read_bytes()[:-5])
+        tuner, rng = make_tuner("RandomSearch")
+        with pytest.raises(Killed):
+            tuner.resume(KillAfter(make_objective(space), 20), 40,
+                         journal_path, rng=rng)
+        assert len(EvaluationJournal(journal_path)) == 30
+        journal_path.write_bytes(journal_path.read_bytes()[:-1])
+        tuner, rng = make_tuner("RandomSearch")
+        resumed = tuner.resume(make_objective(space), 40, journal_path,
+                               rng=rng)
+        assert_identical(straight, resumed)
+        assert len(EvaluationJournal(journal_path)) == 40
+        assert journal_path.read_bytes() == straight_path.read_bytes()
+
     def test_resume_refuses_foreign_journal(self, space, tmp_path):
         journal_path = tmp_path / "session.jsonl"
         tuner, rng = make_tuner("RandomSearch")

@@ -25,7 +25,7 @@ def drain(store, **kw):
 
 class TestSettlePaths:
     def test_success_settles_done_with_result(self, tmp_path):
-        store = SessionStore(tmp_path / "store", fsync=False)
+        store = SessionStore(tmp_path / "store")
         sid = store.submit(SPEC)
         assert drain(store) == 1
         assert store.state(sid) == "DONE"
@@ -33,7 +33,7 @@ class TestSettlePaths:
             SPEC, run_session(SPEC))["digest"]
 
     def test_broken_session_settles_failed(self, tmp_path):
-        store = SessionStore(tmp_path / "store", fsync=False)
+        store = SessionStore(tmp_path / "store")
         # Spec validation cannot know the workload registry; the runner
         # discovers the bad name and the daemon settles FAILED.
         sid = store.submit(SessionSpec(workload="not-a-workload"))
@@ -43,7 +43,7 @@ class TestSettlePaths:
         assert "not-a-workload" in view["error"]
 
     def test_cancel_mid_run_settles_cancelled(self, tmp_path):
-        store = SessionStore(tmp_path / "store", fsync=False)
+        store = SessionStore(tmp_path / "store")
         sid = store.submit(SessionSpec(workload="pagerank", seed=9,
                                        **fast_spec_kwargs(budget=200)))
         daemon = TuningDaemon(store, poll_s=0.02, session_traces=False)
@@ -65,7 +65,7 @@ class TestSettlePaths:
         assert store.result(sid) is None
 
     def test_max_sessions_bounds_the_run(self, tmp_path):
-        store = SessionStore(tmp_path / "store", fsync=False)
+        store = SessionStore(tmp_path / "store")
         for seed in (1, 2, 3):
             store.submit(SessionSpec(workload="pagerank", seed=seed,
                                      **fast_spec_kwargs()))
@@ -81,7 +81,7 @@ class TestRecovery:
         # Simulate a crashed daemon by hand: claim, abort the session
         # partway through (the journal keeps the prefix the "crashed"
         # process produced), then leave the claim lock stale on disk.
-        store = SessionStore(tmp_path / "store", fsync=False)
+        store = SessionStore(tmp_path / "store")
         sid = store.submit(SPEC)
         claim = store.claim("doomed")
         assert claim is not None
@@ -109,7 +109,7 @@ class TestRecovery:
         assert counters and counters[-1]["counters"]["serve.resumed"] == 1
 
     def test_queue_events_and_claim_timer_are_emitted(self, tmp_path):
-        store = SessionStore(tmp_path / "store", fsync=False)
+        store = SessionStore(tmp_path / "store")
         store.submit(SPEC)
         sink = InMemorySink()
         tracer = Tracer(sink)

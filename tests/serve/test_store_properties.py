@@ -58,7 +58,7 @@ def _apply(stores, claims, op):
 @settings(max_examples=60, deadline=None)
 def test_interleavings_uphold_store_invariants(tmp_path_factory, operations):
     root = tmp_path_factory.mktemp("serve-prop") / "store"
-    stores = [SessionStore(root, fsync=False), SessionStore(root, fsync=False)]
+    stores = [SessionStore(root), SessionStore(root)]
     claims: list[list] = [[], []]
     submitted = 0
     for op in operations:
@@ -89,7 +89,7 @@ def test_interleavings_uphold_store_invariants(tmp_path_factory, operations):
 @settings(max_examples=40, deadline=None)
 def test_index_cache_loss_never_loses_sessions(tmp_path_factory, operations):
     root = tmp_path_factory.mktemp("serve-prop") / "store"
-    stores = [SessionStore(root, fsync=False), SessionStore(root, fsync=False)]
+    stores = [SessionStore(root), SessionStore(root)]
     claims: list[list] = [[], []]
     for op in operations:
         _apply(stores, claims, op)
@@ -106,7 +106,7 @@ def test_index_cache_loss_never_loses_sessions(tmp_path_factory, operations):
 @settings(max_examples=30, deadline=None)
 def test_terminal_states_are_absorbing(tmp_path_factory, seeds):
     root = tmp_path_factory.mktemp("serve-prop") / "store"
-    store = SessionStore(root, fsync=False)
+    store = SessionStore(root)
     sids = [store.submit(SessionSpec(workload="pagerank", seed=s))
             for s in seeds]
     while (claim := store.claim()) is not None:

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import main
@@ -219,6 +221,22 @@ class TestSupervisionFlags:
                      "--resume", "--recover", "censor"])
         assert code == 0
         assert "journal:" in capsys.readouterr().out
+
+    def test_resume_of_torn_journal_counts_every_evaluation(self, capsys,
+                                                           tmp_path):
+        journal = tmp_path / "run.jsonl"
+        args = ["tune", "--workload", "terasort", "--budget", "8",
+                "--seed", "7", "--journal", str(journal)]
+        assert main(args) == 0
+        count = re.search(r"\((\d+) evaluations\)",
+                          capsys.readouterr().out).group(1)
+        whole = journal.read_bytes()
+        journal.write_bytes(whole[:len(whole) // 2])   # killed mid-record
+        for _ in range(2):
+            assert main([*args, "--resume"]) == 0
+            assert f"({count} evaluations, resumed)" in \
+                capsys.readouterr().out
+            assert journal.read_bytes() == whole
 
     def test_bad_recover_mode_rejected(self):
         with pytest.raises(SystemExit):

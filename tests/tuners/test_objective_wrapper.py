@@ -42,7 +42,7 @@ def wrap(request, tmp_path):
             return HangInjector(objective, HangPlan(0.0))
         if request.param == "JournaledObjective":
             journals.append(EvaluationJournal(
-                tmp_path / f"run{len(journals)}.jsonl", fsync=False))
+                tmp_path / f"run{len(journals)}.jsonl"))
             return JournaledObjective(objective, journals[-1])
         return CancellableObjective(objective, lambda: False)
 
@@ -112,7 +112,7 @@ class TestSkipThroughStackedInjectors:
             return FaultInjector(hang, FaultPlan(0.0)), hang
 
         U = [np.full(10, 0.1 * (i + 1)) for i in range(4)]
-        journal = EvaluationJournal(tmp_path / "run.jsonl", fsync=False)
+        journal = EvaluationJournal(tmp_path / "run.jsonl")
         fault, hang = stack()
         recording = JournaledObjective(fault, journal)
         for u in U[:3]:
