@@ -1,7 +1,9 @@
 """E-F2: Figure 2 — R² of Lasso/ElasticNet/RF/ET on PR and KM datasets.
 
-Expected shape: tree ensembles (RF best) explain substantially more
-variance than the linear models across every dataset.
+Expected shape: RF explains more variance than either linear model on
+the mean over the six cells.  Per cell it leads on PageRank; on KMeans,
+whose samples are mostly censored at the time limit, Lasso leads
+(EXPERIMENTS.md, Known divergences).
 """
 
 import numpy as np

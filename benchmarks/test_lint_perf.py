@@ -1,8 +1,8 @@
-"""Linter throughput benchmark: cached+parallel re-run vs cold serial.
+"""Linter throughput benchmark: cached re-run vs cold run.
 
 The acceptance bar for the result cache (docs/ANALYSIS.md) is that a
-warm ``--jobs``-parallel re-run over an unchanged tree is at least 3x
-faster than a cold serial run — in practice the warm run skips parsing
+warm re-run over an unchanged tree is at least 3x faster than a cold
+run — in practice the warm run skips parsing
 and rule execution entirely (per-module entries hit by content hash,
 the flow phase hits by tree signature) and the margin is orders of
 magnitude.  Numbers append to ``BENCH_lint.json`` at the repo root,
@@ -21,7 +21,7 @@ from conftest import REPO_ROOT, BenchRecord
 LINT_BENCH = BenchRecord("BENCH_lint.json")
 _record = LINT_BENCH.record
 
-#: Cached re-runs must beat the cold serial run by at least this factor.
+#: Cached re-runs must beat the cold run by at least this factor.
 MIN_SPEEDUP = 3.0
 
 
@@ -34,30 +34,30 @@ def _time(fn, repeats: int = 3) -> float:
     return best
 
 
-def test_cached_parallel_rerun_vs_cold_serial(tmp_path, capsys):
+def test_cached_rerun_vs_cold_run(tmp_path, capsys):
     paths = [REPO_ROOT / "src"]
     n_files = analyze_paths(paths).files_scanned
 
-    cold = _time(lambda: analyze_paths(paths, n_jobs=1))
+    cold = _time(lambda: analyze_paths(paths))
 
     cache = tmp_path / "lint-cache"
     analyze_paths(paths, cache_dir=cache)            # prime the cache
-    warm = _time(lambda: analyze_paths(paths, cache_dir=cache, n_jobs=2))
+    warm = _time(lambda: analyze_paths(paths, cache_dir=cache))
 
     # The warm run must be a full cache hit (per-module + flow phases).
-    report = analyze_paths(paths, cache_dir=cache, n_jobs=2)
+    report = analyze_paths(paths, cache_dir=cache)
     assert report.cache_misses == 0
 
     speedup = cold / warm
     _record("lint_cold_serial_src", cold, n=n_files)
-    _record("lint_warm_cached_jobs2_src", warm, n=n_files,
+    _record("lint_warm_cached_src", warm, n=n_files,
             speedup=round(speedup, 2))
     with capsys.disabled():
-        print(f"\nlint over src ({n_files} files): cold serial {cold:.3f}s, "
-              f"warm cached --jobs 2 {warm * 1e3:.1f}ms "
+        print(f"\nlint over src ({n_files} files): cold {cold:.3f}s, "
+              f"warm cached {warm * 1e3:.1f}ms "
               f"({speedup:.0f}x)")
     assert speedup >= MIN_SPEEDUP, (
-        f"cached re-run only {speedup:.2f}x faster than cold serial "
+        f"cached re-run only {speedup:.2f}x faster than cold "
         f"(cold {cold:.3f}s, warm {warm:.3f}s); the cache is not earning "
         "its keep")
 

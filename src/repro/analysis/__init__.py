@@ -34,7 +34,7 @@ call graph + dataflow summaries and recompute whenever any scanned file
 changes.
 
 Run it as ``python -m repro.analysis [paths] [--select/--ignore]
-[--format json|sarif] [--jobs N] [--cache-dir DIR] [--baseline FILE |
+[--format json|sarif] [--cache-dir DIR] [--baseline FILE |
 --write-baseline FILE] [--graph]``; suppress a finding inline with
 ``# repro: noqa RULE-ID -- justification``.
 """

@@ -47,10 +47,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--list-rules", action="store_true",
         help="print the rule catalog and exit")
     parser.add_argument(
-        "--jobs", type=int, default=None, metavar="N",
-        help=("thread-pool width for the per-module phase (default: the "
-              "ROBOTUNE_JOBS environment variable; unset means serial)"))
-    parser.add_argument(
         "--cache-dir", default=None, metavar="DIR",
         help=("content-hash result cache directory; unchanged files skip "
               "per-module rules, an unchanged tree skips the whole-program "
@@ -90,7 +86,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 0
     try:
         report = analyze_paths(args.paths, select=select, ignore=ignore,
-                               n_jobs=args.jobs, cache_dir=args.cache_dir,
+                               cache_dir=args.cache_dir,
                                baseline=args.baseline)
     except (ValueError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

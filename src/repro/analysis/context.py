@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import ast
-import threading
 from dataclasses import dataclass, field
 from pathlib import Path, PurePosixPath
 
@@ -13,12 +12,6 @@ from .suppressions import Suppression, SuppressionProblem, scan_suppressions
 #: determinism rules are strictest here because any nondeterminism in
 #: these paths changes the fixed-seed decision sequence.
 DECISION_PACKAGES = ("core", "gp", "ml", "tuners")
-
-#: CPython 3.11 keeps the AST constructor's recursion-depth bookkeeping in
-#: interpreter-wide state, so parses overlapping on the engine's worker
-#: threads can raise ``SystemError: AST constructor recursion depth
-#: mismatch``.  Parses take turns; rule checks stay parallel.
-_PARSE_LOCK = threading.Lock()
 
 
 def repro_subpath(display: str) -> str | None:
@@ -62,8 +55,7 @@ class ModuleContext:
                     display: str | None = None) -> "ModuleContext":
         """Parse already-read *source* (the engine reads each file once)."""
         shown = display if display is not None else str(path)
-        with _PARSE_LOCK:
-            tree = ast.parse(source, filename=shown)
+        tree = ast.parse(source, filename=shown)
         suppressions, problems = scan_suppressions(source)
         return cls(path=path, display=shown, source=source, tree=tree,
                    suppressions=suppressions, suppression_problems=problems)

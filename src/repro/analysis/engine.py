@@ -3,10 +3,10 @@
 The engine runs in two phases:
 
 1. **per-module** — every rule with ``requires_flow = False`` checks one
-   :class:`~repro.analysis.context.ModuleContext` at a time.  This phase
-   is embarrassingly parallel (``n_jobs`` fans it out over
-   :func:`repro.utils.parallel.parallel_map`) and cacheable per file by
-   content hash (:mod:`repro.analysis.cache`).
+   :class:`~repro.analysis.context.ModuleContext` at a time, cached per
+   file by content hash (:mod:`repro.analysis.cache`).  The phase runs
+   serially: its AST walks are pure Python and hold the interpreter
+   lock, so a thread pool would only add overhead.
 2. **flow** — rules with ``requires_flow = True`` run once over the
    whole-program :class:`~repro.analysis.flow.FlowProject`.  Their
    result is a function of every scanned file, so it is cached by the
@@ -182,19 +182,14 @@ def build_project_for(paths: Sequence[str | Path]) -> "FlowProject":
 def analyze_paths(paths: Sequence[str | Path], *,
                   select: Iterable[str] | None = None,
                   ignore: Iterable[str] | None = None,
-                  n_jobs: int | None = None,
                   cache_dir: str | Path | None = None,
                   baseline: str | Path | None = None) -> AnalysisReport:
     """Lint every Python file under *paths* with the selected rules.
 
-    ``n_jobs`` fans the per-module phase out over a thread pool
-    (``None`` defers to ``ROBOTUNE_JOBS``, matching every other
-    parallel entry point in the library); ``cache_dir`` enables the
-    content-hash result cache; ``baseline`` marks findings present in a
-    prior snapshot as grandfathered (see :mod:`repro.analysis.baseline`).
+    ``cache_dir`` enables the content-hash result cache; ``baseline``
+    marks findings present in a prior snapshot as grandfathered (see
+    :mod:`repro.analysis.baseline`).
     """
-    from ..utils.parallel import parallel_map
-
     rules = build_rules(select=select, ignore=ignore)
     module_rules = [r for r in rules if not r.requires_flow]
     flow_rules = [r for r in rules if r.requires_flow]
@@ -212,42 +207,28 @@ def analyze_paths(paths: Sequence[str | Path], *,
         entries.append((path, display,
                         hashlib.sha256(data).hexdigest(), data))
 
-    # -- phase 1: per-module rules (parallel, cached per content hash) --------
+    # -- phase 1: per-module rules (cached per content hash) ------------------
     results: dict[str, ModuleResult] = {}
     ctxs: dict[str, ModuleContext] = {}
-    pending: list[tuple[Path, str, str, bytes]] = []
-    for entry in entries:
-        _, display, sha, _ = entry
-        cached = cache.load_module(
-            cache.module_key(display, sha, module_sig)) if cache else None
+    for path, display, sha, data in entries:
+        key = cache.module_key(display, sha, module_sig) if cache else ""
+        cached = cache.load_module(key) if cache else None
         if cached is not None:
             results[display] = cached
-        else:
-            pending.append(entry)
-
-    def _lint_one(entry: tuple[Path, str, str, bytes]
-                  ) -> tuple[ModuleResult, ModuleContext | None]:
-        path, display, _, data = entry
+            continue
         try:
             ctx = ModuleContext.from_source(
                 path, data.decode("utf-8"), display=display)
         except (SyntaxError, UnicodeDecodeError) as exc:
-            return (ModuleResult(display=display,
-                                 raw=[_parse_error_finding(display, exc)],
-                                 parse_ok=False), None)
-        return _check_module(ctx, module_rules), ctx
-
-    if pending:
-        for entry, (result, ctx) in zip(
-                pending, parallel_map(_lint_one, pending, n_jobs=n_jobs,
-                                      backend="thread")):
-            _, display, sha, _ = entry
-            results[display] = result
-            if ctx is not None:
-                ctxs[display] = ctx
-            if cache is not None:
-                cache.store_module(
-                    cache.module_key(display, sha, module_sig), result)
+            result = ModuleResult(display=display,
+                                  raw=[_parse_error_finding(display, exc)],
+                                  parse_ok=False)
+        else:
+            result = _check_module(ctx, module_rules)
+            ctxs[display] = ctx
+        results[display] = result
+        if cache is not None:
+            cache.store_module(key, result)
 
     # -- phase 2: whole-program rules (cached by tree signature) --------------
     flow_raw: list[Finding] = []

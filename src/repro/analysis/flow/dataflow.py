@@ -35,14 +35,6 @@ _MAX_ROUNDS = 16
 _MAX_DEPTH = 12
 
 
-def _param_index(summary: FunctionSummary, name: str) -> int | None:
-    params = summary.fn.param_names
-    try:
-        return params.index(name)
-    except ValueError:
-        return None
-
-
 def propagate_escapes(summaries: dict[str, FunctionSummary]) -> None:
     """Fill every summary's ``escaping_params`` to a fixed point.
 

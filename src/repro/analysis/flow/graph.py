@@ -221,9 +221,6 @@ class ProjectGraph:
                 self.classes[cls.qname] = cls
 
     # -- lookup ---------------------------------------------------------------
-    def module_of(self, fn: FunctionInfo) -> ModuleInfo | None:
-        return self.modules.get(fn.module)
-
     def class_of(self, fn: FunctionInfo) -> ClassInfo | None:
         if fn.cls is None:
             return None

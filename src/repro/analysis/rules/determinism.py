@@ -165,8 +165,8 @@ class ClockOutsideObservability(Rule):
         "paths and out of determinism tests.  A direct time.monotonic()/"
         "perf_counter() call anywhere else creates a second, untraceable "
         "timing source.  core/guard.py (the execution-time accountant) and "
-        "supervise/ (deadlines and heartbeats are facts about real elapsed "
-        "time; its clock is injected and it is documented as "
+        "supervise/ (deadlines are facts about real elapsed time; its "
+        "clock is injected and it is documented as "
         "non-bit-reproducible) are the only exemptions.")
 
     _ALLOWED_MODULES = ("core/guard.py",)

@@ -23,7 +23,7 @@ from .figures import (
 )
 from .asciiplot import ascii_heatmap, ascii_scatter
 from .harness import TUNER_NAMES, ComparisonStudy, SessionRecord, StudyResult
-from .reporting import format_series, format_table, section
+from .reporting import format_table, section
 
 __all__ = [
     "ComparisonStudy",
@@ -48,7 +48,6 @@ __all__ = [
     "selection_recall_sweep",
     "response_surface",
     "format_table",
-    "format_series",
     "section",
     "ascii_heatmap",
     "ascii_scatter",

@@ -1,10 +1,10 @@
-"""Plain-text table and series rendering for experiment reports."""
+"""Plain-text table rendering for experiment reports."""
 
 from __future__ import annotations
 
 from typing import Iterable, Sequence
 
-__all__ = ["format_table", "format_series", "section"]
+__all__ = ["format_table", "section"]
 
 
 def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
@@ -36,16 +36,6 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]],
     out.append(sep)
     out.extend(line(r) for r in str_rows)
     return "\n".join(out)
-
-
-def format_series(name: str, xs: Sequence[object], ys: Sequence[float],
-                  *, x_label: str = "x", y_label: str = "y") -> str:
-    """Render a figure series as aligned (x, y) pairs."""
-    if len(xs) != len(ys):
-        raise ValueError("xs and ys must have equal length")
-    rows = [(x, float(y)) for x, y in zip(xs, ys)]
-    return format_table([x_label, y_label], rows, title=name,
-                        float_fmt="{:.3f}")
 
 
 def section(title: str) -> str:

@@ -50,8 +50,8 @@ class _ContextGP:
     column appended (LOCAT-style).  This view presents the engine's
     d-dimensional picture: every query is augmented with the session's
     fixed context value, input gradients drop the context coordinate
-    (it is constant within a session), and ``X_train_``/``y_train_``
-    expose only the current-session rows — restoring the index alignment
+    (it is constant within a session), and ``X_train_`` exposes only
+    the current-session rows — restoring the index alignment
     with the engine's observation window that the nomination and
     penalization code relies on.
     """
@@ -77,10 +77,6 @@ class _ContextGP:
     @property
     def X_train_(self) -> np.ndarray:
         return self._inner.X_train_[self._n_warm:, :-1]
-
-    @property
-    def y_train_(self) -> np.ndarray:
-        return self._inner.y_train_[self._n_warm:]
 
     @property
     def kernel(self):

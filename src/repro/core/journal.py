@@ -114,11 +114,13 @@ class EvaluationJournal:
     def write_meta(self, meta: Mapping[str, Any]) -> None:
         """Start a fresh journal with a session-identity header.
 
-        Refuses to overwrite an existing non-empty journal: appending a
-        second session to a journal would corrupt replay ordering.  Use
-        :meth:`load` + resume to continue a session instead.
+        Refuses a journal that holds intact records: appending a second
+        session to a journal would corrupt replay ordering.  Use
+        :meth:`load` + resume to continue a session instead.  A journal
+        holding only a torn header line starts afresh; the appender cuts
+        the torn bytes first.
         """
-        if self.path.exists() and self.path.stat().st_size > 0:
+        if self.path.exists() and read_jsonl(self.path):
             raise FileExistsError(
                 f"journal {self.path} already holds a session; resume from "
                 "it or remove it before starting a new one")
@@ -158,6 +160,22 @@ class EvaluationJournal:
         self._appender.close()
 
     # -- reading ------------------------------------------------------------------
+    def header(self) -> dict[str, Any] | None:
+        """The session-identity header, or None when there is nothing
+        intact to resume: no file, or a crash tore the header line.
+
+        Raises :class:`ValueError` when intact records follow no header:
+        such a journal cannot say which session it belongs to.
+        """
+        intact = read_jsonl(self.path) if self.path.exists() else []
+        if not intact:
+            return None
+        if intact[0].get("kind") != "meta":
+            raise ValueError(
+                f"journal {self.path} holds records but no session header")
+        return {k: v for k, v in intact[0].items()
+                if k not in ("kind", "version")}
+
     def load(self) -> tuple[dict[str, Any], list[EvalRecord]]:
         """(meta, settled records); parsing stops at the first corrupt line."""
         meta, records, _ = self._read()

@@ -14,13 +14,16 @@ Both stores are keyed by the workload identity *without* the dataset and
 both persist to JSON so tuning sessions in different processes share
 knowledge, like the paper's long-running tuning service.  Every write
 replaces the file atomically (:func:`repro.obs.durable.replace_text`): a
-crash mid-write leaves the previous table, never a torn file the next
-session would fail to parse.
+crash mid-write leaves the previous table, never a torn file.  A file
+that does not parse anyway (damaged outside the program, or torn by an
+older version's plain write) loads as an empty table with a
+``RuntimeWarning``, and the next write replaces it.
 """
 
 from __future__ import annotations
 
 import json
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
@@ -29,6 +32,19 @@ from ..obs import NULL_TRACER
 from ..obs.durable import replace_text
 
 __all__ = ["ParameterSelectionCache", "ConfigMemoizationBuffer", "MemoizedConfig"]
+
+
+def _load_table(path: Path | None) -> Any:
+    """The JSON document at *path*; None when there is no file, or when
+    it does not parse (with a RuntimeWarning: the store starts empty)."""
+    if path is None or not path.exists():
+        return None
+    try:
+        return json.loads(path.read_text())
+    except ValueError:  # bad JSON or a split UTF-8 sequence
+        warnings.warn(f"memo store {path} does not parse; starting from an "
+                      "empty table", RuntimeWarning, stacklevel=3)
+        return None
 
 
 @dataclass(frozen=True)
@@ -48,9 +64,10 @@ class ParameterSelectionCache:
         self._table: dict[str, list[str]] = {}
         #: observation hook (rebound per traced session by ROBOTune).
         self.tracer = NULL_TRACER
-        if self._path is not None and self._path.exists():
+        raw = _load_table(self._path)
+        if raw is not None:
             self._table = {str(k): [str(p) for p in v]
-                           for k, v in json.loads(self._path.read_text()).items()}
+                           for k, v in raw.items()}
 
     def get(self, workload: str) -> list[str] | None:
         """Selected parameters on a hit, None on a miss."""
@@ -71,11 +88,6 @@ class ParameterSelectionCache:
         self.tracer.emit("memo.store", {"store": "selection_cache",
                                         "workload": workload,
                                         "n": len(parameters)})
-        self._flush()
-
-    def invalidate(self, workload: str) -> None:
-        """Drop a workload's entry (e.g. after a cluster change)."""
-        self._table.pop(workload, None)
         self._flush()
 
     def __contains__(self, workload: str) -> bool:
@@ -105,8 +117,8 @@ class ConfigMemoizationBuffer:
         self._blocked: dict[str, list[dict[str, Any]]] = {}
         #: observation hook (rebound per traced session by ROBOTune).
         self.tracer = NULL_TRACER
-        if self._path is not None and self._path.exists():
-            raw = json.loads(self._path.read_text())
+        raw = _load_table(self._path)
+        if raw is not None:
             blocked = raw.pop("__blocked__", {}) if isinstance(raw, dict) \
                 else {}
             self._table = {

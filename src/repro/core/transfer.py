@@ -76,10 +76,6 @@ class WorkloadMapper:
         """The shared probe design, shape ``(n_probes, dim)``."""
         return self._probes.copy()
 
-    @property
-    def known_workloads(self) -> list[str]:
-        return sorted(self._signatures)
-
     # -- signatures ----------------------------------------------------------------
     def signature(self, evaluate: Callable[[np.ndarray, float | None],
                                            Evaluation]

@@ -239,7 +239,7 @@ class HangInjector(_PlanInjector):
     *liveness* — the evaluation hangs for a bounded stretch of real
     wall-clock time, or its worker dies outright
     (:class:`WorkerDeath`).  It exists to exercise the supervision layer
-    (``repro.supervise``): deadlines, heartbeat reclaim, speculation and
+    (``repro.supervise``): deadlines, dead-worker reclaim, speculation and
     poison-config quarantine.
 
     Parameters

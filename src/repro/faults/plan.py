@@ -143,7 +143,7 @@ class HangPlan:
     Same pure-coordinate contract as :class:`FaultPlan` — the draw for
     ``(index, attempt)`` depends only on the constructor arguments — but
     the injected trouble is about *liveness*, not outcomes: hangs and
-    worker deaths are what deadlines, heartbeat reclaim and speculative
+    worker deaths are what deadlines, dead-worker reclaim and speculative
     re-execution exist to absorb (docs/ROBUSTNESS.md).
 
     Parameters

@@ -5,7 +5,6 @@ from .kernels import (
     Kernel,
     Matern52,
     Product,
-    RBF,
     Sum,
     WhiteKernel,
 )
@@ -15,7 +14,6 @@ from .lowrank import LowRankGaussianProcessRegressor, select_inducing
 __all__ = [
     "Kernel",
     "ConstantKernel",
-    "RBF",
     "Matern52",
     "WhiteKernel",
     "Sum",

@@ -178,13 +178,6 @@ class _LikelihoodGP:
             raise RuntimeError("GP is not fitted")
         return self._X
 
-    @property
-    def y_train_(self) -> np.ndarray:
-        """Training targets in original (denormalized) units."""
-        if not self._fitted:
-            raise RuntimeError("GP is not fitted")
-        return self._y * self._y_std + self._y_mean
-
 
 class GaussianProcessRegressor(_LikelihoodGP):
     """GP regression on the unit hypercube.

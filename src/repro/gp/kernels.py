@@ -17,7 +17,6 @@ import numpy as np
 __all__ = [
     "Kernel",
     "ConstantKernel",
-    "RBF",
     "Matern52",
     "WhiteKernel",
     "Sum",
@@ -77,11 +76,9 @@ class Kernel(ABC):
         the kernel cheaply at every candidate ``theta`` during marginal
         -likelihood optimization.  Distance-based kernels that divide the
         *unscaled* distance by their length scale (Matérn) reproduce
-        :meth:`__call__` bit-for-bit; :class:`RBF` rescales inputs before
-        the distance computation, so its cached path is only equivalent to
-        floating-point tolerance.  Kernels that cannot exploit the cache
-        raise :class:`NotImplementedError`, and callers fall back to the
-        direct evaluation.
+        :meth:`__call__` bit-for-bit.  Kernels that cannot exploit the
+        cache raise :class:`NotImplementedError`, and callers fall back to
+        the direct evaluation.
         """
         raise NotImplementedError
 
@@ -140,19 +137,6 @@ class Kernel(ABC):
     def latent_diag_theta_gradient(self, X: np.ndarray
                                    ) -> tuple[np.ndarray, list[np.ndarray]]:
         """:meth:`latent_diag` together with its ``∂/∂θ_i`` vectors."""
-
-    def theta_gradient(self, X: np.ndarray) -> np.ndarray:
-        """Stack of ``∂k(X, X)/∂θ_i``, shape ``(len(theta), n, n)``.
-
-        Gradients are with respect to the *log-space* hyperparameters
-        exposed by :attr:`theta` (the coordinates the marginal-likelihood
-        optimization runs in).
-        """
-        _, grads = self.value_and_theta_gradient(X)
-        n = X.shape[0]
-        if not grads:
-            return np.empty((0, n, n))
-        return np.stack(grads)
 
     @abstractmethod
     def value_and_input_gradient(self, x: np.ndarray, X: np.ndarray
@@ -225,66 +209,6 @@ class ConstantKernel(Kernel):
     @theta.setter
     def theta(self, value):
         self.value = float(np.exp(value[0]))
-
-    @property
-    def bounds(self):
-        return np.log(np.array([self._bounds]))
-
-
-class RBF(Kernel):
-    """Squared-exponential kernel with an isotropic length scale."""
-
-    def __init__(self, length_scale: float = 1.0,
-                 bounds: tuple[float, float] = (1e-3, 1e3)):
-        if length_scale <= 0:
-            raise ValueError("length_scale must be positive")
-        self.length_scale = float(length_scale)
-        self._bounds = (float(bounds[0]), float(bounds[1]))
-
-    def __call__(self, X, Y=None):
-        Y = X if Y is None else Y
-        d2 = _cdist_sq(X / self.length_scale, Y / self.length_scale)
-        return np.exp(-0.5 * d2)
-
-    def diag(self, X):
-        return np.ones(X.shape[0])
-
-    def from_sq_dists(self, d2):
-        return np.exp(-0.5 * d2 / self.length_scale ** 2)
-
-    def value_and_theta_gradient(self, X, d2=None):
-        if d2 is None:
-            d2 = _cdist_sq(X, X)
-        q = d2 / self.length_scale ** 2
-        K = np.exp(-0.5 * q)
-        # K = exp(-q/2) with q = d²/ℓ²; dq/dlogℓ = -2q, so dK/dlogℓ = K·q.
-        return K, [K * q]
-
-    def cross_value_and_theta_gradient(self, X, Y):
-        q = _cdist_sq(X, Y) / self.length_scale ** 2
-        K = np.exp(-0.5 * q)
-        return K, [K * q]
-
-    def diag_theta_gradient(self, X):
-        n = X.shape[0]
-        return np.ones(n), [np.zeros(n)]
-
-    def latent_diag_theta_gradient(self, X):
-        return self.diag_theta_gradient(X)
-
-    def value_and_input_gradient(self, x, X):
-        diff = x[None, :] - X
-        inv_l2 = 1.0 / self.length_scale ** 2
-        k = np.exp(-0.5 * np.sum(diff ** 2, axis=1) * inv_l2)
-        return self(x[None], X)[0], (-inv_l2) * diff * k[:, None]
-
-    @property
-    def theta(self):
-        return np.array([math.log(self.length_scale)])
-
-    @theta.setter
-    def theta(self, value):
-        self.length_scale = float(np.exp(value[0]))
 
     @property
     def bounds(self):

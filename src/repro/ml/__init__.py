@@ -9,13 +9,8 @@ importance.
 
 from .tree import DecisionTreeRegressor, resolve_max_features
 from .forest import ExtraTreesRegressor, RandomForestRegressor
-from .linear import ElasticNet, Lasso, LinearRegression
-from .metrics import (
-    mean_absolute_error,
-    mean_squared_error,
-    r2_score,
-    recall_score,
-)
+from .linear import ElasticNet, Lasso
+from .metrics import r2_score, recall_score
 from .model_selection import KFold, cross_val_score
 from .importance import GroupImportance, grouped_permutation_importance
 
@@ -26,10 +21,7 @@ __all__ = [
     "ExtraTreesRegressor",
     "Lasso",
     "ElasticNet",
-    "LinearRegression",
     "r2_score",
-    "mean_squared_error",
-    "mean_absolute_error",
     "recall_score",
     "KFold",
     "cross_val_score",

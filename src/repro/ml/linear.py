@@ -12,7 +12,7 @@ import numpy as np
 
 from .metrics import r2_score
 
-__all__ = ["Lasso", "ElasticNet", "LinearRegression"]
+__all__ = ["Lasso", "ElasticNet"]
 
 
 def _soft_threshold(z: float, gamma: float) -> float:
@@ -127,13 +127,4 @@ class Lasso(ElasticNet):
     def __init__(self, alpha: float = 1.0, *, max_iter: int = 1000,
                  tol: float = 1e-6, normalize: bool = True):
         super().__init__(alpha, l1_ratio=1.0, max_iter=max_iter, tol=tol,
-                         normalize=normalize)
-
-
-class LinearRegression(ElasticNet):
-    """Unregularized least squares via the same coordinate-descent path."""
-
-    def __init__(self, *, max_iter: int = 2000, tol: float = 1e-8,
-                 normalize: bool = True):
-        super().__init__(0.0, l1_ratio=0.0, max_iter=max_iter, tol=tol,
                          normalize=normalize)

@@ -6,7 +6,7 @@ from typing import Collection
 
 import numpy as np
 
-__all__ = ["r2_score", "mean_squared_error", "mean_absolute_error", "recall_score"]
+__all__ = ["r2_score", "recall_score"]
 
 
 def _validate(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -32,18 +32,6 @@ def r2_score(y_true: np.ndarray, y_pred: np.ndarray) -> float:
     if ss_tot == 0.0:
         return 1.0 if ss_res == 0.0 else 0.0
     return 1.0 - ss_res / ss_tot
-
-
-def mean_squared_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean of squared residuals."""
-    yt, yp = _validate(y_true, y_pred)
-    return float(np.mean((yt - yp) ** 2))
-
-
-def mean_absolute_error(y_true: np.ndarray, y_pred: np.ndarray) -> float:
-    """Mean of absolute residuals."""
-    yt, yp = _validate(y_true, y_pred)
-    return float(np.mean(np.abs(yt - yp)))
 
 
 def recall_score(truth: Collection, predicted: Collection) -> float:

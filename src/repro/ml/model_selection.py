@@ -2,18 +2,13 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Protocol
+from typing import Iterator
 
 import numpy as np
 
 from ..utils.rng import as_generator
 
 __all__ = ["KFold", "cross_val_score"]
-
-
-class _Regressor(Protocol):  # pragma: no cover - typing helper
-    def fit(self, X: np.ndarray, y: np.ndarray) -> "_Regressor": ...
-    def score(self, X: np.ndarray, y: np.ndarray) -> float: ...
 
 
 class KFold:

@@ -195,22 +195,6 @@ class DecisionTreeRegressor:
             raise RuntimeError("tree is not fitted")
         return len(self.nodes_.feature)
 
-    @property
-    def depth(self) -> int:
-        """Depth of the fitted tree (root = depth 0)."""
-        if not self._fitted:
-            raise RuntimeError("tree is not fitted")
-        nodes = self.nodes_
-        depth = np.zeros(len(nodes.feature), dtype=np.int64)
-        best = 0
-        for i in range(len(nodes.feature)):
-            if nodes.feature[i] != _LEAF:
-                depth[nodes.left[i]] = depth[i] + 1
-                depth[nodes.right[i]] = depth[i] + 1
-        if len(depth):
-            best = int(depth.max())
-        return best
-
 
 #: Bound on the padded rows (nodes x padded node size) one batched split
 #: search holds.  Its working arrays then stay near ``_BATCH_ROWS * k``

@@ -107,7 +107,6 @@ COUNTERS: dict[str, str] = {
     "supervise.speculate_wins": "races won by the speculative twin",
     "supervise.reclaim": "dead-worker tasks reclaimed and redispatched",
     "pool.abandoned_tasks": "pool tasks abandoned (deadline or shutdown)",
-    "pool.workers_replaced": "pool workers replaced after a death",
     "serve.submitted": "sessions accepted into the store",
     "serve.claims": "sessions claimed by daemon workers",
     "serve.resumed": "claimed sessions that resumed a prior journal",

@@ -88,24 +88,3 @@ class ServiceClient:
         raise WaitTimeout(
             f"session {sid} still {view.get('state', '?')} after "
             f"{attempts} polls of {poll_s}s")
-
-    def wait_all(self, sids: list[str], *, timeout_s: float = 600.0,
-                 poll_s: float = 0.25) -> dict[str, dict[str, Any]]:
-        """Wait for several sessions; returns {sid: final view}."""
-        views: dict[str, dict[str, Any]] = {}
-        pending = list(sids)
-        attempts = max(1, int(timeout_s / poll_s))
-        for _ in range(attempts):
-            still = []
-            for sid in pending:
-                view = self.status(sid)
-                if view["state"] in TERMINAL_STATES:
-                    views[sid] = view
-                else:
-                    still.append(sid)
-            pending = still
-            if not pending:
-                return views
-            time.sleep(poll_s)
-        raise WaitTimeout(f"sessions {pending} did not settle within "
-                          f"{attempts} polls of {poll_s}s")

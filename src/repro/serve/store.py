@@ -25,6 +25,8 @@ Durability and concurrency rules:
   under ``index.lock`` and always reconstructible bit-for-bit with
   :meth:`SessionStore.rebuild_index` (the hypothesis suite in
   ``tests/serve/test_store_properties.py`` holds the store to that).
+  A read of a missing or torn ``index.json`` falls back to that
+  reconstruction.
 * A session is claimed by creating ``lock`` with ``O_CREAT|O_EXCL`` —
   the filesystem is the arbiter, so two daemons sharing a store can
   never both claim one session.  A lock whose recorded pid is dead is
@@ -119,9 +121,6 @@ class SessionStore:
         n = len(list(directory.glob("trace-*.jsonl")))
         return directory / f"trace-{n}.jsonl"
 
-    def trace_paths(self, sid: str) -> list[Path]:
-        return sorted(self.session_dir(sid).glob("trace-*.jsonl"))
-
     # -- durable writes -----------------------------------------------------------
     @staticmethod
     def _write_json(path: Path, payload: Mapping[str, Any]) -> None:
@@ -186,7 +185,9 @@ class SessionStore:
         try:
             return self._read_json(self._index_path())
         except (FileNotFoundError, json.JSONDecodeError):
-            return {"version": _INDEX_VERSION, "next_seq": 0, "sessions": {}}
+            # Lost or torn cache: the session files still hold every
+            # session and the next sequence number.
+            return self.rebuild_index()
 
     def load_index(self) -> dict[str, Any]:
         """The stored index (a cache; ``state.json`` files are the truth)."""
@@ -221,16 +222,6 @@ class SessionStore:
                 next_seq = max(next_seq, int(state["seq"]) + 1)
         return {"version": _INDEX_VERSION, "next_seq": next_seq,
                 "sessions": sessions}
-
-    def repair_index(self) -> dict[str, Any]:
-        """Rewrite the index cache from disk (after torn/lost caches)."""
-        self._acquire_index_lock()
-        try:
-            index = self.rebuild_index()
-            self._write_json(self._index_path(), index)
-        finally:
-            self._release_index_lock()
-        return index
 
     def _update_index(self, sid: str, summary: Mapping[str, Any]) -> None:
         self._acquire_index_lock()
@@ -464,13 +455,6 @@ class SessionStore:
         self._transition(claim.sid, state, "CANCELLED")
         self._lock_path(claim.sid).unlink(missing_ok=True)
         self.tracer.count("serve.cancelled")
-
-    def release(self, claim: Claim) -> None:
-        """Give a claim back without settling (state stays RUNNING; the
-        session is adoptable by the next claim — used on daemon
-        shutdown with work in flight)."""
-        self._verify(claim)
-        self._lock_path(claim.sid).unlink(missing_ok=True)
 
     # -- cancellation -------------------------------------------------------------
     def _cancel_marker(self, sid: str) -> Path:

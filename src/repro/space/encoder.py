@@ -1,8 +1,9 @@
 """Configuration encoder (paper §4, "Configuration Encoder").
 
-Converts the numeric vectors produced by the LHS sampler and the BO engine
-into a workload configuration: native typed values plus the Spark
-``--conf``-file representation that would be passed to ``spark-submit``.
+Renders a native configuration — what :meth:`ConfigSpace.decode` makes of
+a vector from the LHS sampler or the BO engine — as the Spark
+``--conf``-file representation that would be passed to ``spark-submit``,
+and parses that text back.
 """
 
 from __future__ import annotations
@@ -10,20 +11,18 @@ from __future__ import annotations
 import io
 from typing import Any, Mapping
 
-import numpy as np
-
-from .space import ConfigSpace, Configuration
+from .space import ConfigSpace
 
 __all__ = ["ConfigurationEncoder"]
 
 
 class ConfigurationEncoder:
-    """Encode unit-cube vectors into runnable workload configurations.
+    """Render native configurations of *space* as Spark config text.
 
     Parameters
     ----------
     space:
-        The configuration space the numeric vectors live in.  The encoder
+        The configuration space the native values come from.  The encoder
         also renders the space's frozen parameters so the emitted file is a
         complete configuration.
     """
@@ -32,10 +31,6 @@ class ConfigurationEncoder:
         self.space = space
         # Parameters by name over tunable + frozen, for formatting.
         self._formatters = {p.name: p for p in space.parameters}
-
-    def to_native(self, u: np.ndarray) -> Configuration:
-        """Decode a unit vector into a native configuration dict."""
-        return self.space.decode(u)
 
     def to_strings(self, conf: Mapping[str, Any]) -> dict[str, str]:
         """Render a native configuration as config-file string values.
@@ -56,10 +51,6 @@ class ConfigurationEncoder:
         for key, value in self.to_strings(conf).items():
             buf.write(f"{key} {value}\n")
         return buf.getvalue()
-
-    def encode_vector(self, u: np.ndarray) -> str:
-        """One-shot: unit vector → ``spark-defaults.conf`` text."""
-        return self.to_conf_file(self.to_native(u))
 
     def parse_conf_file(self, text: str) -> dict[str, str]:
         """Parse ``spark-defaults.conf`` text back into string pairs.

@@ -84,19 +84,6 @@ class Parameter(ABC):
         """Render a native value as the string written to a config file."""
         return str(value)
 
-    @property
-    def cardinality(self) -> float:
-        """Number of distinct native values (``math.inf`` for continuous)."""
-        return math.inf
-
-    def grid(self, resolution: int = 11) -> list[Any]:
-        """Native values at evenly spaced unit coordinates (deduplicated)."""
-        seen: list[Any] = []
-        for u in np.linspace(0.0, 1.0, resolution):
-            v = self.from_unit(float(u))
-            if not seen or seen[-1] != v:
-                seen.append(v)
-        return seen
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}({self.name!r}, default={self.default!r})"
@@ -187,9 +174,6 @@ class IntParameter(Parameter):
             return False
         return self.low <= v <= self.high and v == value
 
-    @property
-    def cardinality(self) -> float:
-        return self.high - self.low + 1
 
 
 class BoolParameter(Parameter):
@@ -211,9 +195,6 @@ class BoolParameter(Parameter):
     def format(self, value: Any) -> str:
         return "true" if value else "false"
 
-    @property
-    def cardinality(self) -> float:
-        return 2
 
 
 class CategoricalParameter(Parameter):
@@ -247,9 +228,6 @@ class CategoricalParameter(Parameter):
     def validate(self, value: Any) -> bool:
         return value in self.choices
 
-    @property
-    def cardinality(self) -> float:
-        return len(self.choices)
 
 
 class SizeParameter(IntParameter):
@@ -274,11 +252,6 @@ class SizeParameter(IntParameter):
     def format(self, value: Any) -> str:
         return f"{int(value)}{self._SUFFIX[self.unit]}"
 
-    def to_bytes(self, value: Any) -> int:
-        """Convert a native value to bytes."""
-        scale = {"k": 1024, "m": 1024 ** 2, "g": 1024 ** 3}[self.unit]
-        return int(value) * scale
-
 
 class TimeParameter(IntParameter):
     """An integer duration parameter expressed in a fixed unit (``s``/``ms``)."""
@@ -293,7 +266,3 @@ class TimeParameter(IntParameter):
 
     def format(self, value: Any) -> str:
         return f"{int(value)}{self.unit}"
-
-    def to_seconds(self, value: Any) -> float:
-        """Convert a native value to seconds."""
-        return float(value) if self.unit == "s" else float(value) / 1000.0

@@ -10,7 +10,7 @@ value (paper §3.1/§3.3).
 
 from __future__ import annotations
 
-from typing import Any, Iterable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -59,11 +59,6 @@ class ConfigSpace:
     @property
     def names(self) -> list[str]:
         return [p.name for p in self._params]
-
-    @property
-    def frozen(self) -> Configuration:
-        """Pinned (name → native value) pairs included in every decode."""
-        return dict(self._frozen)
 
     def __len__(self) -> int:
         return self.dim
@@ -120,25 +115,7 @@ class ConfigSpace:
             u[i] = p.to_unit(value)
         return u
 
-    def decode_batch(self, U: np.ndarray) -> list[Configuration]:
-        """Decode a ``(n, dim)`` matrix of unit vectors."""
-        U = np.atleast_2d(np.asarray(U, dtype=float))
-        return [self.decode(row) for row in U]
-
-    def encode_batch(self, confs: Iterable[Mapping[str, Any]]) -> np.ndarray:
-        """Encode an iterable of configurations into a ``(n, dim)`` matrix."""
-        rows = [self.encode(c) for c in confs]
-        if not rows:
-            return np.empty((0, self.dim), dtype=float)
-        return np.vstack(rows)
-
-    # -- canonical configurations ------------------------------------------------
-    def default_configuration(self) -> Configuration:
-        """The all-defaults configuration (including frozen values)."""
-        conf = {p.name: p.default for p in self._params}
-        conf.update(self._frozen)
-        return conf
-
+    # -- validation and snapping ---------------------------------------------------
     def validate(self, conf: Mapping[str, Any]) -> list[str]:
         """Return the names of tunable parameters with illegal values."""
         bad = []

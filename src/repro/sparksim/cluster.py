@@ -50,14 +50,6 @@ class ClusterSpec:
         if self.hdfs_replication < 1:
             raise ValueError("hdfs_replication must be >= 1")
 
-    @property
-    def total_cores(self) -> int:
-        return self.n_workers * self.node.cores
-
-    @property
-    def total_memory_mb(self) -> int:
-        return self.n_workers * self.node.memory_mb
-
 
 def paper_cluster() -> ClusterSpec:
     """The six-node testbed from §5.1 (five workers, one master)."""

@@ -36,10 +36,6 @@ class SparkConf:
     def get(self, key: str, default: Any = None) -> Any:
         return self._conf.get(key, default)
 
-    def as_dict(self) -> dict[str, Any]:
-        """A copy of the full native configuration."""
-        return dict(self._conf)
-
     # -- executors -----------------------------------------------------------------
     @property
     def executor_cores(self) -> int:
@@ -108,10 +104,6 @@ class SparkConf:
         return float(self._conf["spark.speculation.multiplier"])
 
     @property
-    def speculation_quantile(self) -> float:
-        return float(self._conf["spark.speculation.quantile"])
-
-    @property
     def task_max_failures(self) -> int:
         return int(self._conf["spark.task.maxFailures"])
 
@@ -143,10 +135,6 @@ class SparkConf:
     @property
     def shuffle_sort_bypass_threshold(self) -> int:
         return int(self._conf["spark.shuffle.sort.bypassMergeThreshold"])
-
-    @property
-    def shuffle_service_enabled(self) -> bool:
-        return bool(self._conf["spark.shuffle.service.enabled"])
 
     # -- serialization / compression ---------------------------------------------------------
     @property
@@ -183,26 +171,10 @@ class SparkConf:
 
     # -- network -------------------------------------------------------------------------------
     @property
-    def network_timeout_s(self) -> float:
-        return float(self._conf["spark.network.timeout"])
-
-    @property
     def rpc_message_max_mb(self) -> int:
         return int(self._conf["spark.rpc.message.maxSize"])
 
-    @property
-    def rpc_server_threads(self) -> int:
-        return int(self._conf["spark.rpc.io.serverThreads"])
-
-    @property
-    def prefer_direct_bufs(self) -> bool:
-        return bool(self._conf["spark.shuffle.io.preferDirectBufs"])
-
     # -- storage / input ---------------------------------------------------------------------------
-    @property
-    def memory_map_threshold_mb(self) -> int:
-        return int(self._conf["spark.storage.memoryMapThreshold"])
-
     @property
     def broadcast_block_mb(self) -> int:
         return int(self._conf["spark.broadcast.blockSize"])

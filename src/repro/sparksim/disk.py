@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from .cluster import NodeSpec
 
-__all__ = ["effective_disk_bw", "shuffle_write_bw", "read_seconds"]
+__all__ = ["effective_disk_bw", "shuffle_write_bw"]
 
 
 def effective_disk_bw(node: NodeSpec, concurrent_streams: int) -> float:
@@ -44,12 +44,3 @@ def shuffle_write_bw(node: NodeSpec, concurrent_streams: int,
     seek_s_per_mb = flushes_per_mb * (node.disk_seek_ms / 1000.0) * 0.05
     seconds_per_mb = 1.0 / base + seek_s_per_mb
     return 1.0 / seconds_per_mb
-
-
-def read_seconds(mb: float, node: NodeSpec, concurrent_streams: int) -> float:
-    """Seconds to read *mb* megabytes from the local disk."""
-    if mb < 0:
-        raise ValueError("mb must be non-negative")
-    if mb == 0:
-        return 0.0
-    return mb / effective_disk_bw(node, concurrent_streams)

@@ -41,11 +41,6 @@ class ExecutorMemory:
         """On-heap unified pool plus any off-heap pool."""
         return self.unified_mb + self.offheap_mb
 
-    @property
-    def storage_capacity_mb(self) -> float:
-        """Max cached bytes when execution demand is zero."""
-        return self.total_unified_mb
-
     def execution_available_mb(self, cached_mb: float) -> float:
         """Execution memory available given current cache occupancy.
 

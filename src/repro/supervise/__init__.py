@@ -1,4 +1,4 @@
-"""Supervised execution: deadlines, heartbeats, speculation, quarantine.
+"""Supervised execution: deadlines, reclaim, speculation, quarantine.
 
 ``repro.supervise`` wraps a :class:`repro.utils.parallel.WorkerPool` so
 that every in-flight evaluation is accountable (docs/ROBUSTNESS.md,
@@ -6,11 +6,11 @@ that every in-flight evaluation is accountable (docs/ROBUSTNESS.md,
 
 * **deadlines** — a wall-clock budget per evaluation, derived from a
   running quantile of completed durations plus an optional hard
-  ``eval_timeout_s`` override; a task past its deadline is abandoned and
-  charged to search cost like a censored run;
-* **heartbeats** — each dispatch is tracked from its last sign of life,
-  and tasks owned by a dead worker are reclaimed and redispatched on a
-  fresh slot (``WorkerPool.replace_worker``);
+  ``eval_timeout_s`` override, counted from the task's latest dispatch;
+  a task past its deadline is abandoned and charged to search cost like
+  a censored run;
+* **reclaim** — a task whose worker died is redispatched on a fresh
+  slot, up to ``max_redispatch`` times;
 * **speculative re-execution** — a straggler past the straggler
   threshold gets a duplicate on an idle slot; the first completion wins
   and the loser is abandoned;
@@ -18,10 +18,10 @@ that every in-flight evaluation is accountable (docs/ROBUSTNESS.md,
   worker ``quarantine_after`` times is excluded from re-proposal.
 
 Supervision reads the wall clock by design (an injected monotonic clock,
-exempted by analysis rule RPD005): deadlines and heartbeats are facts
-about real elapsed time.  It is therefore *not* bit-reproducible and is
-off by default — ``BOEngine(supervise=None)`` keeps every existing code
-path byte-identical to the unsupervised engine.
+exempted by analysis rule RPD005): deadlines are facts about real
+elapsed time.  It is therefore *not* bit-reproducible and is off by
+default — ``BOEngine(supervise=None)`` keeps every existing code path
+byte-identical to the unsupervised engine.
 """
 
 from .deadline import DeadlinePolicy

@@ -53,10 +53,6 @@ class DeadlinePolicy:
         self.min_completions = int(min_completions)
         self._durations: list[float] = []
 
-    @property
-    def n_observed(self) -> int:
-        return len(self._durations)
-
     def observe(self, duration_s: float) -> None:
         """Fold one completed evaluation's wall-clock duration in."""
         self._durations.append(float(duration_s))

@@ -52,9 +52,6 @@ class PoisonQuarantine:
     def strikes(self, key: bytes) -> int:
         return self._strikes.get(key, 0)
 
-    def is_quarantined(self, key: bytes) -> bool:
-        return key in self._quarantined
-
     @property
     def quarantined(self) -> list[bytes]:
         """Keys currently quarantined (insertion order not guaranteed)."""

@@ -10,10 +10,10 @@ order.
 
 The supervisor is the one component in the library that legitimately
 reads the wall clock on a decision path (via an injected monotonic
-clock; analysis rule RPD005 exempts ``supervise/``): deadlines,
-heartbeats and straggler detection are facts about real elapsed time,
-which is exactly why supervised runs are documented as not
-bit-reproducible (docs/ROBUSTNESS.md).
+clock; analysis rule RPD005 exempts ``supervise/``): deadlines and
+straggler detection are facts about real elapsed time, which is exactly
+why supervised runs are documented as not bit-reproducible
+(docs/ROBUSTNESS.md).
 """
 
 from __future__ import annotations
@@ -119,14 +119,17 @@ class _Task:
     live: dict = field(default_factory=dict)     # token -> dispatch time
     twins: set = field(default_factory=set)      # speculative ordinals
     first_dispatch: float = 0.0
-    last_beat: float = 0.0
+    last_dispatch: float = 0.0
     speculated: bool = False
     redispatches: int = 0
     n_dispatched: int = 0
 
 
 class EvaluationSupervisor:
-    """Supervise a pool: deadlines, heartbeats, speculation, quarantine.
+    """Supervise a pool: deadlines, reclaim, speculation, quarantine.
+
+    A task's deadline runs from its latest dispatch: a redispatch after a
+    worker death, or a speculative twin, restarts it.
 
     Parameters
     ----------
@@ -160,10 +163,6 @@ class EvaluationSupervisor:
         """Distinct supervised evaluations in flight (twins don't count)."""
         return len(self._tasks)
 
-    @property
-    def free_slots(self) -> int:
-        return self.pool.free_workers
-
     def submit(self, factory: Callable[[], Callable[[], Any]], *,
                tag: Any, key: bytes | None = None) -> None:
         """Supervise a new evaluation.
@@ -178,12 +177,6 @@ class EvaluationSupervisor:
         task = _Task(tag=tag, key=key, factory=factory)
         self._tasks[tag] = task
         self._dispatch(task)
-
-    def heartbeat(self, tag: Any) -> None:
-        """Push a task's deadline out: it showed a sign of life."""
-        task = self._tasks.get(tag)
-        if task is not None:
-            task.last_beat = self._clock()
 
     def next_outcome(self) -> Completed | DeadlineHit | TaskFailed:
         """Block until one supervised evaluation settles.
@@ -232,7 +225,7 @@ class EvaluationSupervisor:
         self.pool.submit(_run, tag=token)
         now = self._clock()
         task.live[token] = now
-        task.last_beat = now
+        task.last_dispatch = now
         if ordinal == 0:
             task.first_dispatch = now
 
@@ -245,7 +238,7 @@ class EvaluationSupervisor:
         waits = []
         for task in self._tasks.values():
             if deadline is not None:
-                waits.append(task.last_beat + deadline - now)
+                waits.append(task.last_dispatch + deadline - now)
             if straggler is not None and not task.speculated:
                 waits.append(task.first_dispatch + straggler - now)
         if not waits:
@@ -270,7 +263,7 @@ class EvaluationSupervisor:
         straggler = (self.deadlines.straggler_threshold_s()
                      if self.policy.speculate else None)
         for task in list(self._tasks.values()):
-            if deadline is not None and now - task.last_beat >= deadline:
+            if deadline is not None and now - task.last_dispatch >= deadline:
                 for token in list(task.live):
                     self.pool.abandon(token)
                 del self._tasks[task.tag]

@@ -240,16 +240,6 @@ class TuningResult:
             out[i] = best
         return out
 
-    def iterations_to_within(self, fraction: float) -> int | None:
-        """First 1-based evaluation index whose best-so-far is within
-        ``fraction`` of the session's final best (Table 2); None if never."""
-        if fraction < 0:
-            raise ValueError("fraction must be >= 0")
-        target = self.best_time_s * (1.0 + fraction)
-        curve = self.best_curve()
-        hits = np.nonzero(curve <= target)[0]
-        return int(hits[0]) + 1 if hits.size else None
-
 
 class Tuner(ABC):
     """A budgeted configuration tuner.
@@ -309,11 +299,20 @@ class Tuner(ABC):
         decision path re-proposes their vectors (bit-identical for the
         fault-free case) and ``"censor"`` writes each one off as a
         censored-at-cap outcome without re-paying its execution time.
+
+        A journal with nothing intact to replay (a crash tore its header
+        line, or the process died before writing one) starts afresh, as
+        :meth:`checkpoint` does; one whose records follow no header
+        raises :class:`ValueError`.
         """
         from ..core.journal import EvaluationJournal, JournaledObjective
         if not isinstance(journal, EvaluationJournal):
             journal = EvaluationJournal(journal)
-        meta, records = journal.load()
+        meta = journal.header()
+        if meta is None:
+            return self.checkpoint(objective, budget, journal, rng=rng,
+                                   tracer=tracer)
+        _, records = journal.load()
         if meta.get("tuner", self.name) != self.name:
             raise ValueError(
                 f"journal was written by {meta['tuner']!r}, not {self.name!r}")

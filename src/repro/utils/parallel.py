@@ -141,9 +141,9 @@ class WorkerPool:
     The thread backend runs every task on its own daemon thread feeding a
     completion queue, rather than a shared executor: a hung task then
     wedges only its own (abandonable) thread, never the pool.  That is
-    what makes :meth:`abandon`, :meth:`replace_worker` and the bounded
-    :meth:`close` possible — the supervision layer (``repro.supervise``,
-    docs/ROBUSTNESS.md) depends on all three.
+    what makes :meth:`abandon` and the bounded :meth:`close` possible —
+    the supervision layer (``repro.supervise``, docs/ROBUSTNESS.md)
+    depends on both.
 
     Parameters
     ----------
@@ -312,19 +312,6 @@ class WorkerPool:
                 self.abandoned_tasks += 1
                 self._tracer.count("pool.abandoned_tasks")
                 return True
-        return False
-
-    def replace_worker(self, tag: Any) -> bool:
-        """Reclaim the slot held by a dead/hung worker's task.
-
-        With per-task daemon threads, "restarting a worker" means
-        abandoning the wedged task (its thread is orphaned) and letting
-        the caller resubmit on the freed slot — a fresh thread serves the
-        redispatch.  Returns True if a matching task was reclaimed.
-        """
-        if self.abandon(tag):
-            self._tracer.count("pool.workers_replaced")
-            return True
         return False
 
     def close(self) -> None:

@@ -1,12 +1,9 @@
-"""Result cache soundness and the parallel per-module phase."""
+"""Result cache soundness."""
 
 from __future__ import annotations
 
-import ast
 import json
 import textwrap
-import threading
-import time
 from pathlib import Path
 
 from repro.analysis.engine import analyze_paths
@@ -118,43 +115,3 @@ class TestResultCache:
         assert any(f.rule == "RPA000" and "does not parse" in f.message
                    for f in warm.findings)
 
-
-class TestParallelPhase:
-    def test_jobs_and_serial_reports_are_identical(self, tmp_path):
-        _write(tmp_path, "tree/src/repro/core/a.py", _VIOLATION)
-        _write(tmp_path, "tree/src/repro/core/b.py", _CLEAN)
-        _write(tmp_path, "tree/src/repro/exp/c.py", _VIOLATION)
-        serial = analyze_paths([tmp_path / "tree"], n_jobs=1)
-        fanned = analyze_paths([tmp_path / "tree"], n_jobs=2)
-        assert _keys(serial) == _keys(fanned)
-        assert serial.files_scanned == fanned.files_scanned
-
-    def test_parses_never_overlap(self, tmp_path, monkeypatch):
-        # CPython 3.11's AST constructor is not safe on concurrent
-        # threads; each parse is held open long enough to overlap.
-        for i in range(6):
-            _write(tmp_path, f"tree/src/repro/core/m{i}.py", _VIOLATION)
-        real_parse, lock = ast.parse, threading.Lock()
-        depth = {"now": 0, "max": 0}
-
-        def slow_parse(*args, **kwargs):
-            with lock:
-                depth["now"] += 1
-                depth["max"] = max(depth["max"], depth["now"])
-            try:
-                time.sleep(0.005)
-                return real_parse(*args, **kwargs)
-            finally:
-                with lock:
-                    depth["now"] -= 1
-
-        monkeypatch.setattr(ast, "parse", slow_parse)
-        report = analyze_paths([tmp_path / "tree"], n_jobs=4)
-        assert report.files_scanned == 6
-        assert depth["max"] == 1
-
-    def test_jobs_env_knob_is_honoured(self, tmp_path, monkeypatch):
-        _write(tmp_path, "tree/src/repro/core/a.py", _VIOLATION)
-        monkeypatch.setenv("ROBOTUNE_JOBS", "2")
-        report = analyze_paths([tmp_path / "tree"])
-        assert report.exit_code == 1

@@ -49,15 +49,15 @@ def test_every_suppression_carries_a_written_justification():
         assert len(finding.justification.split()) >= 3, finding.location()
 
 
-def test_cached_parallel_rerun_matches_serial_run(tmp_path):
-    serial = analyze_paths([REPO_ROOT / "src"])
+def test_cached_rerun_matches_uncached_run(tmp_path):
+    uncached = analyze_paths([REPO_ROOT / "src"])
     cache = tmp_path / "cache"
-    analyze_paths([REPO_ROOT / "src"], cache_dir=cache, n_jobs=2)
-    warm = analyze_paths([REPO_ROOT / "src"], cache_dir=cache, n_jobs=2)
+    analyze_paths([REPO_ROOT / "src"], cache_dir=cache)
+    warm = analyze_paths([REPO_ROOT / "src"], cache_dir=cache)
     assert warm.cache_misses == 0
     key = lambda r: [(f.rule, f.path, f.line, f.suppressed)  # noqa: E731
                      for f in r.findings]
-    assert key(warm) == key(serial)
+    assert key(warm) == key(uncached)
 
 
 def test_cli_self_host_src():

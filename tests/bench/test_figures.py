@@ -6,7 +6,7 @@ import pytest
 from repro.bench import (collect_lhs_times, model_r2_scores,
                          response_surface, selection_recall_sweep)
 from repro.core import ParameterSelector, ROBOTune
-from repro.ml import LinearRegression
+from repro.ml import ElasticNet
 from repro.tuners import WorkloadObjective
 from repro.space import spark_space
 from repro.workloads import get_workload
@@ -23,7 +23,7 @@ class TestCollectAndModel:
         rng = np.random.default_rng(0)
         U = rng.random((60, 10))
         y = np.exp(2 * U[:, 0] + rng.normal(0, 0.05, 60))
-        models = {"Linear": LinearRegression}
+        models = {"Linear": lambda: ElasticNet(0.0)}
         scores = model_r2_scores(U, y, rng=1, models=models)
         assert set(scores) == {"Linear"}
         assert scores["Linear"] > 0.8  # log target linearizes it

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.bench import format_series, format_table, section
+from repro.bench import format_table, section
 
 
 class TestFormatTable:
@@ -23,18 +23,6 @@ class TestFormatTable:
     def test_custom_float_format(self):
         out = format_table(["v"], [(3.14159,)], float_fmt="{:.4f}")
         assert "3.1416" in out
-
-
-class TestFormatSeries:
-    def test_pairs(self):
-        out = format_series("curve", [1, 2], [0.5, 0.25],
-                            x_label="iter", y_label="time")
-        assert "iter" in out and "time" in out
-        assert "0.250" in out
-
-    def test_length_mismatch(self):
-        with pytest.raises(ValueError):
-            format_series("s", [1, 2], [1.0])
 
 
 def test_section_heading():

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.core.journal import EvalRecord, EvaluationJournal, JournaledObjective
+from repro.space import spark_space
 from repro.sparksim import RunStatus
+from repro.tuners import RandomSearch, WorkloadObjective
 from repro.tuners.base import Evaluation
+from repro.workloads import get_workload
 
 
 def make_eval(x=0.25, objective=42.0, **kw):
@@ -455,3 +458,37 @@ class TestTornTail:
                     self._run(path, len(self.VECTORS), resume=True)
                     assert path.read_bytes() == ref, (cut, tear)
                     assert len(EvaluationJournal(path)) == len(self.VECTORS)
+
+    @staticmethod
+    def _objective(workload):
+        return WorkloadObjective(get_workload(workload, "D1"), spark_space(),
+                                 rng=5)
+
+    def test_torn_header_starts_afresh_under_its_identity(self, tmp_path):
+        ref_path = tmp_path / "straight.jsonl"
+        RandomSearch().checkpoint(self._objective("kmeans"), 3, ref_path,
+                                  rng=2)
+        ref = ref_path.read_bytes()
+        header = len(ref.splitlines(keepends=True)[0])
+        path = tmp_path / "run.jsonl"
+        # No journal at all (killed before the header): also afresh.
+        RandomSearch().resume(self._objective("kmeans"), 3, path, rng=2)
+        assert path.read_bytes() == ref
+        # The last offset drops only the header's newline.
+        for cut in range(header):
+            path.write_bytes(ref[:cut])
+            RandomSearch().resume(self._objective("kmeans"), 3, path, rng=2)
+            assert path.read_bytes() == ref, cut
+            with pytest.raises(ValueError, match="workload"):
+                RandomSearch().resume(self._objective("pagerank"), 3, path,
+                                      rng=2)
+
+    def test_records_without_a_header_refuse_to_resume(self, tmp_path):
+        path = tmp_path / "run.jsonl"
+        RandomSearch().checkpoint(self._objective("kmeans"), 3, path, rng=2)
+        lines = path.read_bytes().splitlines(keepends=True)
+        path.write_bytes(b"".join(lines[1:]))
+        with pytest.raises(ValueError, match="no session header"):
+            RandomSearch().resume(self._objective("kmeans"), 3, path, rng=2)
+        with pytest.raises(FileExistsError):
+            EvaluationJournal(path).write_meta({"tuner": "RandomSearch"})

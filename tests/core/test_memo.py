@@ -31,13 +31,6 @@ class TestParameterSelectionCache:
         with pytest.raises(ValueError):
             ParameterSelectionCache().put("wl", [])
 
-    def test_invalidate(self):
-        cache = ParameterSelectionCache()
-        cache.put("wl", ["a"])
-        cache.invalidate("wl")
-        assert cache.get("wl") is None
-        cache.invalidate("never-existed")  # no-op
-
     def test_json_persistence_roundtrip(self, tmp_path):
         path = tmp_path / "cache.json"
         cache = ParameterSelectionCache(path)
@@ -199,3 +192,17 @@ class TestAtomicWrites:
         assert (tmp_path / "memo.json").read_text() == json.dumps(
             {"wl": [{"config": {"p": 1}, "objective": 10.0,
                      "dataset": "D1"}]}, indent=2)
+
+    @pytest.mark.parametrize("cls", list(WRITES), ids=lambda c: c.__name__)
+    def test_corrupt_file_loads_empty_and_is_replaced(self, tmp_path, cls):
+        path = tmp_path / "store.json"
+        self.WRITES[cls](cls(path), 0)
+        whole = path.read_bytes()
+        path.write_bytes(whole[:len(whole) // 2])   # torn mid-document
+        with pytest.warns(RuntimeWarning, match="store.json"):
+            store = cls(path)
+        assert len(store) == 0
+        self.WRITES[cls](store, 1)
+        json.loads(path.read_text())
+        reloaded = cls(path)
+        assert "wl1" in reloaded and "wl0" not in reloaded

@@ -19,8 +19,8 @@ import numpy as np
 from scipy.linalg import cho_solve, solve_triangular
 
 from repro.gp import (ConstantKernel, GaussianProcessRegressor,
-                      LowRankGaussianProcessRegressor, Matern52, Product, RBF,
-                      Sum, WhiteKernel)
+                      LowRankGaussianProcessRegressor, Matern52, Product, Sum,
+                      WhiteKernel)
 
 __all__ = ["input_gradient", "predict_with_gradient"]
 
@@ -29,11 +29,6 @@ def input_gradient(kernel, x: np.ndarray, X: np.ndarray) -> np.ndarray:
     """Jacobian ``∂k(x, X_j)/∂x``, shape ``(n, d)``."""
     if isinstance(kernel, (ConstantKernel, WhiteKernel)):
         return np.zeros((X.shape[0], x.shape[0]))
-    if isinstance(kernel, RBF):
-        diff = x[None, :] - X
-        inv_l2 = 1.0 / kernel.length_scale ** 2
-        k = np.exp(-0.5 * np.sum(diff ** 2, axis=1) * inv_l2)
-        return (-inv_l2) * diff * k[:, None]
     if isinstance(kernel, Matern52):
         diff = x[None, :] - X
         r = np.sqrt(np.sum(diff ** 2, axis=1))

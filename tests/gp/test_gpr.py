@@ -107,11 +107,6 @@ class TestValidationAndEdges:
         gp = GaussianProcessRegressor(rng=0).fit(X, y)
         assert np.isfinite(gp.predict(X)).all()
 
-    def test_y_train_roundtrip(self):
-        X, y = smooth_data(n=15)
-        gp = GaussianProcessRegressor(rng=0).fit(X, y)
-        np.testing.assert_allclose(gp.y_train_, y, atol=1e-10)
-
     def test_kernel_template_not_mutated(self):
         X, y = smooth_data(n=20)
         template = default_bo_kernel()

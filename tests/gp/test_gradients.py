@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 
 from repro.gp import GaussianProcessRegressor, LowRankGaussianProcessRegressor
 from repro.gp.gpr import default_bo_kernel
-from repro.gp.kernels import (ConstantKernel, Kernel, Matern52, RBF, Sum,
+from repro.gp.kernels import (ConstantKernel, Kernel, Matern52, Sum,
                               WhiteKernel)
 
 EPS = 1e-6
@@ -58,14 +58,13 @@ def central_difference_input(kernel, x, X, eps=EPS):
 def kernel_zoo():
     return {
         "constant": ConstantKernel(2.5),
-        "rbf": RBF(0.7),
         "matern52": Matern52(0.45),
         "white": WhiteKernel(0.03),
         "sum": Matern52(0.6) + WhiteKernel(0.05),
-        "product": ConstantKernel(1.7) * RBF(0.5),
+        "product": ConstantKernel(1.7) * Matern52(0.5),
         "default_bo": default_bo_kernel(),
         "deep": (ConstantKernel(1.3) * Matern52(0.4)
-                 + ConstantKernel(0.6) * RBF(0.9) + WhiteKernel(0.02)),
+                 + ConstantKernel(0.6) * Matern52(0.9) + WhiteKernel(0.02)),
     }
 
 
@@ -76,7 +75,7 @@ class TestKernelThetaGradients:
         kernel = kernel_zoo()[name]
         rng = np.random.default_rng(zlib.crc32(f"{name}|{dim}".encode()))
         X = rng.random((9, dim))
-        analytic = kernel.theta_gradient(X)
+        analytic = np.stack(kernel.value_and_theta_gradient(X)[1])
         numeric = central_difference_theta(kernel, X)
         np.testing.assert_allclose(analytic, numeric, atol=TOL)
 

@@ -18,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 import kernel_reference
 from repro.gp import (ConstantKernel, GaussianProcessRegressor,
-                      LowRankGaussianProcessRegressor, RBF, gpr, lowrank)
+                      LowRankGaussianProcessRegressor, Matern52, gpr, lowrank)
 
 SIZES = [1, 2, 30, 120]
 
@@ -168,7 +168,7 @@ def test_singular_training_covariance_escalates_jitter(monkeypatch):
     # _precompute retries with growing jitter, exactly as with the wrapper.
     X, y = data(5, dim=2)
     X, y = np.vstack([X, X, X]), np.arange(15.0)
-    kernel = ConstantKernel(1.0) * RBF(0.5)
+    kernel = ConstantKernel(1.0) * Matern52(0.5)
 
     def fit():
         return GaussianProcessRegressor(kernel, alpha=0.0,

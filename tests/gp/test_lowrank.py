@@ -166,7 +166,6 @@ class TestApiParity:
         gp = LowRankGaussianProcessRegressor(
             _kernel(), n_inducing=9, optimize=False).fit(X, y)
         np.testing.assert_array_equal(gp.X_train_, X)
-        assert gp.y_train_.shape == (25,)
         idx = gp.inducing_indices_
         assert len(idx) == 9
         assert set(idx.tolist()) <= set(range(25))

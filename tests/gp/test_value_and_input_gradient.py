@@ -10,21 +10,19 @@ import numpy as np
 import pytest
 
 from kernel_reference import input_gradient
-from repro.gp import ConstantKernel, Matern52, RBF, WhiteKernel
+from repro.gp import ConstantKernel, Matern52, WhiteKernel
 from repro.gp.gpr import default_bo_kernel
 
 
 def kernels():
     return {
         "constant": ConstantKernel(2.5),
-        "rbf": RBF(0.7),
         "matern52": Matern52(0.4),
         "white": WhiteKernel(0.3),
-        "sum": Matern52(0.6) + RBF(1.3),
-        "product": ConstantKernel(1.7) * RBF(0.5),
-        "rbf_product": RBF(0.9) * Matern52(0.35),
+        "sum": Matern52(0.6) + Matern52(1.3),
+        "product": ConstantKernel(1.7) * Matern52(0.5),
         "default": default_bo_kernel(),
-        "nested": (ConstantKernel(0.8) * Matern52(0.4)) * RBF(1.5)
+        "nested": (ConstantKernel(0.8) * Matern52(0.4)) * Matern52(1.5)
         + WhiteKernel(1e-2),
     }
 

@@ -76,7 +76,7 @@ def test_sigkill_restart_resumes_bit_identically(tmp_path):
     assert set(settles) == set(dispatches)
 
     # Two trace files: the killed attempt and the resumed attempt.
-    assert [p.name for p in store.trace_paths(sid)] == [
+    assert [p.name for p in sorted(store.session_dir(sid).glob("trace-*"))] == [
         "trace-0.jsonl", "trace-1.jsonl"]
 
 
@@ -109,6 +109,7 @@ def test_second_daemon_does_not_steal_a_live_session(tmp_path):
         view = first.client().wait(sid, timeout_s=570)
     assert view["state"] == "DONE"
     # One trace file: only the first daemon ever claimed the session.
-    assert [p.name for p in first.store.trace_paths(sid)] == ["trace-0.jsonl"]
+    assert [p.name for p in first.store.session_dir(sid).glob("trace-*")] \
+        == ["trace-0.jsonl"]
     assert view["result"]["digest"] == result_payload(
         SPEC, run_session(SPEC))["digest"]

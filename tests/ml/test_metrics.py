@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.ml import (mean_absolute_error, mean_squared_error, r2_score,
-                      recall_score)
+from repro.ml import r2_score, recall_score
 
 
 class TestR2:
@@ -38,16 +37,6 @@ class TestR2:
         rng = np.random.default_rng(0)
         pred = y + rng.normal(0, 1, len(y))
         assert r2_score(y, pred) <= 1.0 + 1e-12
-
-
-class TestErrors:
-    def test_mse_known(self):
-        assert mean_squared_error(np.array([0.0, 0.0]),
-                                  np.array([1.0, -1.0])) == 1.0
-
-    def test_mae_known(self):
-        assert mean_absolute_error(np.array([0.0, 0.0]),
-                                   np.array([2.0, -2.0])) == 2.0
 
 
 class TestRecall:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.ml import KFold, cross_val_score, RandomForestRegressor
-from repro.ml.linear import LinearRegression
+from repro.ml.linear import ElasticNet
 
 
 class TestKFold:
@@ -46,16 +46,16 @@ class TestCrossValScore:
         rng = np.random.default_rng(2)
         X = rng.random((100, 3))
         y = X @ np.array([1.0, 2.0, -1.0]) + rng.normal(0, 0.01, 100)
-        scores = cross_val_score(LinearRegression, X, y, cv=5, rng=3)
+        scores = cross_val_score(lambda: ElasticNet(0.0), X, y, cv=5, rng=3)
         assert scores.shape == (5,)
         assert scores.min() > 0.95
 
     def test_factory_gets_fresh_model_each_fold(self):
         calls = []
 
-        class Spy(LinearRegression):
+        class Spy(ElasticNet):
             def __init__(self):
-                super().__init__()
+                super().__init__(0.0)
                 calls.append(self)
 
         rng = np.random.default_rng(4)

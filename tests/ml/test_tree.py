@@ -35,7 +35,7 @@ class TestFitBasics:
         X = rng.random((200, 2))
         y = rng.random(200)
         tree = DecisionTreeRegressor(max_depth=3, rng=0).fit(X, y)
-        assert tree.depth <= 3
+        assert 1 < tree.node_count <= 2 ** (3 + 1) - 1
 
     def test_min_samples_leaf_respected(self):
         rng = np.random.default_rng(2)

@@ -197,7 +197,7 @@ def export_artifacts(store: SessionStore,
     written = []
     for entry in store.list_sessions():
         sid = entry["sid"]
-        for trace in store.trace_paths(sid):
+        for trace in sorted(store.session_dir(sid).glob("trace-*.jsonl")):
             try:
                 text = render_summary(summarize(load_trace(trace)))
             except (ValueError, KeyError) as exc:

@@ -15,6 +15,8 @@ daemons) must uphold the store's three core invariants:
 
 from __future__ import annotations
 
+import json
+
 from hypothesis import given, settings, strategies as st
 
 from repro.serve import SessionSpec, SessionStore
@@ -23,7 +25,7 @@ from repro.serve.session import TERMINAL_STATES, TRANSITIONS
 # Each op: (kind, handle_index, value)
 ops = st.lists(
     st.tuples(st.sampled_from(["submit", "claim", "complete", "fail",
-                               "cancel", "release", "repair"]),
+                               "cancel", "crash", "lose_index"]),
               st.integers(0, 1), st.integers(0, 9)),
     min_size=1, max_size=30)
 
@@ -38,20 +40,25 @@ def _apply(stores, claims, op):
         claim = store.claim(f"h{h}")
         if claim is not None:
             claims[h].append(claim)
-    elif kind in ("complete", "fail", "release") and claims[h]:
+    elif kind in ("complete", "fail", "crash") and claims[h]:
         claim = claims[h].pop(value % len(claims[h]))
         if kind == "complete":
             store.complete(claim, {"v": value})
         elif kind == "fail":
             store.fail(claim, f"err{value}")
         else:
-            store.release(claim)
+            # The claim holder dies: its lock records a dead pid, so the
+            # RUNNING session is adoptable.
+            lock = store._lock_path(claim.sid)
+            holder = json.loads(lock.read_text())
+            holder["pid"] = 2 ** 22 + 1
+            lock.write_text(json.dumps(holder))
     elif kind == "cancel":
         sessions = store.list_sessions()
         if sessions:
             store.cancel(sessions[value % len(sessions)]["sid"])
-    elif kind == "repair":
-        store.repair_index()
+    elif kind == "lose_index":
+        (store.root / "index.json").unlink(missing_ok=True)
 
 
 @given(ops)
@@ -97,8 +104,7 @@ def test_index_cache_loss_never_loses_sessions(tmp_path_factory, operations):
     index_path = root / "index.json"
     if index_path.exists():
         index_path.unlink()  # lose the cache entirely
-    stores[1].repair_index()
-    after = {s["sid"]: s for s in stores[0].list_sessions()}
+    after = {s["sid"]: s for s in stores[1].list_sessions()}
     assert after == before
 
 

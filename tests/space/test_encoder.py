@@ -6,6 +6,9 @@ import pytest
 from repro.space import ConfigurationEncoder, spark_space
 
 
+DEFAULTS = {p.name: p.default for p in spark_space()}
+
+
 @pytest.fixture()
 def encoder():
     return ConfigurationEncoder(spark_space())
@@ -13,19 +16,19 @@ def encoder():
 
 class TestStringRendering:
     def test_booleans_lowercase(self, encoder):
-        conf = spark_space().default_configuration()
+        conf = DEFAULTS
         strings = encoder.to_strings(conf)
         assert strings["spark.shuffle.compress"] == "true"
         assert strings["spark.rdd.compress"] == "false"
 
     def test_sizes_get_suffix(self, encoder):
-        conf = spark_space().default_configuration()
+        conf = DEFAULTS
         strings = encoder.to_strings(conf)
         assert strings["spark.executor.memory"] == "1024m"
         assert strings["spark.shuffle.file.buffer"] == "32k"
 
     def test_times_get_suffix(self, encoder):
-        strings = encoder.to_strings(spark_space().default_configuration())
+        strings = encoder.to_strings(DEFAULTS)
         assert strings["spark.locality.wait"] == "3s"
         assert strings["spark.network.timeout"] == "120s"
 
@@ -36,12 +39,12 @@ class TestStringRendering:
 
 class TestConfFileRoundTrip:
     def test_vector_to_file_contains_all_params(self, encoder):
-        text = encoder.encode_vector(np.full(44, 0.5))
+        text = encoder.to_conf_file(encoder.space.decode(np.full(44, 0.5)))
         lines = [ln for ln in text.splitlines() if ln]
         assert len(lines) == 44
 
     def test_parse_round_trip(self, encoder):
-        conf = spark_space().default_configuration()
+        conf = DEFAULTS
         text = encoder.to_conf_file(conf)
         parsed = encoder.parse_conf_file(text)
         assert parsed == encoder.to_strings(conf)
@@ -59,6 +62,6 @@ class TestConfFileRoundTrip:
         sp = spark_space()
         rng = np.random.default_rng(0)
         u = sp.snap(rng.random(sp.dim))
-        conf = encoder.to_native(u)
+        conf = encoder.space.decode(u)
         parsed = encoder.parse_conf_file(encoder.to_conf_file(conf))
         assert parsed == encoder.to_strings(conf)

@@ -84,9 +84,6 @@ class TestIntParameter:
         # Half the unit range should map below ~sqrt(1024) = 32.
         assert p.from_unit(0.5) <= 40
 
-    def test_cardinality(self):
-        assert IntParameter("i", 0, 9, 3).cardinality == 10
-
     def test_validate_rejects_float(self):
         p = IntParameter("i", 0, 9, 3)
         assert not p.validate(3.5)
@@ -151,10 +148,6 @@ class TestSizeParameter:
         p = SizeParameter("s", 16, 512, 32, unit="k")
         assert p.format(64) == "64k"
 
-    def test_to_bytes(self):
-        p = SizeParameter("s", 1, 100, 10, unit="m")
-        assert p.to_bytes(3) == 3 * 1024 * 1024
-
     def test_log_scaled_by_default(self):
         p = SizeParameter("s", 1024, 184320, 2048)
         assert p.log is True
@@ -165,10 +158,6 @@ class TestSizeParameter:
 
 
 class TestTimeParameter:
-    def test_to_seconds(self):
-        assert TimeParameter("t", 0, 10, 3, unit="s").to_seconds(4) == 4.0
-        assert TimeParameter("t", 0, 1000, 30, unit="ms").to_seconds(500) == 0.5
-
     def test_format(self):
         assert TimeParameter("t", 0, 10, 3, unit="s").format(7) == "7s"
 
@@ -176,9 +165,3 @@ class TestTimeParameter:
         with pytest.raises(ValueError):
             TimeParameter("t", 0, 10, 5, unit="h")
 
-
-class TestGrid:
-    def test_grid_dedupes(self):
-        p = IntParameter("i", 1, 3, 2)
-        g = p.grid(30)
-        assert g == [1, 2, 3]

@@ -63,7 +63,7 @@ class TestEncodeDecode:
         sp = small_space()
         u = sp.encode({})
         conf = sp.decode(u)
-        assert conf == sp.default_configuration()
+        assert conf == {p.name: p.default for p in sp}
 
     @given(st.lists(st.floats(0.0, 1.0), min_size=5, max_size=5))
     @settings(max_examples=50)
@@ -84,18 +84,6 @@ class TestEncodeDecode:
         conf2 = sp.decode(sp.encode(conf))
         assert conf == conf2
 
-    def test_batch_shapes(self):
-        sp = small_space()
-        U = np.random.default_rng(0).random((7, 5))
-        confs = sp.decode_batch(U)
-        assert len(confs) == 7
-        back = sp.encode_batch(confs)
-        assert back.shape == (7, 5)
-
-    def test_encode_batch_empty(self):
-        sp = small_space()
-        assert sp.encode_batch([]).shape == (0, 5)
-
 
 class TestValidation:
     def test_validate_flags_bad_values(self):
@@ -105,7 +93,7 @@ class TestValidation:
 
     def test_validate_ok(self):
         sp = small_space()
-        assert sp.validate(sp.default_configuration()) == []
+        assert sp.validate({p.name: p.default for p in sp}) == []
 
 
 class TestSubspace:

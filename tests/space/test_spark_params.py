@@ -29,7 +29,7 @@ class TestSpaceShape:
         assert mem.high >= 180 * 1024
 
     def test_spark_defaults(self):
-        conf = spark_space().default_configuration()
+        conf = {p.name: p.default for p in spark_space()}
         assert conf["spark.executor.memory"] == 1024  # the paper's OOM villain
         assert conf["spark.memory.fraction"] == 0.6
         assert conf["spark.serializer"] == "java"

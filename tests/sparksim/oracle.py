@@ -234,7 +234,7 @@ class EventDrivenStage:
         median = float(np.median(self.durations))
         spec_on = self.conf.speculation and n >= 2
         threshold = self.conf.speculation_multiplier * median
-        quantile_count = int(np.ceil(self.conf.speculation_quantile * n))
+        quantile_count = int(np.ceil(float(self.conf["spark.speculation.quantile"]) * n))
 
         def try_dispatch(sim: Simulation) -> None:
             while free_slots[0] > 0 and pending:

@@ -31,15 +31,9 @@ class TestNodeSpec:
 class TestClusterSpec:
     def test_paper_cluster_totals(self):
         cluster = paper_cluster()
-        assert cluster.n_workers == 5
-        assert cluster.total_cores == 160          # worker cores only
-        assert cluster.total_memory_mb == 5 * 192 * 1024
+        assert cluster.n_workers == 5              # workers only
+        assert cluster.node == NodeSpec()
         assert cluster.hdfs_replication == 3
-
-    def test_custom_cluster(self):
-        small = ClusterSpec(n_workers=2, node=NodeSpec(cores=8,
-                                                       memory_mb=32 * 1024))
-        assert small.total_cores == 16
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -23,12 +23,6 @@ class TestDefaults:
         with pytest.raises(KeyError):
             SparkConf({"spark.nonexistent.option": 1})
 
-    def test_as_dict_returns_copy(self):
-        conf = SparkConf()
-        d = conf.as_dict()
-        d["spark.executor.cores"] = 99
-        assert conf.executor_cores == 1
-
 
 class TestAccessors:
     def test_byte_conversions(self):

@@ -5,7 +5,7 @@ import pytest
 
 from repro.sparksim import SparkConf
 from repro.sparksim.cluster import NodeSpec
-from repro.sparksim.disk import effective_disk_bw, read_seconds, shuffle_write_bw
+from repro.sparksim.disk import effective_disk_bw, shuffle_write_bw
 from repro.sparksim.gcmodel import gc_slowdown
 from repro.sparksim.network import (fetch_efficiency, remote_read_seconds,
                                     shuffle_fetch_seconds)
@@ -53,16 +53,9 @@ class TestDisk:
         fast = shuffle_write_bw(NODE, 4, buffer_kb=256)
         assert fast > slow
 
-    def test_read_seconds_linear(self):
-        assert read_seconds(100, NODE, 1) == pytest.approx(
-            2 * read_seconds(50, NODE, 1))
-        assert read_seconds(0, NODE, 1) == 0.0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             effective_disk_bw(NODE, 0)
-        with pytest.raises(ValueError):
-            read_seconds(-1, NODE, 1)
         with pytest.raises(ValueError):
             shuffle_write_bw(NODE, 1, 0)
 

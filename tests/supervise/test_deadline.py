@@ -46,7 +46,6 @@ class TestColdPolicy:
         policy = DeadlinePolicy(min_completions=3)
         policy.observe(1.0)
         policy.observe(1.0)
-        assert policy.n_observed == 2
         assert policy.deadline_s() is None
         policy.observe(1.0)
         assert policy.deadline_s() is not None

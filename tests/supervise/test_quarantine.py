@@ -37,21 +37,21 @@ class TestPoisonQuarantine:
         assert not q.strike(key)
         assert not q.strike(key)
         assert q.strike(key)          # third strike
-        assert q.is_quarantined(key)
+        assert key in q.quarantined
         assert q.strikes(key) == 3
 
     def test_single_strike_cap(self):
         q = PoisonQuarantine(1)
         key = b"k"
         assert q.strike(key)
-        assert q.is_quarantined(key)
+        assert key in q.quarantined
 
     def test_keys_are_independent(self):
         q = PoisonQuarantine(2)
         a, b = b"a", b"b"
         q.strike(a)
-        assert not q.is_quarantined(a)
-        assert not q.is_quarantined(b)
+        assert a not in q.quarantined
+        assert b not in q.quarantined
         assert q.strikes(b) == 0
 
     def test_len_and_listing(self):

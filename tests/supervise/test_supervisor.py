@@ -1,4 +1,4 @@
-"""EvaluationSupervisor: deadlines, heartbeats, speculation, reclaim.
+"""EvaluationSupervisor: deadlines, speculation, reclaim.
 
 These tests exercise real threads and the wall clock (short, CI-safe
 durations): supervision is exactly the part of the library whose job is
@@ -52,7 +52,7 @@ class TestPolicy:
 
 class TestBasicProtocol:
     def test_completion_round_trip(self):
-        pool, sup = make()
+        pool, sup = make(min_completions=1)
         with pool:
             sup.submit(const_factory(41), tag=0)
             assert sup.in_flight == 1
@@ -63,7 +63,7 @@ class TestBasicProtocol:
         assert not outcome.speculative
         assert sup.in_flight == 0
         # Completion durations feed the adaptive deadline.
-        assert sup.deadlines.n_observed == 1
+        assert sup.deadlines.deadline_s() is not None
 
     def test_duplicate_tag_rejected(self):
         pool, sup = make()
@@ -124,21 +124,6 @@ class TestDeadlines:
         assert isinstance(outcome, Completed)
         assert outcome.result == "done"
         assert pool.abandoned_tasks == 0
-
-    def test_heartbeat_pushes_deadline_out(self):
-        pool, sup = make(eval_timeout_s=0.5)
-        with pool:
-            sup.submit(lambda: (lambda: time.sleep(0.7) or "done"), tag=0)
-            time.sleep(0.35)
-            sup.heartbeat(0)          # sign of life at 0.35s
-            outcome = sup.next_outcome()
-        assert isinstance(outcome, Completed)
-        assert outcome.result == "done"
-
-    def test_heartbeat_unknown_tag_is_noop(self):
-        pool, sup = make(eval_timeout_s=1.0)
-        with pool:
-            sup.heartbeat("nope")     # must not raise
 
 
 class TestWorkerDeath:

@@ -238,6 +238,19 @@ class TestSupervisionFlags:
                 capsys.readouterr().out
             assert journal.read_bytes() == whole
 
+    def test_resume_of_torn_header_keeps_the_session_identity(
+            self, capsys, tmp_path):
+        journal = tmp_path / "run.jsonl"
+        args = ["tune", "--budget", "6", "--seed", "3",
+                "--journal", str(journal)]
+        assert main([*args, "--workload", "kmeans"]) == 0
+        whole = journal.read_bytes()
+        journal.write_bytes(whole[:40])        # killed inside the header
+        assert main([*args, "--workload", "kmeans", "--resume"]) == 0
+        assert journal.read_bytes() == whole
+        with pytest.raises(ValueError, match="workload"):
+            main([*args, "--workload", "pagerank", "--resume"])
+
     def test_bad_recover_mode_rejected(self):
         with pytest.raises(SystemExit):
             main(["tune", "--workload", "terasort", "--budget", "5",

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bench import iterations_to_within
 from repro.sparksim import RunStatus
 from repro.tuners import Evaluation, TuningResult
 
@@ -65,14 +66,10 @@ class TestCurves:
         assert curve[1] == 25.0
 
     def test_iterations_to_within(self):
+        # Table 2's count, read off a session's best-so-far curve.
         result = TuningResult(tuner="t", workload="w", evaluations=[
             ev(100.0), ev(22.0), ev(30.0), ev(20.0)])
-        assert result.iterations_to_within(0.0) == 4
-        assert result.iterations_to_within(0.10) == 2
-        assert result.iterations_to_within(5.0) == 1
-
-    def test_iterations_to_within_validation(self):
-        result = TuningResult(tuner="t", workload="w",
-                              evaluations=[ev(10.0)])
-        with pytest.raises(ValueError):
-            result.iterations_to_within(-0.1)
+        curve = result.best_curve()
+        assert iterations_to_within(curve, 0.0) == 4
+        assert iterations_to_within(curve, 0.10) == 2
+        assert iterations_to_within(curve, 5.0) == 1

@@ -125,18 +125,6 @@ class TestAbandon:
             pool.submit(lambda: "after", tag=2)
             assert pool.next_completed(timeout=5.0) == (2, "after")
 
-    def test_replace_worker_counts_replacement(self):
-        sink = InMemorySink()
-        tracer = Tracer([sink])
-        release = threading.Event()
-        with WorkerPool(1, tracer=tracer) as pool:
-            pool.submit(lambda: release.wait(10.0), tag="wedged")
-            assert pool.replace_worker("wedged")
-            assert not pool.replace_worker("wedged")  # already reclaimed
-            release.set()
-        assert tracer.counters["pool.workers_replaced"] == 1
-        assert tracer.counters["pool.abandoned_tasks"] == 1
-
 
 class TestBoundedClose:
     def test_close_does_not_block_on_hung_task(self):
