@@ -96,8 +96,8 @@ def build_parser() -> argparse.ArgumentParser:
                              "counts) after the run")
     p_tune.add_argument("--journal", default=None, metavar="FILE",
                         help="crash-safe evaluation journal (JSONL); every "
-                             "finished evaluation is fsync'd so a killed "
-                             "run can be resumed")
+                             "evaluation is journaled as it runs so a "
+                             "killed run can be resumed")
     p_tune.add_argument("--resume", action="store_true",
                         help="resume a killed session from --journal "
                              "(bit-identical for the same seed)")
@@ -156,7 +156,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--workers", type=int, default=1, metavar="N",
                        help="concurrent session-runner threads (default: 1)")
     p_srv.add_argument("--poll", type=float, default=0.05, metavar="S",
-                       help="idle claim-poll interval in seconds")
+                       help="seconds between an idle worker's full claim "
+                            "rescan, the --drain/--max-sessions exit check "
+                            "and queue-depth events (default: 0.05); a "
+                            "submission is claimed when the store's index "
+                            "changes, without waiting for the rescan")
     p_srv.add_argument("--drain", action="store_true",
                        help="exit once the store holds no runnable session "
                             "(batch mode; default serves until SIGTERM)")
@@ -406,8 +410,7 @@ def cmd_tune(args) -> int:
     objective = build_objective(spec, tracer=tracer)
     tuner = build_tuner(spec, selection_cache=cache, memo_buffer=memo,
                         warm_start=args.warm_start, n_jobs=args.jobs)
-    journal = EvaluationJournal(args.journal) if args.journal else None
-    result = drive(spec, tuner, objective, journal=journal,
+    result = drive(spec, tuner, objective, journal=args.journal,
                    resume=args.resume, recover=args.recover, tracer=tracer)
     if tracer is not None:
         tracer.close()

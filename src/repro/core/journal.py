@@ -1,7 +1,7 @@
 """Crash-safe evaluation journal (docs/ROBUSTNESS.md).
 
 An append-only JSONL file recording every finished evaluation of a tuning
-session, fsync'd per record so a killed process loses at most the
+session, flushed per record so a killed process loses at most the
 evaluation in flight.  Each record also snapshots the objective's RNG
 state *after* the evaluation, which is what makes resume bit-identical:
 
@@ -21,6 +21,20 @@ the first corrupt line, the session resumes from the last intact record,
 and the resumed session's first append cuts the torn bytes off before
 writing, so a second crash still finds every record the first resume
 read.
+
+Every record is flushed to the OS as it is written, so SIGKILL loses
+nothing written.  The journal fsyncs only what recovery needs
+(docs/ROBUSTNESS.md, "Which crash loses what"):
+
+* each ``dispatch``, before its evaluation runs; that fsync also
+  commits every settle written before it;
+* the censored settles of :meth:`JournaledObjective.record_censored`,
+  which no re-execution reproduces;
+* everything left, on :meth:`EvaluationJournal.close`.
+
+An OS crash can therefore lose only settles written after the last
+dispatch.  Their dispatches are durable, so recovery redispatches or
+censors them, as it does evaluations that were in flight.
 
 Format version 2 adds **dispatch/settle pairs** for crash-safe
 *in-flight* recovery (docs/ROBUSTNESS.md, "Supervised execution"): a
@@ -104,6 +118,9 @@ class EvaluationJournal:
     path:
         Journal file; created on the first write, and cut back to its
         intact records before the first append to a torn one.
+
+    Writes are flushed per record; :meth:`append_dispatch` and
+    :meth:`sync` fsync, and :meth:`close` syncs before closing.
     """
 
     def __init__(self, path: str | Path) -> None:
@@ -128,17 +145,27 @@ class EvaluationJournal:
                               **dict(meta)})
 
     def append_dispatch(self, seq: int, vector: Any) -> None:
-        """Durably record that evaluation *seq* is about to execute."""
+        """Durably record that evaluation *seq* is about to execute.
+
+        The fsync also commits every record written before it: the
+        header and the settles of earlier evaluations.
+        """
         self._appender.write({
             "kind": "dispatch",
             "seq": int(seq),
             "vector": [float(v) for v in np.asarray(vector)],
         })
+        self._appender.sync()
 
     def append(self, evaluation: Evaluation,
                rng_state: dict[str, Any] | None = None, *,
                seq: int | None = None) -> None:
-        """Durably record one finished evaluation (settling *seq* if given)."""
+        """Record one finished evaluation (settling *seq* if given).
+
+        The record survives the process being killed; the next
+        dispatch, :meth:`sync` or :meth:`close` makes it survive an OS
+        crash too.
+        """
         payload: dict[str, Any] = {
             "kind": "eval",
             "vector": [float(v) for v in np.asarray(evaluation.vector)],
@@ -156,7 +183,12 @@ class EvaluationJournal:
             payload["seq"] = int(seq)
         self._appender.write(payload)
 
+    def sync(self) -> None:
+        """fsync every record written so far."""
+        self._appender.sync()
+
     def close(self) -> None:
+        """Commit (fsync) every record written, then close the file."""
         self._appender.close()
 
     # -- reading ------------------------------------------------------------------
@@ -295,13 +327,16 @@ class JournaledObjective(ObjectiveWrapper):
         The supervision layer calls this for deadline hits and poison
         quarantines: the censored-at-cap outcome must be durable (it was
         folded into the surrogate) even though no objective call, and
-        hence no recording ``__call__``, ever finished.
+        hence no recording ``__call__``, ever finished.  The settle is
+        fsync'd before this returns: a recovery that lost it would
+        redispatch the vector and record a real outcome in its place.
         """
         with self._shared["lock"]:
             seq = self._shared["next_seq"]
             self._shared["next_seq"] = seq + 1
         self._journal.append_dispatch(seq, evaluation.vector)
         self._journal.append(evaluation, None, seq=seq)
+        self._journal.sync()
 
     def _take_pending(self, u: np.ndarray) -> DispatchRecord | None:
         """Remove and return the unsettled dispatch of vector *u*, if any

@@ -1,10 +1,11 @@
 """Structured tracing and metrics for tuning sessions (docs/OBSERVABILITY.md).
 
 A zero-dependency observability layer: :class:`Tracer` records typed
-events, nestable spans and counters/timers to pluggable sinks — an
-fsync'd JSONL writer for post-hoc analysis and an in-memory sink for
-tests.  The default :data:`NULL_TRACER` is a no-op, so instrumented code
-paths make identical decisions whether or not tracing is enabled.
+events, nestable spans and counters/timers to pluggable sinks — a
+JSONL writer (flushed per record, fsync'd at close) for post-hoc
+analysis and an in-memory sink for tests.  The default
+:data:`NULL_TRACER` is a no-op, so instrumented code paths make
+identical decisions whether or not tracing is enabled.
 
 Timing comes from an injected monotonic clock, never wall-clock, and is
 confined to the ``t``/``dur`` envelope fields and the timers registry —

@@ -5,10 +5,15 @@ Every file the library must find intact after a crash is written here,
 in one of three ways (``RPF002`` in :mod:`repro.analysis` keeps it so):
 
 * :class:`JsonlAppender` — append-only JSONL, one ``json.dumps`` line
-  per record, flushed and fsync'd before :meth:`~JsonlAppender.write`
-  returns, so a killed process loses at most the record in flight.  The
-  evaluation journal and the trace writer append through it.  Its first
-  write to a non-empty file cuts a torn tail first (below).
+  per record, flushed to the OS before :meth:`~JsonlAppender.write`
+  returns, so a killed process (SIGKILL) loses at most the record in
+  flight.  :meth:`~JsonlAppender.sync` fsyncs everything written so
+  far, and :meth:`~JsonlAppender.close` syncs before it closes: only an
+  OS crash or power loss can lose records written since the last sync.
+  Each owner decides which records must reach the disk before it goes
+  on: the evaluation journal syncs every dispatch and closes at the end
+  of a session, the trace writer only closes.  Its first write to a
+  non-empty file cuts a torn tail first (below).
 * :func:`replace_text` — write-to-temp → fsync → atomic rename →
   fsync(dir): a crash leaves the old file or the new one, never a torn
   one.  The session store's JSON files and both memo stores use it.
@@ -73,7 +78,8 @@ def read_jsonl(path: Path) -> list[dict[str, Any]]:
 
 
 class JsonlAppender:
-    """Durable JSONL append to *path*; safe to share between threads.
+    """JSONL append to *path*, flushed per record and fsync'd on
+    :meth:`sync` and :meth:`close`; safe to share between threads.
 
     Parent directories are created on the first write.  If the file is
     not empty then, it is first cut back to the intact prefix
@@ -87,6 +93,8 @@ class JsonlAppender:
         self._lock = threading.Lock()
 
     def write(self, record: Mapping[str, Any]) -> None:
+        """Append *record*; it is in the OS when this returns, so it
+        survives the process being killed, not yet an OS crash."""
         line = (json.dumps(record, default=jsonable) + "\n").encode("utf-8")
         with self._lock:
             if self._fh is None:
@@ -99,13 +107,23 @@ class JsonlAppender:
                         self._fh.write(b"\n")
             self._fh.write(line)
             self._fh.flush()
-            os.fsync(self._fh.fileno())
 
-    def close(self) -> None:
+    def sync(self) -> None:
+        """fsync every record written so far."""
         with self._lock:
             if self._fh is not None:
-                self._fh.close()
-                self._fh = None
+                os.fsync(self._fh.fileno())
+
+    def close(self) -> None:
+        """Sync, then close; a later write reopens the file.  The file
+        is closed even when the sync fails, and that error is raised."""
+        with self._lock:
+            if self._fh is not None:
+                try:
+                    os.fsync(self._fh.fileno())
+                finally:
+                    self._fh.close()
+                    self._fh = None
 
 
 def replace_text(path: Path, text: str) -> None:

@@ -2,11 +2,14 @@
 
 Two built-ins cover the repo's needs:
 
-* :class:`JsonlTraceWriter` — the durable JSONL appender of
-  :mod:`repro.obs.durable` (one ``json.dumps`` line per record, flushed
-  and fsync'd so a killed process loses at most the record in flight,
-  the same appender the evaluation journal writes through), plus a
-  refusal to append a second trace to a non-empty file.
+* :class:`JsonlTraceWriter` — the JSONL appender of
+  :mod:`repro.obs.durable` (one ``json.dumps`` line per record, the
+  same appender the evaluation journal writes through), plus a refusal
+  to append a second trace to a non-empty file.  Each record is flushed
+  as it is written, so a killed process loses at most the record in
+  flight; the file is fsync'd once, at :meth:`close`.  An OS crash can
+  lose the records of a trace that was never closed: a trace explains a
+  session, and recovery never reads one.
 * :class:`InMemorySink` — a list of records, for tests and for the
   CLI's ``--trace-summary`` fold-up.
 
@@ -43,7 +46,7 @@ class InMemorySink:
 
 
 class JsonlTraceWriter(JsonlAppender):
-    """Durable JSONL trace file.
+    """JSONL trace file: flushed per record, fsync'd at close.
 
     Parameters
     ----------

@@ -4,10 +4,16 @@ The client owns no policy — it forwards to whichever
 :class:`~repro.serve.transport.Transport` it was given (file or socket)
 and adds the one convenience the CLI and the tests both need:
 :meth:`ServiceClient.wait`, a bounded poll for a session to reach a
-terminal state.  The poll budget is expressed as an attempt count
-(``timeout_s / poll_s``) instead of a deadline read from a clock, so the
-client stays out of the timing-sensitive code paths the determinism
-lints fence off (docs/ANALYSIS.md, RPD005).
+terminal state.  It polls the transport's cheap ``state`` read and
+fetches the full ``status`` view once, when the state is terminal.  The
+reads are paced by :func:`~repro.serve.store.check_gap`: every
+:data:`~repro.serve.store.TICK_S` at first, then 1/128 of the time
+waited so far apart, up to ``poll_s``.  A session that settles within
+a second is seen a few milliseconds after it settles, and one that
+runs for minutes costs one read per ``poll_s``, as a fixed poll does.
+The budget is the sum of the sleeps instead of a deadline read from a
+clock, so the client stays out of the timing-sensitive code paths the
+determinism lints fence off (docs/ANALYSIS.md, RPD005).
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from pathlib import Path
 from typing import Any
 
 from .session import TERMINAL_STATES, SessionSpec
-from .store import SessionStore
+from .store import SessionStore, check_gap
 from .transport import FileTransport, SocketTransport, Transport
 
 __all__ = ["ServiceClient", "WaitTimeout"]
@@ -73,18 +79,22 @@ class ServiceClient:
     # -- waiting ------------------------------------------------------------------
     def wait(self, sid: str, *, timeout_s: float = 300.0,
              poll_s: float = 0.25) -> dict[str, Any]:
-        """Poll until *sid* settles; returns its final status view.
+        """Poll *sid*'s state until it settles; returns its final status
+        view, the one :meth:`status` call a wait makes.
 
-        Raises :class:`WaitTimeout` after ``timeout_s / poll_s``
-        attempts without a terminal state.
+        The polls are paced by :func:`~repro.serve.store.check_gap`,
+        never more than *poll_s* apart.  Raises :class:`WaitTimeout`
+        once the sleeps add up to *timeout_s* without a terminal state.
         """
-        attempts = max(1, int(timeout_s / poll_s))
-        view: dict[str, Any] = {}
-        for _ in range(attempts):
-            view = self.status(sid)
-            if view["state"] in TERMINAL_STATES:
-                return view
-            time.sleep(poll_s)
-        raise WaitTimeout(
-            f"session {sid} still {view.get('state', '?')} after "
-            f"{attempts} polls of {poll_s}s")
+        waited, polls = 0.0, 0
+        while True:
+            state = self.transport.state(sid)
+            polls += 1
+            if state in TERMINAL_STATES:
+                return self.status(sid)
+            if waited >= timeout_s:
+                raise WaitTimeout(f"session {sid} still {state} after "
+                                  f"{polls} polls in {waited:.3g}s")
+            gap = min(timeout_s - waited, check_gap(waited, poll_s))
+            time.sleep(gap)
+            waited += gap

@@ -14,10 +14,29 @@ unchanged under the daemon.
 
 Durability contract: the daemon itself holds **no** state a kill can
 lose.  Sessions live in the store (fsync'd transitions), evaluations in
-per-session journals (fsync'd dispatch/settle pairs), so SIGKILL at any
-instant loses at most the evaluations in flight — which journal-v2
-``pending_dispatches()`` recovery re-executes bit-identically on the
-next daemon's resume (``recover="redispatch"``).
+per-session journals (every record flushed as it is written, every
+dispatch fsync'd before its evaluation runs), so SIGKILL at any instant
+loses at most the evaluations in flight, and an OS crash at most the
+settles written since the last dispatch.  Journal-v2
+``pending_dispatches()`` recovery re-executes both bit-identically on
+the next daemon's resume (``recover="redispatch"``).  A session's
+journal and trace are closed, which fsyncs them, before its terminal
+state is written, so a settled session never names records that are
+only in the page cache.
+
+Waking: an idle worker compares the store's
+:meth:`~repro.serve.store.SessionStore.index_stamp` and claims as soon
+as it changes.  It checks every :data:`~repro.serve.store.TICK_S` at
+first, then further apart the longer it has been idle
+(:func:`~repro.serve.store.check_gap`), never more than ``poll_s``
+apart: a submission soon after the last change starts within a tick,
+and a long-idle daemon costs a check per ``poll_s``.  A full claim
+scan still runs every ``poll_s``: a daemon's death changes no file, so
+that rescan is what adopts its sessions, and it also catches a change
+the stamp missed.  ``poll_s`` also paces the main loop, which checks
+the drain and ``max_sessions`` exits and emits queue depth once per
+period, so a batch daemon exits up to ``poll_s`` after its last
+settle.
 
 Observability: the daemon's tracer carries the ``serve.*`` event family
 (queue depth, claim latency, session lifecycle — docs/OBSERVABILITY.md)
@@ -34,11 +53,10 @@ import threading
 import traceback
 from pathlib import Path
 
-from ..core.journal import EvaluationJournal
 from ..obs import JsonlTraceWriter, Tracer, as_tracer
 from .runner import result_payload, run_session
 from .session import SessionCancelled
-from .store import Claim, SessionStore
+from .store import Claim, SessionStore, check_gap
 from .transport import handle_request, parse_address
 
 __all__ = ["TuningDaemon"]
@@ -54,7 +72,11 @@ class TuningDaemon:
     workers:
         Session-runner threads: how many sessions run concurrently.
     poll_s:
-        Idle claim-poll interval.
+        Period of the daemon's slow checks: an idle worker's full claim
+        rescan, the ``drain``/``max_sessions`` exit check and the
+        ``serve.queue`` depth event.  An idle worker does not wait for
+        it to claim: it checks the index at least this often, and
+        every tick at first after a change.
     drain:
         Exit once no session is runnable and no runner is busy (batch
         mode for tests/CI); the default serves until :meth:`stop`.
@@ -152,6 +174,7 @@ class TuningDaemon:
     # -- workers ------------------------------------------------------------------
     def _worker_loop(self) -> None:
         owner = threading.current_thread().name
+        idle_s = 0.0  # since this worker last saw the index change
         while not self._stop.is_set():
             # Enforce --max-sessions at claim time, not just on the main
             # loop's poll tick: claims issued between ticks would
@@ -169,19 +192,38 @@ class TuningDaemon:
             if not reserved:
                 self._stop.wait(self.poll_s)
                 continue
+            stamp = self.store.index_stamp()
             with self.tracer.timer("serve.claim"):
                 claim = self.store.claim(owner)
             if claim is None:
                 with self._count_lock:
                     self._busy -= 1
-                self._stop.wait(self.poll_s)
+                idle_s = self._await_change(stamp, idle_s)
                 continue
+            idle_s = 0.0
             try:
                 self._run_claim(claim)
             finally:
                 with self._count_lock:
                     self._busy -= 1
                     self._settled += 1
+
+    def _await_change(self, stamp: tuple[int, int, int] | None,
+                      idle_s: float) -> float:
+        """Idle until the index moves off *stamp* (taken before the
+        last claim scan, so a submit during the scan counts), the next
+        rescan is due or the daemon stops.  *idle_s* is how long the
+        worker has been idle, which paces its checks (``check_gap``);
+        returns it updated, 0 once the index changed."""
+        rescan_at = idle_s + self.poll_s
+        while idle_s < rescan_at:
+            gap = min(rescan_at - idle_s, check_gap(idle_s, self.poll_s))
+            if self._stop.wait(gap):
+                break
+            idle_s += gap
+            if self.store.index_stamp() != stamp:
+                return 0.0
+        return idle_s
 
     def _run_claim(self, claim: Claim) -> None:
         sid = claim.sid
@@ -194,24 +236,27 @@ class TuningDaemon:
                       "budget": int(claim.spec.budget),
                       "seed": int(claim.spec.seed),
                       "resumed": bool(claim.resumed)})
-        journal = EvaluationJournal(self.store.journal_path(sid))
         try:
-            with self.tracer.span("serve.session", sid=sid,
-                                  resumed=bool(claim.resumed)):
-                result = run_session(
-                    claim.spec, journal=journal, resume=claim.resumed,
-                    recover=self.recover, tracer=tracer,
-                    should_cancel=lambda: self.store.cancel_requested(sid))
+            try:
+                # Given the journal's path, the session opens the journal
+                # and closes (commits) it before it returns or raises.
+                with self.tracer.span("serve.session", sid=sid,
+                                      resumed=bool(claim.resumed)):
+                    result = run_session(
+                        claim.spec, journal=self.store.journal_path(sid),
+                        resume=claim.resumed, recover=self.recover,
+                        tracer=tracer,
+                        should_cancel=lambda: self.store.cancel_requested(
+                            sid))
+            finally:
+                if tracer is not None:
+                    tracer.close()  # fsync'd before the settle, too
             self.store.complete(claim, result_payload(claim.spec, result))
         except SessionCancelled:
             self.store.cancelled(claim)
         except Exception as exc:  # noqa - settled as FAILED with the traceback
             self.store.fail(claim, f"{type(exc).__name__}: {exc}\n"
                                    f"{traceback.format_exc()}")
-        finally:
-            journal.close()
-            if tracer is not None:
-                tracer.close()
 
     # -- RPC server ---------------------------------------------------------------
     def _start_rpc_server(self) -> str | None:

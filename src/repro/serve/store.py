@@ -9,7 +9,8 @@ Layout (everything under one *root* directory)::
       sessions/<sid>/
         spec.json             # the immutable SessionSpec
         state.json            # authoritative lifecycle state (fsync'd)
-        journal.jsonl         # the session's EvaluationJournal (fsync'd)
+        journal.jsonl         # the session's EvaluationJournal
+                              # (flushed per record, fsync'd per dispatch)
         result.json           # settled outcome (written before DONE)
         lock                  # advisory claim lock while RUNNING
         cancel                # cancel-request marker
@@ -36,6 +37,14 @@ Durability and concurrency rules:
 * Settling operations require the :class:`Claim` returned by
   :meth:`SessionStore.claim` and verify its token against the lock on
   disk, so a handle that lost its claim cannot corrupt a successor's.
+
+Waiting.  Every write to ``index.json`` replaces the file, so its
+:meth:`SessionStore.index_stamp` changes with every submit and
+transition.  An idle daemon worker compares that stamp and claims when
+it moves; a client waiting on a session reads its ``state.json``
+(:meth:`SessionStore.state`).  Both pace their checks with
+:func:`check_gap`: every :data:`TICK_S` at first, then further apart
+as the wait grows, up to the waiter's own poll interval.
 """
 
 from __future__ import annotations
@@ -53,9 +62,27 @@ from ..obs import as_tracer
 from ..obs.durable import create_exclusive, replace_text
 from .session import STATES, TERMINAL_STATES, TRANSITIONS, SessionSpec
 
-__all__ = ["SessionStore", "Claim", "StaleClaimError"]
+__all__ = ["SessionStore", "Claim", "StaleClaimError", "TICK_S",
+           "WAIT_SHARE", "check_gap"]
 
 _INDEX_VERSION = 1
+
+#: Seconds between the first cheap checks of anyone waiting on the
+#: store: an idle daemon worker's index stamp, a waiting client's
+#: session state.
+TICK_S = 0.005
+#: Past its first ticks, a wait sleeps this share of the time it has
+#: waited so far between two checks.
+WAIT_SHARE = 1 / 128
+
+
+def check_gap(waited_s: float, cap_s: float) -> float:
+    """Seconds to sleep before the next check of a wait that has lasted
+    *waited_s*: :data:`TICK_S` at first, then :data:`WAIT_SHARE` of the
+    time waited, never more than *cap_s*.  Such a wait sees a change
+    within a tick or that share of its length, and once it has lasted
+    ``cap_s / WAIT_SHARE`` it checks once per *cap_s*."""
+    return min(cap_s, max(TICK_S, waited_s * WAIT_SHARE))
 
 
 class StaleClaimError(RuntimeError):
@@ -192,6 +219,15 @@ class SessionStore:
     def load_index(self) -> dict[str, Any]:
         """The stored index (a cache; ``state.json`` files are the truth)."""
         return self._load_index_unlocked()
+
+    def index_stamp(self) -> tuple[int, int, int] | None:
+        """``index.json``'s (inode, mtime_ns, size), None when missing: a
+        one-``stat`` check that the index changed since a claim scan."""
+        try:
+            st = os.stat(self._index_path())
+        except FileNotFoundError:
+            return None
+        return st.st_ino, st.st_mtime_ns, st.st_size
 
     def rebuild_index(self) -> dict[str, Any]:
         """Reconstruct the index purely from the per-session files on disk.

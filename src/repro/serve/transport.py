@@ -4,9 +4,10 @@ Two implementations, one contract:
 
 * :class:`FileTransport` operates directly on a shared
   :class:`~repro.serve.store.SessionStore` directory.  No daemon needs
-  to be listening for ``submit``/``status``/``results``/``cancel`` to
-  work — the daemon discovers submitted sessions by polling the store —
-  so the file transport is also the service's offline/degraded mode.
+  to be listening for ``submit``/``state``/``status``/``results``/
+  ``cancel`` to work — the daemon notices a submission when the store's
+  index changes — so the file transport is also the service's
+  offline/degraded mode.
 * :class:`SocketTransport` speaks a newline-delimited JSON request/
   response protocol to a live daemon over TCP (``host:port``) or a unix
   domain socket (a filesystem path).  ``address="auto"`` reads the
@@ -16,6 +17,10 @@ The wire protocol is deliberately tiny: one request object per
 connection, one response object back (``{"ok": true, ...}`` or
 ``{"ok": false, "error": ...}``).  :func:`handle_request` implements the
 server side against a store so the daemon and the tests share it.
+
+Two reads differ in cost.  ``state`` returns a session's lifecycle
+state from its small ``state.json``; it is what a waiting client polls.
+``status`` builds the full view, which counts the session's journal.
 """
 
 from __future__ import annotations
@@ -41,6 +46,8 @@ class Transport(Protocol):
 
     def submit(self, spec: SessionSpec) -> str: ...
 
+    def state(self, sid: str) -> str: ...
+
     def status(self, sid: str) -> dict[str, Any]: ...
 
     def results(self, sid: str) -> dict[str, Any] | None: ...
@@ -61,6 +68,9 @@ class FileTransport:
 
     def submit(self, spec: SessionSpec) -> str:
         return self.store.submit(spec)
+
+    def state(self, sid: str) -> str:
+        return self.store.state(sid)
 
     def status(self, sid: str) -> dict[str, Any]:
         return self.store.view(sid)
@@ -107,6 +117,8 @@ def handle_request(store: SessionStore,
         if op == "submit":
             spec = SessionSpec.from_dict(request["spec"])
             return {"ok": True, "sid": store.submit(spec)}
+        if op == "state":
+            return {"ok": True, "state": store.state(request["sid"])}
         if op == "status":
             return {"ok": True, "view": store.view(request["sid"])}
         if op == "results":
@@ -181,6 +193,9 @@ class SocketTransport:
     # -- Transport protocol -------------------------------------------------------
     def submit(self, spec: SessionSpec) -> str:
         return self._call({"op": "submit", "spec": spec.to_dict()})["sid"]
+
+    def state(self, sid: str) -> str:
+        return self._call({"op": "state", "sid": sid})["state"]
 
     def status(self, sid: str) -> dict[str, Any]:
         return self._call({"op": "status", "sid": sid})["view"]

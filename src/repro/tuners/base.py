@@ -11,6 +11,7 @@ runs — exactly what a real cluster would have spent.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from contextlib import closing
 from dataclasses import dataclass, field
 from typing import Any, Protocol, TypeVar
 
@@ -266,14 +267,18 @@ class Tuner(ABC):
         """:meth:`tune`, with every evaluation journaled as it completes.
 
         *journal* is an :class:`~repro.core.journal.EvaluationJournal` or a
-        path to one.  Each finished evaluation is appended (fsync'd) along
-        with a snapshot of the objective's RNG state, so a process killed
+        path to one.  Each finished evaluation is appended along with a
+        snapshot of the objective's RNG state, so a process killed
         mid-search can :meth:`resume` bit-identically.  Decisions are
-        unaffected — the wrapper only records.
+        unaffected — the wrapper only records.  A journal opened here
+        from a path is closed (committed) when the session returns; a
+        journal object stays its caller's to close.
         """
         from ..core.journal import EvaluationJournal, JournaledObjective
         if not isinstance(journal, EvaluationJournal):
-            journal = EvaluationJournal(journal)
+            with closing(EvaluationJournal(journal)) as owned:
+                return self.checkpoint(objective, budget, owned, rng=rng,
+                                       tracer=tracer)
         journal.write_meta({"tuner": self.name,
                             "workload": workload_key(objective),
                             "budget": int(budget)})
@@ -307,7 +312,9 @@ class Tuner(ABC):
         """
         from ..core.journal import EvaluationJournal, JournaledObjective
         if not isinstance(journal, EvaluationJournal):
-            journal = EvaluationJournal(journal)
+            with closing(EvaluationJournal(journal)) as owned:
+                return self.resume(objective, budget, owned, rng=rng,
+                                   tracer=tracer, recover=recover)
         meta = journal.header()
         if meta is None:
             return self.checkpoint(objective, budget, journal, rng=rng,

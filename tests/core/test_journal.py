@@ -1,11 +1,14 @@
 """Tests for the crash-safe evaluation journal and its objective wrapper."""
 
+import errno
 import json
 
 import numpy as np
 import pytest
 
 from repro.core.journal import EvalRecord, EvaluationJournal, JournaledObjective
+from repro.obs import durable
+from repro.obs.durable import JsonlAppender, read_jsonl
 from repro.space import spark_space
 from repro.sparksim import RunStatus
 from repro.tuners import RandomSearch, WorkloadObjective
@@ -216,6 +219,86 @@ class TestDispatchSettle:
         assert all(rec.seq is None for rec in records)
         assert journal.pending_dispatches() == []
         assert journal.next_seq() == 0
+
+
+class TestDurability:
+    """Which records are fsync'd: each dispatch before its evaluation
+    runs, censored settles, and the rest at close."""
+
+    def test_one_fsync_per_dispatch_plus_one_at_close(self, tmp_path,
+                                                     fsyncs):
+        path = tmp_path / "run.jsonl"
+        result = RandomSearch().checkpoint(TestTornTail._objective("kmeans"),
+                                           5, path, rng=2)
+        assert len(result.evaluations) == 5
+        # checkpoint closed the journal it opened: the last sync covers
+        # the whole file.
+        assert len(fsyncs) == 5 + 1
+        assert fsyncs[-1] == path.stat().st_size
+
+    def test_each_dispatch_is_synced_before_its_evaluation(self, tmp_path,
+                                                          fsyncs):
+        synced_at_call = []
+
+        class Probe(RecordingObjective):
+            def __call__(self, u, time_limit_s=None):
+                synced_at_call.append(list(fsyncs))
+                return super().__call__(u, time_limit_s)
+
+        path = tmp_path / "run.jsonl"
+        journal = EvaluationJournal(path)
+        wrapped = JournaledObjective(Probe(), journal)
+        for x in (0.2, 0.4, 0.6):
+            wrapped(np.array([x, 1.0 - x]))
+        lines = path.read_bytes().splitlines(keepends=True)
+        ends = np.cumsum([len(line) for line in lines]).tolist()
+        # Evaluation i runs after exactly i + 1 fsyncs, the last ending
+        # at its own dispatch line (settles wait for the next dispatch).
+        assert synced_at_call == [ends[:1], ends[:3:2], ends[:5:2]]
+        journal.close()
+        assert fsyncs == [ends[0], ends[2], ends[4], ends[5]]
+
+    def test_settle_is_readable_before_any_fsync(self, tmp_path, fsyncs):
+        path = tmp_path / "run.jsonl"
+        journal = EvaluationJournal(path)
+        journal.append_dispatch(0, [0.25, 0.75])
+        assert len(fsyncs) == 1
+        journal.append(make_eval(), None, seq=0)
+        assert [r["kind"] for r in read_jsonl(path)] == ["dispatch", "eval"]
+        assert len(fsyncs) == 1  # flushed, which survives SIGKILL
+        journal.close()
+        assert fsyncs == [fsyncs[0], path.stat().st_size]
+
+    def test_record_censored_fsyncs_its_settle(self, tmp_path, fsyncs):
+        path = tmp_path / "run.jsonl"
+        journal = EvaluationJournal(path)
+        wrapped = JournaledObjective(RecordingObjective(), journal)
+        wrapped(np.array([0.2, 0.8]))
+        assert len(fsyncs) == 1  # the live settle is only flushed
+        wrapped.record_censored(make_eval(
+            x=0.4, status=RunStatus.TIMEOUT, truncated=True, transient=True,
+            fault="deadline"))
+        # Its dispatch and its settle are both on disk when it returns.
+        assert fsyncs[-1] == path.stat().st_size
+        assert [r["kind"] for r in read_jsonl(path)][-2:] == ["dispatch",
+                                                             "eval"]
+        journal.close()
+        assert fsyncs[-1] == path.stat().st_size
+
+    def test_close_releases_the_file_when_its_sync_fails(self, tmp_path,
+                                                         monkeypatch):
+        def failing(fd):
+            raise OSError(errno.EIO, "fsync failed")
+
+        path = tmp_path / "run.jsonl"
+        appender = JsonlAppender(path)
+        appender.write({"kind": "eval", "seq": 0})
+        handle = appender._fh
+        monkeypatch.setattr(durable.os, "fsync", failing)
+        with pytest.raises(OSError, match="fsync failed"):
+            appender.close()
+        assert handle.closed and appender._fh is None
+        appender.close()  # already closed: a no-op, not a second error
 
 
 class TestCrashRecovery:

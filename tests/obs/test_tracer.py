@@ -176,6 +176,19 @@ class TestJsonlTraceWriter:
         assert [r["kind"] for r in records] == ["meta", "event", "metrics"]
         assert validate_trace(records) == []
 
+    def test_flushes_per_record_and_fsyncs_once_at_close(self, tmp_path,
+                                                        fsyncs):
+        path = tmp_path / "trace.jsonl"
+        tracer = Tracer(JsonlTraceWriter(path), clock=FakeClock(),
+                        meta={"tuner": "x"})
+        for i in range(5):
+            tracer.emit("eval.result", {"i": i})
+            # Readable as soon as it is written: a kill loses nothing.
+            assert len(path.read_text().splitlines()) == 2 + i
+        assert fsyncs == []
+        tracer.close()
+        assert fsyncs == [path.stat().st_size]
+
     def test_refuses_non_empty_file(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text('{"kind": "meta", "schema": 1}\n')

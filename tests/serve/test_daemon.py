@@ -7,12 +7,15 @@ import time
 
 import pytest
 
+import repro.serve.daemon as daemon_module
 from repro.core.journal import EvaluationJournal
-from repro.obs import InMemorySink, Tracer
-from repro.serve import (SessionCancelled, SessionSpec, SessionStore,
-                         TuningDaemon, result_payload, run_session)
+from repro.obs import InMemorySink, JsonlTraceWriter, Tracer
+from repro.serve import (ServiceClient, SessionCancelled, SessionSpec,
+                         SessionStore, TuningDaemon, result_payload,
+                         run_session)
+from repro.serve.store import TICK_S, WAIT_SHARE
 
-from .harness import fast_spec_kwargs
+from .harness import DaemonHarness, fast_spec_kwargs
 
 SPEC = SessionSpec(workload="pagerank", seed=4, **fast_spec_kwargs())
 
@@ -21,6 +24,20 @@ def drain(store, **kw):
     kw.setdefault("poll_s", 0.02)
     kw.setdefault("session_traces", False)
     return TuningDaemon(store, drain=True, **kw).run()
+
+
+def _raising_after_an_evaluation(exc):
+    """A run_session whose session raises *exc* before its second
+    evaluation."""
+    def run(spec, **kwargs):
+        calls = iter(range(1000))
+
+        def check():
+            if next(calls) >= 1:
+                raise exc
+            return False
+        return run_session(spec, **dict(kwargs, should_cancel=check))
+    return run
 
 
 class TestSettlePaths:
@@ -74,6 +91,102 @@ class TestSettlePaths:
         assert settled == 2
         depth = store.queue_depth()
         assert depth["DONE"] == 2 and depth["PENDING"] == 1
+
+
+class TestCommitBeforeSettle:
+    """A session's journal and trace are closed (fsync'd) before the
+    store writes its terminal state."""
+
+    @pytest.fixture()
+    def order(self, monkeypatch):
+        calls = []
+
+        def recorded(owner, name, label):
+            original = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                calls.append(label)
+                return original(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        recorded(EvaluationJournal, "close", "journal.close")
+        recorded(JsonlTraceWriter, "close", "trace.close")
+        for settle in ("complete", "fail", "cancelled"):
+            recorded(SessionStore, settle, settle)
+        return calls
+
+    @pytest.mark.parametrize("run, settle", [
+        (run_session, "complete"),
+        (_raising_after_an_evaluation(SessionCancelled("cancelled")),
+         "cancelled"),
+        (_raising_after_an_evaluation(RuntimeError("broke")), "fail"),
+    ], ids=["done", "cancelled", "failed"])
+    def test_journal_and_trace_close_before_the_settle(
+            self, tmp_path, monkeypatch, order, run, settle):
+        monkeypatch.setattr(daemon_module, "run_session", run)
+        store = SessionStore(tmp_path / "store")
+        sid = store.submit(SPEC)
+        assert drain(store, session_traces=True) == 1
+        assert order == ["journal.close", "trace.close", settle]
+        assert store.journal_path(sid).stat().st_size > 0
+
+
+class TestWaking:
+    def test_submission_wakes_an_idle_daemon_before_its_rescan(
+            self, tmp_path):
+        store = SessionStore(tmp_path / "store")
+        daemon = TuningDaemon(store, poll_s=30.0, session_traces=False,
+                              tracer=Tracer(InMemorySink()))
+        thread = threading.Thread(target=daemon.run, daemon=True)
+        thread.start()
+        try:
+            for _ in range(1000):  # the worker's first (empty) claim scan
+                if daemon.tracer.timers.get("serve.claim"):
+                    break
+                time.sleep(0.01)
+            assert daemon.tracer.timers["serve.claim"]["count"] == 1
+            sid = store.submit(SPEC)
+            # Well inside the 30 s rescan: only the index change wakes it.
+            view = ServiceClient.for_store(store.root).wait(sid,
+                                                            timeout_s=20.0)
+            assert view["state"] == "DONE"
+        finally:
+            daemon.stop()
+            thread.join(timeout=30.0)
+        assert not thread.is_alive()
+
+    def test_idle_checks_back_off_to_one_per_poll(self, tmp_path):
+        daemon = TuningDaemon(tmp_path / "store", poll_s=0.25,
+                              session_traces=False)
+        gaps: list[float] = []
+
+        class RecordingStop:  # records the idle sleeps, sleeps none
+            def wait(self, gap):
+                gaps.append(gap)
+                return False
+
+        daemon._stop = RecordingStop()
+        stamp = daemon.store.index_stamp()
+        idle_s = 0.0
+        while idle_s < 3600.0:  # an hour of rescans on an unchanged index
+            idle_s = daemon._await_change(stamp, idle_s)
+        assert gaps[0] == TICK_S and max(gaps) == 0.25
+        waited = 0.0
+        for gap in gaps:  # a change is seen within a tick or 1/128 of idle
+            assert gap <= max(TICK_S, WAIT_SHARE * waited) + 1e-12
+            waited += gap
+        assert len(gaps) <= 1.05 * 3600.0 / 0.25
+        daemon.store.submit(SPEC)
+        gaps.clear()
+        assert daemon._await_change(stamp, idle_s) == 0.0
+        assert gaps == [0.25]  # the first check after that long idle
+        assert daemon._await_change(daemon.store.index_stamp(), 0.0) > 0
+        assert gaps[1] == TICK_S  # and every tick again after a change
+
+    def test_sigterm_stops_an_idle_daemon(self, tmp_path):
+        harness = DaemonHarness(tmp_path / "store").start()
+        # stop() sends SIGTERM and falls back to SIGKILL (-9) after 30 s.
+        assert harness.stop(timeout_s=30.0) == 0
 
 
 class TestRecovery:

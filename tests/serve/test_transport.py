@@ -7,9 +7,9 @@ import time
 
 import pytest
 
-from repro.serve import (FileTransport, SessionSpec, SessionStore,
-                         SocketTransport, TuningDaemon, handle_request,
-                         parse_address)
+from repro.serve import (FileTransport, ServiceClient, SessionSpec,
+                         SessionStore, SocketTransport, TuningDaemon,
+                         handle_request, parse_address)
 
 SPEC = SessionSpec(workload="pagerank", budget=6, seed=0, init_samples=4,
                    selection_samples=10, selection_repeats=2)
@@ -44,6 +44,18 @@ class TestHandleRequest:
         sessions = handle_request(store, {"op": "list"})["sessions"]
         assert [s["sid"] for s in sessions] == [sid]
 
+    def test_state_op_reads_the_lifecycle_state(self, tmp_path):
+        store = SessionStore(tmp_path / "store")
+        sid = store.submit(SPEC)
+        assert handle_request(store, {"op": "state", "sid": sid}) == {
+            "ok": True, "state": "PENDING"}
+        store.cancel(sid)
+        assert handle_request(store, {"op": "state",
+                                      "sid": sid})["state"] == "CANCELLED"
+        unknown = handle_request(store, {"op": "state",
+                                         "sid": "s999999-ffffffff"})
+        assert unknown["ok"] is False and "KeyError" in unknown["error"]
+
     def test_results_before_settle_is_null(self, tmp_path):
         store = SessionStore(tmp_path / "store")
         sid = store.submit(SPEC)
@@ -70,6 +82,7 @@ class TestFileTransport:
         transport = FileTransport(tmp_path / "store")
         assert transport.ping() is False  # no daemon registered
         sid = transport.submit(SPEC)
+        assert transport.state(sid) == "PENDING"
         assert transport.status(sid)["state"] == "PENDING"
         assert transport.results(sid) is None
         assert transport.cancel(sid) == "CANCELLED"
@@ -111,6 +124,17 @@ class TestSocketTransport:
         # Unknown sid surfaces as a RuntimeError carrying the server error.
         with pytest.raises(RuntimeError, match="KeyError"):
             transport.status("s999999-ffffffff")
+
+    def test_state_over_the_wire_and_wait_on_it(self, live_daemon):
+        store, daemon = live_daemon
+        transport = SocketTransport("auto", store_root=store.root)
+        sid = transport.submit(SPEC)
+        assert transport.state(sid) in ("PENDING", "RUNNING", "DONE")
+        view = ServiceClient(transport).wait(sid, timeout_s=120)
+        assert view["state"] == "DONE"
+        assert transport.state(sid) == "DONE"
+        with pytest.raises(RuntimeError, match="KeyError"):
+            transport.state("s999999-ffffffff")
 
     def test_shutdown_stops_the_daemon(self, live_daemon):
         store, daemon = live_daemon
