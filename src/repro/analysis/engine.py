@@ -135,9 +135,9 @@ def analyze_file(path: Path, rules: Sequence[Rule],
                  display: str | None = None) -> list[Finding]:
     """Run *rules* over one file, returning suppression-resolved findings.
 
-    Single-file analysis: whole-program (``requires_flow``) rules fall
-    back to their per-module ``check`` here, which for most of them is a
-    no-op — use :func:`analyze_paths` for the full rule set.
+    Single-file analysis: whole-program (``requires_flow``) rules are
+    inert here (their per-module ``check`` is a no-op) — use
+    :func:`analyze_paths` for the full rule set.
     """
     shown = display if display is not None else str(path)
     try:

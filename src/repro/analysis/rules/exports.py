@@ -59,10 +59,9 @@ class DeadCoreExport(FlowRule):
 
     A whole-program rule since its verdict depends on *every* scanned
     module, not just ``core/__init__.py`` — which is also why it must
-    never enter the per-module result cache.  In project mode caller
-    sources come from the already-parsed graph; the single-file path
-    (``analyze_file``) keeps the original disk scan as a fallback so the
-    rule still works without a project.
+    never enter the per-module result cache.  Caller sources come from
+    the already-parsed project; like every flow rule it is inert under
+    single-file ``analyze_file``.
     """
 
     id = "RPE001"
@@ -72,11 +71,6 @@ class DeadCoreExport(FlowRule):
         "benchmarks/ references is untested API surface growing by "
         "accretion: remove it, or suppress with a justification naming "
         "the external consumer it serves.")
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        if not ctx.is_module("core/__init__.py"):
-            return
-        yield from self._check_init(ctx, self._caller_sources(ctx.path))
 
     def check_project(self, project: "FlowProject") -> Iterator[Finding]:
         init: ModuleContext | None = None
@@ -121,22 +115,6 @@ class DeadCoreExport(FlowRule):
                     f"export {name!r} has no call site in "
                     f"{' or '.join(_CALLER_DIRS)}; remove it or suppress "
                     "with the external consumer it serves")
-
-    @staticmethod
-    def _caller_sources(init_path: Path) -> list[tuple[str, str]]:
-        """``(repro-relative-or-bench path, source)`` for candidate callers."""
-        pkg_root = init_path.resolve().parent.parent       # src/repro
-        out: list[tuple[str, str]] = []
-        for py in sorted(pkg_root.rglob("*.py")):
-            if py.name == "__init__.py":
-                continue
-            try:
-                out.append((py.relative_to(pkg_root).as_posix(),
-                            py.read_text(encoding="utf-8")))
-            except (OSError, UnicodeDecodeError):
-                continue
-        out.extend(DeadCoreExport._bench_sources(init_path))
-        return out
 
     @staticmethod
     def _bench_sources(init_path: Path) -> list[tuple[str, str]]:

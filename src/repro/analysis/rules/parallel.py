@@ -36,8 +36,8 @@ def _backend_is_pickle_free(call: ast.Call) -> bool:
 
     ``parallel_map`` defaults to the thread backend, so an absent
     ``backend=`` kwarg is safe; a non-literal backend (e.g.
-    ``self.parallel_backend``) may resolve to "process" at runtime and is
-    treated as pickling.
+    ``self.backend``) may resolve to "process" at runtime and is treated
+    as pickling.
     """
     for kw in call.keywords:
         if kw.arg == "backend":
@@ -73,8 +73,8 @@ class NonPicklableWorker(Rule):
     title = "non-module-level parallel worker"
     rationale = (
         "A lambda or nested function submitted where the backend may be "
-        "'process' cannot be pickled; the failure only appears once "
-        "ROBOTUNE_JOBS enables the pool, long after the code merged. "
+        "'process' cannot be pickled; the failure only appears once a "
+        "caller asks for more than one worker, long after the code merged. "
         "Define the worker at module level (functools.partial is fine).")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:

@@ -124,12 +124,13 @@ class ComparisonStudy:
         sequences are reproducible and identical across tuners for the
         same coordinate), retrying transient failures up to *retries*
         times.  Rate 0 (the default) leaves objectives unwrapped.
-    n_jobs / parallel_backend:
-        Workers for running independent ``(trial, workload, tuner)``
+    n_jobs:
+        Worker processes running independent ``(trial, workload, tuner)``
         sweeps concurrently (each sweep still visits its datasets in
         order, because the knowledge stores are shared within a sweep).
         Every session is seeded from its grid coordinates, so results
-        and record order are identical for any worker count.
+        and record order are identical for any worker count.  This is
+        the library's one fan-out: a session itself runs serially.
     async_workers:
         Asynchronous BO worker count for ROBOTune sessions (see
         :class:`~repro.core.tuner.ROBOTune` ``async_workers``); other
@@ -158,7 +159,7 @@ class ComparisonStudy:
         own file, ``{tuner}-{workload}-{dataset}-trial{N}-s{seed}.jsonl``
         with the session seed in eight hex digits, and its own
         :class:`~repro.obs.Tracer`, constructed inside the session so
-        the ``"process"`` backend never pickles one; the
+        the worker processes never pickle one; the
         record's ``trace_path`` points at the file and
         :meth:`StudyResult.trace_summaries` folds them back up.  ``None``
         (the default) traces nothing.
@@ -172,7 +173,6 @@ class ComparisonStudy:
                  fault_rate: float = 0.0,
                  retries: int = 2,
                  n_jobs: int | None = None,
-                 parallel_backend: str = "process",
                  async_workers: int = 0,
                  supervise=None,
                  map_workloads: bool = False,
@@ -206,9 +206,8 @@ class ComparisonStudy:
         self.warm_start = str(warm_start) if warm_start is not None else None
         self.keep_results = keep_results
         self.n_jobs = n_jobs
-        self.parallel_backend = parallel_backend
         # Stored as a plain string to keep the study picklable for the
-        # process backend.
+        # worker processes.
         self.trace_dir = str(trace_dir) if trace_dir is not None else None
         self.base_seed = base_seed
         self.space = spark_space()
@@ -238,10 +237,10 @@ class ComparisonStudy:
         """Execute every session of the study grid.
 
         The ``(trial, workload, tuner)`` sweeps are independent (each one
-        starts fresh knowledge stores) and run concurrently under
-        ``n_jobs``; datasets within a sweep stay sequential so D2/D3 see
-        the warm stores D1 populated.  Records are appended in the same
-        nested order the sequential loop produced.
+        starts fresh knowledge stores) and run concurrently on ``n_jobs``
+        worker processes; datasets within a sweep stay sequential so
+        D2/D3 see the warm stores D1 populated.  Records are appended in
+        the same nested order the sequential loop produced.
         """
         if self.map_workloads:
             # Whole-grid sweeps: the mapper and knowledge stores persist
@@ -254,9 +253,8 @@ class ComparisonStudy:
                       for trial in range(self.trials)
                       for workload in self.workloads
                       for tuner_name in self.tuners]
-        sweep_records = parallel_map(self._run_sweep, sweeps,  # repro: noqa RPP002 -- ComparisonStudy is picklable by design (plain config attrs only); process-backend round-trip is covered by tests/bench/test_harness_parallel.py
-                                     n_jobs=self.n_jobs,
-                                     backend=self.parallel_backend)
+        sweep_records = parallel_map(self._run_sweep, sweeps,  # repro: noqa RPP002 -- ComparisonStudy is picklable by design (plain config attrs only); the process round-trip is covered by tests/bench/test_harness_parallel.py
+                                     n_jobs=self.n_jobs, backend="process")
         study = StudyResult()
         for recs in sweep_records:
             for rec in recs:

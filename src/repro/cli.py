@@ -75,7 +75,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_tune.add_argument("--emit-conf", default=None, metavar="FILE",
                         help="write the best configuration as "
                              "spark-defaults.conf text")
-    _jobs(p_tune)
     _async_workers(p_tune)
     _resilience(p_tune)
     p_tune.add_argument("--warm-start", default=None, metavar="DIR",
@@ -110,7 +109,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="compare the four tuners")
     _common(p_cmp)
     p_cmp.add_argument("--trials", type=int, default=1)
-    _jobs(p_cmp, "running the study's sessions concurrently")
+    p_cmp.add_argument("--jobs", type=int, default=None, metavar="N",
+                       help="worker processes running the study's "
+                            "independent sweeps concurrently (default: 1; "
+                            "-1 = all CPUs); results are identical for any "
+                            "value")
     _async_workers(p_cmp)
     _resilience(p_cmp)
     p_cmp.add_argument("--warm-start", default=None, metavar="DIR",
@@ -139,7 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
     _common(p_imp)
     p_imp.add_argument("--samples", type=int, default=100)
     p_imp.add_argument("--top", type=int, default=12)
-    _jobs(p_imp)
 
     p_sim = sub.add_parser("simulate", help="run one configuration")
     _common(p_sim)
@@ -157,10 +159,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="concurrent session-runner threads (default: 1)")
     p_srv.add_argument("--poll", type=float, default=0.05, metavar="S",
                        help="seconds between an idle worker's full claim "
-                            "rescan, the --drain/--max-sessions exit check "
-                            "and queue-depth events (default: 0.05); a "
-                            "submission is claimed when the store's index "
-                            "changes, without waiting for the rescan")
+                            "rescan and queue-depth events (default: 0.05); "
+                            "a submission is claimed when the store's index "
+                            "changes, and --drain/--max-sessions exit when "
+                            "a session settles, without waiting for it")
     p_srv.add_argument("--drain", action="store_true",
                        help="exit once the store holds no runnable session "
                             "(batch mode; default serves until SIGTERM)")
@@ -248,14 +250,6 @@ def _common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--dataset", default="D1", choices=list(DATASET_LABELS))
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--seed", type=int, default=0)
-
-
-def _jobs(p: argparse.ArgumentParser,
-          what: str = "forest training and permutation importance") -> None:
-    p.add_argument("--jobs", type=int, default=None, metavar="N",
-                   help=f"worker processes/threads for {what} (default: "
-                        "ROBOTUNE_JOBS env var, else 1; -1 = all CPUs); "
-                        "results are identical for any value")
 
 
 def _async_workers(p: argparse.ArgumentParser) -> None:
@@ -409,7 +403,7 @@ def cmd_tune(args) -> int:
     # reads the counters of the objective build_objective returns.
     objective = build_objective(spec, tracer=tracer)
     tuner = build_tuner(spec, selection_cache=cache, memo_buffer=memo,
-                        warm_start=args.warm_start, n_jobs=args.jobs)
+                        warm_start=args.warm_start)
     result = drive(spec, tuner, objective, journal=args.journal,
                    resume=args.resume, recover=args.recover, tracer=tracer)
     if tracer is not None:
@@ -454,6 +448,11 @@ def cmd_tune(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    try:
+        resolve_n_jobs(args.jobs)  # fail fast, before any session runs
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     workload_names = [w.strip() for w in args.workload.split(",")
                       if w.strip()]
     # --trace-summary alone still needs the study's per-session traces;
@@ -504,8 +503,7 @@ def cmd_importance(args) -> int:
     space = spark_space()
     workload = get_workload(args.workload, args.dataset)
     objective = WorkloadObjective(workload, space, rng=args.seed)
-    selector = ParameterSelector(n_samples=args.samples, n_jobs=args.jobs,
-                                 rng=args.seed)
+    selector = ParameterSelector(n_samples=args.samples, rng=args.seed)
     result = selector.select(space, selector.collect(objective, space))
     rows = [(g.group, g.importance, g.std,
              "selected" if g.group in result.selected_groups else "")
@@ -771,15 +769,7 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
-    if hasattr(args, "jobs"):
-        # Fail fast on a bad --jobs value or ROBOTUNE_JOBS setting,
-        # before any expensive sampling starts.
-        try:
-            resolve_n_jobs(args.jobs)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    # Same fail-fast treatment for the resilience flags.
+    # Fail fast on bad resilience flags, before any sampling starts.
     problem = _validate_resilience(args)
     if problem is not None:
         print(f"error: {problem}", file=sys.stderr)

@@ -191,10 +191,6 @@ class BOEngine:
         dimensions through a query-time view.  Warm rows are priors
         only: they never feed the guard, the Hedge gains, early
         stopping, or the budget.
-    n_jobs:
-        Workers for GP multi-start fits (``None`` defers to
-        ``ROBOTUNE_JOBS``).  Results are identical for any worker
-        count.
     tracer:
         Optional :class:`repro.obs.Tracer`.  The loop emits
         ``bo.iteration``/``eval.result``/``guard.kill`` events, the GP
@@ -213,7 +209,6 @@ class BOEngine:
                  gp_max_exact: int = 512,
                  gp_inducing: int = 96,
                  warm_start: WarmStartData | None = None,
-                 n_jobs: int | None = None,
                  rng: np.random.Generator | int | None = None,
                  tracer=None):
         if n_candidates < 8:
@@ -252,7 +247,6 @@ class BOEngine:
         #: (poison configurations that repeatedly hung or killed workers).
         self.quarantined: list[np.ndarray] = []
         self._warned_serial = False
-        self.n_jobs = n_jobs
         self.records: list[BOIterationRecord] = []
         #: iterations that fell back to an LHS proposal because the GP
         #: could not be fit or the observation window was degenerate.
@@ -560,13 +554,12 @@ class BOEngine:
             if self._gp is None:
                 self._gp = GaussianProcessRegressor(
                     kernel=self._kernel_template, normalize_y=True,
-                    n_restarts=2, n_jobs=self.n_jobs,
-                    rng=self._rng, tracer=self._tracer)
+                    n_restarts=2, rng=self._rng, tracer=self._tracer)
             return self._gp
         if self._gp_lowrank is None:
             self._gp_lowrank = LowRankGaussianProcessRegressor(
                 kernel=self._kernel_template, normalize_y=True,
-                n_inducing=self.gp_inducing, n_restarts=2, n_jobs=self.n_jobs,
+                n_inducing=self.gp_inducing, n_restarts=2,
                 rng=self._rng, tracer=self._tracer)
         return self._gp_lowrank
 

@@ -62,17 +62,12 @@ class ParameterSelector:
         orders of magnitude with a censored plateau at the cap; the log
         compresses the plateau and measurably raises OOB R² and the
         stability of the ranking.
-    n_jobs:
-        Workers for forest training and permutation importance (``None``
-        defers to ``ROBOTUNE_JOBS``); results are identical for any
-        worker count.
     """
 
     def __init__(self, *, n_samples: int = 100, n_trees: int = 150,
                  n_repeats: int = 10, threshold: float = 0.05,
                  min_select: int = 2, max_select: int | None = None,
                  log_target: bool = True,
-                 n_jobs: int | None = None,
                  rng: np.random.Generator | int | None = None):
         if n_samples < 10:
             raise ValueError("n_samples must be >= 10")
@@ -87,7 +82,6 @@ class ParameterSelector:
         self.min_select = min_select
         self.max_select = max_select
         self.log_target = log_target
-        self.n_jobs = n_jobs
         self._rng = as_generator(rng)
 
     # -- sample collection -------------------------------------------------------
@@ -120,13 +114,12 @@ class ParameterSelector:
         if self.log_target:
             y = np.log(np.maximum(y, 1e-9))
         forest = RandomForestRegressor(self.n_trees, max_features=0.5,
-                                       n_jobs=self.n_jobs,
                                        rng=self._rng,
                                        tracer=tracer).fit(X, y)
         oob = forest.oob_score()
         importances = grouped_permutation_importance(
             forest, space.groups(), n_repeats=self.n_repeats,
-            n_jobs=self.n_jobs, rng=self._rng, tracer=tracer)
+            rng=self._rng, tracer=tracer)
 
         passed = [g for g in importances if g.importance >= self.threshold]
         if len(passed) < self.min_select:

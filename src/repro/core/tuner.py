@@ -118,14 +118,6 @@ class ROBOTune(Tuner):
         Extra arguments forwarded to :class:`BOEngine` (portfolio, candidate
         counts, hyperopt schedule, refinement on/off, early stopping,
         async workers, ...).
-    n_jobs:
-        Workers for the selection phase's forest training and permutation
-        importance when the default selector is constructed (an explicit
-        *selector* keeps its own setting), and — unless overridden in
-        *engine_kwargs* — for the BO engine's multi-start GP fits.
-        ``None`` defers to the ``ROBOTUNE_JOBS``
-        environment variable.  Tuning decisions are identical for any
-        worker count.
     """
 
     name = "ROBOTune"
@@ -141,7 +133,6 @@ class ROBOTune(Tuner):
                  warm_start: str | None = None,
                  mapper: WorkloadMapper | None = None,
                  engine_kwargs: dict | None = None,
-                 n_jobs: int | None = None,
                  rng: np.random.Generator | int | None = None):
         if init_samples < 2:
             raise ValueError("init_samples must be >= 2")
@@ -171,11 +162,6 @@ class ROBOTune(Tuner):
         self.engine_kwargs = dict(engine_kwargs or {})
         self.engine_kwargs.setdefault("async_workers", async_workers)
         self.engine_kwargs.setdefault("supervise", supervise)
-        # The engine shares the worker budget: it parallelizes GP
-        # multi-start fits, which return identical results for any
-        # worker count.
-        self.engine_kwargs.setdefault("n_jobs", n_jobs)
-        self.n_jobs = n_jobs
         self._rng = as_generator(rng)
 
     # -- main entry point ---------------------------------------------------------
@@ -221,8 +207,7 @@ class ROBOTune(Tuner):
                                          selected)
                     self.selection_cache.put(cache_key, selected)
             if selected is None:
-                selector = self.selector or ParameterSelector(
-                    rng=rng, n_jobs=self.n_jobs)
+                selector = self.selector or ParameterSelector(rng=rng)
                 with tracer.span("selection"):
                     sel_evals = selector.collect(objective, space,
                                                  tracer=tracer)

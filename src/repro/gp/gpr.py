@@ -5,6 +5,9 @@ The surrogate model of the paper's BO engine (§3.4).  Given observations
 distribution whose mean is the model's estimate of the objective and whose
 variance quantifies uncertainty.  Kernel hyperparameters are chosen by
 maximizing the log marginal likelihood with L-BFGS-B (multi-start).
+The restarts run one after another on the caller's thread: at a BO
+session's sizes a fit is too small to pay for worker threads
+(docs/PERFORMANCE.md).
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.optimize import minimize
 
 from ..obs import as_tracer
-from ..utils.parallel import parallel_map
 from ..utils.rng import as_generator
 from .kernels import ConstantKernel, Kernel, Matern52, WhiteKernel, _cdist_sq
 
@@ -94,7 +96,7 @@ class _LikelihoodGP:
 
     def __init__(self, kernel: Kernel | None = None, *, alpha: float = 1e-10,
                  normalize_y: bool = True, n_restarts: int = 2,
-                 optimize: bool = True, n_jobs: int | None = None,
+                 optimize: bool = True,
                  rng: np.random.Generator | int | None = None,
                  tracer=None):
         if alpha < 0:
@@ -105,7 +107,6 @@ class _LikelihoodGP:
         self.normalize_y = normalize_y
         self.n_restarts = n_restarts
         self.optimize = optimize
-        self.n_jobs = n_jobs
         self.rng = rng
         self.tracer = as_tracer(tracer)
         self._fitted = False
@@ -146,30 +147,23 @@ class _LikelihoodGP:
         One fused value-and-gradient call per step shares a single
         factorization between the NLL and all its partial derivatives.
         Starts are the incumbent theta plus ``n_restarts`` uniform draws
-        inside the bounds; the best is kept in start order.
+        inside the bounds, run in order on one private kernel copy (so
+        ``self.kernel`` only ever holds the winner); the best is kept in
+        start order.
         """
         rng = as_generator(self.rng)
         bounds = self.kernel.bounds
         starts = [self.kernel.theta]
         for _ in range(self.n_restarts):
             starts.append(rng.uniform(bounds[:, 0], bounds[:, 1]))
-
-        def _run_start(start: np.ndarray) -> tuple[float, np.ndarray]:
-            # Each restart optimizes a private kernel copy, so threaded
-            # workers never race on shared hyperparameter state and the
-            # result matches the serial loop bit-for-bit.
-            res = minimize(self._nll_and_grad, start,
-                           args=(copy.deepcopy(self.kernel),), jac=True,
-                           method="L-BFGS-B", bounds=bounds,
-                           options={"maxiter": 100})
-            return float(res.fun), res.x
-
-        results = parallel_map(_run_start, starts, n_jobs=self.n_jobs,
-                               backend="thread", tracer=self.tracer)
+        kernel = copy.deepcopy(self.kernel)
         best_theta, best_nll = self.kernel.theta, np.inf
-        for fun, x in results:
-            if fun < best_nll:
-                best_nll, best_theta = fun, x
+        for start in starts:
+            res = minimize(self._nll_and_grad, start, args=(kernel,),
+                           jac=True, method="L-BFGS-B", bounds=bounds,
+                           options={"maxiter": 100})
+            if float(res.fun) < best_nll:
+                best_nll, best_theta = float(res.fun), res.x
         self.kernel.theta = best_theta
 
     @property
@@ -202,11 +196,6 @@ class GaussianProcessRegressor(_LikelihoodGP):
     optimize:
         If False, keep the kernel's current hyperparameters (useful for
         tests and for very small training sets).
-    n_jobs:
-        Workers for the multi-start likelihood optimization (``None``
-        defers to ``ROBOTUNE_JOBS``).  Each restart runs on a private
-        kernel copy and winners are chosen in start order, so the fitted
-        model is identical for any worker count.
     tracer:
         Optional :class:`repro.obs.Tracer`: each (re)fit, including a
         rank-k :meth:`update`, emits a ``gp.fit`` event and accumulates
@@ -332,8 +321,8 @@ class GaussianProcessRegressor(_LikelihoodGP):
     def _nll(self, theta: np.ndarray, kernel: Kernel | None = None) -> float:
         """Negative log marginal likelihood at the given hyperparameters.
 
-        Operates on *kernel* when given (a private copy during parallel
-        multi-start), else mutates ``self.kernel`` in place.
+        Operates on *kernel* when given (the multi-start's private
+        copy), else mutates ``self.kernel`` in place.
         """
         kernel = self.kernel if kernel is None else kernel
         kernel.theta = theta

@@ -6,7 +6,8 @@ each tree is evaluated only on samples it never saw during training, giving
 an unbiased generalization estimate without a held-out set.  A fitted
 forest also holds all its trees in one :class:`~repro.ml.tree.NodeTable`,
 through which the permutation-importance scorer descends every OOB
-(tree, sample) pair in one call.
+(tree, sample) pair in one call.  A fit grows all its trees together, in
+lockstep, on the caller's thread (:func:`~repro.ml.tree.grow_trees`).
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ from __future__ import annotations
 import numpy as np
 
 from ..obs import as_tracer
-from ..utils.parallel import parallel_map, resolve_n_jobs
 from ..utils.rng import as_generator, spawn
 from .metrics import r2_score
 from .tree import DecisionTreeRegressor, NodeTable, grow_trees
@@ -22,44 +22,12 @@ from .tree import DecisionTreeRegressor, NodeTable, grow_trees
 __all__ = ["RandomForestRegressor", "ExtraTreesRegressor"]
 
 
-def _fit_group_job(task) -> tuple[list[DecisionTreeRegressor],
-                                   list[np.ndarray | None], int]:
-    """Fit one contiguous group of the ensemble's trees in lockstep
-    (module-level for process pools).
-
-    Each tree carries its own child generator, which draws its bootstrap
-    and then every split, so the fitted trees — and the bootstrap/OOB
-    splits — are identical however the trees are grouped, and whether
-    groups run serially, on threads, or across processes.  Returns the
-    trees, their OOB masks and the group's split-search call count.
-    """
-    X, y, params, splitter, crngs, bootstrap = task
-    n = X.shape[0]
-    trees, rows, oobs = [], [], []
-    for crng in crngs:
-        if bootstrap:
-            idx = crng.integers(0, n, size=n)
-            oob = np.ones(n, dtype=bool)
-            oob[idx] = False
-        else:
-            idx = np.arange(n)
-            oob = None
-        trees.append(DecisionTreeRegressor(splitter=splitter, rng=crng,
-                                           **params))
-        rows.append(idx)
-        oobs.append(oob)
-    return trees, oobs, grow_trees(trees, X, y, rows)
-
-
 class _BaseForestRegressor:
     """Common machinery for bagged regression-tree ensembles.
 
-    ``n_jobs`` controls how many workers fit trees concurrently (see
-    :func:`repro.utils.parallel.resolve_n_jobs`; ``None`` defers to the
-    ``ROBOTUNE_JOBS`` environment variable).  Tree construction is
-    pure-Python and GIL-bound, so the default backend is ``"process"``;
-    results are independent of worker count and backend because every
-    tree owns a pre-spawned child generator.
+    Every tree owns a child generator spawned up front, which draws its
+    bootstrap and then every split, so each fitted tree is the one a
+    standalone fit with that generator would give.
     """
 
     _splitter = "best"
@@ -69,8 +37,6 @@ class _BaseForestRegressor:
                  min_samples_split: int = 2, min_samples_leaf: int = 1,
                  max_features: int | float | str | None = "third",
                  bootstrap: bool = True,
-                 n_jobs: int | None = None,
-                 parallel_backend: str = "process",
                  rng: np.random.Generator | int | None = None,
                  tracer=None):
         if n_estimators < 1:
@@ -81,8 +47,6 @@ class _BaseForestRegressor:
         self.min_samples_leaf = min_samples_leaf
         self.max_features = max_features
         self.bootstrap = bootstrap
-        self.n_jobs = n_jobs
-        self.parallel_backend = parallel_backend
         self.rng = rng
         self.tracer = as_tracer(tracer)
         self._fitted = False
@@ -96,36 +60,32 @@ class _BaseForestRegressor:
         if y.shape != (X.shape[0],):
             raise ValueError("y must be 1-D with len(y) == len(X)")
         n = X.shape[0]
-        rng = as_generator(self.rng)
-        child_rngs = spawn(rng, self.n_estimators)
         params = dict(max_depth=self.max_depth,
                       min_samples_split=self.min_samples_split,
                       min_samples_leaf=self.min_samples_leaf,
                       max_features=self.max_features)
-        # Contiguous groups of trees, one per worker (one when serial);
-        # each group grows its trees in lockstep.
-        jobs = resolve_n_jobs(self.n_jobs)
-        groups = 1 if self.parallel_backend == "serial" else min(
-            jobs, self.n_estimators)
-        cuts = [self.n_estimators * g // groups for g in range(groups + 1)]
-        tasks = [(X, y, params, self._splitter, child_rngs[a:b],
-                  self.bootstrap) for a, b in zip(cuts, cuts[1:])]
+        oob_mask = np.zeros((self.n_estimators, n), dtype=bool)
+        grown, rows = [], []
         with self.tracer.timer("forest.fit"):
-            fitted = parallel_map(_fit_group_job, tasks, n_jobs=jobs,
-                                  backend=self.parallel_backend,
-                                  tracer=self.tracer)
-        self.trees_ = [tree for trees, _, _ in fitted for tree in trees]
-        oobs = [oob for _, group, _ in fitted for oob in group]
+            for t, crng in enumerate(spawn(as_generator(self.rng),
+                                           self.n_estimators)):
+                if self.bootstrap:
+                    idx = crng.integers(0, n, size=n)
+                    oob_mask[t] = True
+                    oob_mask[t, idx] = False
+                else:
+                    idx = np.arange(n)
+                grown.append(DecisionTreeRegressor(
+                    splitter=self._splitter, rng=crng, **params))
+                rows.append(idx)
+            batches = grow_trees(grown, X, y, rows)
+        # oob_mask_[t, i] is True when sample i is out-of-bag for tree t.
+        self.trees_, self.oob_mask_ = grown, oob_mask
         self.tracer.emit("forest.fit", {
             "trees": int(self.n_estimators), "n": int(n),
             "features": int(X.shape[1]),
             "nodes": sum(tree.node_count for tree in self.trees_),
-            "batches": sum(batches for _, _, batches in fitted)})
-        # oob_mask_[t, i] is True when sample i is out-of-bag for tree t.
-        self.oob_mask_ = np.zeros((self.n_estimators, n), dtype=bool)
-        for t, oob in enumerate(oobs):
-            if oob is not None:
-                self.oob_mask_[t] = oob
+            "batches": batches})
         self.nodes_, roots = NodeTable.concat([t.nodes_ for t in self.trees_])
         # Every OOB (tree, sample) pair in tree-major order: the root it
         # descends from and its sample.

@@ -22,7 +22,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from ..obs import as_tracer
-from ..utils.parallel import parallel_map
 from ..utils.rng import as_generator
 from .forest import _BaseForestRegressor
 
@@ -104,7 +103,6 @@ def grouped_permutation_importance(
         groups: Mapping[str, Sequence[int]],
         *, n_repeats: int = 10,
         rng: np.random.Generator | int | None = None,
-        n_jobs: int | None = None,
         tracer=None,
 ) -> list[GroupImportance]:
     """Grouped MDA importances from a fitted bootstrap forest.
@@ -120,15 +118,11 @@ def grouped_permutation_importance(
         joint information is destroyed together.
     n_repeats:
         Independent permutations per group; drops are averaged.
-    n_jobs:
-        Workers scoring groups concurrently (thread backend — the work is
-        numpy-dominated).  ``None`` defers to ``ROBOTUNE_JOBS``.
     tracer:
         Optional :class:`repro.obs.Tracer`; scoring time accumulates in
-        the ``importance`` timer, the group fan-out is recorded via
-        :func:`repro.utils.parallel.parallel_map`'s ``parallel.map``
-        event, and one ``importance`` event counts the OOB pairs and the
-        (pair, repeat) descents the permuted groups made.
+        the ``importance`` timer, and one ``importance`` event counts the
+        OOB pairs and the (pair, repeat) descents the permuted groups
+        made.
 
     Returns
     -------
@@ -141,8 +135,8 @@ def grouped_permutation_importance(
     X = forest._X_train
     n = X.shape[0]
 
-    # Permutations are drawn up front, in the exact order the sequential
-    # loop would draw them, so results do not depend on n_jobs.
+    # Every group is checked and its permutations drawn before any
+    # scoring starts.
     tasks: list[tuple[str, tuple[int, ...], np.ndarray]] = []
     for label, cols in groups.items():
         cols = tuple(int(c) for c in cols)
@@ -153,27 +147,23 @@ def grouped_permutation_importance(
         perms = np.stack([rng.permutation(n) for _ in range(n_repeats)])
         tasks.append((label, cols, perms))
 
-    def score_group(task: tuple[str, tuple[int, ...], np.ndarray]
-                    ) -> tuple[GroupImportance, int]:
-        label, cols, perms = task
-        scores, descents = _permuted_oob_scores(forest, values, tested,
-                                                cols, perms)
-        drops = baseline - scores
-        return GroupImportance(
-            group=label,
-            columns=cols,
-            importance=float(drops.mean()),
-            std=float(drops.std(ddof=1)) if n_repeats > 1 else 0.0,
-        ), descents
-
     with tracer.timer("importance"):
         values, tested = _oob_paths(forest)
         baseline = forest._oob_r2(forest._oob_average(values))
-        scored = parallel_map(score_group, tasks, n_jobs=n_jobs,
-                              backend="thread", tracer=tracer)
+        results, descents = [], 0
+        for label, cols, perms in tasks:
+            scores, made = _permuted_oob_scores(forest, values, tested,
+                                                cols, perms)
+            descents += made
+            drops = baseline - scores
+            results.append(GroupImportance(
+                group=label,
+                columns=cols,
+                importance=float(drops.mean()),
+                std=float(drops.std(ddof=1)) if n_repeats > 1 else 0.0,
+            ))
     tracer.emit("importance", {"groups": len(tasks), "repeats": n_repeats,
                                "oob_pairs": int(forest.oob_rows_.size),
-                               "descents": sum(d for _, d in scored)})
-    results = [g for g, _ in scored]
+                               "descents": descents})
     results.sort(key=lambda g: g.importance, reverse=True)
     return results

@@ -67,6 +67,7 @@ EVENT_TYPES: dict[str, str] = {
     "gunther.generation": "Gunther finished one GA generation",
     "fault.injected": "the fault plan fired on an evaluation attempt",
     "retry.attempt": "a transient outcome is being retried",
+    # No library call emits it any more; kept so older traces validate.
     "parallel.map": "a parallel_map call dispatched a work batch",
     "async.dispatch": "the async BO engine sent a proposal to a worker",
     "async.fold": "an async evaluation was folded into the surrogate",
@@ -121,7 +122,6 @@ TIMERS: dict[str, str] = {
     "bo.refine": "L-BFGS-B polishes of acquisition sweep winners",
     "forest.fit": "tree-ensemble fits",
     "importance": "permutation-importance sweeps",
-    "parallel.map": "parallel_map batch dispatches",
     "pool.task": "WorkerPool task bodies",
     "async.propose": "async replacement-proposal draws",
     "async.wait": "async waits on the next completion",

@@ -33,10 +33,10 @@ apart: a submission soon after the last change starts within a tick,
 and a long-idle daemon costs a check per ``poll_s``.  A full claim
 scan still runs every ``poll_s``: a daemon's death changes no file, so
 that rescan is what adopts its sessions, and it also catches a change
-the stamp missed.  ``poll_s`` also paces the main loop, which checks
-the drain and ``max_sessions`` exits and emits queue depth once per
-period, so a batch daemon exits up to ``poll_s`` after its last
-settle.
+the stamp missed.  The main loop checks the drain and ``max_sessions``
+exits and emits queue depth once per ``poll_s``, and at once whenever
+a worker settles a session or :meth:`~TuningDaemon.stop` is called, so
+a batch daemon exits as soon as its last session settles.
 
 Observability: the daemon's tracer carries the ``serve.*`` event family
 (queue depth, claim latency, session lifecycle — docs/OBSERVABILITY.md)
@@ -73,10 +73,10 @@ class TuningDaemon:
         Session-runner threads: how many sessions run concurrently.
     poll_s:
         Period of the daemon's slow checks: an idle worker's full claim
-        rescan, the ``drain``/``max_sessions`` exit check and the
-        ``serve.queue`` depth event.  An idle worker does not wait for
-        it to claim: it checks the index at least this often, and
-        every tick at first after a change.
+        rescan and the ``serve.queue`` depth event.  An idle worker does
+        not wait for it to claim: it checks the index at least this
+        often, and every tick at first after a change.  Nor do the
+        ``drain``/``max_sessions`` exits: every settle wakes the check.
     drain:
         Exit once no session is runnable and no runner is busy (batch
         mode for tests/CI); the default serves until :meth:`stop`.
@@ -121,6 +121,9 @@ class TuningDaemon:
         self.store.tracer = self.tracer
         self.session_traces = session_traces
         self._stop = threading.Event()
+        # Set on every settle and by stop(): the main loop's exit check
+        # runs then, not a poll later.
+        self._wake = threading.Event()
         self._settled = 0
         self._busy = 0
         self._count_lock = threading.Lock()
@@ -130,6 +133,7 @@ class TuningDaemon:
     def stop(self) -> None:
         """Ask the daemon to finish in-flight sessions and exit."""
         self._stop.set()
+        self._wake.set()
 
     # -- main loop ----------------------------------------------------------------
     def run(self) -> int:
@@ -153,7 +157,10 @@ class TuningDaemon:
                 if self._done_serving(depth):
                     self._stop.set()
                     break
-                self._stop.wait(self.poll_s)
+                # Cleared after the wait, before the next check: a settle
+                # during the check sets it again, so none is missed.
+                self._wake.wait(self.poll_s)
+                self._wake.clear()
         finally:
             self._stop.set()
             for thread in threads:
@@ -207,6 +214,7 @@ class TuningDaemon:
                 with self._count_lock:
                     self._busy -= 1
                     self._settled += 1
+                self._wake.set()
 
     def _await_change(self, stamp: tuple[int, int, int] | None,
                       idle_s: float) -> float:
@@ -320,7 +328,7 @@ class TuningDaemon:
             else:
                 response = handle_request(self.store, request)
                 if request.get("op") == "shutdown":
-                    self._stop.set()
+                    self.stop()
             conn.sendall(json.dumps(response).encode() + b"\n")
         except OSError:
             return  # client went away mid-exchange; nothing to settle

@@ -70,17 +70,15 @@ def build_objective(spec: SessionSpec, *, tracer=None):
 
 
 def build_tuner(spec: SessionSpec, *, selection_cache=None,
-                memo_buffer=None, warm_start: str | None = None,
-                n_jobs: int | None = None) -> ROBOTune:
+                memo_buffer=None, warm_start: str | None = None) -> ROBOTune:
     """The spec's ROBOTune.
 
     Every session seeds its selector one way: a generator of its own
     from ``spec.seed``, with the paper's 100 samples and 10 repeats
     unless the spec sets them.  The keyword extras are what ``repro
-    tune`` adds around a spec (JSON-backed knowledge stores, a
-    warm-start journal directory and a worker count); they are not spec
-    fields, so served sessions never carry them.  *n_jobs* changes wall
-    time only, never a decision.
+    tune`` adds around a spec (JSON-backed knowledge stores and a
+    warm-start journal directory); they are not spec fields, so served
+    sessions never carry them.
     """
     supervise = None
     if spec.eval_timeout_s is not None:
@@ -89,7 +87,7 @@ def build_tuner(spec: SessionSpec, *, selection_cache=None,
                                     quarantine_after=spec.quarantine_after)
     selector = ParameterSelector(n_samples=spec.selection_samples or 100,
                                  n_repeats=spec.selection_repeats or 10,
-                                 n_jobs=n_jobs, rng=spec.seed)
+                                 rng=spec.seed)
     return ROBOTune(selector=selector,
                     selection_cache=selection_cache,
                     memo_buffer=memo_buffer,
@@ -100,7 +98,6 @@ def build_tuner(spec: SessionSpec, *, selection_cache=None,
                     async_workers=spec.async_workers,
                     supervise=supervise,
                     warm_start=warm_start,
-                    n_jobs=n_jobs,
                     rng=spec.seed)
 
 

@@ -324,24 +324,29 @@ class SessionStore:
             return None
 
     def view(self, sid: str) -> dict[str, Any]:
-        """One session's externally visible status (the client payload)."""
+        """One session's externally visible status (the client payload).
+
+        A settled session's evaluation count is its result's stream
+        length (``n_stream``); a session without one counts its journal.
+        """
         try:
             state = self._read_json(self.session_dir(sid) / "state.json")
         except FileNotFoundError:
             raise KeyError(f"no session {sid!r} in {self.root}") from None
         spec = self.spec(sid)
-        journal = EvaluationJournal(self.journal_path(sid))
-        n_evals = len(journal)
+        result = self.result(sid)
+        n_evals = None if result is None else result.get("n_stream")
+        if n_evals is None:
+            n_evals = len(EvaluationJournal(self.journal_path(sid)))
         view: dict[str, Any] = {
             "sid": sid, "state": state["state"], "seq": int(state["seq"]),
             "error": state.get("error"),
             "workload": spec.workload, "dataset": spec.dataset,
             "budget": int(spec.budget), "seed": int(spec.seed),
             "priority": int(spec.priority),
-            "n_evaluations": n_evals,
+            "n_evaluations": int(n_evals),
             "cancel_requested": self.cancel_requested(sid),
         }
-        result = self.result(sid)
         if result is not None:
             view["result"] = result
         return view

@@ -1,8 +1,7 @@
-"""Shared utilities: RNG plumbing, statistics helpers, parallel executor."""
+"""Shared utilities: RNG plumbing, statistics helpers, worker pools."""
 
-from .parallel import available_cpus, parallel_map, resolve_n_jobs
 from .rng import as_generator, spawn
 from .stats import geometric_mean, percentile, summarize
 
 __all__ = ["as_generator", "spawn", "geometric_mean", "percentile",
-           "summarize", "available_cpus", "parallel_map", "resolve_n_jobs"]
+           "summarize"]

@@ -1,16 +1,15 @@
-"""Shared executor abstraction for the library's compute hot paths.
+"""Worker pools: the process fan-out over independent sessions, and the
+submit/collect pool of the asynchronous BO engine.
 
-Every parallelizable component (forest training, permutation importance,
-the experiment harness) accepts an ``n_jobs`` parameter and funnels its
-work through :func:`parallel_map`, so worker-pool policy lives in one
-place:
+A tuning session runs on its caller's thread: parameter selection and
+the BO loop are serial work.  What pays to spread over cores is
+*independent* work, the sweeps of a
+:class:`~repro.bench.harness.ComparisonStudy` (``repro compare
+--jobs``), which it runs through :func:`parallel_map` on worker
+processes:
 
-* ``n_jobs=None`` defers to the ``ROBOTUNE_JOBS`` environment variable
-  (unset/empty means serial) — the knob for turning on parallelism
-  globally without touching call sites;
-* ``n_jobs=1`` is strictly serial: the function runs in-process, in
-  order, with no pool, so single-job results are byte-identical to the
-  pre-parallel code;
+* ``n_jobs=None`` or ``1`` is strictly serial: the function runs
+  in-process, in order, with no pool;
 * ``n_jobs=-1`` uses every available core (``-2`` all but one, etc.).
 
 Determinism is the caller's contract: work items must carry their own
@@ -30,10 +29,8 @@ from typing import Any, Callable, Iterable, TypeVar
 
 from ..obs import NULL_TRACER
 
-__all__ = ["ENV_JOBS", "available_cpus", "resolve_n_jobs", "parallel_map",
+__all__ = ["available_cpus", "resolve_n_jobs", "parallel_map",
            "PoolTimeout", "WorkerPool"]
-
-ENV_JOBS = "ROBOTUNE_JOBS"
 
 _BACKENDS = ("serial", "thread", "process")
 
@@ -52,18 +49,11 @@ def available_cpus() -> int:
 def resolve_n_jobs(n_jobs: int | None = None) -> int:
     """Resolve an ``n_jobs`` spec into a concrete worker count (>= 1).
 
-    ``None`` reads ``ROBOTUNE_JOBS`` (defaulting to 1 when unset); negative
-    values count back from the number of available CPUs, joblib-style
-    (``-1`` = all cores).
+    ``None`` means 1; negative values count back from the number of
+    available CPUs, joblib-style (``-1`` = all cores).
     """
     if n_jobs is None:
-        raw = os.environ.get(ENV_JOBS, "").strip()
-        if not raw:
-            return 1
-        try:
-            n_jobs = int(raw)
-        except ValueError:
-            raise ValueError(f"{ENV_JOBS} must be an integer, got {raw!r}")
+        return 1
     n_jobs = int(n_jobs)
     if n_jobs < 0:
         n_jobs = available_cpus() + 1 + n_jobs
@@ -73,8 +63,8 @@ def resolve_n_jobs(n_jobs: int | None = None) -> int:
 
 
 def parallel_map(fn: Callable[[T], R], items: Iterable[T], *,
-                 n_jobs: int | None = None, backend: str = "thread",
-                 chunksize: int | None = None, tracer=None) -> list[R]:
+                 n_jobs: int | None = None,
+                 backend: str = "thread") -> list[R]:
     """Map *fn* over *items*, optionally across a worker pool.
 
     Parameters
@@ -85,44 +75,25 @@ def parallel_map(fn: Callable[[T], R], items: Iterable[T], *,
         of one), as must every item and result.
     n_jobs:
         Worker count spec (see :func:`resolve_n_jobs`).  A resolved count
-        of 1 — the default when ``ROBOTUNE_JOBS`` is unset — bypasses the
-        pool entirely.
+        of 1, the default, bypasses the pool entirely.
     backend:
-        ``"thread"`` for GIL-releasing (numpy/BLAS-heavy) work,
-        ``"process"`` for pure-Python CPU-bound work such as tree
-        fitting, ``"serial"`` to force in-process execution.
-    chunksize:
-        Items per process-pool task (ignored by the thread backend);
-        defaults to spreading items evenly over the workers.
-    tracer:
-        Optional :class:`repro.obs.Tracer`; each call emits one
-        ``parallel.map`` event (resolved worker count and backend) and
-        accumulates its elapsed time in the ``parallel.map`` timer.  The
-        clock read happens inside the tracer, so this module itself
-        never touches timing (rule RPD005).
+        ``"thread"`` for GIL-releasing work, ``"process"`` for CPU-bound
+        Python such as whole tuning sessions, ``"serial"`` to force
+        in-process execution.
 
     Returns results in input order.  Exceptions raised by *fn* propagate
     to the caller (the first one encountered in input order).
     """
     if backend not in _BACKENDS:
         raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-    tracer = NULL_TRACER if tracer is None else tracer
     items = list(items)
     jobs = resolve_n_jobs(n_jobs)
-    serial = backend == "serial" or jobs == 1 or len(items) <= 1
-    workers = 1 if serial else min(jobs, len(items))
-    tracer.emit("parallel.map", {"items": len(items), "workers": workers,
-                                 "backend": "serial" if serial else backend})
-    with tracer.timer("parallel.map"):
-        if serial:
-            return [fn(item) for item in items]
-        if backend == "thread":
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                return list(pool.map(fn, items))
-        if chunksize is None:
-            chunksize = max(1, len(items) // (workers * 2))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(fn, items, chunksize=chunksize))
+    if backend == "serial" or jobs == 1 or len(items) <= 1:
+        return [fn(item) for item in items]
+    executor = ThreadPoolExecutor if backend == "thread" \
+        else ProcessPoolExecutor
+    with executor(max_workers=min(jobs, len(items))) as pool:
+        return list(pool.map(fn, items))
 
 
 class PoolTimeout(TimeoutError):

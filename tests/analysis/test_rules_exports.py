@@ -1,4 +1,9 @@
-"""RPE rule pack: dead public exports on repro.core's front door."""
+"""RPE rule pack: dead public exports on repro.core's front door.
+
+RPE001 is a whole-program rule, so every case runs the project engine
+(``analyze_paths``, through the ``lint_tree`` fixture), the path
+``python -m repro.analysis`` takes.
+"""
 
 from __future__ import annotations
 
@@ -6,98 +11,75 @@ from pathlib import Path
 
 from lintutils import active, rules_of
 
+from repro.analysis.engine import analyze_paths
+
 INIT = "src/repro/core/__init__.py"
+WIDGET = {"src/repro/core/widget.py": "class Widget:\n    pass\n"}
+EXPORT = """\
+    from .widget import Widget
+
+    __all__ = ["Widget"]
+"""
 
 
-def _write(tmp_path: Path, rel: str, source: str) -> None:
-    path = tmp_path / rel
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(source, encoding="utf-8")
+def rpe001(lint_tree, files: dict[str, str]):
+    return rules_of(lint_tree(files, select=["RPE001"]).findings, "RPE001")
 
 
 class TestDeadCoreExport:
-    def test_flags_export_with_no_call_site(self, lint, tmp_path):
-        _write(tmp_path, "src/repro/core/widget.py", "class Widget:\n    pass\n")
-        findings = lint("""\
-            from .widget import Widget
-
-            __all__ = ["Widget"]
-        """, rel=INIT)
-        hits = rules_of(findings, "RPE001")
+    def test_flags_export_with_no_call_site(self, lint_tree):
+        hits = rpe001(lint_tree, {**WIDGET, INIT: EXPORT})
         assert len(hits) == 1
         assert "Widget" in hits[0].message
 
-    def test_defining_module_does_not_count_as_consumer(self, lint, tmp_path):
+    def test_defining_module_does_not_count_as_consumer(self, lint_tree):
         # The class is named repeatedly inside its own module; that is
         # not a call site.
-        _write(tmp_path, "src/repro/core/widget.py",
-               "class Widget:\n    pass\n\n\ndef make() -> Widget:\n"
-               "    return Widget()\n")
-        findings = lint("""\
-            from .widget import Widget
+        hits = rpe001(lint_tree, {
+            "src/repro/core/widget.py":
+                "class Widget:\n    pass\n\n\ndef make() -> Widget:\n"
+                "    return Widget()\n",
+            INIT: EXPORT})
+        assert len(hits) == 1
 
-            __all__ = ["Widget"]
-        """, rel=INIT)
-        assert len(rules_of(findings, "RPE001")) == 1
+    def test_call_site_in_sibling_module_clears(self, lint_tree):
+        assert rpe001(lint_tree, {
+            **WIDGET, INIT: EXPORT,
+            "src/repro/other/user.py":
+                "from ..core.widget import Widget\n\nw = Widget()\n"}) == []
 
-    def test_call_site_in_sibling_module_clears(self, lint, tmp_path):
-        _write(tmp_path, "src/repro/core/widget.py", "class Widget:\n    pass\n")
-        _write(tmp_path, "src/repro/other/user.py",
-               "from ..core.widget import Widget\n\nw = Widget()\n")
-        findings = lint("""\
-            from .widget import Widget
+    def test_call_site_in_benchmarks_clears(self, lint_tree):
+        assert rpe001(lint_tree, {
+            **WIDGET, INIT: EXPORT,
+            "benchmarks/test_widget_perf.py":
+                "from repro.core import Widget\n"}) == []
 
-            __all__ = ["Widget"]
-        """, rel=INIT)
-        assert rules_of(findings, "RPE001") == []
+    def test_reexporting_init_does_not_count(self, lint_tree):
+        hits = rpe001(lint_tree, {
+            **WIDGET, INIT: EXPORT,
+            "src/repro/__init__.py":
+                "from .core import Widget\n\n__all__ = [\"Widget\"]\n"})
+        assert len(hits) == 1
 
-    def test_call_site_in_benchmarks_clears(self, lint, tmp_path):
-        _write(tmp_path, "src/repro/core/widget.py", "class Widget:\n    pass\n")
-        _write(tmp_path, "benchmarks/test_widget_perf.py",
-               "from repro.core import Widget\n")
-        findings = lint("""\
-            from .widget import Widget
-
-            __all__ = ["Widget"]
-        """, rel=INIT)
-        assert rules_of(findings, "RPE001") == []
-
-    def test_reexporting_init_does_not_count(self, lint, tmp_path):
-        _write(tmp_path, "src/repro/core/widget.py", "class Widget:\n    pass\n")
-        _write(tmp_path, "src/repro/__init__.py",
-               "from .core import Widget\n\n__all__ = [\"Widget\"]\n")
-        findings = lint("""\
-            from .widget import Widget
-
-            __all__ = ["Widget"]
-        """, rel=INIT)
-        assert len(rules_of(findings, "RPE001")) == 1
-
-    def test_suppression_with_justification(self, lint, tmp_path):
-        _write(tmp_path, "src/repro/core/widget.py", "class Widget:\n    pass\n")
-        findings = lint("""\
+    def test_suppression_with_justification(self, lint_tree):
+        hits = rpe001(lint_tree, {**WIDGET, INIT: """\
             from .widget import Widget
 
             __all__ = [
                 "Widget",  # repro: noqa RPE001 -- kept for external consumers
             ]
-        """, rel=INIT)
-        hits = rules_of(findings, "RPE001")
+        """})
         assert len(hits) == 1
         assert hits[0].suppressed
         assert active(hits) == []
 
-    def test_only_core_init_is_checked(self, lint, tmp_path):
-        findings = lint("""\
-            __all__ = ["nothing_uses_me"]
-        """, rel="src/repro/obs/__init__.py")
-        assert rules_of(findings, "RPE001") == []
+    def test_only_core_init_is_checked(self, lint_tree):
+        assert rpe001(lint_tree, {
+            "src/repro/obs/__init__.py":
+                '__all__ = ["nothing_uses_me"]\n'}) == []
 
     def test_real_core_init_is_clean(self):
-        from repro.analysis.engine import analyze_file
-        from repro.analysis.registry import build_rules
         root = Path(__file__).resolve().parents[2]
-        init = root / "src" / "repro" / "core" / "__init__.py"
-        findings = analyze_file(init, build_rules(select=["RPE001"]),
-                                display=init.as_posix())
-        assert active(rules_of(findings, "RPE001")) == []
+        report = analyze_paths([root / "src", root / "benchmarks"],
+                               select=["RPE001"])
+        assert active(rules_of(report.findings, "RPE001")) == []

@@ -1,4 +1,5 @@
-"""Worker-count invariance of the comparison-study harness."""
+"""Worker-count invariance of the comparison-study harness: its sweeps
+run in worker processes at ``n_jobs > 1``."""
 
 import numpy as np
 
@@ -13,7 +14,7 @@ def small_study(**kw):
 
 def test_parallel_sweeps_match_serial():
     serial = small_study().run()
-    par = small_study(n_jobs=2, parallel_backend="thread").run()
+    par = small_study(n_jobs=2).run()
     assert len(serial.records) == len(par.records)
     for a, b in zip(serial.records, par.records):
         assert (a.tuner, a.workload, a.dataset, a.trial) \
@@ -26,5 +27,5 @@ def test_parallel_sweeps_match_serial():
 
 def test_progress_callback_sees_every_session():
     lines = []
-    small_study(n_jobs=2, parallel_backend="thread").run(lines.append)
+    small_study(n_jobs=2).run(lines.append)
     assert len(lines) == 2 * 1 * 2 * 2  # trials * workloads * tuners * datasets

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from repro.gp import GaussianProcessRegressor, LowRankGaussianProcessRegressor
+from repro.gp import GaussianProcessRegressor
 from repro.gp.gpr import default_bo_kernel
 from repro.gp.kernels import (ConstantKernel, Kernel, Matern52, Sum,
                               WhiteKernel)
@@ -222,22 +222,6 @@ class TestAnalyticFit:
             for start in starts)
         # The exact gradient should match or beat the FD optimum.
         assert -ag.log_marginal_likelihood() <= fd_nll + 1e-3
-
-    @pytest.mark.parametrize("lowrank", [False, True])
-    def test_multi_start_parity_across_worker_counts(self, lowrank):
-        # One multi-start optimizer serves both regressors.
-        X, y = make_gp_data(n=25, seed=7)
-        thetas = []
-        for n_jobs in (1, 2, 4):
-            if lowrank:
-                gp = LowRankGaussianProcessRegressor(
-                    rng=7, n_jobs=n_jobs, n_restarts=3, n_inducing=10)
-            else:
-                gp = GaussianProcessRegressor(rng=7, n_jobs=n_jobs,
-                                              n_restarts=3)
-            thetas.append(gp.fit(X, y).kernel.theta.copy())
-        np.testing.assert_array_equal(thetas[0], thetas[1])
-        np.testing.assert_array_equal(thetas[0], thetas[2])
 
 
 class TestPosteriorGradients:

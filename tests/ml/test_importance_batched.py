@@ -113,15 +113,6 @@ class TestImportanceParity:
             want[label] = (float(drops.mean()), float(drops.std(ddof=1)))
         assert {g.group: (g.importance, g.std) for g in got} == want
 
-    def test_n_jobs_does_not_change_result(self):
-        forest, groups = make_problem(seed=2)
-        a = grouped_permutation_importance(forest, groups, n_repeats=4,
-                                           rng=7, n_jobs=1)
-        b = grouped_permutation_importance(forest, groups, n_repeats=4,
-                                           rng=7, n_jobs=3)
-        assert [(g.group, g.importance) for g in a] \
-            == [(g.group, g.importance) for g in b]
-
     def test_signal_features_rank_first(self):
         forest, groups = make_problem(seed=3)
         res = grouped_permutation_importance(forest, groups, n_repeats=5,

@@ -1,7 +1,7 @@
 """CLI tracing: --trace / --trace-summary on tune and compare.
 
 The acceptance bar: a traced ``tune`` run writes a schema-valid JSONL
-trace covering the bo/gp/guard/hedge/memo/fault/parallel event families,
+trace covering the bo/gp/guard/hedge/memo/fault event families,
 and ``--trace-summary`` renders the fold-up.
 """
 
@@ -27,7 +27,7 @@ class TestTuneTracing:
         types = {r["type"] for r in records if r.get("kind") == "event"}
         for family in ("bo.iteration", "hedge.probs", "acq.winner", "gp.fit",
                        "guard.threshold", "memo.miss", "memo.store",
-                       "selection.params", "fault.injected", "parallel.map",
+                       "selection.params", "fault.injected",
                        "eval.result", "span.start", "span.end"):
             assert family in types, f"missing {family}"
         # The trace ends with the metrics fold-up.

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import json
 import threading
 import time
 
 import pytest
 
 import repro.serve.daemon as daemon_module
+import repro.serve.store as store_module
 from repro.core.journal import EvaluationJournal
 from repro.obs import InMemorySink, JsonlTraceWriter, Tracer
 from repro.serve import (ServiceClient, SessionCancelled, SessionSpec,
@@ -24,6 +26,25 @@ def drain(store, **kw):
     kw.setdefault("poll_s", 0.02)
     kw.setdefault("session_traces", False)
     return TuningDaemon(store, drain=True, **kw).run()
+
+
+def crash_partway(store, spec):
+    """Leave *spec* as a crashed daemon would: claimed, journaled up to
+    its 12th objective call, and locked by an owner that died."""
+    sid = store.submit(spec)
+    claim = store.claim("doomed")
+    assert claim is not None
+    journal = EvaluationJournal(store.journal_path(sid))
+    calls = iter(range(1000))
+    with pytest.raises(SessionCancelled):
+        run_session(spec, journal=journal,
+                    should_cancel=lambda: next(calls) >= 12)
+    journal.close()
+    lock = store._lock_path(sid)
+    holder = json.loads(lock.read_text())
+    holder["pid"] = 2 ** 22 + 1  # the claimer "died"
+    lock.write_text(json.dumps(holder))
+    return sid
 
 
 def _raising_after_an_evaluation(exc):
@@ -183,6 +204,24 @@ class TestWaking:
         assert daemon._await_change(daemon.store.index_stamp(), 0.0) > 0
         assert gaps[1] == TICK_S  # and every tick again after a change
 
+    @pytest.mark.parametrize("mode", [{"drain": True}, {"max_sessions": 1}],
+                             ids=["drain", "max_sessions"])
+    def test_exits_on_its_last_settle_not_a_poll_later(
+            self, tmp_path, monkeypatch, mode):
+        store = SessionStore(tmp_path / "store")
+        store.submit(SPEC)
+        settled_at = []
+        complete = SessionStore.complete
+
+        def recorded(self, claim, result):
+            complete(self, claim, result)
+            settled_at.append(time.monotonic())
+        monkeypatch.setattr(SessionStore, "complete", recorded)
+        daemon = TuningDaemon(store, poll_s=5.0, session_traces=False,
+                              **mode)
+        assert daemon.run() == 1
+        assert time.monotonic() - settled_at[0] < 1.0
+
     def test_sigterm_stops_an_idle_daemon(self, tmp_path):
         harness = DaemonHarness(tmp_path / "store").start()
         # stop() sends SIGTERM and falls back to SIGKILL (-9) after 30 s.
@@ -191,25 +230,10 @@ class TestWaking:
 
 class TestRecovery:
     def test_adopts_and_finishes_an_orphan_bit_identically(self, tmp_path):
-        # Simulate a crashed daemon by hand: claim, abort the session
-        # partway through (the journal keeps the prefix the "crashed"
-        # process produced), then leave the claim lock stale on disk.
+        # A crash after 12 objective calls (mid-tuning phase): the
+        # journal keeps the prefix the "crashed" process produced.
         store = SessionStore(tmp_path / "store")
-        sid = store.submit(SPEC)
-        claim = store.claim("doomed")
-        assert claim is not None
-        journal = EvaluationJournal(store.journal_path(sid))
-        calls = iter(range(1000))
-        with pytest.raises(SessionCancelled):
-            # "Crash" after 12 objective calls (mid-tuning phase).
-            run_session(SPEC, journal=journal,
-                        should_cancel=lambda: next(calls) >= 12)
-        journal.close()
-        import json
-        lock = store._lock_path(sid)
-        holder = json.loads(lock.read_text())
-        holder["pid"] = 2 ** 22 + 1  # the claimer "died"
-        lock.write_text(json.dumps(holder))
+        sid = crash_partway(store, SPEC)
 
         sink = InMemorySink()
         tracer = Tracer(sink)
@@ -234,6 +258,33 @@ class TestRecovery:
         assert "serve.state" in events
         metrics = [r for r in sink.records if r.get("kind") == "metrics"]
         assert metrics and "serve.claim" in metrics[-1]["timers"]
+
+
+class TestView:
+    """A settled session's view takes its evaluation count from the
+    result, without opening the journal, and the two agree."""
+
+    @pytest.mark.parametrize("extra, crash", [
+        ({}, False),
+        ({"fault_rate": 0.3, "retries": 2}, False),
+        ({"async_workers": 2, "eval_timeout_s": 60.0}, False),
+        ({}, True),
+    ], ids=["plain", "faults", "supervised", "resumed"])
+    def test_done_count_equals_the_journal(self, tmp_path, monkeypatch,
+                                           extra, crash):
+        store = SessionStore(tmp_path / "store")
+        spec = SessionSpec(workload="pagerank", seed=4,
+                           **fast_spec_kwargs(**extra))
+        sid = crash_partway(store, spec) if crash else store.submit(spec)
+        assert drain(store) == 1
+        assert store.state(sid) == "DONE"
+        n = len(EvaluationJournal(store.journal_path(sid)))
+        assert n >= spec.budget
+
+        def unopened(path):
+            raise AssertionError(f"view opened the journal {path}")
+        monkeypatch.setattr(store_module, "EvaluationJournal", unopened)
+        assert store.view(sid)["n_evaluations"] == n
 
 
 class TestValidation:

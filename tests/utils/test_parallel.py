@@ -5,8 +5,7 @@ from unittest import mock
 
 import pytest
 
-from repro.utils.parallel import (ENV_JOBS, available_cpus, parallel_map,
-                                  resolve_n_jobs)
+from repro.utils.parallel import available_cpus, parallel_map, resolve_n_jobs
 
 
 def _square(x):
@@ -15,20 +14,25 @@ def _square(x):
 
 class TestResolveNJobs:
     def test_default_is_serial(self):
-        with mock.patch.dict(os.environ, {}, clear=False):
-            os.environ.pop(ENV_JOBS, None)
-            assert resolve_n_jobs(None) == 1
+        assert resolve_n_jobs(None) == 1
 
     def test_explicit_value(self):
         assert resolve_n_jobs(3) == 3
 
+    # The worker count only ever comes from the caller: ROBOTUNE_JOBS,
+    # once the fallback for ``None``, is no longer read.
     def test_env_var_fallback(self):
-        with mock.patch.dict(os.environ, {ENV_JOBS: "4"}):
-            assert resolve_n_jobs(None) == 4
+        with mock.patch.dict(os.environ, {"ROBOTUNE_JOBS": "4"}):
+            assert resolve_n_jobs(None) == 1
 
     def test_explicit_overrides_env(self):
-        with mock.patch.dict(os.environ, {ENV_JOBS: "4"}):
+        with mock.patch.dict(os.environ, {"ROBOTUNE_JOBS": "4"}):
             assert resolve_n_jobs(2) == 2
+
+    def test_bad_env_var_rejected(self):
+        # A bad value is ignored with the variable, not raised.
+        with mock.patch.dict(os.environ, {"ROBOTUNE_JOBS": "zero"}):
+            assert resolve_n_jobs(None) == 1
 
     def test_negative_counts_back_from_cpus(self):
         assert resolve_n_jobs(-1) == available_cpus()
@@ -40,11 +44,6 @@ class TestResolveNJobs:
     def test_zero_rejected(self):
         with pytest.raises(ValueError):
             resolve_n_jobs(0)
-
-    def test_bad_env_var_rejected(self):
-        with mock.patch.dict(os.environ, {ENV_JOBS: "zero"}):
-            with pytest.raises(ValueError):
-                resolve_n_jobs(None)
 
 
 class TestAvailableCpus:
@@ -80,9 +79,3 @@ class TestParallelMap:
             raise RuntimeError("boom")
         with pytest.raises(RuntimeError):
             parallel_map(boom, [1, 2, 3], n_jobs=2, backend="thread")
-
-    def test_chunksize_accepted(self):
-        items = list(range(10))
-        out = parallel_map(_square, items, n_jobs=2, backend="process",
-                           chunksize=3)
-        assert out == [x * x for x in items]
