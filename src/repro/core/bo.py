@@ -8,7 +8,8 @@ portfolio's gains — until the evaluation budget is exhausted.
 Acquisition optimization follows the implementation notes in §4: a
 space-filling candidate sweep (vectorized GP prediction over an LHS design
 plus exploitation candidates jittered around the incumbent) seeds an
-L-BFGS-B refinement of the best candidate.
+L-BFGS-B refinement of each acquisition's best candidate; the three
+refinements run in lockstep on the shared posterior.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ from functools import partial
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import minimize
 
 from ..gp.gpr import GaussianProcessRegressor, default_bo_kernel
 from ..gp.kernels import Kernel
+from ..gp.lbfgs import minimize
 from ..gp.lowrank import LowRankGaussianProcessRegressor
 from ..obs import NULL_TRACER, as_tracer, evaluation_data
 from ..sampling.lhs import latin_hypercube
@@ -70,9 +71,11 @@ class _ContextGP:
         return self._inner.predict(self._augment(X), return_std)
 
     def predict_with_gradient(self, x: np.ndarray):
-        xc = np.append(np.asarray(x, dtype=float), self._size)
-        mu, sigma, dmu, dsigma = self._inner.predict_with_gradient(xc)
-        return mu, sigma, dmu[:-1], dsigma[:-1]
+        x = np.asarray(x, dtype=float)
+        col = np.full(x.shape[:-1] + (1,), self._size)
+        mu, sigma, dmu, dsigma = self._inner.predict_with_gradient(
+            np.concatenate([x, col], axis=-1))
+        return mu, sigma, dmu[..., :-1], dsigma[..., :-1]
 
     @property
     def X_train_(self) -> np.ndarray:
@@ -624,6 +627,12 @@ class BOEngine:
                   penalizer: LocalPenalizer | None = None) -> np.ndarray:
         """One proposed point per portfolio acquisition function.
 
+        Each acquisition nominates its sweep argmax; with ``refine`` on,
+        the nominees are then polished together (:meth:`_refine`) and
+        an ``acq.nominees`` event records, per acquisition, the nominee,
+        the sweep winner's utility, the polished utility and whether the
+        polish replaced the sweep winner.
+
         With a *penalizer* (async mode, in-flight points exist) each
         acquisition's sweep utility is multiplied by the busy-point
         penalty factors and the sweep argmax is nominated directly:
@@ -641,49 +650,64 @@ class BOEngine:
         U = np.clip(np.vstack([cands, local]), 0.0, 1.0)
         mu, sigma, f_best = self._standardized(gp, y, U)
 
-        mean = float(y.mean())
-        std = _safe_std(y)
-        nominees = np.empty((len(self.hedge.functions), dim))
-        for i, acq in enumerate(self.hedge.functions):
+        acqs = self.hedge.functions
+        best = np.empty(len(acqs), dtype=int)
+        sweep = np.empty(len(acqs))
+        for i, acq in enumerate(acqs):
             util = acq(mu, sigma, f_best)
             if penalizer is not None:
                 util = penalizer.apply(util, U)
-            best = int(np.argmax(util))
-            if self.refine and penalizer is None:
-                nominees[i] = self._refine(acq, gp, U[best], f_best, mean,
-                                           std, float(util[best]))
-            else:
-                nominees[i] = U[best]
+            best[i] = int(np.argmax(util))
+            sweep[i] = util[best[i]]
+        if not self.refine or penalizer is not None:
+            return U[best]
+        nominees, polished = self._refine(acqs, gp, U[best], sweep, f_best,
+                                          float(y.mean()), _safe_std(y))
+        if self._tracer.active:
+            self._tracer.emit("acq.nominees", {"nominees": [
+                {"acq": acq.name, "point": nominees[i],
+                 "sweep_util": float(sweep[i]),
+                 "polished_util": float(polished[i]),
+                 "replaced": bool(polished[i] > sweep[i])}
+                for i, acq in enumerate(acqs)]})
         return nominees
 
-    def _refine(self, acq, gp, start: np.ndarray,
-                f_best: float, mean: float, std: float,
-                start_util: float) -> np.ndarray:
-        """L-BFGS-B polish of the sweep winner under one acquisition (§4).
+    def _refine(self, acqs, gp, starts: np.ndarray, start_utils: np.ndarray,
+                f_best: float, mean: float, std: float
+                ) -> tuple[np.ndarray, np.ndarray]:
+        """L-BFGS-B polish of the sweep winners, one per acquisition (§4).
 
-        Each objective call returns the utility *and* its closed-form
-        gradient (posterior input-gradients chained through the
-        acquisition), so the optimizer never finite-differences the GP.
-        *start_util* is the start point's utility from the candidate
-        sweep; the polished point is kept only when it beats it.  Each
-        run adds to the ``bo.refine`` timer and its function evaluations
-        to the ``bo.refine.evals`` counter.
+        Row *i* of *starts* is ``acqs[i]``'s sweep winner and
+        ``start_utils[i]`` its sweep utility.  The starts run in lockstep
+        (:mod:`repro.gp.lbfgs`): each step is one ``(k, d)``
+        ``predict_with_gradient`` call on the shared posterior, then each
+        acquisition takes its utility and closed-form gradient from its
+        own row, so the optimizer never finite-differences the GP.  A
+        polished point replaces its sweep winner only when it beats the
+        sweep utility.  Returns the nominees and the polished utilities.
+        The run adds one entry to the ``bo.refine`` timer and its point
+        evaluations to the ``bo.refine.evals`` counter.
         """
 
-        def neg_util_and_grad(u: np.ndarray) -> tuple[float, np.ndarray]:
-            mu, sigma, dmu, dsigma = gp.predict_with_gradient(u)
+        def neg_utils_and_grads(U: np.ndarray, rows: np.ndarray
+                                ) -> tuple[np.ndarray, np.ndarray]:
+            mu, sigma, dmu, dsigma = gp.predict_with_gradient(U)
             mu_n = (mu - mean) / std
             sigma_n = sigma / std
-            val = -float(acq(np.array([mu_n]), np.array([sigma_n]),
-                             f_best)[0])
-            grad = -acq.gradient(mu_n, sigma_n, dmu / std, dsigma / std,
-                                 f_best)
-            return val, grad
+            dmu_n, dsigma_n = dmu / std, dsigma / std
+            vals = np.empty(len(rows))
+            grads = np.empty_like(U)
+            for r, i in enumerate(rows):
+                acq = acqs[i]
+                vals[r] = -float(acq(mu_n[r:r + 1], sigma_n[r:r + 1],
+                                     f_best)[0])
+                grads[r] = -acq.gradient(mu_n[r], sigma_n[r], dmu_n[r],
+                                         dsigma_n[r], f_best)
+            return vals, grads
 
         with self._tracer.timer("bo.refine"):
-            res = minimize(neg_util_and_grad, start, jac=True,
-                           method="L-BFGS-B",
-                           bounds=[(0.0, 1.0)] * len(start),
-                           options={"maxiter": 25})
+            res = minimize(neg_utils_and_grads, starts,
+                           [(0.0, 1.0)] * starts.shape[1], maxiter=25)
         self._tracer.count("bo.refine.evals", res.nfev)
-        return np.clip(res.x, 0.0, 1.0) if res.fun < -start_util else start
+        better = res.fun < -start_utils
+        return np.where(better[:, None], res.x, starts), -res.fun

@@ -4,10 +4,9 @@ The surrogate model of the paper's BO engine (§3.4).  Given observations
 ``(X, y)`` and a kernel, the posterior at any point is a normal
 distribution whose mean is the model's estimate of the objective and whose
 variance quantifies uncertainty.  Kernel hyperparameters are chosen by
-maximizing the log marginal likelihood with L-BFGS-B (multi-start).
-The restarts run one after another on the caller's thread: at a BO
-session's sizes a fit is too small to pay for worker threads
-(docs/PERFORMANCE.md).
+maximizing the log marginal likelihood with the box-constrained L-BFGS
+of :mod:`repro.gp.lbfgs`, from several starts stepped in lockstep: each
+step evaluates every live start's likelihood in one call.
 """
 
 from __future__ import annotations
@@ -17,12 +16,12 @@ import math
 
 import numpy as np
 from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotrs
-from scipy.optimize import minimize
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
 
 from ..obs import as_tracer
 from ..utils.rng import as_generator
 from .kernels import ConstantKernel, Kernel, Matern52, WhiteKernel, _cdist_sq
+from .lbfgs import minimize
 
 __all__ = ["GaussianProcessRegressor", "default_bo_kernel"]
 
@@ -79,6 +78,29 @@ def _potrs(c: np.ndarray, b: np.ndarray,
     return x
 
 
+#: Likelihood starts whose covariances are built in one stacked block:
+#: as many as fit 16384 float64 entries (128 KiB) per matrix.  Stacking
+#: shares each NumPy call among the starts, which pays at small n; past
+#: this size the block's temporaries made it slower than one start at a
+#: time (docs/PERFORMANCE.md, "One lockstep optimizer").
+_STACK_ELEMENTS = 16384
+
+#: Lower-triangle contraction weights by size: 1 on the diagonal, 2
+#: below it, 0 above.
+_TRIL_WEIGHTS: dict[int, np.ndarray] = {}
+
+
+def _tril_weights(n: int) -> np.ndarray:
+    """Weights that turn a sum over a symmetric matrix's entries into a
+    sum over its lower triangle; treat the result as read-only."""
+    w = _TRIL_WEIGHTS.get(n)
+    if w is None:
+        if len(_TRIL_WEIGHTS) > 8:
+            _TRIL_WEIGHTS.clear()
+        w = _TRIL_WEIGHTS[n] = np.tri(n) + np.tri(n, k=-1)
+    return w
+
+
 def default_bo_kernel() -> Kernel:
     """The paper's kernel: scaled Matérn 5/2 plus white observation noise."""
     return ConstantKernel(1.0) * Matern52(0.5, bounds=(1e-2, 1e2)) \
@@ -90,8 +112,9 @@ class _LikelihoodGP:
     the multi-start marginal-likelihood fit and the training-set views.
 
     Subclasses supply ``fit``, ``_nll`` (value only) and
-    ``_nll_and_grad`` (value and exact theta-gradient, computed on a
-    private kernel copy).
+    ``_nll_and_grad`` (value and exact theta-gradient at one theta, or
+    at each row of a ``(k, p)`` stack, computed on a private kernel
+    copy).
     """
 
     def __init__(self, kernel: Kernel | None = None, *, alpha: float = 1e-10,
@@ -144,12 +167,14 @@ class _LikelihoodGP:
     def _optimize_theta(self) -> None:
         """Multi-start L-BFGS-B on the exact likelihood gradient.
 
-        One fused value-and-gradient call per step shares a single
-        factorization between the NLL and all its partial derivatives.
         Starts are the incumbent theta plus ``n_restarts`` uniform draws
-        inside the bounds, run in order on one private kernel copy (so
-        ``self.kernel`` only ever holds the winner); the best is kept in
-        start order.
+        inside the bounds.  They run in lockstep (:mod:`repro.gp.lbfgs`):
+        each step is one ``_nll_and_grad`` call for the live starts, on
+        one private kernel copy, so ``self.kernel`` only ever holds the
+        winner.  The best value wins; ties go to the earlier start.  The
+        ``gp.hyperopt`` timer covers the optimization and the
+        ``gp.hyperopt.evals`` counter adds its likelihood evaluations,
+        summed over the starts.
         """
         rng = as_generator(self.rng)
         bounds = self.kernel.bounds
@@ -157,13 +182,14 @@ class _LikelihoodGP:
         for _ in range(self.n_restarts):
             starts.append(rng.uniform(bounds[:, 0], bounds[:, 1]))
         kernel = copy.deepcopy(self.kernel)
+        with self.tracer.timer("gp.hyperopt"):
+            res = minimize(lambda thetas, rows: self._nll_and_grad(
+                thetas, kernel), np.vstack(starts), bounds, maxiter=100)
+        self.tracer.count("gp.hyperopt.evals", res.nfev)
         best_theta, best_nll = self.kernel.theta, np.inf
-        for start in starts:
-            res = minimize(self._nll_and_grad, start, args=(kernel,),
-                           jac=True, method="L-BFGS-B", bounds=bounds,
-                           options={"maxiter": 100})
-            if float(res.fun) < best_nll:
-                best_nll, best_theta = float(res.fun), res.x
+        for theta, nll in zip(res.x, res.fun):
+            if nll < best_nll:
+                best_nll, best_theta = float(nll), theta
         self.kernel.theta = best_theta
 
     @property
@@ -336,31 +362,68 @@ class GaussianProcessRegressor(_LikelihoodGP):
         logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
         return 0.5 * float(self._y @ a) + 0.5 * logdet + 0.5 * n * _LOG_2PI
 
-    def _nll_and_grad(self, theta: np.ndarray, kernel: Kernel
-                      ) -> tuple[float, np.ndarray]:
+    def _nll_and_grad(self, theta: np.ndarray, kernel: Kernel):
         """Negative log marginal likelihood and its exact theta-gradient.
 
-        One fused call shares a single covariance build and Cholesky
-        between the value and all partial derivatives, using the trace
-        identity (Rasmussen & Williams, eq. 5.9)
+        *theta* is one ``(p,)`` vector, giving ``(nll, grad)``, or a
+        ``(k, p)`` stack, giving ``(k,)`` values and ``(k, p)``
+        gradients.  The starts' covariances and their θ-gradients are
+        built stacked from the cached distances, in blocks of
+        :data:`_STACK_ELEMENTS` (*kernel*'s own theta is not read).
+        Each start is then factorized on its own; one that is not
+        positive definite gets the ``1e25`` sentinel and a zero gradient
+        without stopping the others.  The trace identity (Rasmussen &
+        Williams, eq. 5.9)
 
-        ``∂NLL/∂θ_j = ½ tr((K⁻¹ − ααᵀ) ∂K/∂θ_j)``,  ``α = K⁻¹ y``.
+        ``∂NLL/∂θ_j = ½ tr((K⁻¹ − ααᵀ) ∂K/∂θ_j)``,  ``α = K⁻¹ y``
+
+        turns every partial into one O(n²) contraction, with ``K⁻¹``
+        formed from the Cholesky factor (LAPACK ``dpotri``).
         """
-        kernel.theta = theta
+        thetas = np.atleast_2d(np.asarray(theta, dtype=float))
         n = self._X.shape[0]
-        K, grads = kernel.value_and_theta_gradient(self._X, d2=self._d2)
-        K[np.diag_indices_from(K)] += self.alpha
-        try:
-            L = _potrf(K)
-        except np.linalg.LinAlgError:
-            return 1e25, np.zeros(len(theta))
-        a = _potrs(L, self._y)
-        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-        nll = 0.5 * float(self._y @ a) + 0.5 * logdet + 0.5 * n * _LOG_2PI
-        # M = K⁻¹ − ααᵀ turns every partial into one O(n²) contraction.
-        M = _potrs(L, np.eye(n), check_finite=False)
-        M -= np.outer(a, a)
-        grad = np.array([0.5 * np.sum(M * G) for G in grads])
+        block = max(1, _STACK_ELEMENTS // (n * n))
+        parts = [self._stacked_nll_and_grad(thetas[i:i + block], kernel)
+                 for i in range(0, len(thetas), block)]
+        nll = np.concatenate([v for v, _ in parts])
+        grad = np.concatenate([g for _, g in parts])
+        if np.ndim(theta) == 1:
+            return float(nll[0]), grad[0]
+        return nll, grad
+
+    def _stacked_nll_and_grad(self, thetas: np.ndarray, kernel: Kernel
+                              ) -> tuple[np.ndarray, np.ndarray]:
+        """:meth:`_nll_and_grad` of one stacked block of starts."""
+        k, n = thetas.shape[0], self._X.shape[0]
+        K, grads = kernel.value_and_theta_gradient(self._X, d2=self._d2,
+                                                   theta=thetas)
+        K[:, np.arange(n), np.arange(n)] += self.alpha
+        nll = np.full(k, 1e25)
+        M = np.zeros((k, n, n))
+        failed = np.zeros(k, dtype=bool)
+        for j in range(k):
+            try:
+                L = _potrf(K[j])
+            except np.linalg.LinAlgError:
+                failed[j] = True
+                continue
+            a = _potrs(L, self._y)
+            logdet = 2.0 * float(np.log(L.diagonal()).sum())
+            nll[j] = 0.5 * float(self._y @ a) + 0.5 * logdet \
+                + 0.5 * n * _LOG_2PI
+            # K⁻¹ − ααᵀ on and below the diagonal, weighted so that its
+            # sum against a symmetric ∂K/∂θ is the full trace.  LAPACK
+            # dpotri writes K⁻¹'s lower triangle; the upper one keeps
+            # K's entries, which the weights zero.
+            inv, info = dpotri(L, lower=1)
+            if info != 0:
+                raise np.linalg.LinAlgError(
+                    f"dpotri failed with info={info}")
+            inv -= a[:, None] * a
+            M[j] = inv * _tril_weights(n)
+        grad = 0.5 * np.stack([np.einsum("kij,kij->k", M, G) for G in grads],
+                              axis=1)
+        grad[failed] = 0.0
         return nll, grad
 
     def _precompute(self) -> None:
@@ -424,40 +487,43 @@ class GaussianProcessRegressor(_LikelihoodGP):
         std = np.sqrt(var) * self._y_std
         return mean, std
 
-    def predict_with_gradient(self, x: np.ndarray
-                              ) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """Posterior mean/std at a single point plus their input gradients.
+    def predict_with_gradient(self, x: np.ndarray):
+        """Posterior mean/std plus their input gradients.
 
-        Returns ``(mu, sigma, dmu, dsigma)`` where the gradients are
-        ``∂μ/∂x`` and ``∂σ/∂x``, each of shape ``(d,)``:
+        For a single point *x* of shape ``(d,)`` returns ``(mu, sigma,
+        dmu, dsigma)``: two floats and the gradients ``∂μ/∂x`` and
+        ``∂σ/∂x``, each of shape ``(d,)``.  A ``(k, d)`` block of points
+        gives ``(k,)`` means and stds and ``(k, d)`` gradients from one
+        kernel pass and one solve.
 
         ``∂μ/∂x = (∂k/∂x)ᵀ K⁻¹y`` and ``∂σ²/∂x = −2 (K⁻¹k)ᵀ ∂k/∂x``
         (every stationary kernel in this package has an input-independent
         prior variance, so ``latent_diag`` contributes nothing).  When the
         variance hits the numerical floor the σ-gradient is zeroed, making
         it consistent with the clipped value :meth:`predict` returns.
-        Mean and std match :meth:`fast_predict` bit-for-bit.
+        Mean and std match :meth:`fast_predict` of the same points
+        bit-for-bit.
         """
         if not self._fitted:
             raise RuntimeError("GP is not fitted")
         x = np.asarray(x, dtype=float)
-        xq = x[None, :]
-        # One kernel pass gives the row and its Jacobian; mean/std
-        # arithmetic mirrors fast_predict exactly (same (1, n) shapes,
-        # same reductions) so both entry points return the same bits.
-        k, dk = self.kernel.value_and_input_gradient(x, self._X)
-        Ks = k[None, :]
+        xq = np.atleast_2d(x)
+        # One kernel pass gives the rows and their Jacobians; mean/std
+        # arithmetic mirrors fast_predict exactly (same shapes, same
+        # reductions) so both entry points return the same bits.
+        Ks, dk = self.kernel.value_and_input_gradient(xq, self._X)
         mean = Ks @ self._weights
         mean = mean * self._y_std + self._y_mean
         v = _potrs(self._chol, Ks.T, check_finite=False)
         var = self.kernel.latent_diag(xq) - np.einsum("ij,ji->i", Ks, v)
-        clipped = var[0] < 1e-12
+        clipped = var < 1e-12
         var = np.maximum(var, 1e-12)
         std = np.sqrt(var) * self._y_std
-        dmu = (dk.T @ self._weights) * self._y_std
-        if clipped:
-            dsigma = np.zeros_like(x)
-        else:
-            dvar = -2.0 * (dk.T @ v[:, 0])
-            dsigma = dvar / (2.0 * float(np.sqrt(var[0]))) * self._y_std
-        return float(mean[0]), float(std[0]), dmu, dsigma
+        dkT = dk.transpose(0, 2, 1)
+        dmu = (dkT @ self._weights) * self._y_std
+        dvar = -2.0 * (dkT @ v.T[:, :, None])[:, :, 0]
+        dsigma = dvar / (2.0 * np.sqrt(var))[:, None] * self._y_std
+        dsigma[clipped] = 0.0
+        if x.ndim == 1:
+            return float(mean[0]), float(std[0]), dmu[0], dsigma[0]
+        return mean, std, dmu, dsigma

@@ -47,6 +47,19 @@ def _eye(n: int) -> np.ndarray:
     return out
 
 
+def _param(value: float, theta: np.ndarray | None):
+    """A one-parameter kernel's value: as stored, or, for a ``(k, p)``
+    stack *theta* of log-space vectors, ``exp(theta[:, 0])`` shaped
+    ``(k, 1, 1)`` to broadcast over ``(n, n)`` matrices."""
+    return value if theta is None else np.exp(theta[:, 0])[:, None, None]
+
+
+def _rows(kernel: "Kernel", x: np.ndarray, X: np.ndarray) -> np.ndarray:
+    """``kernel(x, X)`` for one ``(d,)`` point (as ``(n,)``) or a
+    ``(k, d)`` block (as ``(k, n)``)."""
+    return kernel(np.atleast_2d(x), X).reshape(x.shape[:-1] + (X.shape[0],))
+
+
 class Kernel(ABC):
     """Base covariance function with log-parameterized hyperparameters."""
 
@@ -99,7 +112,8 @@ class Kernel(ABC):
     # -- analytic gradients --------------------------------------------------------
     @abstractmethod
     def value_and_theta_gradient(self, X: np.ndarray,
-                                 d2: np.ndarray | None = None
+                                 d2: np.ndarray | None = None,
+                                 theta: np.ndarray | None = None
                                  ) -> tuple[np.ndarray, list[np.ndarray]]:
         """Training covariance ``k(X, X)`` together with ``∂K/∂θ_i``.
 
@@ -110,6 +124,11 @@ class Kernel(ABC):
         Kernels share intermediates (distances, exponentials) between the
         value and its gradients, so one fused call is substantially
         cheaper than ``self(X)`` plus per-parameter evaluations.
+
+        With a ``(k, p)`` stack *theta* of hyperparameter vectors the
+        kernel is evaluated at each of them instead of at its own
+        :attr:`theta` (which it leaves alone): ``K`` and every gradient
+        are then ``(k, n, n)``, slice *j* belonging to ``theta[j]``.
 
         Contract: the returned matrices never alias each other or *d2*,
         so callers may mutate ``K`` (e.g. add diagonal jitter) freely.
@@ -146,7 +165,9 @@ class Kernel(ABC):
         *x* is a single query point of shape ``(d,)``.  Returns the
         ``(n,)`` row, equal bit-for-bit to ``self(x[None], X)[0]``, and
         the ``(n, d)`` Jacobian whose row *j* holds the gradient of
-        ``k(x, X_j)`` with respect to *x*.  Like :meth:`__call__` with
+        ``k(x, X_j)`` with respect to *x*.  A ``(k, d)`` block of query
+        points gives the ``(k, n)`` rows ``self(x, X)`` and a
+        ``(k, n, d)`` stack of Jacobians.  Like :meth:`__call__` with
         distinct point sets, white-noise components contribute zero to
         both, so they describe the latent (noise-free) covariance.
         Composites combine their children's rows instead of evaluating
@@ -181,9 +202,10 @@ class ConstantKernel(Kernel):
     def from_sq_dists(self, d2):
         return np.full(d2.shape, self.value)
 
-    def value_and_theta_gradient(self, X, d2=None):
+    def value_and_theta_gradient(self, X, d2=None, theta=None):
         n = X.shape[0] if d2 is None else d2.shape[0]
-        K = np.full((n, n), self.value)
+        v = _param(self.value, theta)
+        K = np.full(np.shape(v)[:1] + (n, n), v)
         # d/dlog(v) of v = v, i.e. the kernel matrix itself.
         return K, [K.copy()]
 
@@ -199,8 +221,8 @@ class ConstantKernel(Kernel):
         return self.diag_theta_gradient(X)
 
     def value_and_input_gradient(self, x, X):
-        return (self(x[None], X)[0],
-                np.zeros((X.shape[0], x.shape[0])))
+        K = _rows(self, x, X)
+        return K, np.zeros(K.shape + x.shape[-1:])
 
     @property
     def theta(self):
@@ -242,10 +264,10 @@ class Matern52(Kernel):
         s = math.sqrt(5.0) * r
         return (1.0 + s + s ** 2 / 3.0) * np.exp(-s)
 
-    def value_and_theta_gradient(self, X, d2=None):
+    def value_and_theta_gradient(self, X, d2=None, theta=None):
         if d2 is None:
             d2 = _cdist_sq(X, X)
-        s = math.sqrt(5.0) * np.sqrt(d2) / self.length_scale
+        s = math.sqrt(5.0) * np.sqrt(d2) / _param(self.length_scale, theta)
         es = np.exp(-s)
         s2 = s ** 2
         K = (1.0 + s + s2 / 3.0) * es
@@ -269,11 +291,11 @@ class Matern52(Kernel):
         return self.diag_theta_gradient(X)
 
     def value_and_input_gradient(self, x, X):
-        diff = x[None, :] - X
-        r = np.sqrt(np.sum(diff ** 2, axis=1))
+        diff = x[..., None, :] - X
+        r = np.sqrt(np.sum(diff ** 2, axis=-1))
         s = math.sqrt(5.0) * r / self.length_scale
         coef = -(5.0 / (3.0 * self.length_scale ** 2)) * (1.0 + s) * np.exp(-s)
-        return self(x[None], X)[0], coef[:, None] * diff
+        return _rows(self, x, X), coef[..., None] * diff
 
     @property
     def theta(self):
@@ -317,9 +339,9 @@ class WhiteKernel(Kernel):
     def from_sq_dists(self, d2):
         return self.noise_level * np.eye(d2.shape[0])
 
-    def value_and_theta_gradient(self, X, d2=None):
+    def value_and_theta_gradient(self, X, d2=None, theta=None):
         n = X.shape[0] if d2 is None else d2.shape[0]
-        K = self.noise_level * _eye(n)
+        K = _param(self.noise_level, theta) * _eye(n)
         return K, [K.copy()]
 
     def cross_value_and_theta_gradient(self, X, Y):
@@ -335,8 +357,8 @@ class WhiteKernel(Kernel):
         return np.zeros(n), [np.zeros(n)]
 
     def value_and_input_gradient(self, x, X):
-        return (self(x[None], X)[0],
-                np.zeros((X.shape[0], x.shape[0])))
+        K = _rows(self, x, X)
+        return K, np.zeros(K.shape + x.shape[-1:])
 
     @property
     def theta(self):
@@ -375,6 +397,13 @@ class _Binary(Kernel):
     def bounds(self):
         return np.vstack([self.k1.bounds, self.k2.bounds])
 
+    def _split(self, theta):
+        """The children's columns of a ``(k, p)`` theta stack (or Nones)."""
+        if theta is None:
+            return None, None
+        n1 = len(self.k1.theta)
+        return theta[:, :n1], theta[:, n1:]
+
 
 class Sum(_Binary):
     """Pointwise sum of two kernels."""
@@ -391,9 +420,10 @@ class Sum(_Binary):
     def latent_diag(self, X):
         return self.k1.latent_diag(X) + self.k2.latent_diag(X)
 
-    def value_and_theta_gradient(self, X, d2=None):
-        K1, g1 = self.k1.value_and_theta_gradient(X, d2)
-        K2, g2 = self.k2.value_and_theta_gradient(X, d2)
+    def value_and_theta_gradient(self, X, d2=None, theta=None):
+        t1, t2 = self._split(theta)
+        K1, g1 = self.k1.value_and_theta_gradient(X, d2, t1)
+        K2, g2 = self.k2.value_and_theta_gradient(X, d2, t2)
         return K1 + K2, g1 + g2
 
     def cross_value_and_theta_gradient(self, X, Y):
@@ -432,9 +462,10 @@ class Product(_Binary):
     def latent_diag(self, X):
         return self.k1.latent_diag(X) * self.k2.latent_diag(X)
 
-    def value_and_theta_gradient(self, X, d2=None):
-        K1, g1 = self.k1.value_and_theta_gradient(X, d2)
-        K2, g2 = self.k2.value_and_theta_gradient(X, d2)
+    def value_and_theta_gradient(self, X, d2=None, theta=None):
+        t1, t2 = self._split(theta)
+        K1, g1 = self.k1.value_and_theta_gradient(X, d2, t1)
+        K2, g2 = self.k2.value_and_theta_gradient(X, d2, t2)
         grads = [g * K2 for g in g1] + [K1 * g for g in g2]
         return K1 * K2, grads
 
@@ -459,4 +490,4 @@ class Product(_Binary):
     def value_and_input_gradient(self, x, X):
         k1, g1 = self.k1.value_and_input_gradient(x, X)
         k2, g2 = self.k2.value_and_input_gradient(x, X)
-        return k1 * k2, g1 * k2[:, None] + k1[:, None] * g2
+        return k1 * k2, g1 * k2[..., None] + k1[..., None] * g2

@@ -199,8 +199,19 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
         quad = float(yt @ yt) - float(gamma @ gamma)
         return 0.5 * (quad + logdet + n * _LOG_2PI)
 
-    def _nll_and_grad(self, theta: np.ndarray, kernel: Kernel
-                      ) -> tuple[float, np.ndarray]:
+    def _nll_and_grad(self, theta: np.ndarray, kernel: Kernel):
+        """NLL and its exact theta-gradient, the exact regressor's
+        contract: one ``(p,)`` theta gives ``(nll, grad)``, a ``(k, p)``
+        stack ``(k,)`` values and ``(k, p)`` gradients.  The starts of a
+        stack are evaluated one by one on *kernel*."""
+        if np.ndim(theta) == 1:
+            return self._start_nll_and_grad(theta, kernel)
+        pairs = [self._start_nll_and_grad(t, kernel) for t in theta]
+        return (np.array([nll for nll, _ in pairs]),
+                np.array([grad for _, grad in pairs]))
+
+    def _start_nll_and_grad(self, theta: np.ndarray, kernel: Kernel
+                            ) -> tuple[float, np.ndarray]:
         """NLL and its exact theta-gradient in O(n·m²) per parameter.
 
         The trace identity ``∂NLL/∂θ = ½ tr(P ∂Qσ/∂θ)`` with
@@ -332,9 +343,9 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
         std = np.sqrt(var) * self._y_std
         return mean, std
 
-    def predict_with_gradient(self, x: np.ndarray
-                              ) -> tuple[float, float, np.ndarray, np.ndarray]:
-        """Mean/std at a single point plus their input gradients.
+    def predict_with_gradient(self, x: np.ndarray):
+        """Mean/std plus their input gradients, at one ``(d,)`` point or
+        a ``(k, d)`` block.
 
         Same return contract as the exact regressor: ``(mu, sigma, dmu,
         dsigma)`` with the σ-gradient zeroed when the variance hits the
@@ -343,23 +354,30 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
         if not self._fitted:
             raise RuntimeError("GP is not fitted")
         x = np.asarray(x, dtype=float)
-        xq = x[None, :]
-        # One kernel pass gives the row and its Jacobian.
-        k, dk = self.kernel.value_and_input_gradient(x, self._Z)
-        mean, var, a, t = self._mean_var(xq, k[None, :])
+        xq = np.atleast_2d(x)
+        # One kernel pass gives the rows and their Jacobians.
+        k, dk = self.kernel.value_and_input_gradient(xq, self._Z)
+        mean, var, a, t = self._mean_var(xq, k)
         mean = mean * self._y_std + self._y_mean
-        clipped = var[0] < 1e-12
+        clipped = var < 1e-12
         var = np.maximum(var, 1e-12)
         std = np.sqrt(var) * self._y_std
-        dmu = (dk.T @ self._weights) * self._y_std
-        if clipped:
-            dsigma = np.zeros_like(x)
-        else:
-            g = solve_triangular(self._Lm, dk, lower=True, check_finite=False)
-            h = solve_triangular(self._LB, g, lower=True, check_finite=False)
-            dvar = -2.0 * (g.T @ a[:, 0]) + 2.0 * (h.T @ t[:, 0])
-            dsigma = dvar / (2.0 * float(np.sqrt(var[0]))) * self._y_std
-        return float(mean[0]), float(std[0]), dmu, dsigma
+        dmu = (dk.transpose(0, 2, 1) @ self._weights) * self._y_std
+        # The Jacobians side by side as the right-hand sides of one
+        # solve per factor, then back to one (d, m) block per point.
+        q, m, d = dk.shape
+        rhs = dk.transpose(1, 0, 2).reshape(m, q * d)
+        g = solve_triangular(self._Lm, rhs, lower=True, check_finite=False)
+        h = solve_triangular(self._LB, g, lower=True, check_finite=False)
+        gT = g.reshape(m, q, d).transpose(1, 2, 0)
+        hT = h.reshape(m, q, d).transpose(1, 2, 0)
+        dvar = -2.0 * (gT @ a.T[:, :, None])[:, :, 0] \
+            + 2.0 * (hT @ t.T[:, :, None])[:, :, 0]
+        dsigma = dvar / (2.0 * np.sqrt(var))[:, None] * self._y_std
+        dsigma[clipped] = 0.0
+        if x.ndim == 1:
+            return float(mean[0]), float(std[0]), dmu[0], dsigma[0]
+        return mean, std, dmu, dsigma
 
     @property
     def inducing_indices_(self) -> np.ndarray:

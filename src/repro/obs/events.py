@@ -45,6 +45,9 @@ EVENT_TYPES: dict[str, str] = {
     "bo.iteration": "one BO round: chosen acquisition and outcome",
     "hedge.probs": "GP-Hedge selection distribution before a choice",
     "acq.winner": "the acquisition function whose nominee was chosen",
+    "acq.nominees": "each acquisition's polished proposal: nominee, sweep "
+                    "and polished utilities, whether the polish replaced "
+                    "the sweep winner",
     "gp.fit": "a GP surrogate (re)fit: size and hyperparameter state",
     "gp.mode": "the engine switched between exact and low-rank surrogates",
     "warmstart.load": "prior-journal observations assembled for the "
@@ -97,8 +100,10 @@ COUNTERS: dict[str, str] = {
     "gp.predict": "GP posterior predictions served",
     "gp.predict.points": "candidate points pushed through GP predictions",
     "gp.mode.switch": "exact <-> low-rank surrogate switches",
-    "bo.refine.evals": "acquisition evaluations (posterior, value and "
-                       "gradient) made by the L-BFGS-B refine",
+    "bo.refine.evals": "points the L-BFGS-B refine evaluated (posterior, "
+                       "utility and gradient), summed over its starts",
+    "gp.hyperopt.evals": "likelihood evaluations (value and theta-gradient) "
+                         "of GP hyperparameter fits, summed over starts",
     "async.idle_worker_slots": "free worker slots observed at async "
                                "dispatch points",
     "batch.serial_fallback": "concurrent evaluations degraded to serial",
@@ -119,7 +124,9 @@ COUNTERS: dict[str, str] = {
 #: The timer catalog: every name passed to ``tracer.timer`` (RPX003).
 TIMERS: dict[str, str] = {
     "gp.fit": "GP surrogate (re)fits",
-    "bo.refine": "L-BFGS-B polishes of acquisition sweep winners",
+    "bo.refine": "lockstep L-BFGS-B polishes of a proposal's acquisition "
+                 "sweep winners",
+    "gp.hyperopt": "multi-start marginal-likelihood optimizations",
     "forest.fit": "tree-ensemble fits",
     "importance": "permutation-importance sweeps",
     "pool.task": "WorkerPool task bodies",

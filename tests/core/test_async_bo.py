@@ -43,10 +43,12 @@ def eval_sequence(evals):
 #: recorded before serial became the one loop at one worker.  Both 0 and
 #: 1 must keep reproducing them; never re-pin without a decision change
 #: that is meant to happen.  "plain" was re-pinned on purpose when the
-#: analytic-gradient refine and rank-k refits became the only path;
-#: "guard" and "early_stop" run with refine=False and held.
+#: analytic-gradient refine and rank-k refits became the only path, and
+#: again when both optimizers moved to the lockstep repro.gp.lbfgs;
+#: "guard" and "early_stop" run with refine=False and held both times
+#: (their snapped proposals did not move).
 SERIAL_GOLDEN = {
-    "plain": "2ea621a7f7bbb337",
+    "plain": "df8f298afd30f55c",
     "guard": "d45922d98a52a621",
     "early_stop": "0569457802450fce",
 }

@@ -68,8 +68,9 @@ class TestRefineAcceptance:
             for _ in range(10):
                 start = rng.random(3)
                 start_util = self._util(acq, gp, mean, std, f_best, start)
-                out = engine._refine(acq, gp, start, f_best, mean, std,
-                                     start_util)
+                out = engine._refine([acq], gp, start[None],
+                                     np.array([start_util]), f_best, mean,
+                                     std)[0][0]
                 out_util = self._util(acq, gp, mean, std, f_best, out)
                 assert out_util >= start_util - 1e-12
 
@@ -84,8 +85,8 @@ class TestRefineAcceptance:
             utils = np.array([self._util(acq, gp, mean, std, f_best, s)
                               for s in starts])
             best = int(np.argmax(utils))
-            out = engine._refine(acq, gp, starts[best], f_best, mean, std,
-                                 float(utils[best]))
+            out = engine._refine([acq], gp, starts[best][None],
+                                 utils[best:best + 1], f_best, mean, std)[0][0]
             out_util = self._util(acq, gp, mean, std, f_best, out)
             assert out_util >= utils.max() - 1e-12
 

@@ -379,6 +379,7 @@ class TestCrashRecovery:
                                      recover="censor")
         resumed(np.array([0.2, 0.8]))
         ev = resumed(np.array([0.4, 0.6]))
+        journal.close()
         assert ev.objective == 999.0
 
     def test_censor_mode_runs_unrelated_vectors_live(self, tmp_path):
@@ -391,6 +392,7 @@ class TestCrashRecovery:
                                      recover="censor")
         resumed(np.array([0.2, 0.8]))
         ev = resumed(np.array([0.9, 0.1]))     # never dispatched pre-crash
+        journal.close()
         assert fresh.calls == 1
         assert ev.fault is None
         assert resumed.n_pending == 1          # the crashed one still owed
@@ -462,6 +464,7 @@ class TestJournaledObjective:
         resumed(np.array([0.0, 0.5]))
         resumed(np.array([0.1, 0.5]))
         live = resumed(np.array([0.2, 0.5]))
+        journal.close()
         # State restored from the second snapshot before the live call.
         assert fresh.restored_states == [{"counter": 2}]
         assert live.objective == straight[2].objective
@@ -476,6 +479,7 @@ class TestJournaledObjective:
                                      replay=records)
         with pytest.raises(ValueError, match="journal replay mismatch"):
             resumed(np.array([0.3, 0.7]))
+        journal.close()
 
     def test_inner_without_hooks_is_fine(self, tmp_path):
         class Bare:
@@ -492,6 +496,7 @@ class TestJournaledObjective:
         assert records[0].rng_state is None
         resumed = JournaledObjective(Bare(), journal, replay=records)
         ev = resumed(np.array([0.2, 0.8]))     # no skip/set_rng_state hooks
+        journal.close()
         assert ev.objective == 42.0
 
 

@@ -190,6 +190,24 @@ class TestContextGP:
         assert dmu.shape == (3,)
         assert dsd.shape == (3,)
 
+    def test_block_of_points_appends_the_context_to_each(self):
+        # The refine's (k, d) call: every row gets the session's context
+        # and loses its gradient coordinate, as a single point does.
+        rng = np.random.default_rng(2)
+        joint = rng.random((12, 4))
+        inner = GaussianProcessRegressor(optimize=False).fit(
+            joint, rng.random(12))
+        view = _ContextGP(inner, n_warm=0, size=0.5)
+        U = rng.random((3, 3))
+        mu, sd, dmu, dsd = view.predict_with_gradient(U)
+        assert dmu.shape == dsd.shape == (3, 3)
+        im, isd, idmu, idsd = inner.predict_with_gradient(
+            np.hstack([U, np.full((3, 1), 0.5)]))
+        np.testing.assert_array_equal(mu, im)
+        np.testing.assert_array_equal(sd, isd)
+        np.testing.assert_array_equal(dmu, idmu[:, :-1])
+        np.testing.assert_array_equal(dsd, idsd[:, :-1])
+
 
 def make_problem(dim=4, seed=0):
     space = synthetic_space(dim)

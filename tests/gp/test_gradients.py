@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from repro.gp import GaussianProcessRegressor
+from repro.gp import GaussianProcessRegressor, LowRankGaussianProcessRegressor
 from repro.gp.gpr import default_bo_kernel
 from repro.gp.kernels import (ConstantKernel, Kernel, Matern52, Sum,
                               WhiteKernel)
@@ -276,3 +276,30 @@ class TestPosteriorGradients:
         gp = GaussianProcessRegressor()
         with pytest.raises(RuntimeError):
             gp.predict_with_gradient(np.zeros(2))
+
+    @pytest.mark.parametrize("kind", ["exact", "lowrank"])
+    def test_block_of_points_matches_each_point(self, kind):
+        # The refine's batched call: a (k, d) block gives each point's
+        # moments and gradients, to rounding (one BLAS call per block
+        # instead of per point), and its moments equal fast_predict's
+        # for the same block bit for bit.
+        X, y = make_gp_data(n=40, seed=15)
+        if kind == "lowrank":
+            gp = LowRankGaussianProcessRegressor(n_inducing=16,
+                                                 rng=15).fit(X, y)
+        else:
+            gp = GaussianProcessRegressor(rng=15).fit(X, y)
+        U = np.random.default_rng(15).random((3, X.shape[1]))
+        U[1] = X[7]
+        mu, sigma, dmu, dsigma = gp.predict_with_gradient(U)
+        assert mu.shape == sigma.shape == (3,)
+        assert dmu.shape == dsigma.shape == (3, X.shape[1])
+        for i, u in enumerate(U):
+            m, s, dm, ds = gp.predict_with_gradient(u)
+            np.testing.assert_allclose(mu[i], m, rtol=1e-12, atol=1e-12)
+            np.testing.assert_allclose(sigma[i], s, rtol=1e-9, atol=1e-12)
+            np.testing.assert_allclose(dmu[i], dm, rtol=1e-9, atol=1e-10)
+            np.testing.assert_allclose(dsigma[i], ds, rtol=1e-7, atol=1e-9)
+        m, s = gp.fast_predict(U)
+        assert mu.tobytes() == m.tobytes()
+        assert sigma.tobytes() == s.tobytes()

@@ -48,3 +48,24 @@ def test_white_noise_row_is_latent():
     value, jac = WhiteKernel(0.5).value_and_input_gradient(X[1].copy(), X)
     assert np.array_equal(value, np.zeros(4))
     assert np.array_equal(jac, np.zeros((4, 2)))
+
+
+@pytest.mark.parametrize("name", sorted(kernels()))
+@pytest.mark.parametrize("k", [1, 3])
+def test_block_of_points_matches_each_point(name, k):
+    # A (k, d) block gives exactly the rows of kernel(x, X) and, row by
+    # row, the single-point Jacobians to rounding: a product's Jacobian
+    # uses its factors' rows, whose last bits depend on the block's
+    # matrix product.
+    kernel = kernels()[name]
+    rng = np.random.default_rng([sorted(kernels()).index(name), k])
+    X = rng.random((20, 4))
+    x = rng.random((k, 4))
+    x[0] = X[3]
+    value, jac = kernel.value_and_input_gradient(x, X)
+    assert value.shape == (k, 20) and jac.shape == (k, 20, 4)
+    assert np.array_equal(value, kernel(x, X))
+    for i in range(k):
+        np.testing.assert_allclose(
+            jac[i], kernel.value_and_input_gradient(x[i], X)[1],
+            rtol=1e-12, atol=1e-15)

@@ -30,11 +30,11 @@ from repro.tuners.random_search import RandomSearch
 from repro.tuners.synthetic import SyntheticObjective, synthetic_space
 
 GOLDEN = {
-    # Re-pinned on purpose when analytic-gradient refinement from the one
-    # sweep winner and rank-k refits became the only acquisition and
-    # hyperparameter-fit path (finite-difference paths deleted).  The
-    # other three tuners never touch the GP and keep their digests.
-    "ROBOTune": "0c0340b508a2dce7",
+    # Re-pinned on purpose when the acquisition refine and the likelihood
+    # fit moved from scipy's L-BFGS-B to the lockstep repro.gp.lbfgs
+    # (through the paired-quality gate, docs/PERFORMANCE.md).  The other
+    # three tuners never touch the GP and keep their digests.
+    "ROBOTune": "efdf395027eede56",
     "BestConfig": "0ccfb94ddcd088ba",
     "Gunther": "75b71643a8e147bf",
     "RandomSearch": "49eb07eee9cc8517",

@@ -73,3 +73,30 @@ class TestStartupImports:
         out = subprocess.run([sys.executable, "-c", code], env=env,
                              capture_output=True, text=True, check=True)
         assert out.stdout.strip() == "[]"
+
+    def test_scipy_optimize_stays_out_of_startup(self):
+        """Importing the tuner, the CLI or the daemon, and running one
+        small served session after them, must not load scipy.optimize
+        (~0.15 s and ~17 MB): both of BO's optimizers are
+        repro.gp.lbfgs."""
+        import os
+        import subprocess
+        import sys
+
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        loaded = ("sorted(m for m in sys.modules "
+                  "if m.split('.')[:2] == ['scipy', 'optimize'])")
+        code = ("import sys, repro, repro.core.tuner, repro.cli, "
+                "repro.serve.daemon; "
+                f"print({loaded}); "
+                "from repro.serve import SessionSpec, run_session; "
+                "run_session(SessionSpec('kmeans', budget=12, seed=1, "
+                "init_samples=4, selection_samples=12, "
+                "selection_repeats=2)); "
+                f"print({loaded})")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["[]", "[]"]
