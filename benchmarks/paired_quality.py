@@ -23,8 +23,11 @@ build against it:
   counts of sessions that found the same, a better or a worse best;
 * the worst single-session ratio;
 * the median number of evaluations each side needed to get within 5%
-  and within 10% of the pair's common best (the better of the two);
-* total CPU time relative to the reference.
+  and within 10% of the pair's common best (the better of the two).
+
+It prints no CPU comparison: the same build, reseeded, read −0.3% to
++19.4% summed CPU against itself, so the figure said nothing next to the
+gate.  Each session's CPU time stays in the ``run`` records.
 
 ``compare`` is also the gate for decision-changing changes: it exits 1
 when any build's geometric-mean ratio exceeds :data:`GEO_MEAN_MAX` or its
@@ -99,7 +102,6 @@ def pair_stats(ref: list[dict], other: list[dict]) -> dict:
     """Paired verdict of *other* against the reference sessions."""
     by_key = {(r["workload"], r["seed"]): r for r in ref}
     ratios, steps = [], {f: ([], []) for f in FRACTIONS}
-    cpu_ref = cpu_other = 0.0
     for o in other:
         r = by_key[(o["workload"], o["seed"])]
         ratios.append(o["best_s"] / r["best_s"])
@@ -109,8 +111,6 @@ def pair_stats(ref: list[dict], other: list[dict]) -> dict:
                                       common * (1 + f)))
             steps[f][1].append(within(np.asarray(o["curve"]),
                                       common * (1 + f)))
-        cpu_ref += r["cpu_s"]
-        cpu_other += o["cpu_s"]
     ratio = np.asarray(ratios)
     better, worse = int(np.sum(ratio < 1.0)), int(np.sum(ratio > 1.0))
     return {
@@ -122,7 +122,6 @@ def pair_stats(ref: list[dict], other: list[dict]) -> dict:
         "worst": float(ratio.max()),
         "median_steps": {f: (float(np.median(a)), float(np.median(b)))
                          for f, (a, b) in steps.items()},
-        "cpu_ratio": cpu_other / cpu_ref,
     }
 
 
@@ -144,8 +143,6 @@ def compare(args: argparse.Namespace) -> int:
         for f, (a, b) in s["median_steps"].items():
             print(f"  median evaluations to within {f:.0%} of the common "
                   f"best: reference {a:g}, this build {b:g}")
-        print(f"  CPU time: {s['cpu_ratio'] - 1:+.1%} against the "
-              f"reference")
         passed = (s["geo_mean"] <= GEO_MEAN_MAX
                   and s["worst"] <= WORST_MAX)
         print(f"  gate: {'pass' if passed else 'FAIL'} (geometric mean "

@@ -34,7 +34,7 @@ from repro.core import BOEngine
 from repro.core.acquisition import (ExpectedImprovement, LowerConfidenceBound,
                                     ProbabilityOfImprovement)
 from repro.core.tuner import ROBOTune
-from repro.gp.gpr import GaussianProcessRegressor, default_bo_kernel
+from repro.gp import GaussianProcessRegressor, Matern52
 from repro.ml import RandomForestRegressor, grouped_permutation_importance
 from repro.sampling import latin_hypercube
 from repro.space.spark_params import spark_space
@@ -120,13 +120,13 @@ def test_gp_update_vs_refit(capsys):
     y = np.sin(3 * X[:, 0]) + X[:, 1] ** 2
 
     def incremental():
-        gp = GaussianProcessRegressor(kernel=default_bo_kernel(), alpha=1e-8,
+        gp = GaussianProcessRegressor(kernel=Matern52(), alpha=1e-8,
                                       optimize=False).fit(X[:20], y[:20])
         for m in range(21, n + 1):
             gp.update(X[:m], y[:m])
 
     def refit():
-        gp = GaussianProcessRegressor(kernel=default_bo_kernel(), alpha=1e-8,
+        gp = GaussianProcessRegressor(kernel=Matern52(), alpha=1e-8,
                                       optimize=False).fit(X[:20], y[:20])
         for m in range(21, n + 1):
             gp.fit(X[:m], y[:m])
@@ -161,10 +161,8 @@ def test_refine_eval_lean_vs_reference(capsys):
     def lean():
         for acq, u in itertools.product(acqs, points):
             mu, sigma, dmu, dsigma = gp.predict_with_gradient(u)
-            acq(np.array([(mu - mean) / std]), np.array([sigma / std]),
-                f_best)
-            acq.gradient((mu - mean) / std, sigma / std, dmu / std,
-                         dsigma / std, f_best)
+            acq.value_and_gradient((mu - mean) / std, sigma / std, dmu / std,
+                                   dsigma / std, f_best)
 
     def reference():
         for acq, u in itertools.product(acqs, points):
@@ -348,12 +346,12 @@ def test_gp_lowrank_scaling_vs_exact(capsys):
 
             def exact_cycle():
                 gp = GaussianProcessRegressor(
-                    kernel=default_bo_kernel(), optimize=False).fit(X, y)
+                    kernel=Matern52(), optimize=False).fit(X, y)
                 return gp.predict(Q)
 
             def lowrank_cycle():
                 gp = LowRankGaussianProcessRegressor(
-                    kernel=default_bo_kernel(), n_inducing=96,
+                    kernel=Matern52(), n_inducing=96,
                     optimize=False).fit(X, y)
                 return gp.predict(Q)
 

@@ -19,7 +19,8 @@ Packages
 ``repro.ml``
     From-scratch trees, forests, linear models, CV, MDA importances.
 ``repro.gp``
-    Gaussian-process regression with Matérn 5/2 + white-noise kernels.
+    Gaussian-process regression on one kernel, a scaled Matérn 5/2 plus
+    white noise.
 ``repro.sparksim``
     The discrete-event Spark cluster simulator (evaluation substrate).
 ``repro.workloads``

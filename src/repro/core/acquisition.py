@@ -62,16 +62,19 @@ class AcquisitionFunction(ABC):
         workloads with wildly different magnitudes.
         """
 
-    def gradient(self, mu: float, sigma: float, dmu: np.ndarray,
-                 dsigma: np.ndarray, f_best: float) -> np.ndarray:
-        """Closed-form utility gradient with respect to the input point.
+    def value_and_gradient(self, mu: float, sigma: float, dmu: np.ndarray,
+                           dsigma: np.ndarray, f_best: float
+                           ) -> tuple[float, np.ndarray]:
+        """Utility at one point and its closed-form gradient with respect
+        to the input point, sharing their intermediates.
 
         *mu*/*sigma* are the scalar posterior moments at the point and
         *dmu*/*dsigma* their input gradients (shape ``(d,)``, e.g. from
         ``GaussianProcessRegressor.predict_with_gradient``); the chain
-        rule turns them into ``∂utility/∂u``.  Where the utility is
-        piecewise-flat in ``sigma <= eps`` regions the gradient is zero,
-        matching the clipped values ``__call__`` returns.
+        rule turns them into ``∂utility/∂u``.  The value has the bits
+        ``__call__`` gives for the one-point arrays.  Where the utility
+        is piecewise-flat in ``sigma <= eps`` regions the gradient is
+        zero, matching the clipped values ``__call__`` returns.
         """
         raise NotImplementedError
 
@@ -95,12 +98,14 @@ class ProbabilityOfImprovement(AcquisitionFunction):
         out = np.where(sigma > _EPS, out, (d > 0).astype(float))
         return out
 
-    def gradient(self, mu, sigma, dmu, dsigma, f_best):
+    def value_and_gradient(self, mu, sigma, dmu, dsigma, f_best):
         # PI = Φ(z), z = (f_best − μ − ξ)/σ  ⇒  ∇PI = φ(z)(−∇μ − z∇σ)/σ.
-        if sigma <= _EPS:
-            return np.zeros_like(dmu)
-        z = (f_best - mu - self.xi) / sigma
-        return _norm_pdf(z) * (-dmu - z * dsigma) / sigma
+        d = f_best - mu - self.xi
+        if not sigma > _EPS:
+            return float(d > 0), np.zeros_like(dmu)
+        z = d / sigma
+        return (float(ndtr(z)),
+                _norm_pdf(z) * (-dmu - z * dsigma) / sigma)
 
 
 class ExpectedImprovement(AcquisitionFunction):
@@ -120,13 +125,16 @@ class ExpectedImprovement(AcquisitionFunction):
         ei = d * ndtr(z) + sigma * _norm_pdf(z)
         return np.where(sigma > _EPS, np.maximum(ei, 0.0), 0.0)
 
-    def gradient(self, mu, sigma, dmu, dsigma, f_best):
+    def value_and_gradient(self, mu, sigma, dmu, dsigma, f_best):
         # EI = dΦ(z) + σφ(z) with d = f_best − μ − ξ, z = d/σ.  The φ′
         # terms cancel (d − σz = 0), leaving ∇EI = −Φ(z)∇μ + φ(z)∇σ.
-        if sigma <= _EPS:
-            return np.zeros_like(dmu)
-        z = (f_best - mu - self.xi) / sigma
-        return -ndtr(z) * dmu + _norm_pdf(z) * dsigma
+        if not sigma > _EPS:
+            return 0.0, np.zeros_like(dmu)
+        d = f_best - mu - self.xi
+        z = d / sigma
+        cdf, pdf = ndtr(z), _norm_pdf(z)
+        return (float(np.maximum(d * cdf + sigma * pdf, 0.0)),
+                -cdf * dmu + pdf * dsigma)
 
 
 class LowerConfidenceBound(AcquisitionFunction):
@@ -144,6 +152,6 @@ class LowerConfidenceBound(AcquisitionFunction):
         sigma = np.asarray(sigma, dtype=float)
         return -(mu - self.kappa * sigma)
 
-    def gradient(self, mu, sigma, dmu, dsigma, f_best):
+    def value_and_gradient(self, mu, sigma, dmu, dsigma, f_best):
         # Utility is −μ + κσ, linear in the posterior moments.
-        return -dmu + self.kappa * dsigma
+        return float(-(mu - self.kappa * sigma)), -dmu + self.kappa * dsigma

@@ -21,8 +21,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from ..gp.gpr import GaussianProcessRegressor, default_bo_kernel
-from ..gp.kernels import Kernel
+from ..gp.gpr import GaussianProcessRegressor
+from ..gp.kernels import Matern52
 from ..gp.lbfgs import minimize
 from ..gp.lowrank import LowRankGaussianProcessRegressor
 from ..obs import NULL_TRACER, as_tracer, evaluation_data
@@ -141,7 +141,8 @@ class BOEngine:
     Parameters
     ----------
     kernel:
-        GP covariance template; defaults to Matérn 5/2 + white noise.
+        GP covariance template; defaults to :class:`~repro.gp.Matern52`
+        at its paper settings (scaled Matérn 5/2 plus white noise).
     hedge:
         Acquisition portfolio; defaults to PI/EI/LCB with paper knobs.
     n_candidates:
@@ -203,7 +204,7 @@ class BOEngine:
         decisions bit-identical.
     """
 
-    def __init__(self, *, kernel: Kernel | None = None,
+    def __init__(self, *, kernel: Matern52 | None = None,
                  hedge: GPHedge | None = None, n_candidates: int = 512,
                  hyperopt_every: int = 5, refine: bool = True,
                  early_stop_patience: int | None = None,
@@ -233,7 +234,7 @@ class BOEngine:
         if warm_start is not None and not isinstance(warm_start,
                                                      WarmStartData):
             raise TypeError("warm_start must be WarmStartData or None")
-        self._kernel_template = kernel or default_bo_kernel()
+        self._kernel_template = kernel or Matern52()
         self._theta0 = self._kernel_template.theta.copy()
         self._rng = as_generator(rng)
         self._tracer = as_tracer(tracer)
@@ -627,8 +628,10 @@ class BOEngine:
                   penalizer: LocalPenalizer | None = None) -> np.ndarray:
         """One proposed point per portfolio acquisition function.
 
-        Each acquisition nominates its sweep argmax; with ``refine`` on,
-        the nominees are then polished together (:meth:`_refine`) and
+        Each acquisition nominates its sweep argmax; the sweep's
+        posterior adds one entry to the ``gp.sweep`` timer.  With
+        ``refine`` on, the nominees are then polished together
+        (:meth:`_refine`) and
         an ``acq.nominees`` event records, per acquisition, the nominee,
         the sweep winner's utility, the polished utility and whether the
         polish replaced the sweep winner.
@@ -648,7 +651,8 @@ class BOEngine:
         local = X_obs[order] + self._rng.normal(0.0, 0.05,
                                                 size=(len(order), dim))
         U = np.clip(np.vstack([cands, local]), 0.0, 1.0)
-        mu, sigma, f_best = self._standardized(gp, y, U)
+        with self._tracer.timer("gp.sweep"):
+            mu, sigma, f_best = self._standardized(gp, y, U)
 
         acqs = self.hedge.functions
         best = np.empty(len(acqs), dtype=int)
@@ -682,7 +686,8 @@ class BOEngine:
         (:mod:`repro.gp.lbfgs`): each step is one ``(k, d)``
         ``predict_with_gradient`` call on the shared posterior, then each
         acquisition takes its utility and closed-form gradient from its
-        own row, so the optimizer never finite-differences the GP.  A
+        own row in one call, so the optimizer never finite-differences
+        the GP.  A
         polished point replaces its sweep winner only when it beats the
         sweep utility.  Returns the nominees and the polished utilities.
         The run adds one entry to the ``bo.refine`` timer and its point
@@ -698,11 +703,10 @@ class BOEngine:
             vals = np.empty(len(rows))
             grads = np.empty_like(U)
             for r, i in enumerate(rows):
-                acq = acqs[i]
-                vals[r] = -float(acq(mu_n[r:r + 1], sigma_n[r:r + 1],
-                                     f_best)[0])
-                grads[r] = -acq.gradient(mu_n[r], sigma_n[r], dmu_n[r],
-                                         dsigma_n[r], f_best)
+                val, grad = acqs[i].value_and_gradient(
+                    mu_n[r], sigma_n[r], dmu_n[r], dsigma_n[r], f_best)
+                vals[r] = -val
+                grads[r] = -grad
             return vals, grads
 
         with self._tracer.timer("bo.refine"):

@@ -1,11 +1,12 @@
 """Gaussian-process regression with marginal-likelihood hyperparameter fit.
 
 The surrogate model of the paper's BO engine (§3.4).  Given observations
-``(X, y)`` and a kernel, the posterior at any point is a normal
-distribution whose mean is the model's estimate of the objective and whose
-variance quantifies uncertainty.  Kernel hyperparameters are chosen by
-maximizing the log marginal likelihood with the box-constrained L-BFGS
-of :mod:`repro.gp.lbfgs`, from several starts stepped in lockstep: each
+``(X, y)`` and the kernel (:class:`repro.gp.kernels.Matern52`), the
+posterior at any point is a normal distribution whose mean is the
+model's estimate of the objective and whose variance quantifies
+uncertainty.  Kernel hyperparameters are chosen by maximizing the log
+marginal likelihood with the box-constrained L-BFGS of
+:mod:`repro.gp.lbfgs`, from several starts stepped in lockstep: each
 step evaluates every live start's likelihood in one call.
 """
 
@@ -15,15 +16,14 @@ import copy
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.lapack import dpotrf, dpotri, dpotrs
+from scipy.linalg.lapack import dpotrf, dpotri, dpotrs, dtrtrs
 
 from ..obs import as_tracer
 from ..utils.rng import as_generator
-from .kernels import ConstantKernel, Kernel, Matern52, WhiteKernel, _cdist_sq
+from .kernels import Matern52, scaled_distances
 from .lbfgs import minimize
 
-__all__ = ["GaussianProcessRegressor", "default_bo_kernel"]
+__all__ = ["GaussianProcessRegressor"]
 
 _LOG_2PI = math.log(2.0 * math.pi)
 
@@ -78,6 +78,35 @@ def _potrs(c: np.ndarray, b: np.ndarray,
     return x
 
 
+def _trtrs(c: np.ndarray, b: np.ndarray, trans: int = 0,
+           check_finite: bool = True) -> np.ndarray:
+    """Solve ``L x = b`` (or ``Lᵀ x = b`` with *trans* 1), ``L`` the
+    lower triangle of *c*.
+
+    LAPACK ``dtrtrs`` called as scipy.linalg's ``solve_triangular(c, b,
+    lower=True)`` calls it, so both return the same bits: a C-ordered
+    *c* goes in as its transpose, the upper triangle of a Fortran-ordered
+    matrix.  That wrapper's per-call cost (about 10 µs) is several times
+    the solve's at the sizes a BO session polishes.  Raises like it:
+    ``ValueError`` for non-finite inputs (when *check_finite*),
+    ``np.linalg.LinAlgError`` for a zero on the diagonal.
+    """
+    if check_finite:
+        b = np.asarray_chkfinite(b)
+        c = np.asarray_chkfinite(c)
+    if c.flags.f_contiguous:
+        x, info = dtrtrs(c, b, lower=1, trans=trans)
+    else:
+        x, info = dtrtrs(c.T, b, lower=0, trans=1 - trans)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"singular matrix: resolution failed at diagonal {info - 1}")
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal "
+                         "trtrs")
+    return x
+
+
 #: Likelihood starts whose covariances are built in one stacked block:
 #: as many as fit 16384 float64 entries (128 KiB) per matrix.  Stacking
 #: shares each NumPy call among the starts, which pays at small n; past
@@ -85,47 +114,40 @@ def _potrs(c: np.ndarray, b: np.ndarray,
 #: time (docs/PERFORMANCE.md, "One lockstep optimizer").
 _STACK_ELEMENTS = 16384
 
-#: Lower-triangle contraction weights by size: 1 on the diagonal, 2
-#: below it, 0 above.
-_TRIL_WEIGHTS: dict[int, np.ndarray] = {}
+#: Upper-triangle contraction weights by size: 1 on the diagonal, 2
+#: above it, 0 below.
+_TRIU_WEIGHTS: dict[int, np.ndarray] = {}
 
 
-def _tril_weights(n: int) -> np.ndarray:
+def _triu_weights(n: int) -> np.ndarray:
     """Weights that turn a sum over a symmetric matrix's entries into a
-    sum over its lower triangle; treat the result as read-only."""
-    w = _TRIL_WEIGHTS.get(n)
+    sum over its upper triangle; treat the result as read-only."""
+    w = _TRIU_WEIGHTS.get(n)
     if w is None:
-        if len(_TRIL_WEIGHTS) > 8:
-            _TRIL_WEIGHTS.clear()
-        w = _TRIL_WEIGHTS[n] = np.tri(n) + np.tri(n, k=-1)
+        if len(_TRIU_WEIGHTS) > 8:
+            _TRIU_WEIGHTS.clear()
+        w = _TRIU_WEIGHTS[n] = np.tri(n).T + np.tri(n, k=-1).T
     return w
-
-
-def default_bo_kernel() -> Kernel:
-    """The paper's kernel: scaled Matérn 5/2 plus white observation noise."""
-    return ConstantKernel(1.0) * Matern52(0.5, bounds=(1e-2, 1e2)) \
-        + WhiteKernel(1e-2, bounds=(1e-6, 1e1))
 
 
 class _LikelihoodGP:
     """What both regressors share: construction, target normalization,
     the multi-start marginal-likelihood fit and the training-set views.
 
-    Subclasses supply ``fit``, ``_nll`` (value only) and
-    ``_nll_and_grad`` (value and exact theta-gradient at one theta, or
-    at each row of a ``(k, p)`` stack, computed on a private kernel
-    copy).
+    Subclasses supply ``fit`` and ``_nll_and_grad``: the negative log
+    marginal likelihood and its exact θ-gradient at one θ, or at each row
+    of a ``(k, 3)`` stack, evaluated without touching ``self.kernel``.
     """
 
-    def __init__(self, kernel: Kernel | None = None, *, alpha: float = 1e-10,
-                 normalize_y: bool = True, n_restarts: int = 2,
-                 optimize: bool = True,
+    def __init__(self, kernel: Matern52 | None = None, *,
+                 alpha: float = 1e-10, normalize_y: bool = True,
+                 n_restarts: int = 2, optimize: bool = True,
                  rng: np.random.Generator | int | None = None,
                  tracer=None):
         if alpha < 0:
             raise ValueError("alpha must be non-negative")
         self.kernel = copy.deepcopy(kernel) if kernel is not None \
-            else default_bo_kernel()
+            else Matern52()
         self.alpha = alpha
         self.normalize_y = normalize_y
         self.n_restarts = n_restarts
@@ -158,20 +180,16 @@ class _LikelihoodGP:
         """Log marginal likelihood at *theta* (default: current kernel)."""
         if theta is None:
             theta = self.kernel.theta
-        saved = self.kernel.theta
-        try:
-            return -self._nll(np.asarray(theta, dtype=float))
-        finally:
-            self.kernel.theta = saved
+        return -float(self._nll_and_grad(np.asarray(theta, dtype=float))[0])
 
     def _optimize_theta(self) -> None:
         """Multi-start L-BFGS-B on the exact likelihood gradient.
 
         Starts are the incumbent theta plus ``n_restarts`` uniform draws
         inside the bounds.  They run in lockstep (:mod:`repro.gp.lbfgs`):
-        each step is one ``_nll_and_grad`` call for the live starts, on
-        one private kernel copy, so ``self.kernel`` only ever holds the
-        winner.  The best value wins; ties go to the earlier start.  The
+        each step is one ``_nll_and_grad`` call for the live starts, which
+        leaves ``self.kernel`` alone, so it only ever holds the winner.
+        The best value wins; ties go to the earlier start.  The
         ``gp.hyperopt`` timer covers the optimization and the
         ``gp.hyperopt.evals`` counter adds its likelihood evaluations,
         summed over the starts.
@@ -181,10 +199,9 @@ class _LikelihoodGP:
         starts = [self.kernel.theta]
         for _ in range(self.n_restarts):
             starts.append(rng.uniform(bounds[:, 0], bounds[:, 1]))
-        kernel = copy.deepcopy(self.kernel)
         with self.tracer.timer("gp.hyperopt"):
-            res = minimize(lambda thetas, rows: self._nll_and_grad(
-                thetas, kernel), np.vstack(starts), bounds, maxiter=100)
+            res = minimize(lambda thetas, rows: self._nll_and_grad(thetas),
+                           np.vstack(starts), bounds, maxiter=100)
         self.tracer.count("gp.hyperopt.evals", res.nfev)
         best_theta, best_nll = self.kernel.theta, np.inf
         for theta, nll in zip(res.x, res.fun):
@@ -205,11 +222,12 @@ class GaussianProcessRegressor(_LikelihoodGP):
     Parameters
     ----------
     kernel:
-        Covariance function; defaults to :func:`default_bo_kernel`.  The
-        instance is deep-copied so callers can reuse kernel templates.
+        A :class:`~repro.gp.kernels.Matern52`; defaults to its paper
+        settings.  The instance is deep-copied so callers can reuse
+        kernel templates.
     alpha:
         Jitter added to the training covariance diagonal for numerical
-        stability (on top of any white-noise kernel).
+        stability (on top of the kernel's noise).
     normalize_y:
         Standardize targets to zero mean / unit variance internally;
         predictions are transformed back.  Recommended when objective
@@ -217,8 +235,7 @@ class GaussianProcessRegressor(_LikelihoodGP):
     n_restarts:
         Random restarts (beyond the incumbent theta) for the marginal
         likelihood optimization, which L-BFGS-B runs on the exact
-        gradient from the kernels' ``∂K/∂θ`` and the Rasmussen–Williams
-        trace identity.
+        gradient (:meth:`_nll_and_grad`).
     optimize:
         If False, keep the kernel's current hyperparameters (useful for
         tests and for very small training sets).
@@ -242,9 +259,9 @@ class GaussianProcessRegressor(_LikelihoodGP):
         if X.shape[0] == 0:
             raise ValueError("cannot fit on empty data")
         self._X = X
-        # Pairwise squared distances are hyperparameter-independent; cache
-        # them so likelihood restarts and refits reuse one computation.
-        self._d2 = _cdist_sq(X, X)
+        # √5·r is hyperparameter-free: one computation serves every
+        # likelihood evaluation, the factorization and later refits.
+        self._S = scaled_distances(X, X)
         self._normalize_targets(y)
 
         optimized = self.optimize and X.shape[0] >= 2
@@ -310,80 +327,58 @@ class GaussianProcessRegressor(_LikelihoodGP):
         """Append rows to the training set via a rank-k Cholesky update."""
         n_old = self._X.shape[0]
         k = X_new.shape[0]
-        K12 = self.kernel(self._X, X_new)
-        K22 = self.kernel(X_new) + self.alpha * np.eye(k)
+        S12 = scaled_distances(self._X, X_new)
+        S22 = scaled_distances(X_new, X_new)
+        K12 = self.kernel.latent(S12)
+        K22 = self.kernel.latent(S22)
+        K22[np.diag_indices(k)] += self.kernel.noise + self.alpha
         L = self._chol
-        B = solve_triangular(L, K12, lower=True, check_finite=False)
-        S = K22 - B.T @ B
+        B = _trtrs(L, K12, check_finite=False)
         try:
-            Ls = np.linalg.cholesky(S)
+            Ls = np.linalg.cholesky(K22 - B.T @ B)
         except np.linalg.LinAlgError:
             return False
         n = n_old + k
-        c = np.zeros((n, n))
+        # Fortran order, as dpotrf returns it: LAPACK reads it uncopied.
+        c = np.zeros((n, n), order="F")
         c[:n_old, :n_old] = L
         c[n_old:, :n_old] = B.T
         c[n_old:, n_old:] = Ls
         self._chol = c
-        # Extend the cached squared-distance matrix with the new block.
-        d2 = np.empty((n, n))
-        d2[:n_old, :n_old] = self._d2
-        cross = _cdist_sq(self._X, X_new)
-        d2[:n_old, n_old:] = cross
-        d2[n_old:, :n_old] = cross.T
-        d2[n_old:, n_old:] = _cdist_sq(X_new, X_new)
-        self._d2 = d2
+        S = np.empty((n, n))
+        S[:n_old, :n_old] = self._S
+        S[:n_old, n_old:] = S12
+        S[n_old:, :n_old] = S12.T
+        S[n_old:, n_old:] = S22
+        self._S = S
         return True
 
-    def _K_train(self, kernel: Kernel | None = None) -> np.ndarray:
-        """Training covariance (without jitter), from cached distances when
-        the kernel supports it."""
-        kernel = self.kernel if kernel is None else kernel
-        try:
-            return kernel.from_sq_dists(self._d2)
-        except NotImplementedError:
-            return kernel(self._X)
+    def _nll_and_grad(self, theta: np.ndarray):
+        """Negative log marginal likelihood and its exact θ-gradient.
 
-    def _nll(self, theta: np.ndarray, kernel: Kernel | None = None) -> float:
-        """Negative log marginal likelihood at the given hyperparameters.
+        *theta* is one ``(3,)`` vector, giving ``(nll, grad)``, or a
+        ``(k, 3)`` stack, giving ``(k,)`` values and ``(k, 3)``
+        gradients.  The starts' covariances and their ``∂K/∂log ℓ`` are
+        built stacked from the cached scaled distances, in blocks of
+        :data:`_STACK_ELEMENTS`; each start is then factorized on its
+        own.  One that is not positive definite gets the ``1e25``
+        sentinel and a zero gradient without stopping the others.
 
-        Operates on *kernel* when given (the multi-start's private
-        copy), else mutates ``self.kernel`` in place.
-        """
-        kernel = self.kernel if kernel is None else kernel
-        kernel.theta = theta
-        K = self._K_train(kernel) + self.alpha * np.eye(self._X.shape[0])
-        try:
-            L = _potrf(K)
-        except np.linalg.LinAlgError:
-            return 1e25
-        a = _potrs(L, self._y)
-        n = self._X.shape[0]
-        logdet = 2.0 * float(np.sum(np.log(np.diag(L))))
-        return 0.5 * float(self._y @ a) + 0.5 * logdet + 0.5 * n * _LOG_2PI
+        With ``α = K⁻¹y`` and ``W = K⁻¹ − ααᵀ`` the trace identity
+        (Rasmussen & Williams, eq. 5.9) gives ``∂NLL/∂θ_j = ½ tr(W
+        ∂K/∂θ_j)``.  Only the length scale needs the n×n contraction;
+        the kernel's form gives the other two in closed form, from
+        ``tr W = tr K⁻¹ − αᵀα`` (``K⁻¹`` from the Cholesky factor, LAPACK
+        ``dpotri``):
 
-    def _nll_and_grad(self, theta: np.ndarray, kernel: Kernel):
-        """Negative log marginal likelihood and its exact theta-gradient.
-
-        *theta* is one ``(p,)`` vector, giving ``(nll, grad)``, or a
-        ``(k, p)`` stack, giving ``(k,)`` values and ``(k, p)``
-        gradients.  The starts' covariances and their θ-gradients are
-        built stacked from the cached distances, in blocks of
-        :data:`_STACK_ELEMENTS` (*kernel*'s own theta is not read).
-        Each start is then factorized on its own; one that is not
-        positive definite gets the ``1e25`` sentinel and a zero gradient
-        without stopping the others.  The trace identity (Rasmussen &
-        Williams, eq. 5.9)
-
-        ``∂NLL/∂θ_j = ½ tr((K⁻¹ − ααᵀ) ∂K/∂θ_j)``,  ``α = K⁻¹ y``
-
-        turns every partial into one O(n²) contraction, with ``K⁻¹``
-        formed from the Cholesky factor (LAPACK ``dpotri``).
+        * ``∂K/∂log c = K − (σ² + alpha)·I`` and ``αᵀKα = yᵀα``, so
+          ``∂NLL/∂log c = ½[n − yᵀα − (σ² + alpha)·tr W]``;
+        * ``∂K/∂log σ² = σ²·I``, so ``∂NLL/∂log σ² = ½σ²·tr W``.
         """
         thetas = np.atleast_2d(np.asarray(theta, dtype=float))
         n = self._X.shape[0]
         block = max(1, _STACK_ELEMENTS // (n * n))
-        parts = [self._stacked_nll_and_grad(thetas[i:i + block], kernel)
+        parts = [self._stacked_nll_and_grad(thetas[i:i + block])
                  for i in range(0, len(thetas), block)]
         nll = np.concatenate([v for v, _ in parts])
         grad = np.concatenate([g for _, g in parts])
@@ -391,51 +386,53 @@ class GaussianProcessRegressor(_LikelihoodGP):
             return float(nll[0]), grad[0]
         return nll, grad
 
-    def _stacked_nll_and_grad(self, thetas: np.ndarray, kernel: Kernel
+    def _stacked_nll_and_grad(self, thetas: np.ndarray
                               ) -> tuple[np.ndarray, np.ndarray]:
         """:meth:`_nll_and_grad` of one stacked block of starts."""
         k, n = thetas.shape[0], self._X.shape[0]
-        K, grads = kernel.value_and_theta_gradient(self._X, d2=self._d2,
-                                                   theta=thetas)
-        K[:, np.arange(n), np.arange(n)] += self.alpha
+        y = self._y
+        K, dK = self.kernel.latent_and_length_gradient(self._S, thetas)
+        noise = np.exp(thetas[:, 2])
+        diag = noise + self.alpha
+        K.reshape(k, n * n)[:, ::n + 1] += diag[:, None]
+        # Weighted so that a sum against the upper triangle of the
+        # transposed dpotri output (which holds K⁻¹'s lower triangle)
+        # is the full trace, and so that αᵀ(∂K)α is one product.
+        dK *= _triu_weights(n)
         nll = np.full(k, 1e25)
-        M = np.zeros((k, n, n))
-        failed = np.zeros(k, dtype=bool)
+        grad = np.zeros((k, 3))
         for j in range(k):
             try:
                 L = _potrf(K[j])
             except np.linalg.LinAlgError:
-                failed[j] = True
                 continue
-            a = _potrs(L, self._y)
-            logdet = 2.0 * float(np.log(L.diagonal()).sum())
-            nll[j] = 0.5 * float(self._y @ a) + 0.5 * logdet \
-                + 0.5 * n * _LOG_2PI
-            # K⁻¹ − ααᵀ on and below the diagonal, weighted so that its
-            # sum against a symmetric ∂K/∂θ is the full trace.  LAPACK
-            # dpotri writes K⁻¹'s lower triangle; the upper one keeps
-            # K's entries, which the weights zero.
+            a = _potrs(L, y)
             inv, info = dpotri(L, lower=1)
             if info != 0:
                 raise np.linalg.LinAlgError(
                     f"dpotri failed with info={info}")
-            inv -= a[:, None] * a
-            M[j] = inv * _tril_weights(n)
-        grad = 0.5 * np.stack([np.einsum("kij,kij->k", M, G) for G in grads],
-                              axis=1)
-        grad[failed] = 0.0
+            ya = float(y @ a)
+            nll[j] = 0.5 * ya + float(np.log(L.diagonal()).sum()) \
+                + 0.5 * n * _LOG_2PI
+            tr_w = float(inv.trace()) - float(a @ a)
+            g = dK[j]
+            grad[j] = (0.5 * (n - ya - diag[j] * tr_w),
+                       0.5 * (float(np.vdot(inv.T, g)) - float(a @ (g @ a))),
+                       0.5 * noise[j] * tr_w)
         return nll, grad
 
     def _precompute(self) -> None:
-        K = self._K_train() + self.alpha * np.eye(self._X.shape[0])
+        K = self.kernel.latent(self._S)
+        diag = np.diag_indices_from(K)
+        K[diag] += self.kernel.noise + self.alpha
         # Escalate jitter if the optimized kernel is barely positive definite.
         jitter = self.alpha if self.alpha > 0 else 1e-10
         for _ in range(8):
             try:
-                self._chol = _potrf(K + 0.0)
+                self._chol = _potrf(K)
                 break
             except np.linalg.LinAlgError:
-                K = K + jitter * np.eye(K.shape[0])
+                K[diag] += jitter
                 jitter *= 10.0
         else:  # pragma: no cover - pathological kernels only
             raise np.linalg.LinAlgError("covariance matrix not positive definite")
@@ -443,12 +440,20 @@ class GaussianProcessRegressor(_LikelihoodGP):
         self._weights = _potrs(self._chol, self._y)
 
     # -- prediction ---------------------------------------------------------------
+    def _latent_var(self, Ks: np.ndarray, check_finite: bool
+                    ) -> tuple[np.ndarray, np.ndarray]:
+        """Posterior variance of the latent objective for the cross
+        covariance rows *Ks*, and ``L⁻¹Ksᵀ``: the prior ``c`` less
+        ``‖L⁻¹k‖²``, from one triangular solve."""
+        v = _trtrs(self._chol, Ks.T, check_finite=check_finite)
+        return self.kernel.variance - np.einsum("ij,ij->j", v, v), v
+
     def predict(self, X: np.ndarray, return_std: bool = False):
         """Posterior mean (and optionally standard deviation) at *X*.
 
-        The white-noise component contributes to training covariance but
-        not to cross covariance, so the returned std is the uncertainty of
-        the latent objective, not of a noisy observation.
+        The kernel's noise enters the training covariance but not the
+        cross covariance, so the returned std is the uncertainty of the
+        latent objective, not of a noisy observation.
         """
         if not self._fitted:
             raise RuntimeError("GP is not fitted")
@@ -462,8 +467,7 @@ class GaussianProcessRegressor(_LikelihoodGP):
         mean = mean * self._y_std + self._y_mean
         if not return_std:
             return mean
-        v = _potrs(self._chol, Ks.T)
-        var = self.kernel.latent_diag(X) - np.einsum("ij,ji->i", Ks, v)
+        var, _ = self._latent_var(Ks, check_finite=True)
         var = np.maximum(var, 1e-12)
         std = np.sqrt(var) * self._y_std
         return mean, std
@@ -481,8 +485,7 @@ class GaussianProcessRegressor(_LikelihoodGP):
         Ks = self.kernel(X, self._X)
         mean = Ks @ self._weights
         mean = mean * self._y_std + self._y_mean
-        v = _potrs(self._chol, Ks.T, check_finite=False)
-        var = self.kernel.latent_diag(X) - np.einsum("ij,ji->i", Ks, v)
+        var, _ = self._latent_var(Ks, check_finite=False)
         var = np.maximum(var, 1e-12)
         std = np.sqrt(var) * self._y_std
         return mean, std
@@ -494,14 +497,14 @@ class GaussianProcessRegressor(_LikelihoodGP):
         dmu, dsigma)``: two floats and the gradients ``∂μ/∂x`` and
         ``∂σ/∂x``, each of shape ``(d,)``.  A ``(k, d)`` block of points
         gives ``(k,)`` means and stds and ``(k, d)`` gradients from one
-        kernel pass and one solve.
+        kernel pass.
 
-        ``∂μ/∂x = (∂k/∂x)ᵀ K⁻¹y`` and ``∂σ²/∂x = −2 (K⁻¹k)ᵀ ∂k/∂x``
-        (every stationary kernel in this package has an input-independent
-        prior variance, so ``latent_diag`` contributes nothing).  When the
-        variance hits the numerical floor the σ-gradient is zeroed, making
-        it consistent with the clipped value :meth:`predict` returns.
-        Mean and std match :meth:`fast_predict` of the same points
+        ``∂μ/∂x = (∂k/∂x)ᵀ K⁻¹y`` and ``∂σ²/∂x = −2 (K⁻¹k)ᵀ ∂k/∂x`` (the
+        prior variance does not depend on x), with ``K⁻¹k`` the
+        transposed solve of the variance's ``L⁻¹k``.  When the variance
+        hits the numerical floor the σ-gradient is zeroed, making it
+        consistent with the clipped value :meth:`predict` returns.  Mean
+        and std match :meth:`fast_predict` of the same points
         bit-for-bit.
         """
         if not self._fitted:
@@ -514,14 +517,14 @@ class GaussianProcessRegressor(_LikelihoodGP):
         Ks, dk = self.kernel.value_and_input_gradient(xq, self._X)
         mean = Ks @ self._weights
         mean = mean * self._y_std + self._y_mean
-        v = _potrs(self._chol, Ks.T, check_finite=False)
-        var = self.kernel.latent_diag(xq) - np.einsum("ij,ji->i", Ks, v)
+        var, v = self._latent_var(Ks, check_finite=False)
         clipped = var < 1e-12
         var = np.maximum(var, 1e-12)
         std = np.sqrt(var) * self._y_std
+        u = _trtrs(self._chol, v, trans=1, check_finite=False)
         dkT = dk.transpose(0, 2, 1)
         dmu = (dkT @ self._weights) * self._y_std
-        dvar = -2.0 * (dkT @ v.T[:, :, None])[:, :, 0]
+        dvar = -2.0 * (dkT @ u.T[:, :, None])[:, :, 0]
         dsigma = dvar / (2.0 * np.sqrt(var))[:, None] * self._y_std
         dsigma[clipped] = 0.0
         if x.ndim == 1:

@@ -27,10 +27,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
-from .gpr import _LikelihoodGP, _potrf, _potrs
-from .kernels import Kernel
+from .gpr import _LikelihoodGP, _potrf, _potrs, _trtrs
+from .kernels import Matern52, scaled_distances
 
 __all__ = ["LowRankGaussianProcessRegressor", "select_inducing"]
 
@@ -41,7 +40,7 @@ _LOG_2PI = math.log(2.0 * math.pi)
 _SELECT_FLOOR = 1e-12
 
 
-def select_inducing(kernel: Kernel, X: np.ndarray, m: int) -> np.ndarray:
+def select_inducing(kernel: Matern52, X: np.ndarray, m: int) -> np.ndarray:
     """Indices of ``min(m, n)`` inducing points via greedy max-variance.
 
     Pivoted-Cholesky selection on the latent kernel: each step picks the
@@ -54,7 +53,7 @@ def select_inducing(kernel: Kernel, X: np.ndarray, m: int) -> np.ndarray:
     """
     n = X.shape[0]
     m = min(m, n)
-    d = kernel.latent_diag(X).astype(float).copy()
+    d = np.full(n, kernel.variance)
     rows = np.empty((m, n))
     chosen: list[int] = []
     for j in range(m):
@@ -97,7 +96,7 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
     reproducible.
     """
 
-    def __init__(self, kernel: Kernel | None = None, *,
+    def __init__(self, kernel: Matern52 | None = None, *,
                  n_inducing: int = 96, **kwargs):
         super().__init__(kernel, **kwargs)
         if n_inducing < 1:
@@ -122,6 +121,10 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
         # a moving support would make the objective discontinuous.
         self._inducing = select_inducing(self.kernel, X, self.n_inducing)
         self._Z = X[self._inducing]
+        # Scaled distances are hyperparameter-free: one computation
+        # serves every likelihood evaluation and the factorization.
+        self._Smm = scaled_distances(self._Z, self._Z)
+        self._Smn = scaled_distances(self._Z, X)
 
         optimized = self.optimize and X.shape[0] >= 2
         with self.tracer.timer("gp.fit"):
@@ -147,140 +150,120 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
         """
         return self._refit(X, y)
 
-    def _noise_diag(self, kernel: Kernel) -> np.ndarray:
-        """Per-point observation-noise variance Λ (white noise + jitter)."""
-        lam = kernel.diag(self._X) - kernel.latent_diag(self._X) + self.alpha
-        return np.maximum(lam, _SELECT_FLOOR)
+    def _lam(self, noise: float) -> float:
+        """Observation-noise variance Λ at kernel noise *noise*: the
+        noise plus the jitter ``alpha``, the same for every point."""
+        return max(noise + self.alpha, _SELECT_FLOOR)
 
-    def _factor(self, kernel: Kernel, jitter: float):
+    def _factor(self, jitter: float):
         """Shared SoR factorization at the kernel's current theta.
 
         Returns ``(Lm, V, LB, lam)`` where ``Lm = chol(Kmm + jitter·I)``,
-        ``V = Lm⁻¹Kmn`` scaled by ``Λ^{-1/2}`` column-wise is used to form
-        ``B = I + VΛ⁻¹Vᵀ`` with ``LB = chol(B)``.  Raises
+        ``V = Lm⁻¹Kmn``, scaled by ``Λ^{-1/2}``, forms ``B = I +
+        VΛ⁻¹Vᵀ`` with ``LB = chol(B)``.  Raises
         ``np.linalg.LinAlgError`` if Kmm is not positive definite at this
         jitter level.
         """
-        Z, X = self._Z, self._X
-        Kmm = kernel(Z, Z)
+        Kmm = self.kernel.latent(self._Smm)
         Kmm[np.diag_indices_from(Kmm)] += jitter
         Lm = np.linalg.cholesky(Kmm)
-        Kmn = kernel(Z, X)
-        V = solve_triangular(Lm, Kmn, lower=True, check_finite=False)
-        lam = self._noise_diag(kernel)
-        Vs = V / np.sqrt(lam)[None, :]
+        V = _trtrs(Lm, self.kernel.latent(self._Smn), check_finite=False)
+        lam = self._lam(self.kernel.noise)
+        Vs = V / math.sqrt(lam)
         B = Vs @ Vs.T
         B[np.diag_indices_from(B)] += 1.0
         LB = np.linalg.cholesky(B)
         return Lm, V, LB, lam
 
-    def _nll(self, theta: np.ndarray, kernel: Kernel | None = None) -> float:
-        """Negative log marginal likelihood of the SoR model at *theta*.
-
-        ``NLL = ½[yᵀQσ⁻¹y + log|Qσ| + n log 2π]`` with
-        ``Qσ = KnmKmm⁻¹Kmn + diag(Λ)``; both terms reduce to the m×m
-        factor B via the matrix-inversion and determinant lemmas:
-        ``log|Qσ| = log|B| + Σᵢ log Λᵢ`` and
-        ``yᵀQσ⁻¹y = yᵀΛ⁻¹y − ‖LB⁻¹VΛ⁻¹y‖²``.
-        """
-        kernel = self.kernel if kernel is None else kernel
-        kernel.theta = theta
-        jitter = self.alpha if self.alpha > 0 else 1e-10
-        try:
-            Lm, V, LB, lam = self._factor(kernel, jitter)
-        except np.linalg.LinAlgError:
-            return 1e25
-        yt = self._y / np.sqrt(lam)
-        beta = (V / np.sqrt(lam)[None, :]) @ yt
-        gamma = solve_triangular(LB, beta, lower=True, check_finite=False)
-        n = self._X.shape[0]
-        logdet = 2.0 * float(np.sum(np.log(np.diag(LB)))) \
-            + float(np.sum(np.log(lam)))
-        quad = float(yt @ yt) - float(gamma @ gamma)
-        return 0.5 * (quad + logdet + n * _LOG_2PI)
-
-    def _nll_and_grad(self, theta: np.ndarray, kernel: Kernel):
+    def _nll_and_grad(self, theta: np.ndarray):
         """NLL and its exact theta-gradient, the exact regressor's
-        contract: one ``(p,)`` theta gives ``(nll, grad)``, a ``(k, p)``
-        stack ``(k,)`` values and ``(k, p)`` gradients.  The starts of a
-        stack are evaluated one by one on *kernel*."""
+        contract: one ``(3,)`` theta gives ``(nll, grad)``, a ``(k, 3)``
+        stack ``(k,)`` values and ``(k, 3)`` gradients.  The starts of a
+        stack are evaluated one by one."""
         if np.ndim(theta) == 1:
-            return self._start_nll_and_grad(theta, kernel)
-        pairs = [self._start_nll_and_grad(t, kernel) for t in theta]
+            return self._start_nll_and_grad(np.asarray(theta, dtype=float))
+        pairs = [self._start_nll_and_grad(t) for t in theta]
         return (np.array([nll for nll, _ in pairs]),
                 np.array([grad for _, grad in pairs]))
 
-    def _start_nll_and_grad(self, theta: np.ndarray, kernel: Kernel
+    def _start_nll_and_grad(self, theta: np.ndarray
                             ) -> tuple[float, np.ndarray]:
-        """NLL and its exact theta-gradient in O(n·m²) per parameter.
+        """NLL of the SoR model and its exact theta-gradient in O(n·m²).
+
+        ``NLL = ½[yᵀQσ⁻¹y + log|Qσ| + n log 2π]`` with
+        ``Qσ = KnmKmm⁻¹Kmn + ΛI``; both terms reduce to the m×m factor B
+        via the matrix-inversion and determinant lemmas:
+        ``log|Qσ| = log|B| + n log Λ`` and
+        ``yᵀQσ⁻¹y = yᵀy/Λ − ‖LB⁻¹VΛ⁻¹y‖²``.
 
         The trace identity ``∂NLL/∂θ = ½ tr(P ∂Qσ/∂θ)`` with
         ``P = Qσ⁻¹ − ααᵀ`` is contracted against the low-rank structure
-        ``∂Qσ/∂θ = ĠᵀA + AᵀĠ − AᵀK̇mmA + diag(λ̇)`` (``A = Kmm⁻¹Kmn``)
-        without ever forming an n×n matrix: the three pieces become
+        ``∂Qσ/∂θ = ĠᵀA + AᵀĠ − AᵀK̇mmA + λ̇I`` (``A = Kmm⁻¹Kmn``)
+        without ever forming an n×n matrix: the pieces become
         elementwise sums against ``AP`` (m×n), ``APAᵀ`` (m×m) and
-        ``diag(P)`` (n).
+        ``diag(P)`` (n).  ``∂/∂log c`` of a latent block is the block
+        itself, ``∂/∂log ℓ`` comes from the kernel, and only Λ moves
+        with ``log σ²``.
         """
-        kernel.theta = theta
         jitter = self.alpha if self.alpha > 0 else 1e-10
-        Z, X = self._Z, self._X
-        Kmm, dKmm = kernel.cross_value_and_theta_gradient(Z, Z)
-        Kmm[np.diag_indices_from(Kmm)] += jitter
+        t = theta[None]
+        Kmm, dKmm = (a[0] for a in
+                     self.kernel.latent_and_length_gradient(self._Smm, t))
+        Kj = Kmm.copy()
+        Kj[np.diag_indices_from(Kj)] += jitter
         try:
-            Lm = np.linalg.cholesky(Kmm)
+            Lm = np.linalg.cholesky(Kj)
         except np.linalg.LinAlgError:
             return 1e25, np.zeros(len(theta))
-        Kmn, dKmn = kernel.cross_value_and_theta_gradient(Z, X)
-        diag_all, ddiag = kernel.diag_theta_gradient(X)
-        latent, dlatent = kernel.latent_diag_theta_gradient(X)
-        lam = np.maximum(diag_all - latent + self.alpha, _SELECT_FLOOR)
-        dlam = [gd - gl for gd, gl in zip(ddiag, dlatent)]
-
-        sqrt_lam = np.sqrt(lam)
-        V = solve_triangular(Lm, Kmn, lower=True, check_finite=False)
-        Vs = V / sqrt_lam[None, :]
+        Kmn, dKmn = (a[0] for a in
+                     self.kernel.latent_and_length_gradient(self._Smn, t))
+        noise = float(np.exp(theta[2]))
+        lam = self._lam(noise)
+        sqrt_lam = math.sqrt(lam)
+        V = _trtrs(Lm, Kmn, check_finite=False)
+        Vs = V / sqrt_lam
         B = Vs @ Vs.T
         B[np.diag_indices_from(B)] += 1.0
         LB_factor = _potrf(B)
         LB = np.tril(LB_factor)
 
-        n = X.shape[0]
+        n = self._X.shape[0]
         yt = self._y / sqrt_lam
         beta = Vs @ yt
-        gamma = solve_triangular(LB, beta, lower=True, check_finite=False)
+        gamma = _trtrs(LB, beta, check_finite=False)
         logdet = 2.0 * float(np.sum(np.log(np.diag(LB)))) \
-            + float(np.sum(np.log(lam)))
+            + n * math.log(lam)
         quad = float(yt @ yt) - float(gamma @ gamma)
         nll = 0.5 * (quad + logdet + n * _LOG_2PI)
 
         # α = Qσ⁻¹y = (y − Kmnᵀ w)/Λ with w = Lm⁻ᵀB⁻¹VΛ⁻¹y.
         c = _potrs(LB_factor, beta, check_finite=False)
-        w = solve_triangular(Lm, c, lower=True, trans="T", check_finite=False)
+        w = _trtrs(Lm, c, trans=1, check_finite=False)
         alpha_vec = (self._y - Kmn.T @ w) / lam
         # A = Kmm⁻¹Kmn and AP = AQσ⁻¹ − (Aα)αᵀ, both m×n.
-        A = solve_triangular(Lm, V, lower=True, trans="T", check_finite=False)
-        D = A / lam[None, :]
+        A = _trtrs(Lm, V, trans=1, check_finite=False)
+        D = A / lam
         G1 = D @ Kmn.T
-        R = solve_triangular(
-            Lm, _potrs(LB_factor, V / lam[None, :], check_finite=False),
-            lower=True, trans="T", check_finite=False)
+        R = _trtrs(
+            Lm, _potrs(LB_factor, V / lam, check_finite=False),
+            trans=1, check_finite=False)
         AP = D - G1 @ R - np.outer(A @ alpha_vec, alpha_vec)
         W = AP @ A.T
         # diag(P) = 1/Λ − colsum((LB⁻¹V)²)/Λ² − α².
-        U = solve_triangular(LB, V, lower=True, check_finite=False)
+        U = _trtrs(LB, V, check_finite=False)
         diag_p = 1.0 / lam - np.sum(U ** 2, axis=0) / lam ** 2 \
             - alpha_vec ** 2
         grad = np.array([
-            float(np.sum(AP * g_mn)) - 0.5 * float(np.sum(W * g_mm))
-            + 0.5 * float(diag_p @ g_lam)
-            for g_mn, g_mm, g_lam in zip(dKmn, dKmm, dlam)])
+            float(np.sum(AP * Kmn)) - 0.5 * float(np.sum(W * Kmm)),
+            float(np.sum(AP * dKmn)) - 0.5 * float(np.sum(W * dKmm)),
+            0.5 * noise * float(diag_p.sum())])
         return nll, grad
 
     def _precompute(self) -> None:
         jitter = self.alpha if self.alpha > 0 else 1e-10
         for _ in range(8):
             try:
-                Lm, V, LB, lam = self._factor(self.kernel, jitter)
+                Lm, V, LB, lam = self._factor(jitter)
                 break
             except np.linalg.LinAlgError:
                 jitter *= 10.0
@@ -288,33 +271,31 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
             raise np.linalg.LinAlgError(
                 "inducing covariance not positive definite")
         self._Lm, self._LB = Lm, LB
-        yt = self._y / np.sqrt(lam)
-        beta = (V / np.sqrt(lam)[None, :]) @ yt
-        c = solve_triangular(LB, beta, lower=True, check_finite=False)
-        c = solve_triangular(LB, c, lower=True, trans="T", check_finite=False)
+        yt = self._y / math.sqrt(lam)
+        beta = (V / math.sqrt(lam)) @ yt
+        c = _trtrs(LB, beta, check_finite=False)
+        c = _trtrs(LB, c, trans=1, check_finite=False)
         # Mean weights in inducing space: μ(x) = k(x, Z)ᵀ w.
-        self._weights = solve_triangular(Lm, c, lower=True, trans="T",
-                                         check_finite=False)
+        self._weights = _trtrs(Lm, c, trans=1, check_finite=False)
         self._theta_chol = self.kernel.theta.copy()
 
     # -- prediction ---------------------------------------------------------------
-    def _mean_var(self, X: np.ndarray, Ks: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Normalized posterior mean and DTC variance at *X*, given the
-        cross covariance ``Ks = k(X, Z)``.
+    def _latent_var(self, Ks: np.ndarray
+                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """DTC variance of the latent objective for the cross covariance
+        rows ``Ks = k(X, Z)``.
 
-        ``var = k** − ‖Lm⁻¹k*‖² + ‖LB⁻¹Lm⁻¹k*‖²`` — prior variance minus
+        ``var = c − ‖Lm⁻¹k*‖² + ‖LB⁻¹Lm⁻¹k*‖²`` — prior variance minus
         the Nyström explained part, plus the posterior uncertainty of the
         inducing values; far from data it approaches the prior variance
         like the exact GP's.  Also returns the two triangular solves for
         gradient reuse.
         """
-        mean = Ks @ self._weights
-        a = solve_triangular(self._Lm, Ks.T, lower=True, check_finite=False)
-        t = solve_triangular(self._LB, a, lower=True, check_finite=False)
-        var = self.kernel.latent_diag(X) - np.sum(a ** 2, axis=0) \
+        a = _trtrs(self._Lm, Ks.T, check_finite=False)
+        t = _trtrs(self._LB, a, check_finite=False)
+        var = self.kernel.variance - np.sum(a ** 2, axis=0) \
             + np.sum(t ** 2, axis=0)
-        return mean, var, a, t
+        return var, a, t
 
     def predict(self, X: np.ndarray, return_std: bool = False):
         """Posterior mean (and optionally std) at *X*; same contract as
@@ -326,19 +307,23 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
             raise ValueError(f"X must have shape (n, {self._X.shape[1]})")
         self.tracer.count("gp.predict")
         self.tracer.count("gp.predict.points", X.shape[0])
-        mean, var, _, _ = self._mean_var(X, self.kernel(X, self._Z))
+        Ks = self.kernel(X, self._Z)
+        mean = Ks @ self._weights
         mean = mean * self._y_std + self._y_mean
         if not return_std:
             return mean
+        var, _, _ = self._latent_var(Ks)
         var = np.maximum(var, 1e-12)
         std = np.sqrt(var) * self._y_std
         return mean, std
 
     def fast_predict(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Mean and std without validation or counters — the refinement
-        hot path.  Arithmetic identical to :meth:`predict`."""
-        mean, var, _, _ = self._mean_var(X, self.kernel(X, self._Z))
+        """Mean and std without validation or counters.  Arithmetic
+        identical to :meth:`predict`."""
+        Ks = self.kernel(X, self._Z)
+        mean = Ks @ self._weights
         mean = mean * self._y_std + self._y_mean
+        var, _, _ = self._latent_var(Ks)
         var = np.maximum(var, 1e-12)
         std = np.sqrt(var) * self._y_std
         return mean, std
@@ -357,8 +342,9 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
         xq = np.atleast_2d(x)
         # One kernel pass gives the rows and their Jacobians.
         k, dk = self.kernel.value_and_input_gradient(xq, self._Z)
-        mean, var, a, t = self._mean_var(xq, k)
+        mean = k @ self._weights
         mean = mean * self._y_std + self._y_mean
+        var, a, t = self._latent_var(k)
         clipped = var < 1e-12
         var = np.maximum(var, 1e-12)
         std = np.sqrt(var) * self._y_std
@@ -367,8 +353,8 @@ class LowRankGaussianProcessRegressor(_LikelihoodGP):
         # solve per factor, then back to one (d, m) block per point.
         q, m, d = dk.shape
         rhs = dk.transpose(1, 0, 2).reshape(m, q * d)
-        g = solve_triangular(self._Lm, rhs, lower=True, check_finite=False)
-        h = solve_triangular(self._LB, g, lower=True, check_finite=False)
+        g = _trtrs(self._Lm, rhs, check_finite=False)
+        h = _trtrs(self._LB, g, check_finite=False)
         gT = g.reshape(m, q, d).transpose(1, 2, 0)
         hT = h.reshape(m, q, d).transpose(1, 2, 0)
         dvar = -2.0 * (gT @ a.T[:, :, None])[:, :, 0] \

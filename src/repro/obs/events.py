@@ -127,6 +127,8 @@ TIMERS: dict[str, str] = {
     "bo.refine": "lockstep L-BFGS-B polishes of a proposal's acquisition "
                  "sweep winners",
     "gp.hyperopt": "multi-start marginal-likelihood optimizations",
+    "gp.sweep": "candidate sweeps' posteriors, one per proposal that "
+                "sweeps (the LHS design and the jittered incumbents)",
     "forest.fit": "tree-ensemble fits",
     "importance": "permutation-importance sweeps",
     "pool.task": "WorkerPool task bodies",

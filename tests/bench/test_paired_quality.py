@@ -1,5 +1,7 @@
 """``benchmarks/paired_quality.py compare`` is a gate: it exits 1 when a
-build's geometric-mean or worst best-found ratio passes its threshold."""
+build's geometric-mean or worst best-found ratio passes its threshold.
+It compares best-found values only: no CPU figure is computed or
+printed."""
 
 import argparse
 import importlib.util
@@ -58,3 +60,25 @@ def test_any_failing_build_fails_the_run(pq, tmp_path):
     bad = record(tmp_path / "bad.json", [1.0, 1.0, 1.0, pq.WORST_MAX + 0.01])
     assert compare(pq, ref, good) == 0
     assert compare(pq, ref, good, bad) == 1
+
+
+def test_no_cpu_comparison(pq, tmp_path, capsys):
+    # Session CPU times differ wildly between the builds' records, and
+    # records without them compare too: CPU is not part of the verdict.
+    ref = record(tmp_path / "ref.json", [1.0, 1.0, 1.0, 1.0])
+    slow = json.loads(Path(ref).read_text())
+    for i, session in enumerate(slow["sessions"]):
+        session["cpu_s"] = 50.0 * (i + 1)
+    (tmp_path / "slow.json").write_text(json.dumps(slow))
+    bare = json.loads(Path(ref).read_text())
+    for session in bare["sessions"]:
+        del session["cpu_s"]
+    (tmp_path / "bare.json").write_text(json.dumps(bare))
+    assert compare(pq, ref, str(tmp_path / "slow.json"),
+                   str(tmp_path / "bare.json")) == 0
+    out = capsys.readouterr().out
+    assert "CPU" not in out
+    assert out.count("gate: pass") == 2
+    assert "cpu_ratio" not in pq.pair_stats(
+        json.loads(Path(ref).read_text())["sessions"],
+        slow["sessions"])

@@ -41,8 +41,8 @@ def utility(acq, mu, sigma, f_best) -> np.ndarray:
 
 
 def gradient(acq, mu, sigma, dmu, dsigma, f_best) -> np.ndarray:
-    """``acq.gradient(mu, sigma, dmu, dsigma, f_best)`` for scalar
-    moments."""
+    """The gradient half of ``acq.value_and_gradient(mu, sigma, dmu,
+    dsigma, f_best)`` for scalar moments."""
     if isinstance(acq, LowerConfidenceBound):
         return -dmu + acq.kappa * dsigma
     if sigma <= _EPS:

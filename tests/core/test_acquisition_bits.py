@@ -4,7 +4,8 @@ The library computes ``Φ`` with ``scipy.special.ndtr`` and ``φ`` with a
 NumPy helper; ``acquisition_reference`` writes the same formulas on
 ``norm.cdf``/``norm.pdf``.  Every value and gradient must be
 ``np.array_equal`` to the reference, across σ = 0, σ at the 1e-12
-floor, |z| up to 40 and infinite means.
+floor, |z| up to 40 and infinite means; the value that
+``value_and_gradient`` returns with its gradient must be ``__call__``'s.
 """
 
 import numpy as np
@@ -51,9 +52,29 @@ def test_gradients_on_scalars_equal_reference(acq):
     rng = np.random.default_rng(1)
     for m, s in zip(mu[np.isfinite(mu)], sigma[np.isfinite(mu)]):
         dmu, dsigma = rng.normal(size=4), rng.normal(size=4)
-        got = acq.gradient(float(m), float(s), dmu, dsigma, -0.4)
+        _, got = acq.value_and_gradient(float(m), float(s), dmu, dsigma,
+                                        -0.4)
         want = ref.gradient(acq, float(m), float(s), dmu, dsigma, -0.4)
         assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("acq", ACQS, ids=IDS)
+def test_value_of_value_and_gradient_is_call_bits(acq):
+    # The polish reads each utility from value_and_gradient; the sweep
+    # from __call__.  Both must give the same bits for the same moments,
+    # as Python floats or as the NumPy scalars the polish passes.
+    mu, sigma = moments()
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = acq(mu, sigma, -0.4)
+        for i, (m, s) in enumerate(zip(mu, sigma)):
+            for mi, si in ((float(m), float(s)), (mu[i], sigma[i])):
+                value, _ = acq.value_and_gradient(mi, si, np.zeros(2),
+                                                  np.zeros(2), -0.4)
+                assert type(value) is float
+                assert np.array_equal(value, want[i], equal_nan=True)
+                assert np.array_equal(value, acq(np.array([mi]),
+                                                 np.array([si]), -0.4)[0],
+                                      equal_nan=True)
 
 
 def test_density_helper_matches_scipy_on_edge_inputs():

@@ -2,8 +2,8 @@
 
 The gradients are checked through a real GP posterior: utility as a
 function of the input point u, differentiated by chaining the posterior
-input-gradients through ``AcquisitionFunction.gradient``, must match
-central differences of the plain utility to 1e-6.
+input-gradients through ``AcquisitionFunction.value_and_gradient``,
+must match central differences of the plain utility to 1e-6.
 """
 
 import numpy as np
@@ -45,8 +45,9 @@ class TestAcquisitionGradients:
         for _ in range(4):
             u = rng.random(X.shape[1])
             mu, sigma, dmu, dsigma = gp.predict_with_gradient(u)
-            grad = acq.gradient((mu - mean) / std, sigma / std, dmu / std,
-                                dsigma / std, f_best)
+            _, grad = acq.value_and_gradient(
+                (mu - mean) / std, sigma / std, dmu / std, dsigma / std,
+                f_best)
             for j in range(len(u)):
                 up = u.copy()
                 up[j] += EPS
@@ -57,8 +58,8 @@ class TestAcquisitionGradients:
 
     @pytest.mark.parametrize("acq", ACQUISITIONS, ids=lambda a: a.name)
     def test_gradient_shape(self, acq):
-        grad = acq.gradient(0.3, 0.5, np.array([1.0, -2.0]),
-                            np.array([0.1, 0.2]), 0.0)
+        _, grad = acq.value_and_gradient(0.3, 0.5, np.array([1.0, -2.0]),
+                                         np.array([0.1, 0.2]), 0.0)
         assert grad.shape == (2,)
         assert np.all(np.isfinite(grad))
 
@@ -67,14 +68,16 @@ class TestAcquisitionGradients:
         dsigma = np.array([0.5, -0.5])
         for acq in (ProbabilityOfImprovement(), ExpectedImprovement()):
             np.testing.assert_array_equal(
-                acq.gradient(0.2, 0.0, dmu, dsigma, 0.0), np.zeros(2))
+                acq.value_and_gradient(0.2, 0.0, dmu, dsigma, 0.0)[1],
+                np.zeros(2))
 
     def test_lcb_linear_in_moments(self):
         acq = LowerConfidenceBound(kappa=2.0)
         dmu = np.array([1.0, -1.0])
         dsigma = np.array([0.25, 0.5])
-        np.testing.assert_allclose(acq.gradient(0.0, 1.0, dmu, dsigma, 0.0),
-                                   -dmu + 2.0 * dsigma)
+        np.testing.assert_allclose(
+            acq.value_and_gradient(0.0, 1.0, dmu, dsigma, 0.0)[1],
+            -dmu + 2.0 * dsigma)
 
     def test_base_class_raises(self):
         class Flat(AcquisitionFunction):
@@ -84,4 +87,5 @@ class TestAcquisitionGradients:
                 return np.zeros_like(np.asarray(mu))
 
         with pytest.raises(NotImplementedError):
-            Flat().gradient(0.0, 1.0, np.zeros(2), np.zeros(2), 0.0)
+            Flat().value_and_gradient(0.0, 1.0, np.zeros(2), np.zeros(2),
+                                      0.0)

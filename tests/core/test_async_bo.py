@@ -43,12 +43,13 @@ def eval_sequence(evals):
 #: recorded before serial became the one loop at one worker.  Both 0 and
 #: 1 must keep reproducing them; never re-pin without a decision change
 #: that is meant to happen.  "plain" was re-pinned on purpose when the
-#: analytic-gradient refine and rank-k refits became the only path, and
-#: again when both optimizers moved to the lockstep repro.gp.lbfgs;
-#: "guard" and "early_stop" run with refine=False and held both times
-#: (their snapped proposals did not move).
+#: analytic-gradient refine and rank-k refits became the only path, when
+#: both optimizers moved to the lockstep repro.gp.lbfgs, and when the
+#: kernel algebra became one closed-form kernel; "guard" and
+#: "early_stop" run with refine=False and held each time (their snapped
+#: proposals did not move).
 SERIAL_GOLDEN = {
-    "plain": "df8f298afd30f55c",
+    "plain": "fd408456eccf1369",
     "guard": "d45922d98a52a621",
     "early_stop": "0569457802450fce",
 }

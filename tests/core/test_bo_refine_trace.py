@@ -5,9 +5,10 @@ winner per acquisition (PI, EI, LCB), all three in one lockstep run, so
 the ``bo.refine`` timer counts one run per such iteration and the
 ``bo.refine.evals`` counter counts the points those runs evaluated: the
 rows of their batched ``predict_with_gradient`` calls.  Each polished
-proposal also emits one ``acq.nominees`` event.  Hyperparameter fits
-add to the ``gp.hyperopt`` timer and their likelihood evaluations to
-the ``gp.hyperopt.evals`` counter.
+proposal also emits one ``acq.nominees`` event, and its candidate
+sweep's posterior adds one entry to the ``gp.sweep`` timer.
+Hyperparameter fits add to the ``gp.hyperopt`` timer and their
+likelihood evaluations to the ``gp.hyperopt.evals`` counter.
 """
 
 import numpy as np
@@ -42,9 +43,9 @@ def traced_session(monkeypatch):
     nll = GaussianProcessRegressor._nll_and_grad
     optimize = GaussianProcessRegressor._optimize_theta
 
-    def counted_nll(self, theta, kernel):
+    def counted_nll(self, theta):
         calls["thetas"] += len(np.atleast_2d(theta))
-        return nll(self, theta, kernel)
+        return nll(self, theta)
 
     def counted_optimize(self):
         calls["fits"] += 1
@@ -98,3 +99,13 @@ def test_hyperopt_timer_and_evals_counter(monkeypatch):
     metrics = records[-1]
     assert metrics["timers"]["gp.hyperopt"]["count"] == calls["fits"] > 0
     assert metrics["counters"]["gp.hyperopt.evals"] == calls["thetas"] > 0
+
+
+def test_sweep_timer_one_entry_per_proposal(monkeypatch):
+    records, _ = traced_session(monkeypatch)
+    iterations = [r["data"] for r in records
+                  if r["kind"] == "event" and r["type"] == "bo.iteration"]
+    proposals = sum(not it["fallback"] for it in iterations)
+    timers = records[-1]["timers"]
+    assert timers["gp.sweep"]["count"] == proposals >= 2
+    assert timers["gp.sweep"]["total_s"] > 0.0

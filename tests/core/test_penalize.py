@@ -3,7 +3,7 @@
 import numpy as np
 
 from repro.core import LocalPenalizer
-from repro.gp.gpr import GaussianProcessRegressor, default_bo_kernel
+from repro.gp import GaussianProcessRegressor, Matern52
 
 
 def fitted_gp(dim=3, n=20, seed=0):
@@ -11,7 +11,7 @@ def fitted_gp(dim=3, n=20, seed=0):
     rng = np.random.default_rng(seed)
     X = rng.random((n, dim))
     y = np.sum((X - 0.5) ** 2, axis=1) * 10.0 + rng.normal(0, 0.01, n)
-    gp = GaussianProcessRegressor(default_bo_kernel(), alpha=1e-6)
+    gp = GaussianProcessRegressor(Matern52(), alpha=1e-6)
     gp.fit(X, y)
     return gp, X, y
 

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.gp import GaussianProcessRegressor, Matern52, WhiteKernel
-from repro.gp.gpr import default_bo_kernel
+from repro.gp import GaussianProcessRegressor, Matern52
+from repro.gp.kernels import scaled_distances
 from repro.obs import InMemorySink, Tracer
 
 
@@ -17,7 +17,7 @@ def make_data(n, d=3, seed=0):
 
 def fitted_gp(n=30, seed=0, optimize=False):
     X, y = make_data(n, seed=seed)
-    gp = GaussianProcessRegressor(kernel=default_bo_kernel(), alpha=1e-8,
+    gp = GaussianProcessRegressor(kernel=Matern52(), alpha=1e-8,
                                   optimize=optimize, rng=seed)
     gp.fit(X, y)
     return gp, X, y
@@ -30,7 +30,7 @@ class TestRank1Parity:
         Xa, ya = make_data(40 + k, seed=0)
         gp.update(Xa, ya)
 
-        ref = GaussianProcessRegressor(kernel=default_bo_kernel(), alpha=1e-8,
+        ref = GaussianProcessRegressor(kernel=Matern52(), alpha=1e-8,
                                        optimize=False)
         ref.fit(Xa, ya)
 
@@ -49,7 +49,7 @@ class TestRank1Parity:
         Xa, ya = make_data(45, seed=0)
         for n in range(21, 46):
             gp.update(Xa[:n], ya[:n])
-        ref = GaussianProcessRegressor(kernel=default_bo_kernel(), alpha=1e-8,
+        ref = GaussianProcessRegressor(kernel=Matern52(), alpha=1e-8,
                                        optimize=False).fit(Xa, ya)
         Xq = np.random.default_rng(4).random((20, 3))
         np.testing.assert_allclose(gp.predict(Xq), ref.predict(Xq), atol=1e-8)
@@ -58,7 +58,7 @@ class TestRank1Parity:
 class TestFallbacks:
     def test_unfitted_update_behaves_like_fit(self):
         X, y = make_data(15)
-        gp = GaussianProcessRegressor(kernel=default_bo_kernel(),
+        gp = GaussianProcessRegressor(kernel=Matern52(),
                                       optimize=False)
         gp.update(X, y)
         assert gp._fitted
@@ -69,7 +69,7 @@ class TestFallbacks:
         gp.kernel.theta = gp.kernel.theta + 0.3
         Xa, ya = make_data(27, seed=0)
         gp.update(Xa, ya)
-        ref = GaussianProcessRegressor(kernel=Matern52(1.0) + WhiteKernel(1e-2),
+        ref = GaussianProcessRegressor(kernel=Matern52(length_scale=1.0),
                                        alpha=1e-8, optimize=False)
         ref.kernel.theta = gp.kernel.theta
         # Same kernel state must reproduce the same posterior.
@@ -84,7 +84,7 @@ class TestFallbacks:
         Xa[0, 0] += 0.1
         gp.update(Xa, y)
         np.testing.assert_array_equal(gp.X_train_, Xa)
-        ref = GaussianProcessRegressor(kernel=default_bo_kernel(), alpha=1e-8,
+        ref = GaussianProcessRegressor(kernel=Matern52(), alpha=1e-8,
                                        optimize=False).fit(Xa, y)
         Xq = np.random.default_rng(1).random((10, 3))
         np.testing.assert_array_equal(gp.predict(Xq), ref.predict(Xq))
@@ -98,7 +98,7 @@ class TestFallbacks:
         gp, X, y = fitted_gp(n=20)
         y2 = y + 1.0
         gp.update(X, y2)
-        ref = GaussianProcessRegressor(kernel=default_bo_kernel(), alpha=1e-8,
+        ref = GaussianProcessRegressor(kernel=Matern52(), alpha=1e-8,
                                        optimize=False).fit(X, y2)
         Xq = np.random.default_rng(3).random((10, 3))
         np.testing.assert_allclose(gp.predict(Xq), ref.predict(Xq),
@@ -126,7 +126,7 @@ class TestTracing:
         sink = InMemorySink()
         tracer = Tracer([sink])
         X, y = make_data(22)
-        gp = GaussianProcessRegressor(kernel=default_bo_kernel(), alpha=1e-8,
+        gp = GaussianProcessRegressor(kernel=Matern52(), alpha=1e-8,
                                       optimize=False, tracer=tracer)
         gp.fit(X[:20], y[:20])
         gp.update(X, y)
@@ -149,24 +149,25 @@ class TestFastPredict:
 class TestGramCache:
     def test_cached_kernel_matches_direct_evaluation(self):
         gp, X, y = fitted_gp(n=25, optimize=True)
-        K_cached = gp._K_train()
+        K_cached = gp.kernel.latent(gp._S)
+        K_cached[np.diag_indices(25)] += gp.kernel.noise
         K_direct = gp.kernel(gp._X)
-        np.testing.assert_allclose(K_cached, K_direct, rtol=1e-12, atol=1e-12)
+        np.testing.assert_array_equal(K_cached, K_direct)
 
     def test_optimized_fit_unchanged_by_cache(self):
-        # The cached-Gram path must land on the same hyperparameters and
-        # the same factorization as direct kernel evaluation (Matérn is
-        # bit-exact).
+        # The scaled distances cached at fit must land on the same
+        # hyperparameters and the same factorization as recomputing them
+        # at every likelihood evaluation.
         X, y = make_data(30, seed=5)
-        gp = GaussianProcessRegressor(kernel=default_bo_kernel(), rng=5)
+        gp = GaussianProcessRegressor(kernel=Matern52(), rng=5)
         gp.fit(X, y)
 
         class NoCache(GaussianProcessRegressor):
-            def _K_train(self, kernel=None):
-                kernel = self.kernel if kernel is None else kernel
-                return kernel(self._X)
+            def _stacked_nll_and_grad(self, thetas):
+                self._S = scaled_distances(self._X, self._X)
+                return super()._stacked_nll_and_grad(thetas)
 
-        ref = NoCache(kernel=default_bo_kernel(), rng=5)
+        ref = NoCache(kernel=Matern52(), rng=5)
         ref.fit(X, y)
         np.testing.assert_array_equal(gp.kernel.theta, ref.kernel.theta)
         np.testing.assert_array_equal(gp._weights, ref._weights)

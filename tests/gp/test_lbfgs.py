@@ -8,7 +8,6 @@ point it evaluates must lie in the box.  Starts must not interact: each
 one ends with the bits, and the evaluation count, of a solo run.
 """
 
-import copy
 
 import numpy as np
 import pytest
@@ -106,7 +105,6 @@ class TestAgainstScipy:
     def test_likelihood_ends_no_worse(self, n):
         X, y = make_gp_data(n=n, dim=4, seed=n)
         gp = GaussianProcessRegressor(rng=n, optimize=False).fit(X, y)
-        kernel = copy.deepcopy(gp.kernel)
         bounds = gp.kernel.bounds
         rng = np.random.default_rng(n)
         starts = np.vstack([gp.kernel.theta] + [
@@ -115,11 +113,11 @@ class TestAgainstScipy:
 
         def nll(thetas, rows):
             seen.append(thetas.copy())
-            return gp._nll_and_grad(thetas, kernel)
+            return gp._nll_and_grad(thetas)
         res = minimize(nll, starts, bounds, maxiter=100)
         for T in seen:
             assert np.all(T >= bounds[:, 0]) and np.all(T <= bounds[:, 1])
-        ref = min(scipy_minimize(gp._nll_and_grad, s, args=(kernel,),
+        ref = min(scipy_minimize(gp._nll_and_grad, s,
                                  jac=True, method="L-BFGS-B", bounds=bounds,
                                  options={"maxiter": 100}).fun
                   for s in starts)

@@ -31,10 +31,11 @@ from repro.tuners.synthetic import SyntheticObjective, synthetic_space
 
 GOLDEN = {
     # Re-pinned on purpose when the acquisition refine and the likelihood
-    # fit moved from scipy's L-BFGS-B to the lockstep repro.gp.lbfgs
-    # (through the paired-quality gate, docs/PERFORMANCE.md).  The other
+    # fit moved from scipy's L-BFGS-B to the lockstep repro.gp.lbfgs, and
+    # again when the kernel algebra became one closed-form kernel (both
+    # through the paired-quality gate, docs/PERFORMANCE.md).  The other
     # three tuners never touch the GP and keep their digests.
-    "ROBOTune": "efdf395027eede56",
+    "ROBOTune": "104f3b0bb29030c3",
     "BestConfig": "0ccfb94ddcd088ba",
     "Gunther": "75b71643a8e147bf",
     "RandomSearch": "49eb07eee9cc8517",
