@@ -186,6 +186,6 @@ def test_robustness_sweep_report(emit):
     table = run_robustness_experiment(budget=25, trials=min(TRIALS, 2),
                                       fault_rates=(0.0, 0.05, 0.1, 0.2),
                                       tuners=("ROBOTune", "RandomSearch"),
-                                      base_seed=SEED, n_jobs=None)
+                                      base_seed=SEED)
     emit("e_rob_fault_sweep", table)
     assert "fault rate" in table

@@ -13,9 +13,8 @@ Rule families (see :mod:`repro.analysis.rules`):
 
 * ``RPD`` — determinism: no global-RNG calls, no wall-clock reads in
   decision paths, no iteration over unordered collections.
-* ``RPP`` — parallel safety: workers handed to
-  :func:`repro.utils.parallel.parallel_map` must be picklable and must
-  not mutate shared state.
+* ``RPP`` — parallel safety: workers handed to a pool's ``submit``
+  must not mutate shared state, and no wait on them is unbounded.
 * ``RPF`` — fault/journal discipline: no blind exception swallowing, no
   file writes that bypass the owned-I/O modules.
 * ``RPN`` — numerical hygiene: factorizations stay inside ``gp/`` (which

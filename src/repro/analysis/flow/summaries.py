@@ -9,9 +9,8 @@ function it records, from one AST walk,
   ``as_generator`` (*fresh* streams) versus ``spawn``/``.spawn`` (*per-
   task children*, the sanctioned way to hand randomness to workers);
 * **submit sites** — callables handed to ``WorkerPool.submit`` /
-  ``EvaluationSupervisor.submit`` / ``parallel_map``, with the free
-  names each worker captures (closure loads plus lambda/def default
-  values);
+  ``EvaluationSupervisor.submit``, with the free names each worker
+  captures (closure loads plus lambda/def default values);
 * **self mutations** — assignments, augmented assignments and in-place
   mutator calls on ``self.<attr>`` (the thread-ownership facts);
 * **tracer calls** — ``.emit``/``.count``/``.timer``/``.span`` on a
@@ -71,7 +70,6 @@ class SubmitSite:
 
     lineno: int
     col: int
-    kind: str                    # "submit" | "parallel_map"
     worker_label: str
     captured: tuple[str, ...]    # free names the worker closes over
     worker_qname: str | None     # resolved project function, if a bare name
@@ -254,7 +252,7 @@ def _with_item_calls(fn_node: ast.AST) -> set[int]:
     return out
 
 
-def _summarize_submit(call: ast.Call, kind: str, fn: FunctionInfo,
+def _summarize_submit(call: ast.Call, fn: FunctionInfo,
                       project: ProjectGraph,
                       local_defs: dict[str, ast.AST]) -> SubmitSite:
     worker = call.args[0]
@@ -280,7 +278,7 @@ def _summarize_submit(call: ast.Call, kind: str, fn: FunctionInfo,
         if chain and chain[0] in ("self", "cls"):
             worker_qname = project.resolve_call(worker, fn)
     return SubmitSite(lineno=call.lineno, col=call.col_offset + 1,
-                      kind=kind, worker_label=label, captured=captured,
+                      worker_label=label, captured=captured,
                       worker_qname=worker_qname, worker_calls=worker_calls)
 
 
@@ -327,11 +325,7 @@ def summarize(fn: FunctionInfo,
         if chain and chain[-1] in SUBMIT_ATTRS and len(chain) >= 2 \
                 and call.args:
             summary.submit_sites.append(
-                _summarize_submit(call, "submit", fn, project, local_defs))
-        elif chain and chain[-1] == "parallel_map" and call.args:
-            summary.submit_sites.append(
-                _summarize_submit(call, "parallel_map", fn, project,
-                                  local_defs))
+                _summarize_submit(call, fn, project, local_defs))
         # -- tracer calls -----------------------------------------------------
         if chain and chain[-1] in TRACER_METHODS and _tracer_receiver(chain):
             first = call.args[0] if call.args else None

@@ -51,7 +51,7 @@ class SeedProvenance(FlowRule):
     title = "fresh RNG crosses into a worker"
     rationale = (
         "A Generator born from default_rng/as_generator is one stream; "
-        "capturing it in a callable submitted to WorkerPool/parallel_map "
+        "capturing it in a callable submitted to a WorkerPool "
         "makes draws depend on completion order, which silently changes "
         "the fixed-seed decision sequence.  Spawn a child per task "
         "(repro.utils.rng.spawn / Generator.spawn) and pass children "
@@ -71,7 +71,7 @@ class SeedProvenance(FlowRule):
                             rule=self.id, path=display, line=site.lineno,
                             col=site.col,
                             message=(f"worker {site.worker_label} submitted "
-                                     f"via {site.kind} captures RNG "
+                                     "to a pool captures RNG "
                                      f"{name!r} born at line "
                                      f"{summary.fresh_rngs[name]}; spawn a "
                                      "per-task child instead"))
@@ -127,7 +127,7 @@ class ThreadOwnership(FlowRule):
                         rule=self.id, path=summary.fn.display,
                         line=site.lineno, col=site.col,
                         message=(f"worker {site.worker_label} submitted "
-                                 f"via {site.kind} reaches "
+                                 "to a pool reaches "
                                  f"{reached}() which mutates "
                                  f"{cls}.{attr} (path: {chain}); route the "
                                  "mutation through the engine's single-"

@@ -1,9 +1,9 @@
-"""RPP rules: workers handed to ``repro.utils.parallel`` must be safe.
+"""RPP rules: work handed to a worker pool must be safe.
 
-The process backend pickles the worker callable and every item; the
-thread backend shares the interpreter.  Both are deterministic only if
-workers are self-contained: picklable (module-level), free of captured
-``self`` state, and never mutating shared RNGs or module globals.
+A pool's workers share the interpreter with the engine that submits to
+them, so results are deterministic only if workers are self-contained:
+they never mutate the engine's ``self`` state, shared RNGs or module
+globals, and nobody waits on them without a bound.
 """
 
 from __future__ import annotations
@@ -14,36 +14,6 @@ from typing import Iterator
 from ..context import ModuleContext
 from ..findings import Finding
 from ..registry import Rule, register
-
-#: Backends that never pickle the worker; a literal one of these makes a
-#: closure worker safe to submit.
-_PICKLE_FREE_BACKENDS = ("thread", "serial")
-
-
-def _parallel_map_calls(tree: ast.Module) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if not isinstance(node, ast.Call):
-            continue
-        func = node.func
-        name = func.id if isinstance(func, ast.Name) else (
-            func.attr if isinstance(func, ast.Attribute) else None)
-        if name == "parallel_map":
-            yield node
-
-
-def _backend_is_pickle_free(call: ast.Call) -> bool:
-    """True only when the backend is *statically* known not to pickle.
-
-    ``parallel_map`` defaults to the thread backend, so an absent
-    ``backend=`` kwarg is safe; a non-literal backend (e.g.
-    ``self.backend``) may resolve to "process" at runtime and is treated
-    as pickling.
-    """
-    for kw in call.keywords:
-        if kw.arg == "backend":
-            return (isinstance(kw.value, ast.Constant)
-                    and kw.value.value in _PICKLE_FREE_BACKENDS)
-    return True
 
 
 def _nested_function_defs(tree: ast.Module) -> dict[str, ast.AST]:
@@ -58,76 +28,6 @@ def _nested_function_defs(tree: ast.Module) -> dict[str, ast.AST]:
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 nested[child.name] = child
     return nested
-
-
-def _references_self(node: ast.AST) -> bool:
-    return any(isinstance(n, ast.Name) and n.id == "self"
-               for n in ast.walk(node))
-
-
-@register
-class NonPicklableWorker(Rule):
-    """RPP001: process-capable workers must be module-level callables."""
-
-    id = "RPP001"
-    title = "non-module-level parallel worker"
-    rationale = (
-        "A lambda or nested function submitted where the backend may be "
-        "'process' cannot be pickled; the failure only appears once a "
-        "caller asks for more than one worker, long after the code merged. "
-        "Define the worker at module level (functools.partial is fine).")
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        nested = _nested_function_defs(ctx.tree)
-        for call in _parallel_map_calls(ctx.tree):
-            if _backend_is_pickle_free(call) or not call.args:
-                continue
-            worker = call.args[0]
-            if isinstance(worker, ast.Lambda):
-                yield self.finding(
-                    ctx, call,
-                    "lambda submitted to parallel_map with a possibly-"
-                    "process backend; use a module-level function")
-            elif isinstance(worker, ast.Name) and worker.id in nested:
-                yield self.finding(
-                    ctx, call,
-                    f"nested function {worker.id!r} submitted to "
-                    "parallel_map with a possibly-process backend; move it "
-                    "to module level so it pickles")
-
-
-@register
-class WorkerClosesOverSelf(Rule):
-    """RPP002: process-capable workers must not capture ``self``."""
-
-    id = "RPP002"
-    title = "parallel worker captures self"
-    rationale = (
-        "A bound method (or closure over self) submitted to a possibly-"
-        "process pool drags the whole object through pickle: either it "
-        "fails outright or each worker mutates a private copy, silently "
-        "diverging from the serial decision sequence.")
-
-    def check(self, ctx: ModuleContext) -> Iterator[Finding]:
-        nested = _nested_function_defs(ctx.tree)
-        for call in _parallel_map_calls(ctx.tree):
-            if _backend_is_pickle_free(call) or not call.args:
-                continue
-            worker = call.args[0]
-            if (isinstance(worker, ast.Attribute)
-                    and isinstance(worker.value, ast.Name)
-                    and worker.value.id == "self"):
-                yield self.finding(
-                    ctx, call,
-                    f"bound method self.{worker.attr} submitted to "
-                    "parallel_map with a possibly-process backend; workers "
-                    "must not capture self")
-            elif (isinstance(worker, ast.Name) and worker.id in nested
-                    and _references_self(nested[worker.id])):
-                yield self.finding(
-                    ctx, call,
-                    f"worker {worker.id!r} closes over self; pass explicit "
-                    "state through the items instead")
 
 
 def _submit_calls(tree: ast.Module) -> Iterator[ast.Call]:

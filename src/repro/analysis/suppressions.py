@@ -19,7 +19,7 @@ import re
 import tokenize
 from dataclasses import dataclass
 
-#: Rule ids look like RPD001 / RPP002 / RPA000.
+#: Rule ids look like RPD001 / RPP003 / RPA000.
 RULE_ID_RE = re.compile(r"^RP[A-Z]\d{3}$")
 
 _MARKER_RE = re.compile(r"#\s*repro:\s*noqa\b(?P<rest>.*)$")

@@ -460,8 +460,7 @@ def run_robustness_experiment(*, workload: str = "pagerank",
                               retries: int = 2,
                               tuners: Sequence[str] = ("ROBOTune",
                                                        "RandomSearch"),
-                              base_seed: int = 0,
-                              n_jobs: int | None = None) -> str:
+                              base_seed: int = 0) -> str:
     """Tuner quality degradation under transient fault injection.
 
     Sweeps *fault_rates* over otherwise-identical comparison studies (one
@@ -482,8 +481,8 @@ def run_robustness_experiment(*, workload: str = "pagerank",
         study = ComparisonStudy(budget=budget, trials=trials,
                                 workloads=[workload], datasets=[dataset],
                                 tuners=list(tuners), fault_rate=rate,
-                                retries=retries, base_seed=base_seed,
-                                n_jobs=n_jobs).run()
+                                retries=retries,
+                                base_seed=base_seed).run()
         for tuner in tuners:
             recs = study.filter(tuner=tuner)
             best = float(np.nanmean([r.best_time_s for r in recs]))

@@ -7,37 +7,45 @@ seeds.  Within one trial a tuner's knowledge stores (ROBOTune's parameter
 -selection cache and memoization buffer) persist across the datasets of a
 workload — D1 runs cold, D2/D3 run warm — matching how the paper
 evaluates memoized sampling (Figure 6).
+
+Every session is a :class:`~repro.serve.SessionSpec` built and run by
+:mod:`repro.serve.runner`, the path ``repro tune`` and the daemon take:
+the study only chooses each grid cell's spec and, for ROBOTune, the
+knowledge stores and mapper the cell shares with its sweep.
 """
 
 from __future__ import annotations
 
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Callable, Sequence
 
 import numpy as np
 
 from ..core.memo import ConfigMemoizationBuffer, ParameterSelectionCache
-from ..core.selection import ParameterSelector
 from ..core.transfer import WorkloadMapper
-from ..core.tuner import ROBOTune
 from ..core.warmstart import journal_paths
-from ..faults import FaultInjector, FaultPlan, RetryPolicy
 from ..obs import JsonlTraceWriter, Tracer, load_trace, summarize
+from ..serve.runner import build_objective, build_tuner, drive
+from ..serve.session import SessionSpec
 from ..space.spark_params import spark_space
 from ..tuners.base import Tuner, TuningResult
 from ..tuners.bestconfig import BestConfig
 from ..tuners.gunther import Gunther
-from ..tuners.objective import WorkloadObjective
 from ..tuners.random_search import RandomSearch
-from ..utils.parallel import parallel_map
 from ..workloads.datasets import DATASET_LABELS
-from ..workloads.registry import all_workload_names, get_workload
+from ..workloads.registry import all_workload_names
 
 __all__ = ["SessionRecord", "StudyResult", "ComparisonStudy", "TUNER_NAMES"]
 
 TUNER_NAMES = ("ROBOTune", "BestConfig", "Gunther", "RandomSearch")
+
+#: The baselines: each takes no settings, so a spec's objective is all
+#: they need.
+_BASELINES: dict[str, type[Tuner]] = {
+    "BestConfig": BestConfig, "Gunther": Gunther,
+    "RandomSearch": RandomSearch}
 
 
 @dataclass(frozen=True)
@@ -106,6 +114,11 @@ class StudyResult:
 class ComparisonStudy:
     """Runs the 4-tuner × 5-workload × 3-dataset × N-trial comparison.
 
+    The study holds one template :class:`~repro.serve.SessionSpec`,
+    :attr:`spec`, built (and so validated) at construction; each grid
+    cell runs it with the cell's workload, dataset and seed
+    (:meth:`session_spec`).
+
     Parameters
     ----------
     budget:
@@ -120,27 +133,20 @@ class ComparisonStudy:
     fault_rate / retries:
         Transient-fault injection for robustness studies: every session's
         objective is wrapped in a :class:`~repro.faults.FaultInjector`
-        with a plan seeded from the session's grid coordinates (so fault
-        sequences are reproducible and identical across tuners for the
-        same coordinate), retrying transient failures up to *retries*
+        whose plan is seeded from the session's seed (so fault sequences
+        are reproducible), retrying transient failures up to *retries*
         times.  Rate 0 (the default) leaves objectives unwrapped.
-    n_jobs:
-        Worker processes running independent ``(trial, workload, tuner)``
-        sweeps concurrently (each sweep still visits its datasets in
-        order, because the knowledge stores are shared within a sweep).
-        Every session is seeded from its grid coordinates, so results
-        and record order are identical for any worker count.  This is
-        the library's one fan-out: a session itself runs serially.
     async_workers:
         Asynchronous BO worker count for ROBOTune sessions (see
         :class:`~repro.core.tuner.ROBOTune` ``async_workers``); other
         tuners are unaffected.  The default 0 keeps the paper's serial
         loop.
-    supervise:
-        Optional :class:`~repro.supervise.SupervisePolicy` for ROBOTune
-        sessions (requires ``async_workers >= 1``): deadlines,
-        reclaim-and-redispatch, speculation and poison-config quarantine
-        around every asynchronous evaluation.  See docs/ROBUSTNESS.md.
+    eval_timeout_s / speculate / quarantine_after:
+        Supervised execution for ROBOTune sessions, as the spec fields
+        of the same names (``eval_timeout_s`` requires
+        ``async_workers >= 1``): deadlines, reclaim-and-redispatch,
+        speculation and poison-config quarantine around every
+        asynchronous evaluation.  See docs/ROBUSTNESS.md.
     map_workloads:
         Share one :class:`~repro.core.transfer.WorkloadMapper` across all
         workloads of a ``(trial, tuner)`` sweep (ROBOTune sessions only).
@@ -158,11 +164,12 @@ class ComparisonStudy:
         Directory for per-session JSONL traces.  Each session gets its
         own file, ``{tuner}-{workload}-{dataset}-trial{N}-s{seed}.jsonl``
         with the session seed in eight hex digits, and its own
-        :class:`~repro.obs.Tracer`, constructed inside the session so
-        the worker processes never pickle one; the
-        record's ``trace_path`` points at the file and
-        :meth:`StudyResult.trace_summaries` folds them back up.  ``None``
-        (the default) traces nothing.
+        :class:`~repro.obs.Tracer`; the record's ``trace_path`` points at
+        the file and :meth:`StudyResult.trace_summaries` folds them back
+        up.  ``None`` (the default) traces nothing.
+    base_seed:
+        Folded into every session's seed, so two studies that differ
+        only here draw independent sessions.
     """
 
     def __init__(self, *, budget: int = 100, trials: int = 5,
@@ -172,26 +179,14 @@ class ComparisonStudy:
                  keep_results: bool = False,
                  fault_rate: float = 0.0,
                  retries: int = 2,
-                 n_jobs: int | None = None,
                  async_workers: int = 0,
-                 supervise=None,
+                 eval_timeout_s: float | None = None,
+                 speculate: bool = False,
+                 quarantine_after: int = 3,
                  map_workloads: bool = False,
                  warm_start: str | Path | None = None,
                  trace_dir: str | Path | None = None,
                  base_seed: int = 0):
-        if not 0.0 <= fault_rate <= 1.0:
-            raise ValueError(f"fault_rate must be in [0, 1], got {fault_rate}")
-        if retries < 0:
-            raise ValueError(f"retries must be >= 0, got {retries}")
-        if async_workers < 0:
-            raise ValueError(f"async_workers must be >= 0, got {async_workers}")
-        if supervise is not None and async_workers < 1:
-            raise ValueError("supervise requires async_workers >= 1")
-        self.fault_rate = fault_rate
-        self.retries = retries
-        self.async_workers = async_workers
-        self.supervise = supervise
-        self.budget = budget
         self.trials = trials
         self.workloads = list(workloads or all_workload_names())
         self.datasets = list(datasets or DATASET_LABELS)
@@ -199,125 +194,101 @@ class ComparisonStudy:
         unknown = set(self.tuners) - set(TUNER_NAMES)
         if unknown:
             raise ValueError(f"unknown tuners: {sorted(unknown)}")
+        # Five permutation-importance repeats (the runner's default is
+        # ten) keep selection at the cost the study's figures assume.
+        self.spec = SessionSpec(
+            self.workloads[0], budget=budget, selection_repeats=5,
+            fault_rate=fault_rate, retries=retries,
+            async_workers=async_workers, eval_timeout_s=eval_timeout_s,
+            speculate=speculate, quarantine_after=quarantine_after)
         self.map_workloads = bool(map_workloads)
         if warm_start is not None:
             journal_paths(warm_start)  # fail fast before any session runs
-        # Stored as a plain string to keep the study picklable.
         self.warm_start = str(warm_start) if warm_start is not None else None
         self.keep_results = keep_results
-        self.n_jobs = n_jobs
-        # Stored as a plain string to keep the study picklable for the
-        # worker processes.
-        self.trace_dir = str(trace_dir) if trace_dir is not None else None
+        self.trace_dir = Path(trace_dir) if trace_dir is not None else None
         self.base_seed = base_seed
-        self.space = spark_space()
 
-    # -- tuner construction ------------------------------------------------------
-    def _make_tuner(self, name: str, rng: np.random.Generator,
-                    stores: dict,
-                    mapper: WorkloadMapper | None = None) -> Tuner:
-        if name == "ROBOTune":
-            return ROBOTune(selector=ParameterSelector(n_repeats=5, rng=rng),
-                            selection_cache=stores["cache"],
-                            memo_buffer=stores["memo"],
-                            async_workers=self.async_workers,
-                            supervise=self.supervise,
-                            warm_start=self.warm_start,
-                            mapper=mapper, rng=rng)
-        if name == "BestConfig":
-            return BestConfig()
-        if name == "Gunther":
-            return Gunther()
-        if name == "RandomSearch":
-            return RandomSearch()
-        raise ValueError(name)
+    def session_spec(self, tuner: str, workload: str, dataset: str,
+                     trial: int) -> SessionSpec:
+        """The spec of one grid cell's session.
+
+        Its seed is the CRC-32 of the cell's coordinates and the base
+        seed: stable across processes (unlike the salted builtin
+        ``hash``) and independent of the order cells run in.
+        """
+        key = f"{self.base_seed}|{tuner}|{workload}|{dataset}|{trial}"
+        return replace(self.spec, workload=workload, dataset=dataset,
+                       seed=zlib.crc32(key.encode()))
 
     # -- execution ---------------------------------------------------------------------
     def run(self, progress: Callable[[str], None] | None = None) -> StudyResult:
-        """Execute every session of the study grid.
+        """Execute every session of the study grid, one after another.
 
-        The ``(trial, workload, tuner)`` sweeps are independent (each one
-        starts fresh knowledge stores) and run concurrently on ``n_jobs``
-        worker processes; datasets within a sweep stay sequential so
-        D2/D3 see the warm stores D1 populated.  Records are appended in
-        the same nested order the sequential loop produced.
+        Each ``(trial, workload, tuner)`` sweep starts fresh knowledge
+        stores and visits its datasets in order, so D2/D3 see the warm
+        stores D1 populated.  *progress*, when given, receives one line
+        per session.
         """
         if self.map_workloads:
             # Whole-grid sweeps: the mapper and knowledge stores persist
             # across every workload of a (trial, tuner) pair.
-            sweeps = [(trial, None, tuner_name)
+            sweeps = [(trial, tuner_name, self.workloads)
                       for trial in range(self.trials)
                       for tuner_name in self.tuners]
         else:
-            sweeps = [(trial, workload, tuner_name)
+            sweeps = [(trial, tuner_name, [workload])
                       for trial in range(self.trials)
                       for workload in self.workloads
                       for tuner_name in self.tuners]
-        sweep_records = parallel_map(self._run_sweep, sweeps,  # repro: noqa RPP002 -- ComparisonStudy is picklable by design (plain config attrs only); the process round-trip is covered by tests/bench/test_harness_parallel.py
-                                     n_jobs=self.n_jobs, backend="process")
         study = StudyResult()
-        for recs in sweep_records:
-            for rec in recs:
-                study.records.append(rec)
-                if progress is not None:
-                    progress(f"{rec.tuner} {rec.workload}/{rec.dataset} "
-                             f"trial {rec.trial}: best={rec.best_time_s:.0f}s "
-                             f"cost={rec.search_cost_s / 60:.0f}min")
+        for trial, tuner_name, workloads in sweeps:
+            stores = (ParameterSelectionCache(), ConfigMemoizationBuffer())
+            mapper = WorkloadMapper(spark_space()) if self.map_workloads \
+                else None
+            for workload in workloads:
+                for dataset in self.datasets:
+                    rec = self._run_session(
+                        self.session_spec(tuner_name, workload, dataset,
+                                          trial),
+                        tuner_name, trial, stores, mapper)
+                    study.records.append(rec)
+                    if progress is not None:
+                        progress(f"{rec.tuner} {rec.workload}/{rec.dataset} "
+                                 f"trial {rec.trial}: "
+                                 f"best={rec.best_time_s:.0f}s "
+                                 f"cost={rec.search_cost_s / 60:.0f}min")
         return study
 
-    def _run_sweep(self, sweep: tuple[int, str | None, str]
-                   ) -> list[SessionRecord]:
-        """All datasets of one (trial, workload, tuner) sweep, in order.
-
-        A ``None`` workload (``map_workloads`` mode) visits every
-        workload of the grid with shared stores and a shared mapper.
-        """
-        trial, workload, tuner_name = sweep
-        # Knowledge stores persist across this workload's datasets
-        # within one (trial, tuner) sweep.
-        stores = {"cache": ParameterSelectionCache(),
-                  "memo": ConfigMemoizationBuffer()}
-        mapper = WorkloadMapper(self.space) if workload is None else None
-        workloads = self.workloads if workload is None else [workload]
-        return [self._run_session(tuner_name, wl, dataset, trial, stores,
-                                  mapper)
-                for wl in workloads for dataset in self.datasets]
-
-    def _run_session(self, tuner_name: str, workload: str, dataset: str,
-                     trial: int, stores: dict,
-                     mapper: WorkloadMapper | None = None) -> SessionRecord:
-        # Stable across processes (unlike builtin hash, which is salted).
-        key = f"{self.base_seed}|{tuner_name}|{workload}|{dataset}|{trial}"
-        seed = zlib.crc32(key.encode())
-        rng = np.random.default_rng(seed)
-        wl = get_workload(workload, dataset)
-        objective = WorkloadObjective(wl, self.space,
-                                      rng=np.random.default_rng(seed + 1))
+    def _run_session(self, spec: SessionSpec, tuner_name: str, trial: int,
+                     stores: tuple[ParameterSelectionCache,
+                                   ConfigMemoizationBuffer],
+                     mapper: WorkloadMapper | None) -> SessionRecord:
         tracer = trace_path = None
-        if self.trace_dir:
-            directory = Path(self.trace_dir)
-            directory.mkdir(parents=True, exist_ok=True)
+        if self.trace_dir is not None:
+            self.trace_dir.mkdir(parents=True, exist_ok=True)
             # The session seed is part of the filename: it folds in the
             # study's base_seed, so two studies sharing one trace_dir
             # (different base seeds, same grid) never collide on the
             # (tuner, workload, dataset, trial) coordinates alone —
             # JsonlTraceWriter refuses to append to an existing trace.
-            trace_path = str(directory / f"{tuner_name}-{workload}-{dataset}"
-                                         f"-trial{trial}-s{seed:08x}.jsonl")
+            trace_path = str(self.trace_dir / (
+                f"{tuner_name}-{spec.workload}-{spec.dataset}"
+                f"-trial{trial}-s{spec.seed:08x}.jsonl"))
             tracer = Tracer(JsonlTraceWriter(trace_path),
-                            meta={"tuner": tuner_name, "workload": workload,
-                                  "dataset": dataset, "trial": trial,
-                                  "budget": self.budget, "seed": int(seed)})
-        if self.fault_rate > 0.0:
-            retry = RetryPolicy(max_retries=self.retries) \
-                if self.retries else None
-            objective = FaultInjector(
-                objective, FaultPlan(self.fault_rate, seed=seed + 2),
-                retry=retry, tracer=tracer)
-        tuner = self._make_tuner(tuner_name, rng, stores, mapper)
+                            meta={"tuner": tuner_name,
+                                  "workload": spec.workload,
+                                  "dataset": spec.dataset, "trial": trial,
+                                  "budget": spec.budget, "seed": spec.seed})
+        objective = build_objective(spec, tracer=tracer)
+        if tuner_name == "ROBOTune":
+            tuner: Tuner = build_tuner(
+                spec, selection_cache=stores[0], memo_buffer=stores[1],
+                warm_start=self.warm_start, mapper=mapper)
+        else:
+            tuner = _BASELINES[tuner_name]()
         try:
-            result = tuner.tune(objective, self.budget, rng=rng,
-                                tracer=tracer)
+            result = drive(spec, tuner, objective, tracer=tracer)
         finally:
             if tracer is not None:
                 tracer.close()
@@ -329,7 +300,8 @@ class ComparisonStudy:
             # the whole study.
             best_time_s = float("nan")
         return SessionRecord(
-            tuner=tuner_name, workload=workload, dataset=dataset, trial=trial,
+            tuner=tuner_name, workload=spec.workload, dataset=spec.dataset,
+            trial=trial,
             best_time_s=best_time_s,
             search_cost_s=result.search_cost_s,
             selection_cost_s=result.selection_cost_s,

@@ -50,7 +50,6 @@ from .sparksim.analysis import TraceAnalyzer
 from .sparksim.conf import SparkConf
 from .sparksim.simulator import SparkSimulator
 from .tuners.objective import WorkloadObjective
-from .utils.parallel import resolve_n_jobs
 from .workloads.datasets import DATASET_LABELS, SCALE_UNITS, TABLE1
 from .workloads.registry import WORKLOADS, get_workload
 
@@ -109,11 +108,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp = sub.add_parser("compare", help="compare the four tuners")
     _common(p_cmp)
     p_cmp.add_argument("--trials", type=int, default=1)
-    p_cmp.add_argument("--jobs", type=int, default=None, metavar="N",
-                       help="worker processes running the study's "
-                            "independent sweeps concurrently (default: 1; "
-                            "-1 = all CPUs); results are identical for any "
-                            "value")
     _async_workers(p_cmp)
     _resilience(p_cmp)
     p_cmp.add_argument("--warm-start", default=None, metavar="DIR",
@@ -326,20 +320,6 @@ def _validate_resilience(args) -> str | None:
     return None
 
 
-def _supervise_policy(args):
-    """Build the --eval-timeout/--speculate/--quarantine-after policy.
-
-    Returns None when supervision is off (no --eval-timeout), keeping
-    the engine on its bit-reproducible unsupervised paths.
-    """
-    if getattr(args, "eval_timeout", None) is None:
-        return None
-    from .supervise import SupervisePolicy
-    return SupervisePolicy(eval_timeout_s=args.eval_timeout,
-                           speculate=bool(getattr(args, "speculate", False)),
-                           quarantine_after=args.quarantine_after)
-
-
 def _make_tracer(path, summary: bool, meta: dict):
     """Tracer + in-memory sink for --trace/--trace-summary.
 
@@ -448,25 +428,25 @@ def cmd_tune(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    try:
-        resolve_n_jobs(args.jobs)  # fail fast, before any session runs
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     workload_names = [w.strip() for w in args.workload.split(",")
                       if w.strip()]
     # --trace-summary alone still needs the study's per-session traces;
     # they go to a directory removed after the fold-up.
     with (tempfile.TemporaryDirectory() if args.trace_summary
           and not args.trace else nullcontext(args.trace)) as trace_dir:
-        study = ComparisonStudy(
-            budget=args.budget, trials=args.trials,
-            workloads=workload_names, datasets=[args.dataset],
-            fault_rate=args.faults, retries=args.retries, n_jobs=args.jobs,
-            async_workers=args.async_workers,
-            supervise=_supervise_policy(args),
-            map_workloads=args.map_workloads, warm_start=args.warm_start,
-            trace_dir=trace_dir, base_seed=args.seed)
+        try:
+            study = ComparisonStudy(
+                budget=args.budget, trials=args.trials,
+                workloads=workload_names, datasets=[args.dataset],
+                fault_rate=args.faults, retries=args.retries,
+                async_workers=args.async_workers,
+                eval_timeout_s=args.eval_timeout, speculate=args.speculate,
+                quarantine_after=args.quarantine_after,
+                map_workloads=args.map_workloads, warm_start=args.warm_start,
+                trace_dir=trace_dir, base_seed=args.seed)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
         try:
             study_result = study.run()
         except FileExistsError as exc:

@@ -17,9 +17,11 @@ in one of three ways (``RPF002`` in :mod:`repro.analysis` keeps it so):
 * :func:`replace_text` — write-to-temp → fsync → atomic rename →
   fsync(dir): a crash leaves the old file or the new one, never a torn
   one.  The session store's JSON files and both memo stores use it.
-* :func:`create_exclusive` — ``O_CREAT|O_EXCL`` create, write, fsync:
-  the filesystem arbitrates between racing creators (the session
-  store's claim and index locks).
+* :func:`create_exclusive` — write and fsync a unique hidden temp file,
+  then hard-link it to the name: the link fails when the name exists,
+  so the filesystem arbitrates between racing creators (the session
+  store's claim and index locks), and the name only ever appears with
+  its whole text.
 
 A torn tail is a final record a crash left half-written.
 :func:`read_jsonl` stops at the first line that does not parse, and an
@@ -145,9 +147,22 @@ def replace_text(path: Path, text: str) -> None:
 
 def create_exclusive(path: Path, text: str) -> None:
     """Create *path* holding *text*, durably; raises ``FileExistsError``
-    if it already exists."""
-    fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    with os.fdopen(fd, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        fh.flush()
-        os.fsync(fh.fileno())
+    if it already exists.
+
+    The text goes to a temp file beside *path* first (a hidden name no
+    store scan matches, unique per call), which is fsync'd and then
+    linked to *path*.  A reader therefore never sees *path* empty or
+    half-written, as it would between an ``O_EXCL`` create and its
+    write.
+    """
+    tmp = path.with_name(f".{path.name}.{os.getpid()}."
+                         f"{os.urandom(4).hex()}.tmp")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write(text)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.link(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)

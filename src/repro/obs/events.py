@@ -71,7 +71,7 @@ EVENT_TYPES: dict[str, str] = {
     "fault.injected": "the fault plan fired on an evaluation attempt",
     "retry.attempt": "a transient outcome is being retried",
     # No library call emits it any more; kept so older traces validate.
-    "parallel.map": "a parallel_map call dispatched a work batch",
+    "parallel.map": "a process fan-out dispatched a work batch",
     "async.dispatch": "the async BO engine sent a proposal to a worker",
     "async.fold": "an async evaluation was folded into the surrogate",
     "batch.serial_fallback": "concurrent evaluation degraded to serial "

@@ -2,9 +2,10 @@
 
 This module is the *only* place a spec turns into an objective and a
 tuner.  The daemon runs sessions through :func:`run_session` with a
-journal; ``repro tune`` builds through :func:`build_objective` and
-:func:`build_tuner` and runs through :func:`drive`; the black-box
-harness (``tests/serve/harness.py``) and ``benchmarks/paired_quality.py``
+journal; ``repro tune`` and :class:`~repro.bench.ComparisonStudy` build
+through :func:`build_objective` and (for ROBOTune) :func:`build_tuner`
+and run through :func:`drive`; the black-box harness
+(``tests/serve/harness.py``) and ``benchmarks/paired_quality.py``
 replay specs in process through :func:`run_session` without one.
 Because construction is shared, one (workload, dataset, seed, budget)
 names one session however it is started, and "served results equal
@@ -21,7 +22,7 @@ from ..core.tuner import ROBOTune, ROBOTuneResult
 from ..faults import FaultInjector, FaultPlan, RetryPolicy
 from ..space.spark_params import spark_space
 from ..supervise import SupervisePolicy
-from ..tuners.base import ObjectiveWrapper
+from ..tuners.base import ObjectiveWrapper, Tuner, TuningResult
 from ..tuners.objective import DEFAULT_TIME_LIMIT_S, WorkloadObjective
 from ..workloads.registry import get_workload
 from .session import SessionCancelled, SessionSpec, evaluation_digest
@@ -70,15 +71,18 @@ def build_objective(spec: SessionSpec, *, tracer=None):
 
 
 def build_tuner(spec: SessionSpec, *, selection_cache=None,
-                memo_buffer=None, warm_start: str | None = None) -> ROBOTune:
+                memo_buffer=None, warm_start: str | None = None,
+                mapper=None) -> ROBOTune:
     """The spec's ROBOTune.
 
     Every session seeds its selector one way: a generator of its own
     from ``spec.seed``, with the paper's 100 samples and 10 repeats
-    unless the spec sets them.  The keyword extras are what ``repro
-    tune`` adds around a spec (JSON-backed knowledge stores and a
-    warm-start journal directory); they are not spec fields, so served
-    sessions never carry them.
+    unless the spec sets them.  The keyword extras are what a caller
+    adds around a spec: knowledge stores (JSON-backed for ``repro
+    tune``, shared along a sweep by the comparison study), a warm-start
+    journal directory and a :class:`~repro.core.transfer.WorkloadMapper`
+    (the study's ``map_workloads``).  They are not spec fields, so
+    served sessions never carry them.
     """
     supervise = None
     if spec.eval_timeout_s is not None:
@@ -98,12 +102,13 @@ def build_tuner(spec: SessionSpec, *, selection_cache=None,
                     async_workers=spec.async_workers,
                     supervise=supervise,
                     warm_start=warm_start,
+                    mapper=mapper,
                     rng=spec.seed)
 
 
-def drive(spec: SessionSpec, tuner: ROBOTune, objective, *, journal=None,
+def drive(spec: SessionSpec, tuner: Tuner, objective, *, journal=None,
           resume: bool = False, recover: str = "redispatch",
-          tracer=None) -> ROBOTuneResult:
+          tracer=None) -> TuningResult:
     """Run *tuner* on *objective* for the spec's budget and seed.
 
     With *journal* the session checkpoints (or, with ``resume=True``,

@@ -385,8 +385,10 @@ class SessionStore:
                 except FileNotFoundError:
                     continue  # vanished under us: retry the create
                 except json.JSONDecodeError:
-                    # Torn by a crash between create and write: stale by
-                    # definition (a live writer fsyncs before returning).
+                    # create_exclusive links a lock into place only
+                    # after its text is fsync'd, so no live holder's lock
+                    # reads torn: this one is stale (e.g. left by an
+                    # older build that created the name before writing).
                     holder = {}
                 if holder and _pid_alive(int(holder.get("pid", 0))):
                     return None

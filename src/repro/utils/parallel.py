@@ -1,99 +1,22 @@
-"""Worker pools: the process fan-out over independent sessions, and the
-submit/collect pool of the asynchronous BO engine.
+"""The submit/collect worker pool of the asynchronous BO engine.
 
 A tuning session runs on its caller's thread: parameter selection and
-the BO loop are serial work.  What pays to spread over cores is
-*independent* work, the sweeps of a
-:class:`~repro.bench.harness.ComparisonStudy` (``repro compare
---jobs``), which it runs through :func:`parallel_map` on worker
-processes:
-
-* ``n_jobs=None`` or ``1`` is strictly serial: the function runs
-  in-process, in order, with no pool;
-* ``n_jobs=-1`` uses every available core (``-2`` all but one, etc.).
-
-Determinism is the caller's contract: work items must carry their own
-random state (see :func:`repro.utils.rng.spawn`) so results do not depend
-on scheduling order.  ``parallel_map`` always returns results in input
-order regardless of completion order.
+the BO loop are serial work, and so is a comparison study, which runs
+its sessions one after another.  The one pool left is
+:class:`WorkerPool`, which keeps an asynchronous session's evaluations
+in flight (``async_workers``) so their latencies overlap.
 """
 
 from __future__ import annotations
 
-import os
 import queue
 import threading
 from collections import deque
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
-from typing import Any, Callable, Iterable, TypeVar
+from typing import Any, Callable
 
 from ..obs import NULL_TRACER
 
-__all__ = ["available_cpus", "resolve_n_jobs", "parallel_map",
-           "PoolTimeout", "WorkerPool"]
-
-_BACKENDS = ("serial", "thread", "process")
-
-T = TypeVar("T")
-R = TypeVar("R")
-
-
-def available_cpus() -> int:
-    """CPUs this process may actually use (affinity-aware)."""
-    try:
-        return len(os.sched_getaffinity(0)) or 1
-    except AttributeError:  # pragma: no cover - non-Linux
-        return os.cpu_count() or 1
-
-
-def resolve_n_jobs(n_jobs: int | None = None) -> int:
-    """Resolve an ``n_jobs`` spec into a concrete worker count (>= 1).
-
-    ``None`` means 1; negative values count back from the number of
-    available CPUs, joblib-style (``-1`` = all cores).
-    """
-    if n_jobs is None:
-        return 1
-    n_jobs = int(n_jobs)
-    if n_jobs < 0:
-        n_jobs = available_cpus() + 1 + n_jobs
-    if n_jobs < 1:
-        raise ValueError("n_jobs must resolve to >= 1 worker")
-    return n_jobs
-
-
-def parallel_map(fn: Callable[[T], R], items: Iterable[T], *,
-                 n_jobs: int | None = None,
-                 backend: str = "thread") -> list[R]:
-    """Map *fn* over *items*, optionally across a worker pool.
-
-    Parameters
-    ----------
-    fn:
-        The per-item worker.  With ``backend="process"`` it must be
-        picklable (a module-level function or :func:`functools.partial`
-        of one), as must every item and result.
-    n_jobs:
-        Worker count spec (see :func:`resolve_n_jobs`).  A resolved count
-        of 1, the default, bypasses the pool entirely.
-    backend:
-        ``"thread"`` for GIL-releasing work, ``"process"`` for CPU-bound
-        Python such as whole tuning sessions, ``"serial"`` to force
-        in-process execution.
-
-    Returns results in input order.  Exceptions raised by *fn* propagate
-    to the caller (the first one encountered in input order).
-    """
-    if backend not in _BACKENDS:
-        raise ValueError(f"backend must be one of {_BACKENDS}, got {backend!r}")
-    items = list(items)
-    jobs = resolve_n_jobs(n_jobs)
-    if backend == "serial" or jobs == 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    executor = ThreadPoolExecutor if backend == "thread" \
-        else ProcessPoolExecutor
-    with executor(max_workers=min(jobs, len(items))) as pool:
-        return list(pool.map(fn, items))
+__all__ = ["PoolTimeout", "WorkerPool"]
 
 
 class PoolTimeout(TimeoutError):
@@ -103,9 +26,8 @@ class PoolTimeout(TimeoutError):
 class WorkerPool:
     """Submit/collect pool for asynchronous evaluation loops.
 
-    Unlike :func:`parallel_map` (a barrier: dispatch a batch, wait for all
-    of it), a ``WorkerPool`` keeps tasks in flight and hands back whichever
-    one finishes first, so a caller can fold a result in and dispatch a
+    A ``WorkerPool`` keeps tasks in flight and hands back whichever one
+    finishes first, so a caller can fold a result in and dispatch a
     replacement without waiting on the round's stragglers — the core of the
     asynchronous BO engine (see docs/PERFORMANCE.md).
 
@@ -138,9 +60,9 @@ class WorkerPool:
         rule RPD005), and every task given up on bumps the
         ``pool.abandoned_tasks`` counter.
 
-    Completion-order determinism is the *caller's* problem, exactly as for
-    :func:`parallel_map`: tags let the caller re-associate results with
-    submissions regardless of which finishes first.
+    Completion-order determinism is the *caller's* problem: tags let the
+    caller re-associate results with submissions regardless of which
+    finishes first.
     """
 
     def __init__(self, n_workers: int, *, backend: str = "thread",

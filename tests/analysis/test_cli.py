@@ -76,7 +76,7 @@ def test_list_rules(capsys):
     out = capsys.readouterr().out
     for rule_id in ("RPA000", "RPD001", "RPD002", "RPD003", "RPD004",
                     "RPF001", "RPF002", "RPN001", "RPN002", "RPN003",
-                    "RPP001", "RPP002", "RPP003"):
+                    "RPP003", "RPP004", "RPP005"):
         assert rule_id in out
 
 

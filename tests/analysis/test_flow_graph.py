@@ -159,19 +159,6 @@ class TestSummaries:
         captured = set(summary.submit_sites[0].captured)
         assert {"runner", "threshold"} <= captured
 
-    def test_parallel_map_is_a_submit_site(self, tmp_path):
-        project = _project(tmp_path, {
-            "src/repro/core/a.py": """\
-                from ..utils.parallel import parallel_map
-
-
-                def run(items, state):
-                    return parallel_map(lambda it: (it, state), items)
-            """})
-        summary = project.summaries["repro.core.a.run"]
-        assert [s.kind for s in summary.submit_sites] == ["parallel_map"]
-        assert "state" in summary.submit_sites[0].captured
-
     def test_tracer_calls_and_with_items(self, tmp_path):
         project = _project(tmp_path, {
             "src/repro/core/a.py": """\

@@ -5,105 +5,6 @@ from __future__ import annotations
 from lintutils import active, rules_of
 
 
-class TestNonPicklableWorker:
-    def test_flags_lambda_with_process_backend(self, lint):
-        findings = lint("""\
-            from repro.utils.parallel import parallel_map
-
-            def run(items):
-                return parallel_map(lambda x: x + 1, items, backend="process")
-        """)
-        hits = rules_of(findings, "RPP001")
-        assert len(hits) == 1
-        assert "lambda" in hits[0].message
-
-    def test_flags_nested_function_with_dynamic_backend(self, lint):
-        findings = lint("""\
-            from repro.utils.parallel import parallel_map
-
-            def run(items, backend):
-                def worker(x):
-                    return x + 1
-                return parallel_map(worker, items, backend=backend)
-        """)
-        hits = rules_of(findings, "RPP001")
-        assert len(hits) == 1
-        assert "worker" in hits[0].message
-
-    def test_allows_nested_worker_on_thread_backend(self, lint):
-        findings = lint("""\
-            from repro.utils.parallel import parallel_map
-
-            def run(items, scale):
-                def worker(x):
-                    return x * scale
-                return parallel_map(worker, items, backend="thread")
-        """)
-        assert rules_of(findings, "RPP001") == []
-
-    def test_allows_module_level_worker_default_backend(self, lint):
-        findings = lint("""\
-            from repro.utils.parallel import parallel_map
-
-            def worker(x):
-                return x + 1
-
-            def run(items):
-                return parallel_map(worker, items, backend="process")
-        """)
-        assert rules_of(findings, "RPP001") == []
-
-
-class TestWorkerClosesOverSelf:
-    def test_flags_bound_method_with_dynamic_backend(self, lint):
-        findings = lint("""\
-            from repro.utils.parallel import parallel_map
-
-            class Harness:
-                def run(self, items):
-                    return parallel_map(self._job, items,
-                                        backend=self.parallel_backend)
-        """)
-        hits = rules_of(findings, "RPP002")
-        assert len(hits) == 1
-        assert "self._job" in hits[0].message
-
-    def test_flags_nested_worker_referencing_self(self, lint):
-        findings = lint("""\
-            from repro.utils.parallel import parallel_map
-
-            class Harness:
-                def run(self, items):
-                    def worker(x):
-                        return self.score(x)
-                    return parallel_map(worker, items, backend="process")
-        """)
-        assert len(rules_of(findings, "RPP002")) == 1
-
-    def test_allows_bound_method_on_thread_backend(self, lint):
-        findings = lint("""\
-            from repro.utils.parallel import parallel_map
-
-            class Harness:
-                def run(self, items):
-                    return parallel_map(self._job, items, backend="thread")
-        """)
-        assert rules_of(findings, "RPP002") == []
-
-    def test_suppression(self, lint):
-        findings = lint("""\
-            from repro.utils.parallel import parallel_map
-
-            class Harness:
-                def run(self, items):
-                    return parallel_map(self._job, items,  # repro: noqa RPP002 -- Harness is picklable by design; round-trip covered in tests
-                                        backend=self.parallel_backend)
-        """)
-        hits = rules_of(findings, "RPP002")
-        assert len(hits) == 1 and hits[0].suppressed
-        assert active(findings) == []
-
-
 class TestSharedStateMutation:
     def test_flags_global_statement(self, lint):
         findings = lint("""\

@@ -26,7 +26,7 @@ def test_at_least_ten_rules_registered():
 def test_whole_program_rule_family_registered():
     ids = set(all_rule_ids())
     assert {"RPX001", "RPX002", "RPX003", "RPX004"} <= ids
-    assert len(ids) >= 21
+    assert len(ids) >= 19
 
 
 def test_src_is_clean_in_process():

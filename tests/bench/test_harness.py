@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from repro.bench import ComparisonStudy, StudyResult
+from repro.serve import evaluation_digest, run_session
 
 #: sha256 (16 hex) of the serial ROBOTune study curve in
 #: ``test_async_single_worker_matches_sync``.
-SERIAL_CURVE_GOLDEN = "00edc7dcdd15ac2f"
+SERIAL_CURVE_GOLDEN = "c88efdebe046c102"
 
 
 @pytest.fixture(scope="module")
@@ -62,8 +63,31 @@ class TestStudyExecution:
         assert len(seen) == 1
         assert "RandomSearch" in seen[0]
 
+    def test_progress_callback_sees_every_session(self):
+        lines = []
+        ComparisonStudy(budget=10, trials=2, workloads=["kmeans"],
+                        datasets=["D1", "D2"],
+                        tuners=["RandomSearch", "Gunther"]).run(lines.append)
+        assert len(lines) == 2 * 1 * 2 * 2  # trials * workloads * tuners * datasets
+
+
+def _stream_digest(result):
+    return evaluation_digest(list(result.selection_evaluations)
+                             + list(result.evaluations))
+
 
 class TestROBOTuneSessions:
+    def test_study_session_is_the_runners_session(self):
+        # A cold (D1) study session is run_session of the spec the study
+        # derives for its grid cell: selection and BO evaluations alike.
+        study = ComparisonStudy(budget=20, trials=1, workloads=["terasort"],
+                                datasets=["D1"], tuners=["ROBOTune"],
+                                keep_results=True, base_seed=9)
+        [rec] = study.run().records
+        spec = study.session_spec("ROBOTune", "terasort", "D1", 0)
+        assert spec.selection_repeats == 5 and spec.budget == 20
+        assert _stream_digest(rec.result) == _stream_digest(run_session(spec))
+
     def test_warm_datasets_hit_selection_cache(self):
         study = ComparisonStudy(
             budget=25, trials=1, workloads=["terasort"],
@@ -106,8 +130,8 @@ class TestAsyncWorkers:
         assert study.records[0].curve.shape == (20,)
 
     def test_async_single_worker_matches_sync(self):
-        # Digest of the serial study's best-so-far curve, recorded before
-        # serial became the one loop at one worker: both must keep it.
+        # Digest of the serial study's best-so-far curve: the serial loop
+        # and the one-worker asynchronous loop must both produce it.
         kw = dict(budget=20, trials=1, workloads=["terasort"],
                   datasets=["D1"], tuners=["ROBOTune"], base_seed=9)
         for async_workers in (0, 1):
@@ -124,16 +148,14 @@ class TestAsyncWorkers:
 
 class TestSupervision:
     def test_supervise_requires_async_workers(self):
-        from repro.supervise import SupervisePolicy
         with pytest.raises(ValueError, match="async_workers"):
-            ComparisonStudy(supervise=SupervisePolicy())
+            ComparisonStudy(eval_timeout_s=30.0)
 
     def test_supervised_study_runs(self):
-        from repro.supervise import SupervisePolicy
         study = ComparisonStudy(
             budget=16, trials=1, workloads=["terasort"], datasets=["D1"],
             tuners=["ROBOTune"], base_seed=11, async_workers=2,
-            supervise=SupervisePolicy(eval_timeout_s=30.0),
+            eval_timeout_s=30.0,
         ).run()
         assert len(study.records) == 1
         assert study.records[0].curve.shape == (16,)

@@ -31,11 +31,12 @@ class TestSpawnViewDispatch:
         assert objective.n_evaluations == 2  # shared counter
 
     def test_views_share_counter_under_threads(self):
-        from repro.utils.parallel import parallel_map
+        from concurrent.futures import ThreadPoolExecutor
         objective = SyntheticObjective(rng=1)
         views = [objective.spawn_view() for _ in range(8)]
         u = np.full(objective.space.dim, 0.5)
-        parallel_map(lambda v: v(u), views, n_jobs=4, backend="thread")
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            list(pool.map(lambda v: v(u), views))
         assert objective.n_evaluations == 8
 
     def test_journaled_objective_spawns_concurrent_views(self, tmp_path):

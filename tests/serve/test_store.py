@@ -7,6 +7,8 @@ import os
 
 import pytest
 
+from repro.obs import durable
+from repro.obs.durable import create_exclusive
 from repro.serve import (Claim, SessionSpec, SessionStore, StaleClaimError)
 
 
@@ -115,9 +117,38 @@ class TestLocking:
 
     def test_torn_lock_file_is_stale(self, store):
         sid = store.submit(spec())
-        store._lock_path(sid).write_text("")  # crash between create+write
+        # No live holder writes a lock like this (create_exclusive links
+        # it whole); an older build's crash between create and write did.
+        store._lock_path(sid).write_text("")
         claim = store.claim()
         assert claim is not None and claim.sid == sid
+
+    def test_lock_name_appears_only_whole(self, tmp_path, monkeypatch):
+        # While create_exclusive opens its file to write the holder, the
+        # lock name must not exist: an empty lock reads as torn (stale)
+        # to the claim lock and as pid 0 to the index lock, and either
+        # one would take the lock over from its live holder.
+        lock = tmp_path / "lock"
+        seen = []
+        real_fdopen = os.fdopen
+
+        def spy(fd, *args, **kwargs):
+            seen.append(lock.exists())
+            return real_fdopen(fd, *args, **kwargs)
+
+        monkeypatch.setattr(durable.os, "fdopen", spy)
+        create_exclusive(lock, '{"pid": 1}')
+        assert seen == [False]
+        assert lock.read_text() == '{"pid": 1}'
+        assert [p.name for p in tmp_path.iterdir()] == ["lock"]
+
+    def test_taken_lock_raises_and_leaves_no_temp(self, tmp_path):
+        lock = tmp_path / "lock"
+        create_exclusive(lock, "first")
+        with pytest.raises(FileExistsError):
+            create_exclusive(lock, "second")
+        assert lock.read_text() == "first"
+        assert [p.name for p in tmp_path.iterdir()] == ["lock"]
 
 
 class TestCancellation:

@@ -111,21 +111,8 @@ class TestCompare:
         assert code == 0
         assert "terasort,kmeans/D1" in capsys.readouterr().out
 
-    def test_jobs_changes_no_output(self, capsys):
-        # --jobs 2 runs the study's sweeps in two worker processes.
-        outputs = []
-        for jobs in ("1", "2"):
-            assert main(["compare", "--workload", "kmeans", "--budget", "10",
-                         "--trials", "2", "--jobs", jobs]) == 0
-            outputs.append(capsys.readouterr().out)
-        assert outputs[0] == outputs[1]
 
-    def test_bad_jobs_rejected(self, capsys):
-        assert main(["compare", "--jobs", "0"]) == 2
-        assert "n_jobs" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("command", ["tune", "importance"])
+@pytest.mark.parametrize("command", ["tune", "importance", "compare"])
 def test_sessions_take_no_jobs_option(command, capsys):
     with pytest.raises(SystemExit) as exc:
         main([command, "--jobs", "2"])
