@@ -17,9 +17,9 @@ from ..registry import Rule, register
 
 #: Modules that own durable file output: only the durable-write module
 #: opens files for writing.  The journal, the trace sink, the session
-#: store and the memo stores write through its fsync'd appender, atomic
-#: replace and exclusive create; everything else must either go through
-#: them or carry an explicit justification.
+#: store and the memo stores write through its fsync'd appender and
+#: atomic replace; everything else must either go through them or carry
+#: an explicit justification.
 _OWNED_IO_MODULES = ("obs/durable.py",)
 
 
@@ -86,7 +86,7 @@ class RawFileWrite(Rule):
     rationale = (
         "Durable state goes through repro.obs.durable (the fsync'd JSONL "
         "appender behind EvaluationJournal and the trace writer, the "
-        "atomic replace, the exclusive create) so a crash loses at most "
+        "atomic replace) so a crash loses at most "
         "the record in flight and never leaves a torn file; ad-hoc "
         "open(...).write/Path.write_text sites are where torn, "
         "un-fsync'd state sneaks in.  Other artifact writers must say "

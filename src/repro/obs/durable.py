@@ -1,8 +1,7 @@
-"""Durable file writes: one JSONL appender, one atomic replace, one
-exclusive create.
+"""Durable file writes: one JSONL appender and one atomic replace.
 
 Every file the library must find intact after a crash is written here,
-in one of three ways (``RPF002`` in :mod:`repro.analysis` keeps it so):
+in one of two ways (``RPF002`` in :mod:`repro.analysis` keeps it so):
 
 * :class:`JsonlAppender` — append-only JSONL, one ``json.dumps`` line
   per record, flushed to the OS before :meth:`~JsonlAppender.write`
@@ -17,11 +16,12 @@ in one of three ways (``RPF002`` in :mod:`repro.analysis` keeps it so):
 * :func:`replace_text` — write-to-temp → fsync → atomic rename →
   fsync(dir): a crash leaves the old file or the new one, never a torn
   one.  The session store's JSON files and both memo stores use it.
-* :func:`create_exclusive` — write and fsync a unique hidden temp file,
-  then hard-link it to the name: the link fails when the name exists,
-  so the filesystem arbitrates between racing creators (the session
-  store's claim and index locks), and the name only ever appears with
-  its whole text.
+  :func:`fsync_dir` is its last step on its own, for a caller that
+  renames a whole directory into place (the session store's submit).
+
+The session store's claim locks are not written here: they are
+``fcntl.flock`` locks the kernel holds, and their files' text only
+names the holder.
 
 A torn tail is a final record a crash left half-written.
 :func:`read_jsonl` stops at the first line that does not parse, and an
@@ -42,7 +42,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-__all__ = ["JsonlAppender", "create_exclusive", "jsonable", "read_jsonl",
+__all__ = ["JsonlAppender", "fsync_dir", "jsonable", "read_jsonl",
            "replace_text"]
 
 
@@ -138,31 +138,14 @@ def replace_text(path: Path, text: str) -> None:
         fh.flush()
         os.fsync(fh.fileno())
     os.replace(tmp, path)
-    fd = os.open(path.parent, os.O_RDONLY)
+    fsync_dir(path.parent)
+
+
+def fsync_dir(path: Path) -> None:
+    """fsync the directory *path*: the entries renamed into it survive
+    an OS crash."""
+    fd = os.open(path, os.O_RDONLY)
     try:
         os.fsync(fd)
     finally:
         os.close(fd)
-
-
-def create_exclusive(path: Path, text: str) -> None:
-    """Create *path* holding *text*, durably; raises ``FileExistsError``
-    if it already exists.
-
-    The text goes to a temp file beside *path* first (a hidden name no
-    store scan matches, unique per call), which is fsync'd and then
-    linked to *path*.  A reader therefore never sees *path* empty or
-    half-written, as it would between an ``O_EXCL`` create and its
-    write.
-    """
-    tmp = path.with_name(f".{path.name}.{os.getpid()}."
-                         f"{os.urandom(4).hex()}.tmp")
-    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.link(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)

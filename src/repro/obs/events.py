@@ -87,6 +87,8 @@ EVENT_TYPES: dict[str, str] = {
     "serve.state": "a stored session transitioned lifecycle state",
     "serve.queue": "queue-depth snapshot of the session store by state",
     "serve.recover": "a crashed session's journal was adopted for resume",
+    "serve.worker_error": "a daemon worker's store call raised; the worker "
+                          "lives on (a failed settle releases its claim)",
 }
 
 #: The counter catalog: every name passed to ``tracer.count`` anywhere in

@@ -3,14 +3,14 @@
 One :class:`TuningDaemon` owns a :class:`~repro.serve.store.SessionStore`
 and a fleet of session-runner threads.  Each runner loops
 claim → run → settle: it claims the highest-priority runnable session
-(PENDING, or RUNNING-with-a-dead-owner — the crash-recovery case), runs
-it through :func:`repro.serve.runner.run_session` with the session's
-crash-safe journal, and settles DONE/FAILED/CANCELLED.  Within a
-session, supervised execution (``async_workers``/``eval_timeout_s`` in
-the spec) claims individual evaluations through the existing
-:class:`~repro.supervise.EvaluationSupervisor`/`WorkerPool` path, so
-deadlines, speculation, quarantine and redispatch-on-death all apply
-unchanged under the daemon.
+(PENDING, or RUNNING with a free claim lock — the crash-recovery case),
+runs it through :func:`repro.serve.runner.run_session` with the
+session's crash-safe journal, and settles DONE/FAILED/CANCELLED.
+Within a session, supervised execution (``async_workers``/
+``eval_timeout_s`` in the spec) claims individual evaluations through
+the existing :class:`~repro.supervise.EvaluationSupervisor`/`WorkerPool`
+path, so deadlines, speculation, quarantine and redispatch-on-death all
+apply unchanged under the daemon.
 
 Durability contract: the daemon itself holds **no** state a kill can
 lose.  Sessions live in the store (fsync'd transitions), evaluations in
@@ -25,18 +25,26 @@ state is written, so a settled session never names records that are
 only in the page cache.
 
 Waking: an idle worker compares the store's
-:meth:`~repro.serve.store.SessionStore.index_stamp` and claims as soon
-as it changes.  It checks every :data:`~repro.serve.store.TICK_S` at
-first, then further apart the longer it has been idle
-(:func:`~repro.serve.store.check_gap`), never more than ``poll_s``
-apart: a submission soon after the last change starts within a tick,
-and a long-idle daemon costs a check per ``poll_s``.  A full claim
-scan still runs every ``poll_s``: a daemon's death changes no file, so
-that rescan is what adopts its sessions, and it also catches a change
-the stamp missed.  The main loop checks the drain and ``max_sessions``
+:meth:`~repro.serve.store.SessionStore.sessions_stamp`, one ``stat`` of
+``sessions/``, and claims as soon as it changes.  It checks every
+:data:`~repro.serve.store.TICK_S` at first, then further apart the
+longer it has been idle (:func:`~repro.serve.store.check_gap`), never
+more than ``poll_s`` apart: a submission soon after the last change
+starts within a tick, and a long-idle daemon costs a check per
+``poll_s``.  A full claim scan still runs every ``poll_s``: a daemon's
+death changes no file (the kernel drops its claim locks), so that
+rescan is what adopts its sessions, and it also catches a change the
+stamp missed.  The main loop checks the drain and ``max_sessions``
 exits and emits queue depth once per ``poll_s``, and at once whenever
 a worker settles a session or :meth:`~TuningDaemon.stop` is called, so
 a batch daemon exits as soon as its last session settles.
+
+Store faults: an exception from a claim scan idles the worker as a miss
+does, and one from a settle releases the claim unsettled
+(:meth:`~repro.serve.store.SessionStore.release`), so the next scan
+adopts the session and resumes it from its journal.  Either way the
+worker lives on and emits ``serve.worker_error``; only sessions that
+settled count as settled.
 
 Observability: the daemon's tracer carries the ``serve.*`` event family
 (queue depth, claim latency, session lifecycle — docs/OBSERVABILITY.md)
@@ -51,6 +59,7 @@ import os
 import socket
 import threading
 import traceback
+from functools import partial
 from pathlib import Path
 
 from ..obs import JsonlTraceWriter, Tracer, as_tracer
@@ -74,8 +83,8 @@ class TuningDaemon:
     poll_s:
         Period of the daemon's slow checks: an idle worker's full claim
         rescan and the ``serve.queue`` depth event.  An idle worker does
-        not wait for it to claim: it checks the index at least this
-        often, and every tick at first after a change.  Nor do the
+        not wait for it to claim: it checks the sessions stamp at least
+        this often, and every tick at first after a change.  Nor do the
         ``drain``/``max_sessions`` exits: every settle wakes the check.
     drain:
         Exit once no session is runnable and no runner is busy (batch
@@ -181,7 +190,7 @@ class TuningDaemon:
     # -- workers ------------------------------------------------------------------
     def _worker_loop(self) -> None:
         owner = threading.current_thread().name
-        idle_s = 0.0  # since this worker last saw the index change
+        idle_s = 0.0  # since this worker last saw the sessions stamp move
         while not self._stop.is_set():
             # Enforce --max-sessions at claim time, not just on the main
             # loop's poll tick: claims issued between ticks would
@@ -199,41 +208,50 @@ class TuningDaemon:
             if not reserved:
                 self._stop.wait(self.poll_s)
                 continue
-            stamp = self.store.index_stamp()
-            with self.tracer.timer("serve.claim"):
-                claim = self.store.claim(owner)
+            stamp = self.store.sessions_stamp()
+            try:
+                with self.tracer.timer("serve.claim"):
+                    claim = self.store.claim(owner)
+            except Exception as exc:  # noqa - a store fault idles the worker
+                self.tracer.emit("serve.worker_error",
+                                 {"op": "claim", "error": type(exc).__name__})
+                claim = None
             if claim is None:
                 with self._count_lock:
                     self._busy -= 1
                 idle_s = self._await_change(stamp, idle_s)
                 continue
             idle_s = 0.0
+            settled = False
             try:
-                self._run_claim(claim)
+                settled = self._run_claim(claim)
             finally:
                 with self._count_lock:
                     self._busy -= 1
-                    self._settled += 1
+                    self._settled += settled
                 self._wake.set()
 
     def _await_change(self, stamp: tuple[int, int, int] | None,
                       idle_s: float) -> float:
-        """Idle until the index moves off *stamp* (taken before the
-        last claim scan, so a submit during the scan counts), the next
-        rescan is due or the daemon stops.  *idle_s* is how long the
-        worker has been idle, which paces its checks (``check_gap``);
-        returns it updated, 0 once the index changed."""
+        """Idle until a session is published off *stamp* (taken before
+        the last claim scan, so a submit during the scan counts), the
+        next rescan is due or the daemon stops.  *idle_s* is how long
+        the worker has been idle, which paces its checks
+        (``check_gap``); returns it updated, 0 once the stamp moved."""
         rescan_at = idle_s + self.poll_s
         while idle_s < rescan_at:
             gap = min(rescan_at - idle_s, check_gap(idle_s, self.poll_s))
             if self._stop.wait(gap):
                 break
             idle_s += gap
-            if self.store.index_stamp() != stamp:
+            if self.store.sessions_stamp() != stamp:
                 return 0.0
         return idle_s
 
-    def _run_claim(self, claim: Claim) -> None:
+    def _run_claim(self, claim: Claim) -> bool:
+        """Run and settle one claimed session; False when the settle
+        failed and the claim was released unsettled instead, for the
+        next claim scan to adopt and resume from its journal."""
         sid = claim.sid
         tracer = None
         if self.session_traces:
@@ -259,12 +277,23 @@ class TuningDaemon:
             finally:
                 if tracer is not None:
                     tracer.close()  # fsync'd before the settle, too
-            self.store.complete(claim, result_payload(claim.spec, result))
+            settle = partial(self.store.complete, claim,
+                             result_payload(claim.spec, result))
         except SessionCancelled:
-            self.store.cancelled(claim)
+            settle = partial(self.store.cancelled, claim)
         except Exception as exc:  # noqa - settled as FAILED with the traceback
-            self.store.fail(claim, f"{type(exc).__name__}: {exc}\n"
-                                   f"{traceback.format_exc()}")
+            settle = partial(self.store.fail, claim,
+                             f"{type(exc).__name__}: {exc}\n"
+                             f"{traceback.format_exc()}")
+        try:
+            settle()
+        except Exception as exc:  # noqa - the claim is released, not settled
+            self.tracer.emit("serve.worker_error",
+                             {"op": "settle", "error": type(exc).__name__,
+                              "sid": sid})
+            self.store.release(claim)
+            return False
+        return True
 
     # -- RPC server ---------------------------------------------------------------
     def _start_rpc_server(self) -> str | None:

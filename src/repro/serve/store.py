@@ -1,79 +1,95 @@
-"""Durable session store: a directory of journals plus an index file.
+"""Durable session store: one directory per session, each fact in one file.
 
 Layout (everything under one *root* directory)::
 
     root/
-      index.json              # summary cache: {sid: {state, priority, ...}}
-      index.lock              # transient pid lock serializing index updates
       daemon.json             # last daemon's pid + socket endpoint
-      sessions/<sid>/
-        spec.json             # the immutable SessionSpec
-        state.json            # authoritative lifecycle state (fsync'd)
+      .submit-<hex>/          # staging: a submit not yet published
+      sessions/s<seq:06d>/    # the directory name holds the session number
+        spec.json             # the immutable SessionSpec (priority,
+                              # workload, dataset, ...)
+        state.json            # the lifecycle state (fsync'd)
         journal.jsonl         # the session's EvaluationJournal
                               # (flushed per record, fsync'd per dispatch)
         result.json           # settled outcome (written before DONE)
-        lock                  # advisory claim lock while RUNNING
+        lock                  # claim lock: an flock; its text only names
+                              # the holder
         cancel                # cancel-request marker
         trace-<n>.jsonl       # per-attempt obs traces
 
+Each fact has one home: the lifecycle state is ``state.json``'s,
+priority, workload and dataset are ``spec.json``'s, and the number is
+the directory name's.  Sids of stores written before numbers moved
+into the name, like ``s000000-1a2b3c4d``, keep working: the number is
+the digits after ``s``.
+
 Durability and concurrency rules:
 
-* ``state.json`` is the **source of truth**; every transition is written
-  via write-to-temp → fsync → atomic rename → fsync(dir)
-  (:func:`repro.obs.durable.replace_text`), so a crash leaves either the
-  old or the new state, never a torn file.
-* ``index.json`` is a cache over the per-session state files, updated
-  under ``index.lock`` and always reconstructible bit-for-bit with
-  :meth:`SessionStore.rebuild_index` (the hypothesis suite in
-  ``tests/serve/test_store_properties.py`` holds the store to that).
-  A read of a missing or torn ``index.json`` falls back to that
-  reconstruction.
-* A session is claimed by creating ``lock`` with ``O_CREAT|O_EXCL`` —
-  the filesystem is the arbiter, so two daemons sharing a store can
-  never both claim one session.  A lock whose recorded pid is dead is
-  *stale*; takeover renames it away (only one racer's rename succeeds)
-  before re-claiming, which is how a restarted daemon adopts the
-  sessions a killed daemon left RUNNING.
+* Every transition writes ``state.json`` via write-to-temp → fsync →
+  atomic rename → fsync(dir) (:func:`repro.obs.durable.replace_text`),
+  so a crash leaves either the old or the new state, never a torn file.
+* A submit writes ``spec.json`` and ``state.json`` into a hidden staging
+  directory in the root, then renames it to the next free
+  ``sessions/s<seq>``.  A rename onto an existing session directory
+  fails, so the rename hands out each number once without a lock, and
+  a session directory is never seen without its files.  A killed
+  submit leaves only its staging directory, which nothing reads.
+* A session is claimed by taking an exclusive ``fcntl.flock`` on its
+  ``lock`` file.  The kernel is the arbiter: two handles contend for it
+  whether they share a process or not, and it drops the lock when its
+  holder exits, however it exits.  A RUNNING session whose lock is free
+  lost its owner, and the next claim scan adopts it — how a restarted
+  daemon takes over what a killed one left RUNNING.  No pid is
+  consulted, so a reused pid cannot strand a session.  Lock files are
+  never unlinked: every process locks the same inode.
 * Settling operations require the :class:`Claim` returned by
-  :meth:`SessionStore.claim` and verify its token against the lock on
-  disk, so a handle that lost its claim cannot corrupt a successor's.
+  :meth:`SessionStore.claim`, on the handle that holds its lock, so a
+  handle that lost its claim cannot corrupt a successor's.
 
-Waiting.  Every write to ``index.json`` replaces the file, so its
-:meth:`SessionStore.index_stamp` changes with every submit and
-transition.  An idle daemon worker compares that stamp and claims when
-it moves; a client waiting on a session reads its ``state.json``
-(:meth:`SessionStore.state`).  Both pace their checks with
-:func:`check_gap`: every :data:`TICK_S` at first, then further apart
-as the wait grows, up to the waiter's own poll interval.
+Scans.  :meth:`~SessionStore.claim`, :meth:`~SessionStore.queue_depth`
+and :meth:`~SessionStore.list_sessions` list ``sessions/``.  A handle
+reads a ``state.json`` only until it has seen the session in a terminal
+state, and each ``spec.json`` once: neither changes after that.
+
+Waiting.  Every submit renames a directory into ``sessions/``, so
+:meth:`SessionStore.sessions_stamp` changes with every submit.  An idle
+daemon worker compares that stamp and claims when it moves; a client
+waiting on a session reads its ``state.json`` (:meth:`SessionStore.state`).
+Both pace their checks with :func:`check_gap`: every :data:`TICK_S` at
+first, then further apart as the wait grows, up to the waiter's own
+poll interval.
 """
 
 from __future__ import annotations
 
+import errno
+import fcntl
 import json
 import os
-import threading
-import time
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Mapping
 
 from ..core.journal import EvaluationJournal
 from ..obs import as_tracer
-from ..obs.durable import create_exclusive, replace_text
+from ..obs.durable import fsync_dir, replace_text
 from .session import STATES, TERMINAL_STATES, TRANSITIONS, SessionSpec
 
 __all__ = ["SessionStore", "Claim", "StaleClaimError", "TICK_S",
            "WAIT_SHARE", "check_gap"]
 
-_INDEX_VERSION = 1
-
 #: Seconds between the first cheap checks of anyone waiting on the
-#: store: an idle daemon worker's index stamp, a waiting client's
+#: store: an idle daemon worker's sessions stamp, a waiting client's
 #: session state.
 TICK_S = 0.005
 #: Past its first ticks, a wait sleeps this share of the time it has
 #: waited so far between two checks.
 WAIT_SHARE = 1 / 128
+
+#: A session directory's name: ``s`` and the session number, with a hex
+#: suffix in stores written before the number alone named a session.
+_SID = re.compile(r"s(\d+)(?:-[0-9a-f]+)?")
 
 
 def check_gap(waited_s: float, cap_s: float) -> float:
@@ -83,6 +99,12 @@ def check_gap(waited_s: float, cap_s: float) -> float:
     within a tick or that share of its length, and once it has lasted
     ``cap_s / WAIT_SHARE`` it checks once per *cap_s*."""
     return min(cap_s, max(TICK_S, waited_s * WAIT_SHARE))
+
+
+def _seq(name: str) -> int | None:
+    """The session number in a directory name; None for other names."""
+    match = _SID.fullmatch(name)
+    return None if match is None else int(match.group(1))
 
 
 class StaleClaimError(RuntimeError):
@@ -100,22 +122,14 @@ class Claim:
     resumed: bool
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except PermissionError:  # pragma: no cover - exists, owned by another user
-        return True
-    return True
-
-
 class SessionStore:
     """One handle onto a (possibly shared) session store directory.
 
     Handles are cheap; several may point at the same *root* from the
-    same or different processes (client + daemon, or two daemons).  All
-    cross-handle coordination happens through the filesystem.
+    same or different processes (client + daemon, or two daemons), and
+    threads may share one.  All coordination, between handles or
+    threads, happens through the filesystem and the kernel's file
+    locks.
 
     Parameters
     ----------
@@ -129,7 +143,12 @@ class SessionStore:
     def __init__(self, root: str | Path, *, tracer=None) -> None:
         self.root = Path(root)
         self.tracer = as_tracer(tracer)
-        self._local = threading.Lock()  # serializes THIS handle's claims
+        #: sid -> (token, fd) of every claim lock this handle holds.
+        self._held: dict[str, tuple[str, int]] = {}
+        #: What never changes once read: specs, and the (number, sid,
+        #: state) of sessions seen in a terminal state.
+        self._specs: dict[str, SessionSpec] = {}
+        self._terminal: dict[str, tuple[int, str, str]] = {}
 
     # -- paths --------------------------------------------------------------------
     @property
@@ -158,142 +177,30 @@ class SessionStore:
         with open(path, encoding="utf-8") as fh:
             return json.load(fh)
 
-    # -- index lock ---------------------------------------------------------------
-    def _index_lock_path(self) -> Path:
-        return self.root / "index.lock"
-
-    def _acquire_index_lock(self, *, spin_s: float = 0.002) -> None:
-        path = self._index_lock_path()
-        self.root.mkdir(parents=True, exist_ok=True)
-        while True:
-            try:
-                create_exclusive(path, str(os.getpid()))
-            except FileExistsError:
-                if self._takeover_stale(path):
-                    continue
-                time.sleep(spin_s)
-                continue
-            return
-
-    @staticmethod
-    def _force_takeover(path: Path) -> bool:
-        """Rename-then-unlink a lock already judged stale.
-
-        The rename is the race arbiter: the source disappears with the
-        first winner, so exactly one racer takes a given stale lock
-        over (the rest see FileNotFoundError and re-contend).
-        """
-        stale = path.with_name(f"{path.name}.stale.{os.getpid()}")
-        try:
-            os.rename(path, stale)
-        except FileNotFoundError:
-            return True
-        stale.unlink(missing_ok=True)
-        return True
-
-    def _takeover_stale(self, path: Path) -> bool:
-        """Remove *path* iff its recorded pid is dead; True if removed."""
-        try:
-            pid = int(path.read_text().strip() or "0")
-        except (FileNotFoundError, ValueError):
-            return True  # vanished or torn: retry the create immediately
-        if pid and _pid_alive(pid):
-            return False
-        return self._force_takeover(path)
-
-    def _release_index_lock(self) -> None:
-        self._index_lock_path().unlink(missing_ok=True)
-
-    # -- index --------------------------------------------------------------------
-    def _index_path(self) -> Path:
-        return self.root / "index.json"
-
-    def _load_index_unlocked(self) -> dict[str, Any]:
-        try:
-            return self._read_json(self._index_path())
-        except (FileNotFoundError, json.JSONDecodeError):
-            # Lost or torn cache: the session files still hold every
-            # session and the next sequence number.
-            return self.rebuild_index()
-
-    def load_index(self) -> dict[str, Any]:
-        """The stored index (a cache; ``state.json`` files are the truth)."""
-        return self._load_index_unlocked()
-
-    def index_stamp(self) -> tuple[int, int, int] | None:
-        """``index.json``'s (inode, mtime_ns, size), None when missing: a
-        one-``stat`` check that the index changed since a claim scan."""
-        try:
-            st = os.stat(self._index_path())
-        except FileNotFoundError:
-            return None
-        return st.st_ino, st.st_mtime_ns, st.st_size
-
-    def rebuild_index(self) -> dict[str, Any]:
-        """Reconstruct the index purely from the per-session files on disk.
-
-        The reconstruction must equal :meth:`load_index` after any
-        sequence of store operations — the round-trip invariant the
-        property suite pins.  It is also the recovery path when the
-        index cache is lost or torn: ``next_seq`` is recomputed as one
-        past the highest per-session sequence number.
-        """
-        sessions: dict[str, Any] = {}
-        next_seq = 0
-        if self.sessions_dir.exists():
-            for directory in sorted(self.sessions_dir.iterdir()):
-                state_path = directory / "state.json"
-                spec_path = directory / "spec.json"
-                if not state_path.exists() or not spec_path.exists():
-                    continue  # torn submit: never made it into the index
-                state = self._read_json(state_path)
-                spec = self._read_json(spec_path)
-                sessions[directory.name] = {
-                    "state": state["state"],
-                    "priority": int(spec.get("priority", 0)),
-                    "seq": int(state["seq"]),
-                    "workload": spec["workload"],
-                    "dataset": spec.get("dataset", "D1"),
-                }
-                next_seq = max(next_seq, int(state["seq"]) + 1)
-        return {"version": _INDEX_VERSION, "next_seq": next_seq,
-                "sessions": sessions}
-
-    def _update_index(self, sid: str, summary: Mapping[str, Any]) -> None:
-        self._acquire_index_lock()
-        try:
-            index = self._load_index_unlocked()
-            entry = dict(index["sessions"].get(sid, {}))
-            entry.update(summary)
-            index["sessions"][sid] = entry
-            index["next_seq"] = max(int(index.get("next_seq", 0)),
-                                    int(entry.get("seq", -1)) + 1)
-            self._write_json(self._index_path(), index)
-        finally:
-            self._release_index_lock()
-
     # -- submission ---------------------------------------------------------------
     def submit(self, spec: SessionSpec) -> str:
-        """Accept a session: durably create its directory, PENDING."""
-        self._acquire_index_lock()
-        try:
-            index = self._load_index_unlocked()
-            seq = int(index.get("next_seq", 0))
-            sid = f"s{seq:06d}-{os.urandom(4).hex()}"
-            directory = self.session_dir(sid)
-            directory.mkdir(parents=True, exist_ok=False)
-            self._write_json(directory / "spec.json", spec.to_dict())
-            self._write_json(directory / "state.json",
-                             {"state": "PENDING", "seq": seq, "error": None})
-            index["next_seq"] = seq + 1
-            index["sessions"][sid] = {
-                "state": "PENDING", "priority": int(spec.priority),
-                "seq": seq, "workload": spec.workload,
-                "dataset": spec.dataset,
-            }
-            self._write_json(self._index_path(), index)
-        finally:
-            self._release_index_lock()
+        """Accept a session: publish its directory, PENDING, under the
+        next free number."""
+        staging = self.root / f".submit-{os.urandom(8).hex()}"
+        staging.mkdir(parents=True)
+        self._write_json(staging / "spec.json", spec.to_dict())
+        self._write_json(staging / "state.json",
+                         {"state": "PENDING", "error": None})
+        self.sessions_dir.mkdir(exist_ok=True)
+        # One past the highest number on disk, torn submits of older
+        # builds included; a rival submit that renames first takes it.
+        seq = 1 + max((n for n in map(_seq, os.listdir(self.sessions_dir))
+                       if n is not None), default=-1)
+        while True:
+            sid = f"s{seq:06d}"
+            try:
+                os.rename(staging, self.session_dir(sid))
+                break
+            except OSError as exc:
+                if exc.errno not in (errno.EEXIST, errno.ENOTEMPTY):
+                    raise
+                seq += 1
+        fsync_dir(self.sessions_dir)
         self.tracer.emit("serve.submit",
                          {"sid": sid, "workload": spec.workload,
                           "dataset": spec.dataset, "budget": int(spec.budget),
@@ -304,18 +211,28 @@ class SessionStore:
 
     # -- reading ------------------------------------------------------------------
     def spec(self, sid: str) -> SessionSpec:
+        spec = self._specs.get(sid)
+        if spec is None:
+            try:
+                payload = self._read_json(self.session_dir(sid) / "spec.json")
+            except FileNotFoundError:
+                raise KeyError(f"no session {sid!r} in {self.root}") from None
+            spec = self._specs[sid] = SessionSpec.from_dict(payload)
+        return spec
+
+    def _read_state(self, sid: str) -> dict[str, Any]:
+        """*sid*'s ``state.json``; remembers a terminal state for good."""
         try:
-            payload = self._read_json(self.session_dir(sid) / "spec.json")
+            state = self._read_json(self.session_dir(sid) / "state.json")
         except FileNotFoundError:
             raise KeyError(f"no session {sid!r} in {self.root}") from None
-        return SessionSpec.from_dict(payload)
+        if state["state"] in TERMINAL_STATES:
+            self._terminal[sid] = (_seq(sid), sid, state["state"])
+        return state
 
     def state(self, sid: str) -> str:
-        try:
-            return self._read_json(
-                self.session_dir(sid) / "state.json")["state"]
-        except FileNotFoundError:
-            raise KeyError(f"no session {sid!r} in {self.root}") from None
+        settled = self._terminal.get(sid)
+        return settled[2] if settled else self._read_state(sid)["state"]
 
     def result(self, sid: str) -> dict[str, Any] | None:
         try:
@@ -329,17 +246,14 @@ class SessionStore:
         A settled session's evaluation count is its result's stream
         length (``n_stream``); a session without one counts its journal.
         """
-        try:
-            state = self._read_json(self.session_dir(sid) / "state.json")
-        except FileNotFoundError:
-            raise KeyError(f"no session {sid!r} in {self.root}") from None
+        state = self._read_state(sid)
         spec = self.spec(sid)
         result = self.result(sid)
         n_evals = None if result is None else result.get("n_stream")
         if n_evals is None:
             n_evals = len(EvaluationJournal(self.journal_path(sid)))
         view: dict[str, Any] = {
-            "sid": sid, "state": state["state"], "seq": int(state["seq"]),
+            "sid": sid, "state": state["state"], "seq": _seq(sid),
             "error": state.get("error"),
             "workload": spec.workload, "dataset": spec.dataset,
             "budget": int(spec.budget), "seed": int(spec.seed),
@@ -351,109 +265,157 @@ class SessionStore:
             view["result"] = result
         return view
 
+    def _scan(self) -> list[tuple[int, str, str]]:
+        """(number, sid, state) of every published session, unordered."""
+        try:
+            names = os.listdir(self.sessions_dir)
+        except FileNotFoundError:
+            return []
+        found = []
+        for sid in names:
+            entry = self._terminal.get(sid)
+            if entry is None:
+                seq = _seq(sid)
+                if seq is None:
+                    continue
+                try:
+                    entry = (seq, sid, self._read_state(sid)["state"])
+                except KeyError:
+                    continue  # an older build's torn submit: never published
+            found.append(entry)
+        return found
+
     def list_sessions(self) -> list[dict[str, Any]]:
         """Summaries of every stored session, in submission order."""
-        index = self.load_index()
         out = []
-        for sid, entry in sorted(index["sessions"].items(),
-                                 key=lambda kv: kv[1]["seq"]):
-            out.append({"sid": sid, **entry})
+        for seq, sid, state in sorted(self._scan()):
+            spec = self.spec(sid)
+            out.append({"sid": sid, "state": state,
+                        "priority": int(spec.priority), "seq": seq,
+                        "workload": spec.workload, "dataset": spec.dataset})
         return out
 
     def queue_depth(self) -> dict[str, int]:
         """Sessions per lifecycle state (the ``serve.queue`` payload)."""
         depth = {state: 0 for state in STATES}
-        for entry in self.load_index()["sessions"].values():
-            depth[entry["state"]] = depth.get(entry["state"], 0) + 1
+        for _, _, state in self._scan():
+            depth[state] += 1
         return depth
+
+    def sessions_stamp(self) -> tuple[int, int, int] | None:
+        """``sessions/``'s (inode, mtime_ns, link count), None before the
+        first submit: a one-``stat`` check that a session was published
+        since a claim scan."""
+        try:
+            st = os.stat(self.sessions_dir)
+        except FileNotFoundError:
+            return None
+        return st.st_ino, st.st_mtime_ns, st.st_nlink
 
     # -- claiming -----------------------------------------------------------------
     def _lock_path(self, sid: str) -> Path:
         return self.session_dir(sid) / "lock"
 
     def _try_lock(self, sid: str, owner: str) -> str | None:
-        """Create the claim lock; returns the token or None if held live."""
-        path = self._lock_path(sid)
+        """Take *sid*'s claim lock for this handle: a fresh token, or None
+        while anyone else, this handle included, holds it."""
+        fd = os.open(self._lock_path(sid), os.O_RDWR | os.O_CREAT, 0o644)
         token = os.urandom(8).hex()
-        while True:
-            try:
-                create_exclusive(path, json.dumps(
-                    {"pid": os.getpid(), "owner": owner, "token": token}))
-            except FileExistsError:
-                try:
-                    holder = self._read_json(path)
-                except FileNotFoundError:
-                    continue  # vanished under us: retry the create
-                except json.JSONDecodeError:
-                    # create_exclusive links a lock into place only
-                    # after its text is fsync'd, so no live holder's lock
-                    # reads torn: this one is stale (e.g. left by an
-                    # older build that created the name before writing).
-                    holder = {}
-                if holder and _pid_alive(int(holder.get("pid", 0))):
-                    return None
-                if not self._force_takeover(path):
-                    return None
-                continue
-            return token
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            # For lock_holder only: the flock, not this text, is the claim.
+            os.ftruncate(fd, 0)
+            os.pwrite(fd, json.dumps({"pid": os.getpid(), "owner": owner,
+                                      "token": token}).encode(), 0)
+        except BlockingIOError:
+            os.close(fd)
+            return None
+        except BaseException:
+            os.close(fd)
+            raise
+        self._held[sid] = (token, fd)
+        return token
+
+    def _unlock(self, sid: str) -> None:
+        _, fd = self._held.pop(sid)
+        os.close(fd)
 
     def lock_holder(self, sid: str) -> dict[str, Any] | None:
-        """The live claim lock's contents, or None (dead holders count
-        as None: their sessions are adoptable)."""
+        """The claim lock's text while someone holds the lock, else None.
+
+        The lock itself is probed: the kernel drops it when its holder
+        exits, so a held lock has a live holder.  The probe holds the
+        lock shared for an instant, and a claim scan that meets it then
+        skips the session until its next scan.
+        """
+        path = self._lock_path(sid)
         try:
-            holder = self._read_json(self._lock_path(sid))
-        except (FileNotFoundError, json.JSONDecodeError):
+            fd = os.open(path, os.O_RDONLY)
+        except FileNotFoundError:
             return None
-        return holder if _pid_alive(int(holder.get("pid", 0))) else None
+        try:
+            fcntl.flock(fd, fcntl.LOCK_SH | fcntl.LOCK_NB)
+        except BlockingIOError:
+            pass  # held
+        else:
+            return None
+        finally:
+            os.close(fd)
+        try:
+            return self._read_json(path)
+        except json.JSONDecodeError:
+            return {}  # taken an instant ago: its text is not written yet
 
     def claim(self, owner: str = "worker") -> Claim | None:
         """Claim the best runnable session, or None when nothing runs.
 
         Candidates are PENDING sessions plus RUNNING sessions whose
-        claim lock is stale (their daemon died — adopting them is the
-        crash-recovery path); ordering is highest priority first, then
-        submission order.  A PENDING candidate with a cancel marker is
-        settled CANCELLED here instead of being claimed.
+        claim lock is free (their owner died or released them — adopting
+        them is the crash-recovery path); ordering is highest priority
+        first, then submission order.  A PENDING candidate with a cancel
+        marker is settled CANCELLED here instead of being claimed.
         """
-        with self._local:
-            candidates = [
-                (-(entry["priority"]), entry["seq"], sid, entry["state"])
-                for sid, entry in self.load_index()["sessions"].items()
-                if entry["state"] in ("PENDING", "RUNNING")]
-            for _, _, sid, _ in sorted(candidates):
-                claim = self._try_claim(sid, owner)
-                if claim is not None:
-                    return claim
+        runnable = sorted((-self.spec(sid).priority, seq, sid)
+                          for seq, sid, state in self._scan()
+                          if state in ("PENDING", "RUNNING"))
+        for _, _, sid in runnable:
+            claim = self._try_claim(sid, owner)
+            if claim is not None:
+                return claim
         return None
 
     def _try_claim(self, sid: str, owner: str) -> Claim | None:
         token = self._try_lock(sid, owner)
         if token is None:
             return None
-        # Re-read the authoritative state *after* winning the lock: the
-        # index snapshot may be stale (TOCTOU window).
-        state = self._read_json(self.session_dir(sid) / "state.json")
-        if state["state"] not in ("PENDING", "RUNNING"):
-            self._lock_path(sid).unlink(missing_ok=True)
-            return None
-        if state["state"] == "PENDING" and self.cancel_requested(sid):
-            self._transition(sid, state, "CANCELLED")
-            self._lock_path(sid).unlink(missing_ok=True)
-            self.tracer.count("serve.cancelled")
-            return None
-        resumed = (state["state"] == "RUNNING"
-                   or (self.journal_path(sid).exists()
-                       and self.journal_path(sid).stat().st_size > 0))
-        if state["state"] == "PENDING":
-            self._transition(sid, state, "RUNNING")
-        spec = self.spec(sid)
+        claim = None
+        try:
+            # Re-read the state now that the lock is ours: the scan's
+            # read may be stale.
+            state = self._read_state(sid)
+            if state["state"] not in ("PENDING", "RUNNING"):
+                return None
+            if state["state"] == "PENDING" and self.cancel_requested(sid):
+                self._transition(sid, state, "CANCELLED")
+                self.tracer.count("serve.cancelled")
+                return None
+            resumed = (state["state"] == "RUNNING"
+                       or (self.journal_path(sid).exists()
+                           and self.journal_path(sid).stat().st_size > 0))
+            if state["state"] == "PENDING":
+                self._transition(sid, state, "RUNNING")
+            claim = Claim(sid=sid, spec=self.spec(sid), token=token,
+                          resumed=bool(resumed))
+        finally:
+            if claim is None:  # not claimed, or raised: let the lock go
+                self._unlock(sid)
         self.tracer.emit("serve.claim", {"sid": sid, "owner": owner,
-                                         "resumed": bool(resumed)})
+                                         "resumed": claim.resumed})
         self.tracer.count("serve.claims")
-        if resumed:
+        if claim.resumed:
             self.tracer.emit("serve.recover", {"sid": sid})
             self.tracer.count("serve.resumed")
-        return Claim(sid=sid, spec=spec, token=token, resumed=bool(resumed))
+        return claim
 
     def _transition(self, sid: str, state: Mapping[str, Any], to: str, *,
                     error: str | None = None) -> None:
@@ -464,19 +426,15 @@ class SessionStore:
         payload["state"] = to
         payload["error"] = error
         self._write_json(self.session_dir(sid) / "state.json", payload)
-        self._update_index(sid, {"state": to})
         self.tracer.emit("serve.state", {"sid": sid, "from": frm, "to": to})
 
     # -- settling (claim-holders only) --------------------------------------------
     def _verify(self, claim: Claim) -> dict[str, Any]:
-        try:
-            holder = self._read_json(self._lock_path(claim.sid))
-        except (FileNotFoundError, json.JSONDecodeError):
+        held = self._held.get(claim.sid)
+        if held is None or held[0] != claim.token:
             raise StaleClaimError(f"claim on {claim.sid} no longer holds "
-                                  "the lock") from None
-        if holder.get("token") != claim.token:
-            raise StaleClaimError(f"claim on {claim.sid} was taken over")
-        return self._read_json(self.session_dir(claim.sid) / "state.json")
+                                  "the lock")
+        return self._read_state(claim.sid)
 
     def complete(self, claim: Claim, result: Mapping[str, Any]) -> None:
         """Settle DONE: the result is durable before the state says so."""
@@ -484,20 +442,29 @@ class SessionStore:
         self._write_json(self.session_dir(claim.sid) / "result.json",
                          dict(result))
         self._transition(claim.sid, state, "DONE")
-        self._lock_path(claim.sid).unlink(missing_ok=True)
+        self._unlock(claim.sid)
         self.tracer.count("serve.done")
 
     def fail(self, claim: Claim, error: str) -> None:
         state = self._verify(claim)
         self._transition(claim.sid, state, "FAILED", error=str(error))
-        self._lock_path(claim.sid).unlink(missing_ok=True)
+        self._unlock(claim.sid)
         self.tracer.count("serve.failed")
 
     def cancelled(self, claim: Claim) -> None:
         state = self._verify(claim)
         self._transition(claim.sid, state, "CANCELLED")
-        self._lock_path(claim.sid).unlink(missing_ok=True)
+        self._unlock(claim.sid)
         self.tracer.count("serve.cancelled")
+
+    def release(self, claim: Claim) -> None:
+        """Drop *claim*'s lock without settling it, as its holder's death
+        would: the session stays RUNNING and the next claim scan adopts
+        it from its journal.  A no-op once the claim no longer holds the
+        lock."""
+        held = self._held.get(claim.sid)
+        if held is not None and held[0] == claim.token:
+            self._unlock(claim.sid)
 
     # -- cancellation -------------------------------------------------------------
     def _cancel_marker(self, sid: str) -> Path:
@@ -518,15 +485,15 @@ class SessionStore:
         if state in TERMINAL_STATES:
             return state
         self._write_json(self._cancel_marker(sid), {"requested": True})
-        if state == "PENDING":
-            token = self._try_lock(sid, "cancel")
-            if token is not None:
-                fresh = self._read_json(self.session_dir(sid) / "state.json")
+        if state == "PENDING" and self._try_lock(sid, "cancel") is not None:
+            try:
+                fresh = self._read_state(sid)
                 if fresh["state"] == "PENDING":
                     self._transition(sid, fresh, "CANCELLED")
                     self.tracer.count("serve.cancelled")
-                self._lock_path(sid).unlink(missing_ok=True)
-                return self.state(sid)
+            finally:
+                self._unlock(sid)
+            return self.state(sid)
         return "CANCELLED" if self.state(sid) == "CANCELLED" else "requested"
 
     # -- daemon registration ------------------------------------------------------

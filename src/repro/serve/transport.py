@@ -5,9 +5,9 @@ Two implementations, one contract:
 * :class:`FileTransport` operates directly on a shared
   :class:`~repro.serve.store.SessionStore` directory.  No daemon needs
   to be listening for ``submit``/``state``/``status``/``results``/
-  ``cancel`` to work — the daemon notices a submission when the store's
-  index changes — so the file transport is also the service's
-  offline/degraded mode.
+  ``cancel`` to work — the daemon notices a submission when a session
+  directory appears in the store — so the file transport is also the
+  service's offline/degraded mode.
 * :class:`SocketTransport` speaks a newline-delimited JSON request/
   response protocol to a live daemon over TCP (``host:port``) or a unix
   domain socket (a filesystem path).  ``address="auto"`` reads the

@@ -42,11 +42,11 @@ def test_sigkill_restart_resumes_bit_identically(tmp_path):
     killed_at = first.kill_when_journal_reaches(sid, 6)
     assert killed_at >= 6
 
-    # The orphan is exactly as the crash left it: RUNNING, lock on disk
-    # but its owner dead, result absent.
+    # The orphan is exactly as the crash left it: RUNNING, lock file on
+    # disk but released with its dead owner, result absent.
     store = first.store
     assert store.state(sid) == "RUNNING"
-    assert store.lock_holder(sid) is None  # recorded pid is dead
+    assert store.lock_holder(sid) is None  # the kernel dropped the flock
     assert store.result(sid) is None
 
     # Phase 2: a fresh daemon adopts and finishes it.
@@ -92,7 +92,7 @@ def test_second_daemon_does_not_steal_a_live_session(tmp_path):
         sid = first.client().submit(SPEC)
         try:
             # Journal progress means the claim (and its RUNNING
-            # transition, which releases index.lock) is done.
+            # transition) is done.
             first.pause_when_journal_reaches(sid, 6)
             holder = first.store.lock_holder(sid)
             assert holder is not None and holder["pid"] == first.proc.pid

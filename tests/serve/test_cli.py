@@ -20,7 +20,7 @@ class TestServeCli:
         store = tmp_path / "store"
         assert main(_submit(store, "--tag", "owner=ci")) == 0
         sid = capsys.readouterr().out.strip()
-        assert sid.startswith("s000000-")
+        assert sid == "s000000"
 
         # A second, lower-priority session we cancel before serving.
         assert main(_submit(store, "--priority", "-1")) == 0

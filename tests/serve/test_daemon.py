@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 import threading
 import time
 
@@ -30,7 +29,8 @@ def drain(store, **kw):
 
 def crash_partway(store, spec):
     """Leave *spec* as a crashed daemon would: claimed, journaled up to
-    its 12th objective call, and locked by an owner that died."""
+    its 12th objective call, and its claim lock released, as the kernel
+    releases a dead owner's."""
     sid = store.submit(spec)
     claim = store.claim("doomed")
     assert claim is not None
@@ -40,10 +40,7 @@ def crash_partway(store, spec):
         run_session(spec, journal=journal,
                     should_cancel=lambda: next(calls) >= 12)
     journal.close()
-    lock = store._lock_path(sid)
-    holder = json.loads(lock.read_text())
-    holder["pid"] = 2 ** 22 + 1  # the claimer "died"
-    lock.write_text(json.dumps(holder))
+    store.release(claim)  # the claimer "died"
     return sid
 
 
@@ -167,7 +164,7 @@ class TestWaking:
                 time.sleep(0.01)
             assert daemon.tracer.timers["serve.claim"]["count"] == 1
             sid = store.submit(SPEC)
-            # Well inside the 30 s rescan: only the index change wakes it.
+            # Well inside the 30 s rescan: only the new session wakes it.
             view = ServiceClient.for_store(store.root).wait(sid,
                                                             timeout_s=20.0)
             assert view["state"] == "DONE"
@@ -187,9 +184,9 @@ class TestWaking:
                 return False
 
         daemon._stop = RecordingStop()
-        stamp = daemon.store.index_stamp()
+        stamp = daemon.store.sessions_stamp()
         idle_s = 0.0
-        while idle_s < 3600.0:  # an hour of rescans on an unchanged index
+        while idle_s < 3600.0:  # an hour of rescans on an unchanged store
             idle_s = daemon._await_change(stamp, idle_s)
         assert gaps[0] == TICK_S and max(gaps) == 0.25
         waited = 0.0
@@ -201,7 +198,7 @@ class TestWaking:
         gaps.clear()
         assert daemon._await_change(stamp, idle_s) == 0.0
         assert gaps == [0.25]  # the first check after that long idle
-        assert daemon._await_change(daemon.store.index_stamp(), 0.0) > 0
+        assert daemon._await_change(daemon.store.sessions_stamp(), 0.0) > 0
         assert gaps[1] == TICK_S  # and every tick again after a change
 
     @pytest.mark.parametrize("mode", [{"drain": True}, {"max_sessions": 1}],
@@ -226,6 +223,59 @@ class TestWaking:
         harness = DaemonHarness(tmp_path / "store").start()
         # stop() sends SIGTERM and falls back to SIGKILL (-9) after 30 s.
         assert harness.stop(timeout_s=30.0) == 0
+
+
+def _fail_first_call(monkeypatch, *names):
+    """Make each of the SessionStore methods *names* raise OSError on its
+    first call, then work."""
+    for name in names:
+        original = getattr(SessionStore, name)
+        failed = []
+
+        def once(self, *args, _original=original, _failed=failed, **kwargs):
+            if not _failed:
+                _failed.append(True)
+                raise OSError("injected store fault")
+            return _original(self, *args, **kwargs)
+        monkeypatch.setattr(SessionStore, name, once)
+
+
+class TestStoreFaults:
+    """A store call that raises ends no worker: a one-worker drain daemon
+    still settles the session, bit-identically, and exits."""
+
+    @pytest.mark.parametrize("names, op", [
+        (("claim",), "claim"),
+        (("complete", "fail"), "settle"),
+    ], ids=["claim", "complete-and-fail"])
+    def test_the_worker_survives_and_the_session_settles(
+            self, tmp_path, monkeypatch, names, op):
+        _fail_first_call(monkeypatch, *names)
+        store = SessionStore(tmp_path / "store")
+        sid = store.submit(SPEC)
+        sink = InMemorySink()
+        daemon = TuningDaemon(store, drain=True, poll_s=0.02,
+                              session_traces=False, tracer=Tracer(sink))
+        settled = []
+        thread = threading.Thread(target=lambda: settled.append(daemon.run()),
+                                  daemon=True)
+        thread.start()
+        thread.join(timeout=120.0)
+        try:
+            assert not thread.is_alive(), "the drain daemon never exited"
+        finally:
+            daemon.stop()
+            thread.join(timeout=30.0)
+        assert settled == [1]  # the released attempt did not count
+        assert store.state(sid) == "DONE"
+        assert store.result(sid)["digest"] == result_payload(
+            SPEC, run_session(SPEC))["digest"]
+        errors = [r["data"] for r in sink.records
+                  if r.get("type") == "serve.worker_error"]
+        expected = {"op": op, "error": "OSError"}
+        if op == "settle":
+            expected["sid"] = sid
+        assert errors == [expected]
 
 
 class TestRecovery:

@@ -1,20 +1,67 @@
-"""SessionStore unit tests: transitions, locking, recovery, index."""
+"""SessionStore unit tests: transitions, locking, recovery, submission."""
 
 from __future__ import annotations
 
 import json
 import os
+import subprocess
+import sys
+import threading
+from contextlib import contextmanager
+from pathlib import Path
 
 import pytest
 
-from repro.obs import durable
-from repro.obs.durable import create_exclusive
 from repro.serve import (Claim, SessionSpec, SessionStore, StaleClaimError)
+from repro.serve.session import STATES
+
+SRC = Path(__file__).resolve().parents[2] / "src"
 
 
 def spec(**kw):
     kw.setdefault("workload", "pagerank")
     return SessionSpec(**kw)
+
+
+@contextmanager
+def switching_often():
+    """Let threads interleave at almost every bytecode."""
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def run_all(target, n):
+    """Run ``target(i)`` on *n* threads at once; assert they all finish
+    and none raised."""
+    errors = []
+
+    def run(i):
+        try:
+            target(i)
+        except BaseException as exc:
+            errors.append(exc)
+            raise
+
+    threads = [threading.Thread(target=run, args=(i,)) for i in range(n)]
+    with switching_often():
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+
+
+def run_python(code, *args):
+    """Run *code* in a fresh interpreter that imports this checkout."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(SRC) + os.pathsep + env.get("PYTHONPATH", "")
+    subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                   env=env, check=True, timeout=120)
 
 
 @pytest.fixture()
@@ -89,11 +136,8 @@ class TestLocking:
         other = SessionStore(tmp_path / "store")
         store.submit(spec())
         claim = store.claim("a")
-        # Simulate the claimer dying: its lock records a dead pid.
-        lock = store._lock_path(claim.sid)
-        holder = json.loads(lock.read_text())
-        holder["pid"] = 2 ** 22 + 1  # vanishingly unlikely to be alive
-        lock.write_text(json.dumps(holder))
+        # The claimer dies: the kernel releases its lock.
+        store.release(claim)
         adopted = other.claim("b")
         assert adopted is not None and adopted.resumed
         with pytest.raises(StaleClaimError):
@@ -104,51 +148,62 @@ class TestLocking:
     def test_dead_owner_running_session_is_adoptable(self, store):
         sid = store.submit(spec())
         claim = store.claim("a")
-        # Crash: the lock stays on disk but its pid is dead.
-        lock = store._lock_path(sid)
-        holder = json.loads(lock.read_text())
-        holder["pid"] = 2 ** 22 + 1
-        lock.write_text(json.dumps(holder))
+        inode = store._lock_path(sid).stat().st_ino
+        # Crash: the kernel releases the lock; the session stays RUNNING.
+        store.release(claim)
+        assert store.lock_holder(sid) is None
         adopted = store.claim("restarted")
         assert adopted is not None
         assert adopted.sid == sid
         assert adopted.resumed  # RUNNING state means work may exist
         assert adopted.token != claim.token
+        # Lock files are never unlinked: every claimer locks one inode.
+        assert store._lock_path(sid).stat().st_ino == inode
+
+    def test_concurrent_claimers_never_double_claim(self, store, tmp_path):
+        sids = [store.submit(spec(seed=i)) for i in range(40)]
+        shared = SessionStore(tmp_path / "store")
+        # Three handles of their own, and two threads on one handle.
+        handles = [SessionStore(tmp_path / "store") for _ in range(3)]
+        handles += [shared, shared]
+        start = threading.Barrier(len(handles))
+        settled: list[list[str]] = [[] for _ in handles]
+
+        def claimer(i):
+            start.wait()
+            while (claim := handles[i].claim(f"c{i}")) is not None:
+                handles[i].complete(claim, {"by": i})
+                settled[i].append(claim.sid)
+
+        run_all(claimer, len(handles))
+        assert sorted(sid for done in settled for sid in done) == sids
+        assert store.queue_depth()["DONE"] == 40
 
     def test_torn_lock_file_is_stale(self, store):
         sid = store.submit(spec())
-        # No live holder writes a lock like this (create_exclusive links
-        # it whole); an older build's crash between create and write did.
+        # The lock's text only names its holder; an empty or torn text
+        # (an older build's crash between create and write) holds nothing.
         store._lock_path(sid).write_text("")
         claim = store.claim()
         assert claim is not None and claim.sid == sid
 
-    def test_lock_name_appears_only_whole(self, tmp_path, monkeypatch):
-        # While create_exclusive opens its file to write the holder, the
-        # lock name must not exist: an empty lock reads as torn (stale)
-        # to the claim lock and as pid 0 to the index lock, and either
-        # one would take the lock over from its live holder.
-        lock = tmp_path / "lock"
-        seen = []
-        real_fdopen = os.fdopen
-
-        def spy(fd, *args, **kwargs):
-            seen.append(lock.exists())
-            return real_fdopen(fd, *args, **kwargs)
-
-        monkeypatch.setattr(durable.os, "fdopen", spy)
-        create_exclusive(lock, '{"pid": 1}')
-        assert seen == [False]
-        assert lock.read_text() == '{"pid": 1}'
-        assert [p.name for p in tmp_path.iterdir()] == ["lock"]
-
-    def test_taken_lock_raises_and_leaves_no_temp(self, tmp_path):
-        lock = tmp_path / "lock"
-        create_exclusive(lock, "first")
-        with pytest.raises(FileExistsError):
-            create_exclusive(lock, "second")
-        assert lock.read_text() == "first"
-        assert [p.name for p in tmp_path.iterdir()] == ["lock"]
+    def test_a_reused_pid_strands_nothing(self, store):
+        sid = store.submit(spec())
+        run_python("import sys\n"
+                   "from repro.serve import SessionStore\n"
+                   "assert SessionStore(sys.argv[1]).claim('gone')\n",
+                   store.root)
+        # The claimer exited; its pid may since name any live process,
+        # this one for instance.
+        lock = store._lock_path(sid)
+        holder = json.loads(lock.read_text())
+        assert holder["owner"] == "gone"
+        holder["pid"] = os.getpid()
+        lock.write_text(json.dumps(holder))
+        assert store.state(sid) == "RUNNING"
+        adopted = store.claim("restarted")
+        assert adopted is not None and adopted.sid == sid
+        assert adopted.resumed
 
 
 class TestCancellation:
@@ -181,44 +236,107 @@ class TestCancellation:
         assert store.state(sid) == "CANCELLED"
 
 
-class TestIndex:
-    def test_rebuild_matches_cache_after_operations(self, store):
-        s1 = store.submit(spec(seed=1))
-        store.submit(spec(seed=2, priority=4))
-        store.complete(store.claim(), {})  # settles the priority-4 one
-        store.cancel(s1)
-        assert store.rebuild_index() == store.load_index()
+class TestSubmission:
+    def test_concurrent_submitters_share_no_number(self, tmp_path):
+        root = tmp_path / "store"
+        start = threading.Barrier(4)
+        sids: list[list[str]] = [[] for _ in range(4)]
 
-    def test_lost_cache_is_recoverable(self, store):
-        sids = [store.submit(spec(seed=i)) for i in range(3)]
-        cached = store.load_index()
-        index = store.root / "index.json"
-        torn = index.read_text()[:40]
-        index.unlink()
-        assert store.load_index() == cached
-        assert [s["sid"] for s in store.list_sessions()] == sids
-        index.write_text(torn)
-        assert store.load_index() == cached
+        def submitter(i):
+            handle = SessionStore(root)
+            start.wait()
+            for k in range(25):
+                sids[i].append(handle.submit(spec(seed=100 * i + k)))
 
-    def test_next_seq_survives_cache_loss(self, store):
-        store.submit(spec(seed=1))
-        (store.root / "index.json").unlink()
-        sid2 = store.submit(spec(seed=2))
-        assert sid2.startswith("s000001-")  # no seq reuse
+        run_all(submitter, 4)
+        numbered = [f"s{n:06d}" for n in range(100)]
+        assert sorted(sid for handle in sids for sid in handle) == numbered
+        listed = SessionStore(root).list_sessions()
+        assert [s["sid"] for s in listed] == numbered
+        assert [s["seq"] for s in listed] == list(range(100))
 
-    def test_cache_loss_strands_no_session(self, store):
-        sid = store.submit(spec())
-        (store.root / "index.json").unlink()
-        claim = store.claim()
-        assert claim is not None and claim.sid == sid
-        assert store.submit(spec(seed=2)).startswith("s000001-")
+    def test_a_session_directory_appears_whole(self, store, monkeypatch):
+        store.submit(spec(seed=0))
+        seen = []
+        write = SessionStore._write_json
 
-    def test_stale_index_lock_is_taken_over(self, store):
-        (store.root).mkdir(parents=True, exist_ok=True)
+        def whole():
+            for directory in store.sessions_dir.glob("s*"):
+                seen.append(directory.name)
+                assert (directory / "spec.json").exists(), directory
+                assert (directory / "state.json").exists(), directory
+
+        def spy(path, payload):
+            whole()
+            write(path, payload)
+            whole()
+
+        monkeypatch.setattr(SessionStore, "_write_json", staticmethod(spy))
+        sid = store.submit(spec(seed=1))
+        whole()
+        assert sid in seen and len(seen) > 2
+
+    def test_a_killed_submit_leaves_nothing_behind(self, store):
+        # SIGKILLed between writing its files and publishing them.
+        with pytest.raises(subprocess.CalledProcessError):
+            run_python("import os, signal, sys\n"
+                       "from repro.serve import SessionSpec, SessionStore\n"
+                       "os.rename = lambda *a: os.kill(os.getpid(), "
+                       "signal.SIGKILL)\n"
+                       "SessionStore(sys.argv[1]).submit("
+                       "SessionSpec(workload='pagerank'))\n",
+                       store.root)
+        staged = [p for p in store.root.iterdir() if p.name != "sessions"]
+        assert len(staged) == 1 and staged[0].name.startswith(".")
+        assert {p.name for p in staged[0].iterdir()} \
+            == {"spec.json", "state.json"}
+        assert store.list_sessions() == []
+        assert store.queue_depth() == {state: 0 for state in STATES}
+        assert store.claim() is None
+        assert store.submit(spec()) == "s000000"
+
+
+class TestOlderStores:
+    def test_a_store_written_before_numbered_names_still_serves(self, store):
+        """The layout older builds wrote: hex-suffixed sids, ``seq`` in
+        ``state.json``, an index cache and its lock, a RUNNING session
+        whose lock names a dead pid, and a torn submit."""
+        def old_session(seq, state, priority=0):
+            sid = f"s{seq:06d}-1a2b3c4{seq}"
+            directory = store.sessions_dir / sid
+            directory.mkdir(parents=True)
+            (directory / "spec.json").write_text(json.dumps(
+                spec(seed=seq, priority=priority).to_dict()))
+            if state is not None:
+                (directory / "state.json").write_text(json.dumps(
+                    {"state": state, "seq": seq, "error": None}))
+            return sid
+
+        done = old_session(0, "DONE")
+        low = old_session(1, "PENDING")
+        orphan = old_session(2, "RUNNING")
+        (store.session_dir(orphan) / "lock").write_text(json.dumps(
+            {"pid": 2 ** 22 + 1, "owner": "w0", "token": "t"}))
+        high = old_session(3, "PENDING", priority=5)
+        old_session(4, None)  # torn: its submitter died before state.json
+        (store.root / "index.json").write_text(json.dumps(
+            {"version": 1, "next_seq": 4, "sessions": {}}))
         (store.root / "index.lock").write_text(str(2 ** 22 + 1))
-        sid = store.submit(spec())  # must not deadlock
-        assert store.state(sid) == "PENDING"
 
+        listed = store.list_sessions()
+        assert [s["sid"] for s in listed] == [done, low, orphan, high]
+        assert [s["seq"] for s in listed] == [0, 1, 2, 3]
+        assert store.view(orphan)["seq"] == 2
+        claims = []
+        while (claim := store.claim()) is not None:
+            claims.append(claim)
+            store.complete(claim, {})
+        assert [c.sid for c in claims] == [high, low, orphan]
+        assert [c.resumed for c in claims] == [False, False, True]
+        assert store.submit(spec()) == "s000005"
+
+
+class TestDaemonInfo:
     def test_daemon_registration_round_trips(self, store):
         store.write_daemon_info({"pid": os.getpid(), "address": "x:1"})
         assert store.daemon_info()["address"] == "x:1"
