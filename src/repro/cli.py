@@ -166,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_srv.add_argument("--socket", default=None, metavar="ADDR",
                        help='RPC endpoint: "host:port", a unix-socket path, '
                             'or "auto" (ephemeral 127.0.0.1 port); omitted '
-                            "= file transport only")
+                            "= clients reach the store directly")
     p_srv.add_argument("--recover", default="redispatch",
                        choices=["redispatch", "censor"],
                        help="journal recovery mode for sessions adopted "
@@ -229,7 +229,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _service_endpoint(p: argparse.ArgumentParser) -> None:
     p.add_argument("--store", default=None, metavar="DIR",
-                   help="session store directory (file transport)")
+                   help="session store directory (requests served in "
+                        "this process)")
     p.add_argument("--socket", default=None, metavar="ADDR",
                    help='daemon RPC endpoint: "host:port", a unix-socket '
                         'path, or "auto" (resolve from --store\'s '
@@ -664,7 +665,7 @@ def cmd_status(args) -> int:
         return 0
     try:
         view = client.status(args.sid)
-    except (KeyError, RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(json.dumps(view, indent=2, sort_keys=True))
@@ -678,7 +679,7 @@ def cmd_results(args) -> int:
         return 2
     try:
         result = client.results(args.sid)
-    except (KeyError, RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if result is None:
@@ -696,7 +697,7 @@ def cmd_cancel(args) -> int:
         return 2
     try:
         state = client.cancel(args.sid)
-    except (KeyError, RuntimeError, OSError) as exc:
+    except (RuntimeError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     print(state)

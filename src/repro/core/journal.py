@@ -192,12 +192,16 @@ class EvaluationJournal:
         self._appender.close()
 
     # -- reading ------------------------------------------------------------------
-    def header(self) -> dict[str, Any] | None:
-        """The session-identity header, or None when there is nothing
-        intact to resume: no file, or a crash tore the header line.
+    def recovery(self) -> tuple[dict[str, Any], list[EvalRecord],
+                                list[DispatchRecord], int] | None:
+        """What a resume needs, from one read of the file: (session-
+        identity header, settled records, :meth:`pending_dispatches`,
+        :meth:`next_seq`).
 
-        Raises :class:`ValueError` when intact records follow no header:
-        such a journal cannot say which session it belongs to.
+        None when there is nothing intact to resume: no file, or a crash
+        tore the header line.  Raises :class:`ValueError` when intact
+        records follow no header: such a journal cannot say which
+        session it belongs to.
         """
         intact = read_jsonl(self.path) if self.path.exists() else []
         if not intact:
@@ -205,8 +209,11 @@ class EvaluationJournal:
         if intact[0].get("kind") != "meta":
             raise ValueError(
                 f"journal {self.path} holds records but no session header")
-        return {k: v for k, v in intact[0].items()
+        meta = {k: v for k, v in intact[0].items()
                 if k not in ("kind", "version")}
+        _, records, dispatches = self._read(intact)
+        return (meta, records, _unsettled(records, dispatches),
+                _next_seq(records, dispatches))
 
     def load(self) -> tuple[dict[str, Any], list[EvalRecord]]:
         """(meta, settled records); parsing stops at the first corrupt line."""
@@ -216,24 +223,26 @@ class EvaluationJournal:
     def pending_dispatches(self) -> list[DispatchRecord]:
         """Dispatches with no settling ``eval`` record: in flight at crash."""
         _, records, dispatches = self._read()
-        settled = {rec.seq for rec in records if rec.seq is not None}
-        return [d for d in dispatches if d.seq not in settled]
+        return _unsettled(records, dispatches)
 
     def next_seq(self) -> int:
         """First unused dispatch sequence number for a resumed session."""
         _, records, dispatches = self._read()
-        used = [d.seq for d in dispatches]
-        used.extend(rec.seq for rec in records if rec.seq is not None)
-        return max(used, default=-1) + 1
+        return _next_seq(records, dispatches)
 
-    def _read(self) -> tuple[dict[str, Any], list[EvalRecord],
-                             list[DispatchRecord]]:
-        if not self.path.exists():
-            raise FileNotFoundError(f"no journal at {self.path}")
+    def _read(self, intact: list[dict[str, Any]] | None = None
+              ) -> tuple[dict[str, Any], list[EvalRecord],
+                         list[DispatchRecord]]:
+        """(last header, settled records, dispatches) of the journal's
+        *intact* records, read from the file when None."""
+        if intact is None:
+            if not self.path.exists():
+                raise FileNotFoundError(f"no journal at {self.path}")
+            intact = read_jsonl(self.path)
         meta: dict[str, Any] = {}
         records: list[EvalRecord] = []
         dispatches: list[DispatchRecord] = []
-        for payload in read_jsonl(self.path):
+        for payload in intact:
             if payload.get("kind") == "meta":
                 meta = {k: v for k, v in payload.items()
                         if k not in ("kind", "version")}
@@ -261,6 +270,19 @@ class EvaluationJournal:
         if not self.path.exists():
             return 0
         return len(self.load()[1])
+
+
+def _unsettled(records: list[EvalRecord],
+               dispatches: list[DispatchRecord]) -> list[DispatchRecord]:
+    settled = {rec.seq for rec in records if rec.seq is not None}
+    return [d for d in dispatches if d.seq not in settled]
+
+
+def _next_seq(records: list[EvalRecord],
+              dispatches: list[DispatchRecord]) -> int:
+    used = [d.seq for d in dispatches]
+    used.extend(rec.seq for rec in records if rec.seq is not None)
+    return max(used, default=-1) + 1
 
 
 class JournaledObjective(ObjectiveWrapper):

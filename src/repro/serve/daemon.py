@@ -42,9 +42,19 @@ a batch daemon exits as soon as its last session settles.
 Store faults: an exception from a claim scan idles the worker as a miss
 does, and one from a settle releases the claim unsettled
 (:meth:`~repro.serve.store.SessionStore.release`), so the next scan
-adopts the session and resumes it from its journal.  Either way the
-worker lives on and emits ``serve.worker_error``; only sessions that
-settled count as settled.
+adopts the session and resumes it from its journal.  A session's
+:data:`SETTLE_TRIES`-th failed settle in one daemon settles it FAILED
+with the settle's error instead; if that raises too, the daemon keeps
+the claim, its drain check stops waiting on the session, and it
+releases the claim on exit, as its death would.  Either way the worker
+lives on and emits ``serve.worker_error``; only sessions that settled
+count as settled.
+
+Liveness: the daemon holds ``daemon.lock`` in the store shared while
+it runs, taken before it registers in ``daemon.json``, and the kernel
+drops it however the daemon ends (``ping``).  With ``socket_address``
+it answers requests (:mod:`repro.serve.transport`) on a socket from a
+thread of its own.
 
 Observability: the daemon's tracer carries the ``serve.*`` event family
 (queue depth, claim latency, session lifecycle — docs/OBSERVABILITY.md)
@@ -54,9 +64,7 @@ session directory: the service's metrics feed is the trace stream.
 
 from __future__ import annotations
 
-import json
 import os
-import socket
 import threading
 import traceback
 from functools import partial
@@ -66,9 +74,13 @@ from ..obs import JsonlTraceWriter, Tracer, as_tracer
 from .runner import result_payload, run_session
 from .session import SessionCancelled
 from .store import Claim, SessionStore, check_gap
-from .transport import handle_request, parse_address
+from .transport import serve_requests
 
-__all__ = ["TuningDaemon"]
+__all__ = ["TuningDaemon", "SETTLE_TRIES"]
+
+#: Failed settles of one session in one daemon before it is settled
+#: FAILED instead of released for another attempt.
+SETTLE_TRIES = 3
 
 
 class TuningDaemon:
@@ -130,13 +142,15 @@ class TuningDaemon:
         self.store.tracer = self.tracer
         self.session_traces = session_traces
         self._stop = threading.Event()
-        # Set on every settle and by stop(): the main loop's exit check
-        # runs then, not a poll later.
+        # Set on every settle, by a drain daemon's empty claim scans and
+        # by stop(): the main loop's exit check runs then, not a poll later.
         self._wake = threading.Event()
         self._settled = 0
         self._busy = 0
         self._count_lock = threading.Lock()
-        self._server_sock: socket.socket | None = None
+        #: sid -> failed settles so far; claims kept after the last try.
+        self._settle_failures: dict[str, int] = {}
+        self._kept: list[Claim] = []
 
     # -- control ------------------------------------------------------------------
     def stop(self) -> None:
@@ -147,34 +161,38 @@ class TuningDaemon:
     # -- main loop ----------------------------------------------------------------
     def run(self) -> int:
         """Serve until stopped/drained; returns sessions settled."""
-        bound = self._start_rpc_server()
-        self.store.write_daemon_info(
-            {"pid": os.getpid(), "address": bound,
-             "workers": self.workers})
-        threads = [threading.Thread(target=self._worker_loop,
-                                    name=f"serve-worker-{i}", daemon=True)
-                   for i in range(self.workers)]
-        for thread in threads:
-            thread.start()
-        last_depth: dict | None = None
-        try:
-            while not self._stop.is_set():
-                depth = self.store.queue_depth()
-                if depth != last_depth:
-                    self.tracer.emit("serve.queue", dict(depth))
-                    last_depth = depth
-                if self._done_serving(depth):
-                    self._stop.set()
-                    break
-                # Cleared after the wait, before the next check: a settle
-                # during the check sets it again, so none is missed.
-                self._wake.wait(self.poll_s)
-                self._wake.clear()
-        finally:
-            self._stop.set()
+        with self.store.daemon_lock(), \
+                serve_requests(self.store, self.socket_address,
+                               self.stop) as bound:
+            self.store.write_daemon_info(
+                {"pid": os.getpid(), "address": bound,
+                 "workers": self.workers})
+            threads = [threading.Thread(target=self._worker_loop,
+                                        name=f"serve-worker-{i}",
+                                        daemon=True)
+                       for i in range(self.workers)]
             for thread in threads:
-                thread.join(timeout=30.0)
-            self._close_rpc_server()
+                thread.start()
+            last_depth: dict | None = None
+            try:
+                while not self._stop.is_set():
+                    depth = self.store.queue_depth()
+                    if depth != last_depth:
+                        self.tracer.emit("serve.queue", dict(depth))
+                        last_depth = depth
+                    if self._done_serving(depth):
+                        break
+                    # Cleared after the wait, before the next check: a
+                    # settle during the check sets it again, so none is
+                    # missed.
+                    self._wake.wait(self.poll_s)
+                    self._wake.clear()
+            finally:
+                self._stop.set()
+                for thread in threads:
+                    thread.join(timeout=30.0)
+                for claim in self._kept:
+                    self.store.release(claim)
         return self._settled
 
     def _done_serving(self, depth: dict) -> bool:
@@ -184,8 +202,9 @@ class TuningDaemon:
         if not self.drain:
             return False
         with self._count_lock:
-            busy = self._busy
-        return busy == 0 and depth["PENDING"] == 0 and depth["RUNNING"] == 0
+            busy, kept = self._busy, len(self._kept)
+        return (busy == 0 and depth["PENDING"] == 0
+                and depth["RUNNING"] == kept)
 
     # -- workers ------------------------------------------------------------------
     def _worker_loop(self) -> None:
@@ -219,6 +238,8 @@ class TuningDaemon:
             if claim is None:
                 with self._count_lock:
                     self._busy -= 1
+                if self.drain:  # the exit check may have seen this scan busy
+                    self._wake.set()
                 idle_s = self._await_change(stamp, idle_s)
                 continue
             idle_s = 0.0
@@ -250,8 +271,8 @@ class TuningDaemon:
 
     def _run_claim(self, claim: Claim) -> bool:
         """Run and settle one claimed session; False when the settle
-        failed and the claim was released unsettled instead, for the
-        next claim scan to adopt and resume from its journal."""
+        failed and the claim was released or kept unsettled instead
+        (:meth:`_settle_failed`)."""
         sid = claim.sid
         tracer = None
         if self.session_traces:
@@ -287,82 +308,28 @@ class TuningDaemon:
                              f"{traceback.format_exc()}")
         try:
             settle()
-        except Exception as exc:  # noqa - the claim is released, not settled
+        except Exception as exc:  # noqa - the claim is released or kept
             self.tracer.emit("serve.worker_error",
                              {"op": "settle", "error": type(exc).__name__,
                               "sid": sid})
-            self.store.release(claim)
-            return False
+            return self._settle_failed(claim, exc)
         return True
 
-    # -- RPC server ---------------------------------------------------------------
-    def _start_rpc_server(self) -> str | None:
-        if self.socket_address is None:
-            return None
-        if self.socket_address == "auto":
-            family, endpoint = "tcp", ("127.0.0.1", 0)
-        else:
-            family, endpoint = parse_address(self.socket_address)
-        if family == "tcp":
-            sock = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-            sock.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-            sock.bind(endpoint)
-            host, port = sock.getsockname()[:2]
-            bound = f"{host}:{port}"
-        else:
-            Path(endpoint).unlink(missing_ok=True)
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.bind(endpoint)
-            bound = str(endpoint)
-        sock.listen(16)
-        sock.settimeout(0.2)
-        self._server_sock = sock
-        thread = threading.Thread(target=self._serve_rpc, name="serve-rpc",
-                                  daemon=True)
-        thread.start()
-        return bound
-
-    def _serve_rpc(self) -> None:
-        assert self._server_sock is not None
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._server_sock.accept()
-            except TimeoutError:
-                continue
-            except OSError:
-                return  # socket closed during shutdown
-            try:
-                self._handle_conn(conn)
-            finally:
-                conn.close()
-
-    def _handle_conn(self, conn: socket.socket) -> None:
-        conn.settimeout(5.0)
-        chunks: list[bytes] = []
+    def _settle_failed(self, claim: Claim, exc: Exception) -> bool:
+        """Release *claim* after its settle raised *exc*, or at the
+        session's :data:`SETTLE_TRIES`-th failure settle it FAILED, or
+        keep it until exit when that raises too.  True once settled."""
+        with self._count_lock:
+            failures = self._settle_failures.get(claim.sid, 0) + 1
+            self._settle_failures[claim.sid] = failures
+        if failures < SETTLE_TRIES:
+            self.store.release(claim)
+            return False
         try:
-            while True:
-                chunk = conn.recv(65536)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-                if chunk.endswith(b"\n"):
-                    break
-            raw = b"".join(chunks)
-            if not raw:
-                return
-            try:
-                request = json.loads(raw.decode())
-            except json.JSONDecodeError as exc:
-                response = {"ok": False, "error": f"bad request: {exc}"}
-            else:
-                response = handle_request(self.store, request)
-                if request.get("op") == "shutdown":
-                    self.stop()
-            conn.sendall(json.dumps(response).encode() + b"\n")
-        except OSError:
-            return  # client went away mid-exchange; nothing to settle
-
-    def _close_rpc_server(self) -> None:
-        if self._server_sock is not None:
-            self._server_sock.close()
-            self._server_sock = None
+            self.store.fail(claim, f"settle failed {failures} times: "
+                                   f"{type(exc).__name__}: {exc}")
+        except Exception:  # noqa - released on exit, as a death releases
+            with self._count_lock:
+                self._kept.append(claim)
+            return False
+        return True

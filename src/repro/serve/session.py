@@ -8,8 +8,8 @@ through :data:`TRANSITIONS`::
     PENDING ──claim──▶ RUNNING ──settle──▶ DONE | FAILED | CANCELLED
        └──────────────cancel───────────────────────────▶ CANCELLED
 
-Specs are plain JSON-able dataclasses so they cross the file and socket
-transports unchanged, and :func:`evaluation_digest` is the service's
+Specs are plain JSON-able dataclasses so they cross a service request,
+in process or over a socket, unchanged, and :func:`evaluation_digest` is the service's
 bit-identity witness: a canonical SHA-256 over the full evaluation
 stream (selection phase included), equal between a served session and
 an in-process run of the same spec if and only if every vector,

@@ -4,6 +4,8 @@ Layout (everything under one *root* directory)::
 
     root/
       daemon.json             # last daemon's pid + socket endpoint
+      daemon.lock             # held shared by every serving daemon:
+                              # an flock (daemon_alive)
       .submit-<hex>/          # staging: a submit not yet published
       sessions/s<seq:06d>/    # the directory name holds the session number
         spec.json             # the immutable SessionSpec (priority,
@@ -42,6 +44,10 @@ Durability and concurrency rules:
   daemon takes over what a killed one left RUNNING.  No pid is
   consulted, so a reused pid cannot strand a session.  Lock files are
   never unlinked: every process locks the same inode.
+* A serving daemon holds a shared ``fcntl.flock`` on ``daemon.lock``
+  (:meth:`SessionStore.daemon_lock`), so a daemon is alive exactly
+  while someone holds it (:meth:`SessionStore.daemon_alive`), whatever
+  pid ``daemon.json`` names.
 * Settling operations require the :class:`Claim` returned by
   :meth:`SessionStore.claim`, on the handle that holds its lock, so a
   handle that lost its claim cannot corrupt a successor's.
@@ -67,9 +73,10 @@ import fcntl
 import json
 import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Iterator, Mapping
 
 from ..core.journal import EvaluationJournal
 from ..obs import as_tracer
@@ -105,6 +112,23 @@ def _seq(name: str) -> int | None:
     """The session number in a directory name; None for other names."""
     match = _SID.fullmatch(name)
     return None if match is None else int(match.group(1))
+
+
+def _locked(path: Path, probe: int) -> bool:
+    """Whether someone holds an flock on *path* that a *probe*
+    (``LOCK_SH`` or ``LOCK_EX``) would wait for; False when there is no
+    such file.  A probe that gets the lock holds it for an instant."""
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except FileNotFoundError:
+        return False
+    try:
+        fcntl.flock(fd, probe | fcntl.LOCK_NB)
+    except BlockingIOError:
+        return True
+    finally:
+        os.close(fd)
+    return False
 
 
 class StaleClaimError(RuntimeError):
@@ -156,6 +180,8 @@ class SessionStore:
         return self.root / "sessions"
 
     def session_dir(self, sid: str) -> Path:
+        if _seq(sid) is None:  # a request's sid names no other path
+            raise KeyError(f"no session {sid!r} in {self.root}")
         return self.sessions_dir / sid
 
     def journal_path(self, sid: str) -> Path:
@@ -349,18 +375,8 @@ class SessionStore:
         skips the session until its next scan.
         """
         path = self._lock_path(sid)
-        try:
-            fd = os.open(path, os.O_RDONLY)
-        except FileNotFoundError:
+        if not _locked(path, fcntl.LOCK_SH):
             return None
-        try:
-            fcntl.flock(fd, fcntl.LOCK_SH | fcntl.LOCK_NB)
-        except BlockingIOError:
-            pass  # held
-        else:
-            return None
-        finally:
-            os.close(fd)
         try:
             return self._read_json(path)
         except json.JSONDecodeError:
@@ -497,6 +513,27 @@ class SessionStore:
         return "CANCELLED" if self.state(sid) == "CANCELLED" else "requested"
 
     # -- daemon registration ------------------------------------------------------
+    @contextmanager
+    def daemon_lock(self) -> Iterator[None]:
+        """Hold ``daemon.lock`` shared while the block runs, as a serving
+        daemon does: the kernel drops it when the block ends or the
+        process dies, however it dies.  Several daemons may hold it."""
+        self.root.mkdir(parents=True, exist_ok=True)
+        fd = os.open(self.root / "daemon.lock", os.O_RDWR | os.O_CREAT,
+                     0o644)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_SH)
+            yield
+        finally:
+            os.close(fd)
+
+    def daemon_alive(self) -> bool:
+        """True while a daemon holds ``daemon.lock``.  No pid is
+        consulted: a dead daemon's pid may name another live process.
+        The probe holds the lock alone for an instant, so two probes at
+        once may see each other."""
+        return _locked(self.root / "daemon.lock", fcntl.LOCK_EX)
+
     def write_daemon_info(self, info: Mapping[str, Any]) -> None:
         """Record the serving daemon's pid/endpoint (client discovery)."""
         self._write_json(self.root / "daemon.json", dict(info))

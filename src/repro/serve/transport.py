@@ -1,101 +1,39 @@
-"""Client⇄service transports behind one :class:`Transport` protocol.
+"""One request protocol between service clients and a session store.
 
-Two implementations, one contract:
+A request is a JSON object naming an ``op`` and its arguments; the
+answer is one object, ``{"ok": true, ...}`` or ``{"ok": false, "error":
+...}``.  :func:`handle_request` is the only server side.  A
+:class:`~repro.serve.client.ServiceClient` reaches it either in its own
+process (``for_store``: no daemon needs to be listening, since a daemon
+notices a submission when its session directory appears) or over a
+daemon's socket (``for_socket``): one newline-framed JSON line per
+connection, over TCP (``host:port``) or a unix socket (a path), to the
+server :func:`serve_requests` runs, which answers with one line.
 
-* :class:`FileTransport` operates directly on a shared
-  :class:`~repro.serve.store.SessionStore` directory.  No daemon needs
-  to be listening for ``submit``/``state``/``status``/``results``/
-  ``cancel`` to work — the daemon notices a submission when a session
-  directory appears in the store — so the file transport is also the
-  service's offline/degraded mode.
-* :class:`SocketTransport` speaks a newline-delimited JSON request/
-  response protocol to a live daemon over TCP (``host:port``) or a unix
-  domain socket (a filesystem path).  ``address="auto"`` reads the
-  endpoint the daemon registered in the store's ``daemon.json``.
-
-The wire protocol is deliberately tiny: one request object per
-connection, one response object back (``{"ok": true, ...}`` or
-``{"ok": false, "error": ...}``).  :func:`handle_request` implements the
-server side against a store so the daemon and the tests share it.
-
-Two reads differ in cost.  ``state`` returns a session's lifecycle
-state from its small ``state.json``; it is what a waiting client polls.
-``status`` builds the full view, which counts the session's journal.
+``state`` reads a session's small ``state.json``: it is what a waiting
+client polls.  ``status`` builds the full view, which may count the
+session's journal.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import socket
+import socketserver
+import threading
+from contextlib import contextmanager
 from pathlib import Path
-from typing import Any, Protocol
+from typing import Any, Callable, Iterator
 
 from .session import SessionSpec
 from .store import SessionStore
 
-__all__ = ["Transport", "FileTransport", "SocketTransport",
-           "parse_address", "handle_request"]
+__all__ = ["parse_address", "handle_request", "socket_requests",
+           "serve_requests"]
 
-#: Max bytes of one framed request/response line.
+#: Max bytes of one request line, newline included: a daemon answers a
+#: longer one with an error, unread.
 _MAX_LINE = 1 << 20
-
-
-class Transport(Protocol):
-    """What every client⇄service transport must provide."""
-
-    def submit(self, spec: SessionSpec) -> str: ...
-
-    def state(self, sid: str) -> str: ...
-
-    def status(self, sid: str) -> dict[str, Any]: ...
-
-    def results(self, sid: str) -> dict[str, Any] | None: ...
-
-    def cancel(self, sid: str) -> str: ...
-
-    def list_sessions(self) -> list[dict[str, Any]]: ...
-
-    def ping(self) -> bool: ...
-
-
-class FileTransport:
-    """Transport over a shared store directory (no daemon required)."""
-
-    def __init__(self, store: SessionStore | str | Path) -> None:
-        self.store = store if isinstance(store, SessionStore) \
-            else SessionStore(store)
-
-    def submit(self, spec: SessionSpec) -> str:
-        return self.store.submit(spec)
-
-    def state(self, sid: str) -> str:
-        return self.store.state(sid)
-
-    def status(self, sid: str) -> dict[str, Any]:
-        return self.store.view(sid)
-
-    def results(self, sid: str) -> dict[str, Any] | None:
-        return self.store.result(sid)
-
-    def cancel(self, sid: str) -> str:
-        return self.store.cancel(sid)
-
-    def list_sessions(self) -> list[dict[str, Any]]:
-        return self.store.list_sessions()
-
-    def ping(self) -> bool:
-        """True when a registered daemon process is alive."""
-        info = self.store.daemon_info()
-        if info is None:
-            return False
-        try:
-            os.kill(int(info.get("pid", 0)), 0)
-        except (ProcessLookupError, ValueError):
-            return False
-        except PermissionError:  # pragma: no cover - other-user daemon
-            return True
-        return True
 
 
 def parse_address(text: str) -> tuple[str, Any]:
@@ -109,9 +47,13 @@ def parse_address(text: str) -> tuple[str, Any]:
     return "unix", text
 
 
-def handle_request(store: SessionStore,
-                   request: dict[str, Any]) -> dict[str, Any]:
-    """Serve one decoded request against *store* (the daemon's side)."""
+def handle_request(store: SessionStore, request: Any, *,
+                   stop: Callable[[], None] | None = None) -> dict[str, Any]:
+    """Serve one decoded *request* against *store*.  *stop* ends the
+    daemon that serves the request (the ``shutdown`` op); a request
+    served in the client's own process has none."""
+    if not isinstance(request, dict):
+        return {"ok": False, "error": "bad request: not a JSON object"}
     op = request.get("op")
     try:
         if op == "submit":
@@ -127,94 +69,104 @@ def handle_request(store: SessionStore,
             return {"ok": True, "state": store.cancel(request["sid"])}
         if op == "list":
             return {"ok": True, "sessions": store.list_sessions()}
-        if op in ("ping", "shutdown"):
+        if op == "ping":
+            return {"ok": True, "alive": store.daemon_alive()}
+        if op == "shutdown" and stop is not None:
+            stop()
             return {"ok": True}
         return {"ok": False, "error": f"unknown op {op!r}"}
     except (KeyError, ValueError, TypeError, FileNotFoundError) as exc:
         return {"ok": False, "error": f"{type(exc).__name__}: {exc}"}
 
 
-class SocketTransport:
-    """Transport to a live daemon over TCP or a unix domain socket.
+def socket_requests(address: str, *, timeout_s: float = 30.0
+                    ) -> Callable[[dict[str, Any]], dict[str, Any]]:
+    """A request function for the daemon at *address*: each request is
+    one line on a connection of its own, answered by one line."""
+    family, endpoint = parse_address(address)
 
-    Parameters
-    ----------
-    address:
-        ``"host:port"``, a unix-socket path, or ``"auto"`` (resolve from
-        the daemon registration in *store_root*'s ``daemon.json``).
-    store_root:
-        Needed only for ``address="auto"``.
-    timeout_s:
-        Per-request socket timeout.
-    """
-
-    def __init__(self, address: str, *, store_root: str | Path | None = None,
-                 timeout_s: float = 30.0) -> None:
-        if address == "auto":
-            if store_root is None:
-                raise ValueError('address="auto" needs store_root')
-            info = SessionStore(store_root).daemon_info()
-            if info is None or not info.get("address"):
-                raise ConnectionError(
-                    f"no daemon registered a socket in {store_root}")
-            address = str(info["address"])
-        self.family, self.endpoint = parse_address(address)
-        self.timeout_s = float(timeout_s)
-
-    # -- wire ---------------------------------------------------------------------
-    def _call(self, request: dict[str, Any]) -> dict[str, Any]:
-        if self.family == "tcp":
-            sock = socket.create_connection(self.endpoint,
-                                            timeout=self.timeout_s)
-        else:
-            sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-            sock.settimeout(self.timeout_s)
-            sock.connect(self.endpoint)
-        try:
+    def call(request: dict[str, Any]) -> dict[str, Any]:
+        sock = socket.socket(
+            socket.AF_INET if family == "tcp" else socket.AF_UNIX,
+            socket.SOCK_STREAM)
+        with sock, sock.makefile("rb") as answers:
+            sock.settimeout(timeout_s)
+            sock.connect(endpoint)
             sock.sendall(json.dumps(request).encode() + b"\n")
-            chunks = []
-            while True:
-                chunk = sock.recv(65536)
-                if not chunk:
-                    break
-                chunks.append(chunk)
-                if chunk.endswith(b"\n") or sum(map(len, chunks)) > _MAX_LINE:
-                    break
-        finally:
-            sock.close()
-        raw = b"".join(chunks)
-        if not raw:
-            raise ConnectionError("daemon closed the connection mid-request")
-        response = json.loads(raw.decode())
-        if not response.get("ok"):
-            raise RuntimeError(response.get("error", "request failed"))
-        return response
+            line = answers.readline()
+        if not line.endswith(b"\n"):
+            raise ConnectionError("the daemon closed the connection "
+                                  "mid-request")
+        return json.loads(line)
+    return call
 
-    # -- Transport protocol -------------------------------------------------------
-    def submit(self, spec: SessionSpec) -> str:
-        return self._call({"op": "submit", "spec": spec.to_dict()})["sid"]
 
-    def state(self, sid: str) -> str:
-        return self._call({"op": "state", "sid": sid})["state"]
+class _LineHandler(socketserver.StreamRequestHandler):
+    """One connection: one request line in, one answer line out."""
 
-    def status(self, sid: str) -> dict[str, Any]:
-        return self._call({"op": "status", "sid": sid})["view"]
+    timeout = 5.0  # seconds a client may take over its request line
 
-    def results(self, sid: str) -> dict[str, Any] | None:
-        return self._call({"op": "results", "sid": sid})["result"]
-
-    def cancel(self, sid: str) -> str:
-        return self._call({"op": "cancel", "sid": sid})["state"]
-
-    def list_sessions(self) -> list[dict[str, Any]]:
-        return self._call({"op": "list"})["sessions"]
-
-    def ping(self) -> bool:
+    def handle(self) -> None:
         try:
-            return bool(self._call({"op": "ping"})["ok"])
-        except (OSError, RuntimeError):
-            return False
+            line = self.rfile.readline(_MAX_LINE + 1)
+            if line:
+                answer = self.server.answer(line)
+                self.wfile.write(json.dumps(answer).encode() + b"\n")
+        except OSError:
+            pass  # the client went away mid-exchange: nothing to settle
 
-    def shutdown(self) -> bool:
-        """Ask the daemon to drain and exit (tests and operators)."""
-        return bool(self._call({"op": "shutdown"})["ok"])
+
+class _RequestServer(socketserver.TCPServer):
+    """Answers request lines against one store, a connection at a time.
+
+    A handler that raises is reported by ``handle_error`` and the server
+    goes on serving."""
+
+    allow_reuse_address = True
+    request_queue_size = 16
+
+    def __init__(self, family: str, endpoint: Any, store: SessionStore,
+                 stop: Callable[[], None]) -> None:
+        if family == "unix":
+            self.address_family = socket.AF_UNIX
+            Path(endpoint).unlink(missing_ok=True)
+        super().__init__(endpoint, _LineHandler)
+        self.store, self.stop = store, stop
+
+    def answer(self, line: bytes) -> dict[str, Any]:
+        if len(line) > _MAX_LINE:
+            return {"ok": False,
+                    "error": f"bad request: longer than {_MAX_LINE} bytes"}
+        try:
+            request = json.loads(line)
+        except ValueError as exc:  # not JSON, or not UTF-8
+            return {"ok": False, "error": f"bad request: {exc}"}
+        return handle_request(self.store, request, stop=self.stop)
+
+
+@contextmanager
+def serve_requests(store: SessionStore, address: str | None,
+                   stop: Callable[[], None]) -> Iterator[str | None]:
+    """Answer requests against *store* on *address* from a thread of
+    their own while the block runs; yields the bound address.
+
+    *address* is ``"host:port"``, a unix-socket path, or ``"auto"``
+    (127.0.0.1 on an ephemeral port); None serves nothing and yields
+    None.  *stop* is what the ``shutdown`` op calls.
+    """
+    if address is None:
+        yield None
+        return
+    family, endpoint = (("tcp", ("127.0.0.1", 0)) if address == "auto"
+                        else parse_address(address))
+    with _RequestServer(family, endpoint, store, stop) as server:
+        threading.Thread(target=server.serve_forever, args=(0.2,),
+                         name="serve-rpc", daemon=True).start()
+        try:
+            if family == "tcp":
+                host, port = server.server_address[:2]
+                yield f"{host}:{port}"
+            else:
+                yield str(endpoint)
+        finally:
+            server.shutdown()

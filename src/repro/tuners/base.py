@@ -315,11 +315,11 @@ class Tuner(ABC):
             with closing(EvaluationJournal(journal)) as owned:
                 return self.resume(objective, budget, owned, rng=rng,
                                    tracer=tracer, recover=recover)
-        meta = journal.header()
-        if meta is None:
+        found = journal.recovery()
+        if found is None:
             return self.checkpoint(objective, budget, journal, rng=rng,
                                    tracer=tracer)
-        _, records = journal.load()
+        meta, records, pending, next_seq = found
         if meta.get("tuner", self.name) != self.name:
             raise ValueError(
                 f"journal was written by {meta['tuner']!r}, not {self.name!r}")
@@ -329,8 +329,7 @@ class Tuner(ABC):
                 f"journal belongs to workload {meta['workload']!r}, "
                 f"not {wl!r}")
         return self.tune(JournaledObjective(objective, journal,
-                                            replay=records,
-                                            pending=journal.pending_dispatches(),
-                                            next_seq=journal.next_seq(),
+                                            replay=records, pending=pending,
+                                            next_seq=next_seq,
                                             recover=recover),
                          budget, rng=rng, tracer=tracer)

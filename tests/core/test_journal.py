@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import repro.core.journal as journal_module
 from repro.core.journal import EvalRecord, EvaluationJournal, JournaledObjective
 from repro.obs import durable
 from repro.obs.durable import JsonlAppender, read_jsonl
@@ -570,6 +571,23 @@ class TestTornTail:
             with pytest.raises(ValueError, match="workload"):
                 RandomSearch().resume(self._objective("pagerank"), 3, path,
                                       rng=2)
+
+    def test_a_resume_parses_its_journal_once(self, tmp_path, monkeypatch):
+        ref_path = tmp_path / "straight.jsonl"
+        RandomSearch().checkpoint(self._objective("kmeans"), 6, ref_path,
+                                  rng=2)
+        ref = ref_path.read_bytes()
+        path = tmp_path / "run.jsonl"
+        path.write_bytes(ref[:len(ref) // 2])  # torn mid-record
+        parses = []
+
+        def counted(journal_path):
+            parses.append(journal_path)
+            return read_jsonl(journal_path)
+        monkeypatch.setattr(journal_module, "read_jsonl", counted)
+        RandomSearch().resume(self._objective("kmeans"), 6, path, rng=2)
+        assert parses == [path]
+        assert path.read_bytes() == ref
 
     def test_records_without_a_header_refuse_to_resume(self, tmp_path):
         path = tmp_path / "run.jsonl"

@@ -2,7 +2,7 @@
 
 The harness treats the service exactly like an operator would — it
 spawns ``python -m repro serve --store DIR`` as a subprocess, talks to
-it only through the public transports, and can SIGKILL it mid-session
+it only through the public client, and can SIGKILL it mid-session
 to exercise crash recovery, or SIGSTOP it to hold a session live for as
 long as a test needs.  Nothing here imports daemon internals.
 

@@ -9,45 +9,46 @@ from repro.serve import client as client_module
 from repro.serve.store import TICK_S, WAIT_SHARE
 
 
-class CountingTransport:
-    """A fake transport whose session walks through *states*, one per
-    ``state`` read, and that counts every call it serves."""
+class CountingRequests:
+    """A fake request function whose session walks through *states*,
+    one per ``state`` request, and that counts the requests per op."""
 
     def __init__(self, states):
         self.states = list(states)
         self.calls = {"state": 0, "status": 0}
 
-    def state(self, sid):
-        self.calls["state"] += 1
-        return self.states[min(self.calls["state"], len(self.states)) - 1]
-
-    def status(self, sid):
-        self.calls["status"] += 1
-        return {"sid": sid, "state": self.states[-1]}
+    def __call__(self, request):
+        op = request["op"]
+        self.calls[op] += 1
+        if op == "state":
+            n = min(self.calls["state"], len(self.states))
+            return {"ok": True, "state": self.states[n - 1]}
+        return {"ok": True,
+                "view": {"sid": request["sid"], "state": self.states[-1]}}
 
 
 class TestWait:
     def test_polls_state_and_fetches_status_once(self):
-        transport = CountingTransport(
+        requests = CountingRequests(
             ["PENDING", "PENDING", "RUNNING", "RUNNING", "DONE"])
-        view = ServiceClient(transport).wait("s1", poll_s=0.001)
+        view = ServiceClient(requests).wait("s1", poll_s=0.001)
         assert view == {"sid": "s1", "state": "DONE"}
-        assert transport.calls == {"state": 5, "status": 1}
+        assert requests.calls == {"state": 5, "status": 1}
 
     @pytest.mark.parametrize("terminal", ["FAILED", "CANCELLED"])
     def test_every_terminal_state_ends_the_wait(self, terminal):
-        transport = CountingTransport(["RUNNING", terminal])
-        assert ServiceClient(transport).wait(
+        requests = CountingRequests(["RUNNING", terminal])
+        assert ServiceClient(requests).wait(
             "s1", poll_s=0.001)["state"] == terminal
-        assert transport.calls == {"state": 2, "status": 1}
+        assert requests.calls == {"state": 2, "status": 1}
 
     def test_timeout_never_builds_a_status_view(self):
-        transport = CountingTransport(["RUNNING"])
+        requests = CountingRequests(["RUNNING"])
         with pytest.raises(WaitTimeout, match="still RUNNING after"):
-            ServiceClient(transport).wait("s1", timeout_s=0.01,
-                                          poll_s=0.001)
-        assert transport.calls["status"] == 0
-        assert transport.calls["state"] >= 10
+            ServiceClient(requests).wait("s1", timeout_s=0.01,
+                                         poll_s=0.001)
+        assert requests.calls["status"] == 0
+        assert requests.calls["state"] >= 10
 
 
 class TestBackoff:
@@ -62,7 +63,7 @@ class TestBackoff:
     def test_overshoots_a_settle_by_at_most_a_share_of_the_wait(self,
                                                                 sleeps):
         with pytest.raises(WaitTimeout):
-            ServiceClient(CountingTransport(["RUNNING"])).wait(
+            ServiceClient(CountingRequests(["RUNNING"])).wait(
                 "s1", timeout_s=60.0)
         assert sleeps[0] == TICK_S
         waited = 0.0
@@ -73,7 +74,7 @@ class TestBackoff:
 
     def test_a_long_wait_polls_as_often_as_a_fixed_poll(self, sleeps):
         with pytest.raises(WaitTimeout):
-            ServiceClient(CountingTransport(["RUNNING"])).wait(
+            ServiceClient(CountingRequests(["RUNNING"])).wait(
                 "s1", timeout_s=3600.0, poll_s=0.25)
         assert max(sleeps) == 0.25
         fixed = 3600.0 / 0.25

@@ -225,32 +225,40 @@ class TestWaking:
         assert harness.stop(timeout_s=30.0) == 0
 
 
-def _fail_first_call(monkeypatch, *names):
-    """Make each of the SessionStore methods *names* raise OSError on its
-    first call, then work."""
+def _fail_calls(monkeypatch, names, times):
+    """Make each of the SessionStore methods *names* raise OSError on
+    its first *times* calls (every call when None), then work."""
     for name in names:
         original = getattr(SessionStore, name)
         failed = []
 
-        def once(self, *args, _original=original, _failed=failed, **kwargs):
-            if not _failed:
+        def flaky(self, *args, _original=original, _failed=failed,
+                  **kwargs):
+            if times is None or len(_failed) < times:
                 _failed.append(True)
                 raise OSError("injected store fault")
             return _original(self, *args, **kwargs)
-        monkeypatch.setattr(SessionStore, name, once)
+        monkeypatch.setattr(SessionStore, name, flaky)
 
 
 class TestStoreFaults:
-    """A store call that raises ends no worker: a one-worker drain daemon
-    still settles the session, bit-identically, and exits."""
+    """A store call that raises ends no worker, and a one-worker drain
+    daemon still exits.  A fault that passes lets the session settle,
+    bit-identically; a settle that keeps failing settles it FAILED at
+    the third try, and when FAILED cannot be written either, the daemon
+    exits with the session RUNNING for the next daemon to finish."""
 
-    @pytest.mark.parametrize("names, op", [
-        (("claim",), "claim"),
-        (("complete", "fail"), "settle"),
-    ], ids=["claim", "complete-and-fail"])
+    @pytest.mark.parametrize("names, times, op, n_errors, n_settled, state", [
+        (("claim",), 1, "claim", 1, 1, "DONE"),
+        (("complete", "fail"), 1, "settle", 1, 1, "DONE"),
+        (("complete",), None, "settle", 3, 1, "FAILED"),
+        (("complete", "fail"), None, "settle", 3, 0, "RUNNING"),
+    ], ids=["claim", "complete-and-fail", "complete-always",
+            "complete-and-fail-always"])
     def test_the_worker_survives_and_the_session_settles(
-            self, tmp_path, monkeypatch, names, op):
-        _fail_first_call(monkeypatch, *names)
+            self, tmp_path, monkeypatch, names, times, op, n_errors,
+            n_settled, state):
+        _fail_calls(monkeypatch, names, times)
         store = SessionStore(tmp_path / "store")
         sid = store.submit(SPEC)
         sink = InMemorySink()
@@ -266,16 +274,24 @@ class TestStoreFaults:
         finally:
             daemon.stop()
             thread.join(timeout=30.0)
-        assert settled == [1]  # the released attempt did not count
-        assert store.state(sid) == "DONE"
-        assert store.result(sid)["digest"] == result_payload(
-            SPEC, run_session(SPEC))["digest"]
+        assert settled == [n_settled]  # released attempts do not count
         errors = [r["data"] for r in sink.records
                   if r.get("type") == "serve.worker_error"]
         expected = {"op": op, "error": "OSError"}
         if op == "settle":
             expected["sid"] = sid
-        assert errors == [expected]
+        assert errors == [expected] * n_errors
+        assert store.state(sid) == state
+        if state == "FAILED":
+            assert store.view(sid)["error"] == (
+                "settle failed 3 times: OSError: injected store fault")
+            return
+        if state == "RUNNING":  # the exit released it: a daemon adopts it
+            monkeypatch.undo()
+            assert drain(store) == 1
+            assert store.state(sid) == "DONE"
+        assert store.result(sid)["digest"] == result_payload(
+            SPEC, run_session(SPEC))["digest"]
 
 
 class TestRecovery:

@@ -3,8 +3,8 @@
 Three sessions (different workloads/seeds/priorities) go through a
 ``repro serve`` subprocess; every result digest must equal an in-process
 :func:`repro.serve.run_session` of the same spec.  That is the service's
-core contract — journaling, scheduling, claiming and the transports may
-add machinery but never decisions (docs/SERVING.md).
+core contract — journaling, scheduling, claiming and the request
+channels may add machinery but never decisions (docs/SERVING.md).
 """
 
 from __future__ import annotations
@@ -52,7 +52,7 @@ def test_daemon_writes_session_traces_and_registration(tmp_path):
         info = daemon.store.daemon_info()
         assert info["pid"] == daemon.proc.pid
         client = daemon.client()
-        assert client.ping()  # registered pid is alive
+        assert client.ping()  # the daemon holds daemon.lock
         sid = client.submit(spec)
         view = client.wait(sid, timeout_s=570)
         assert view["state"] == "DONE"
@@ -60,6 +60,22 @@ def test_daemon_writes_session_traces_and_registration(tmp_path):
         assert len(traces) == 1  # one attempt, one trace file
         assert traces[0].stat().st_size > 0
     assert not daemon.client().ping()  # daemon gone after shutdown
+
+
+def test_a_socket_daemon_serves_bit_identically(tmp_path):
+    spec = SessionSpec(workload="kmeans", dataset="D2", seed=8,
+                       **fast_spec_kwargs())
+    with DaemonHarness(tmp_path / "store", socket="auto") as daemon:
+        client = daemon.socket_client()
+        assert client.ping()
+        sid = client.submit(spec)
+        view = client.wait(sid, timeout_s=570)
+        export_artifacts(daemon.store)
+    assert daemon.proc.returncode == 0  # SIGTERM: a clean exit
+    assert view["state"] == "DONE", view.get("error")
+    assert view["result"]["digest"] == result_payload(
+        spec, run_session(spec))["digest"]
+    assert not client.ping()
 
 
 def test_priority_orders_single_worker_execution(tmp_path):
