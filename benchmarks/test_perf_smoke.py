@@ -72,22 +72,25 @@ def test_forest_fit_wall_time(capsys):
 
 def test_forest_fit_lockstep_vs_reference(capsys):
     from tests.ml.tree_reference import reference_forest
-    # Cold-session shape: parameter selection fits 150 trees on 100 LHS
-    # runs of 44 parameters, half of them candidates per split.
+    # Parameter selection fits 150 trees on LHS runs of 44 parameters,
+    # half of them candidates per split: 100 runs in a cold session, 30
+    # in a served smoke session.
     rng = np.random.default_rng(7)
-    X = rng.random((100, 44))
-    y = np.log(50 + 200 * X[:, 0] ** 2 + 80 * X[:, 3] * X[:, 7]
-               + rng.gamma(2.0, 5.0, 100))
-    lockstep = _time(lambda: RandomForestRegressor(
-        150, max_features=0.5, rng=1).fit(X, y), repeats=3)
-    reference = _time(lambda: reference_forest(
-        X, y, 150, rng=1, max_features=0.5), repeats=1)
-    _record("forest_fit_lockstep_150x100x44", lockstep, n=100)
-    _record("forest_fit_reference_150x100x44", reference, n=100)
-    with capsys.disabled():
-        print(f"forest fit (150 trees, 100x44): lockstep {lockstep:.3f}s vs "
-              f"reference {reference:.3f}s ({reference / lockstep:.1f}x)")
-    assert lockstep <= reference * 1.5
+    for n in (100, 30):
+        X = rng.random((n, 44))
+        y = np.log(50 + 200 * X[:, 0] ** 2 + 80 * X[:, 3] * X[:, 7]
+                   + rng.gamma(2.0, 5.0, n))
+        lockstep = _time(lambda: RandomForestRegressor(
+            150, max_features=0.5, rng=1).fit(X, y), repeats=3)
+        reference = _time(lambda: reference_forest(
+            X, y, 150, rng=1, max_features=0.5), repeats=1)
+        _record(f"forest_fit_lockstep_150x{n}x44", lockstep, n=n)
+        _record(f"forest_fit_reference_150x{n}x44", reference, n=n)
+        with capsys.disabled():
+            print(f"forest fit (150 trees, {n}x44): lockstep "
+                  f"{lockstep:.3f}s vs reference {reference:.3f}s "
+                  f"({reference / lockstep:.1f}x)")
+        assert lockstep <= reference * 1.5
 
 
 def test_grouped_importance_batched_vs_loop(capsys):

@@ -30,17 +30,29 @@ __all__ = ["Matern52", "scaled_distances"]
 _SQRT5 = math.sqrt(5.0)
 
 
-def _cdist_sq(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+def _cdist_sq(X: np.ndarray, Y: np.ndarray,
+              xx: np.ndarray | None = None) -> np.ndarray:
     """Pairwise squared Euclidean distances between rows of X and Y."""
-    xx = np.sum(X ** 2, axis=1)[:, None]
+    if xx is None:
+        xx = _sq_norms(X)
     yy = np.sum(Y ** 2, axis=1)[None, :]
     d2 = xx + yy - 2.0 * (X @ Y.T)
     return np.maximum(d2, 0.0)
 
 
-def scaled_distances(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """``√5·‖x − y‖`` between the rows of *X* and *Y*, shape ``(n, m)``."""
-    return _SQRT5 * np.sqrt(_cdist_sq(X, Y))
+def _sq_norms(X: np.ndarray) -> np.ndarray:
+    """Squared row norms of *X* as a column, shape ``(n, 1)``."""
+    return np.sum(X ** 2, axis=1)[:, None]
+
+
+def scaled_distances(X: np.ndarray, Y: np.ndarray,
+                     xx: np.ndarray | None = None) -> np.ndarray:
+    """``√5·‖x − y‖`` between the rows of *X* and *Y*, shape ``(n, m)``.
+
+    *xx* is :func:`_sq_norms` of *X*, for a caller that measures many
+    *Y* against one *X*.
+    """
+    return _SQRT5 * np.sqrt(_cdist_sq(X, Y, xx))
 
 
 class Matern52:

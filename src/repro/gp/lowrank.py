@@ -29,7 +29,7 @@ import math
 import numpy as np
 
 from .gpr import _LikelihoodGP, _potrf, _potrs, _trtrs
-from .kernels import Matern52, scaled_distances
+from .kernels import Matern52, _sq_norms, scaled_distances
 
 __all__ = ["LowRankGaussianProcessRegressor", "select_inducing"]
 
@@ -55,12 +55,13 @@ def select_inducing(kernel: Matern52, X: np.ndarray, m: int) -> np.ndarray:
     m = min(m, n)
     d = np.full(n, kernel.variance)
     rows = np.empty((m, n))
+    xx = _sq_norms(X)
     chosen: list[int] = []
     for j in range(m):
         i = int(np.argmax(d))
         if d[i] <= _SELECT_FLOOR:
             break
-        col = kernel(X, X[i:i + 1])[:, 0]
+        col = kernel.latent(scaled_distances(X, X[i:i + 1], xx))[:, 0]
         if j:
             col = col - rows[:j].T @ rows[:j, i]
         rows[j] = col / math.sqrt(d[i])

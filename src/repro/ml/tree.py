@@ -201,6 +201,10 @@ class DecisionTreeRegressor:
 #: floats each, however many trees grow in lockstep.
 _BATCH_ROWS = 1024
 
+#: Padded node size from which the split search argsorts its rank keys as
+#: they are (NumPy's radix sort); shorter rows sort faster as 32-bit keys.
+_RADIX_ROWS = 16
+
 
 def grow_trees(trees: list[DecisionTreeRegressor], X: np.ndarray,
                y: np.ndarray, rows: list[np.ndarray]) -> int:
@@ -211,8 +215,10 @@ def grow_trees(trees: list[DecisionTreeRegressor], X: np.ndarray,
     split from its own ``rng``, so it ends with the node table and
     importances a one-tree depth-first grower gives it, bit for bit,
     whatever else grows beside it.  All trees take the first tree's
-    hyperparameters.
+    hyperparameters.  *X* must hold no NaN, which has no rank.
     """
+    if np.isnan(X).any():
+        raise ValueError("X must not contain NaN")
     grower = _Lockstep(trees[0], X, y, rows,
                        [as_generator(t.rng) for t in trees])
     grower.run()
@@ -236,11 +242,12 @@ class _Lockstep:
     * Node mean, range and SSE are row-wise reductions over nodes of one
       size, which NumPy sums per row exactly as it sums the node alone.
     * The CART search runs per size class (nodes padded to the next power
-      of two, at most :data:`_BATCH_ROWS` padded rows a call).  Padded
-      rows hold NaN, which a stable argsort puts after every real value,
-      so each column's order and cumulative sums over its real rows are
-      the node's own.  Candidate features a node lacks are all-NaN
-      columns, which never split.
+      of two, at most :data:`_BATCH_ROWS` padded rows a call) on the
+      columns' rank keys (:func:`_rank_keys`).  Padded rows hold the pad
+      key, which a stable argsort puts after every real key, so each
+      column's order and cumulative sums over its real rows are the
+      node's own.  Candidate features a node lacks are all-pad columns,
+      which never split.
     """
 
     def __init__(self, params: DecisionTreeRegressor, X: np.ndarray,
@@ -267,6 +274,20 @@ class _Lockstep:
         # Per tree: (node, rows, depth, node SSE) of nodes still to split.
         self.stacks: list[list[tuple[int, np.ndarray, int, float]]] = [
             [] for _ in range(T)]
+        if self.splitter == "best":
+            self.keys = _rank_keys(X)
+            # The search's work arrays, sized for its largest call: at most
+            # max(_BATCH_ROWS, widest padded node) padded rows, times k
+            # candidates or, past k, a node's remaining features.
+            P = 1 << int(np.frexp(max(len(r) for r in rows) - 1)[1])
+            rows_cap = max(_BATCH_ROWS, P)
+            cap = rows_cap * max(self.k, d - self.k)
+            self._node_keys = np.empty(rows_cap * (d + 1), self.keys.dtype)
+            self._idx = np.empty(cap, dtype=np.int64)
+            self._col_keys = np.empty(cap, self.keys.dtype)
+            self._sorted_keys = np.empty(cap, self.keys.dtype)
+            self._no_split = np.empty(cap, dtype=bool)
+            self._work = [np.empty(cap) for _ in range(5)]
 
     def run(self) -> None:
         """Grow every tree until no node is left to split."""
@@ -394,8 +415,9 @@ class _Lockstep:
         """
         B, d = len(nodes), self.X.shape[1]
         perms = np.empty((B, d), dtype=np.int64)
+        perms[:] = np.arange(d)
         for b, t in enumerate(live):
-            perms[b] = self.rngs[t].permutation(d)
+            self.rngs[t].shuffle(perms[b])  # the draws of permutation(d)
         rows = [idx for _, idx, _, _ in nodes]
         n = np.fromiter(map(len, rows), dtype=np.int64, count=B)
         base = np.array([sse for _, _, _, sse in nodes])
@@ -422,9 +444,13 @@ class _Lockstep:
         # Padded with each node's last row: min and max stay the node's.
         R = flat[starts[:, None] + np.minimum(np.arange(P), nc[:, None] - 1)]
         real = np.arange(P) < nc[:, None]
-        XN = self.X[R]
+        # Row-major over the padded positions, so min and max sweep whole
+        # (node, feature) planes.
+        KN = self.keys.take(R.T, axis=0, mode="clip",
+                            out=self._node_keys[:R.size * self.keys.shape[1]]
+                            .reshape(P, len(c), -1))
         perm = perms[c]
-        nonconst = np.take_along_axis(XN.min(axis=1) != XN.max(axis=1),
+        nonconst = np.take_along_axis(KN.min(axis=0) != KN.max(axis=0),
                                       perm, axis=1)
         rank = np.cumsum(nonconst, axis=1)  # 1-based, in permutation order
         n_varied = nonconst.sum(axis=1)
@@ -459,53 +485,80 @@ class _Lockstep:
 
         ``R`` holds each node's rows (``real`` marks the unpadded ones),
         ``Y`` their targets (0 on padding) and ``fv`` the real candidates.
-        One column per (node, feature): stable argsort, cumulative sums
-        of ``y`` and ``y**2``, and the SSE of every left/right division
-        where the value changes and both sides keep ``min_samples_leaf``
-        rows.  Gains that are not positive are ``-inf``.
+        One column per (node, feature) of rank keys, the pad key on
+        padded rows and on candidates a node lacks: stable argsort,
+        cumulative sums of ``y`` and ``y**2``, and the SSE of every
+        left/right division where the key changes and both sides keep
+        ``min_samples_leaf`` rows.  ``X`` is read at each winning division
+        only.  Gains that are not positive are ``-inf``.
         """
         self.batches += 1
         b, w = F.shape
         P = R.shape[1]
-        cols = np.arange(b * w)[:, None]
+        cols, N = b * w, b * w * P
+        n_rows, d = self.X.shape
         node = np.repeat(np.arange(b), w)       # each column's node
-        S = self.X[R[:, None, :], F[:, :, None]].reshape(b * w, P)
-        np.copyto(S, np.nan, where=~(fv[:, :, None]
-                                     & real[:, None, :]).reshape(b * w, P))
-        size = n[node][:, None]
+        size = n[node]
+        start = np.arange(cols) * P             # each column's flat offset
+        idx = self._idx[:N].reshape(b, w, P)
+        np.add((np.where(real, R, n_rows) * (d + 1))[:, None, :],
+               np.where(fv, F, d)[:, :, None], out=idx)
+        S = self.keys.take(idx.reshape(cols, P), mode="clip",
+                           out=self._col_keys[:N].reshape(cols, P))
+        # NumPy's stable sort of one- and two-byte keys is a radix sort,
+        # which loses to a comparison sort on short rows.
+        order = (S if P >= _RADIX_ROWS else S.astype(np.int32)).argsort(
+            axis=1, kind="stable")
+        order += start[:, None]                 # flat index of each entry
+        cs = S.take(order, mode="clip",
+                    out=self._sorted_keys[:N].reshape(cols, P))
+        A, B, csum, csum2, sse = self._work     # A and B: scratch
+        ys = (Y.take(node, axis=0, mode="clip", out=A[:N].reshape(cols, P))
+              .take(order, mode="clip", out=B[:N].reshape(cols, P)))
+        csum = ys.cumsum(axis=1, out=csum[:N].reshape(cols, P))
+        np.square(ys, out=ys)
+        csum2 = ys.cumsum(axis=1, out=csum2[:N].reshape(cols, P))
+        last = start + size - 1
+        total, total2 = csum.take(last)[:, None], csum2.take(last)[:, None]
+        # Division p puts the first p + 1 sorted rows on the left.  The
+        # last one leaves none on the right and is never a split; it keeps
+        # every array whole, which NumPy sweeps faster than a column slice.
+        left_n = np.arange(1, P + 1, dtype=float)
         m = self.min_samples_leaf
+        no_split = self._no_split[:N].reshape(cols, P)
+        flat = cs.reshape(-1)
+        np.less_equal(flat[1:], flat[:-1], out=no_split.reshape(-1)[:-1])
+        no_split[:, -1] = True
+        # Pad keys never change, except at the first pad after a node's
+        # last row; that division leaves no row on the right either.
+        no_split.reshape(-1)[last] = True
         with np.errstate(divide="ignore", invalid="ignore"):
-            order = np.argsort(S, axis=1, kind="stable")
-            cs = S[cols, order]
-            ys = Y[node[:, None], order]
-            csum = np.cumsum(ys, axis=1)
-            np.square(ys, out=ys)
-            csum2 = np.cumsum(ys, axis=1)
-            total, total2 = csum[cols, size - 1], csum2[cols, size - 1]
-            left_n = np.arange(1, P, dtype=float)
-            right_n = size - left_n
-            # NaN padding already fails the comparison past a node's last
-            # row, which is all min_samples_leaf=1 asks for.
-            valid = cs[:, 1:] > cs[:, :-1]
-            if m > 1:
-                valid &= (left_n >= m) & (right_n >= m)
-            ls, ls2 = csum[:, :-1], csum2[:, :-1]
-            sse = np.square(ls)
+            sse = np.square(csum, out=sse[:N].reshape(cols, P))
             sse /= left_n
-            np.subtract(ls2, sse, out=sse)
-            rs = total - ls
+            np.subtract(csum2, sse, out=sse)
+            rs = np.subtract(total, csum, out=A[:N].reshape(cols, P))
             np.square(rs, out=rs)
+            right_n = np.subtract(size[:, None], left_n,
+                                  out=B[:N].reshape(cols, P))
+            if m > 1:
+                no_split |= (left_n < m) | (right_n < m)
             rs /= right_n
-            np.subtract(total2 - ls2, rs, out=rs)
+            np.subtract(np.subtract(total2, csum2, out=right_n), rs, out=rs)
+            # +inf where the division is no split.  Where it is one, both
+            # sides' SSE is finite and fmax with -inf keeps it.
+            np.fmax(rs, np.take((-np.inf, np.inf), no_split.view(np.uint8),
+                                mode="clip", out=right_n), out=rs)
             sse += rs
-            np.copyto(sse, np.inf, where=~valid)
-            best = np.argmin(sse, axis=1)[:, None]
-            best_sse = sse[cols, best][:, 0]
+            best = start + sse.argmin(axis=1)
+            best_sse = sse.take(best)
             gains = base[node] - best_sse
             ok = np.isfinite(best_sse) & (gains > 0.0)
-            lo = cs[cols, best][:, 0]
-            hi = cs[cols, np.minimum(best + 1, P - 1)][:, 0]
-            thrs = np.where(ok, 0.5 * (lo + hi), np.nan)
+            at = np.flatnonzero(ok)
+            # Each winner's rows on either side of its division, their X.
+            pos = order.take(best[at] + [[0], [1]]) - start[at]
+            lo, hi = self.X[R[node[at], pos], F.reshape(-1)[at]]
+            thrs = np.full(cols, np.nan)
+            thrs[at] = 0.5 * (lo + hi)
         return (thrs.reshape(b, w),
                 np.where(ok, gains, -np.inf).reshape(b, w))
 
@@ -547,6 +600,27 @@ class _Lockstep:
         sse = float(np.sum((yl - yl.mean()) ** 2) + np.sum((yr - yr.mean()) ** 2))
         gain = base_sse - sse
         return gain if gain > 0.0 else None
+
+
+def _rank_keys(X: np.ndarray) -> np.ndarray:
+    """Each column's dense value ranks, plus a pad row and a pad column.
+
+    ``keys[i, j]`` counts the distinct values of column ``j`` below
+    ``X[i, j]``, so two keys of a column compare as their values do and a
+    stable sort of its keys orders its rows as a stable sort of its
+    values.  Row ``n`` and column ``d`` hold the pad key, one past the
+    largest rank, in the smallest unsigned dtype that holds it.
+    """
+    n, d = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    ordered = np.take_along_axis(X, order, axis=0)
+    ranks = np.zeros((n, d), dtype=np.int64)
+    ranks[1:] = ordered[1:] != ordered[:-1]
+    np.cumsum(ranks, axis=0, out=ranks)
+    pad = int(ranks[-1].max(initial=0)) + 1
+    keys = np.full((n + 1, d + 1), pad, dtype=np.min_scalar_type(pad))
+    np.put_along_axis(keys[:n, :d], order, ranks, axis=0)
+    return keys
 
 
 def _candidates(mask: np.ndarray, rank: np.ndarray, perm: np.ndarray,

@@ -36,6 +36,11 @@ __all__ = ["parse_address", "handle_request", "socket_requests",
 _MAX_LINE = 1 << 20
 
 
+def _too_long() -> dict[str, Any]:
+    """The refusal of a request line longer than :data:`_MAX_LINE`."""
+    return {"ok": False, "error": f"bad request: longer than {_MAX_LINE} bytes"}
+
+
 def parse_address(text: str) -> tuple[str, Any]:
     """``host:port`` → ``("tcp", (host, port))``; else a unix-socket path."""
     if ":" in text:
@@ -86,13 +91,18 @@ def socket_requests(address: str, *, timeout_s: float = 30.0
     family, endpoint = parse_address(address)
 
     def call(request: dict[str, Any]) -> dict[str, Any]:
+        data = json.dumps(request).encode() + b"\n"
+        if len(data) > _MAX_LINE:
+            # The daemon's answer, given here: it stops reading a line past
+            # _MAX_LINE, so sending the rest would end in a broken pipe.
+            return _too_long()
         sock = socket.socket(
             socket.AF_INET if family == "tcp" else socket.AF_UNIX,
             socket.SOCK_STREAM)
         with sock, sock.makefile("rb") as answers:
             sock.settimeout(timeout_s)
             sock.connect(endpoint)
-            sock.sendall(json.dumps(request).encode() + b"\n")
+            sock.sendall(data)
             line = answers.readline()
         if not line.endswith(b"\n"):
             raise ConnectionError("the daemon closed the connection "
@@ -135,8 +145,7 @@ class _RequestServer(socketserver.TCPServer):
 
     def answer(self, line: bytes) -> dict[str, Any]:
         if len(line) > _MAX_LINE:
-            return {"ok": False,
-                    "error": f"bad request: longer than {_MAX_LINE} bytes"}
+            return _too_long()
         try:
             request = json.loads(line)
         except ValueError as exc:  # not JSON, or not UTF-8

@@ -7,6 +7,9 @@ arrays and on its MDI importances, whatever shape the data has and
 whatever trees it is grown beside.
 """
 
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -43,19 +46,23 @@ def selection_data(n, d=44, seed=0):
 
 
 FOREST_CASES = {
-    "rf-cold": (RandomForestRegressor, "best", 100),
-    "et-cold": (ExtraTreesRegressor, "random", 100),
-    "rf-serve": (RandomForestRegressor, "best", 30),
-    "et-serve": (ExtraTreesRegressor, "random", 30),
+    "rf-cold": (RandomForestRegressor, "best", 100, 150),
+    "et-cold": (ExtraTreesRegressor, "random", 100, 150),
+    "rf-serve": (RandomForestRegressor, "best", 30, 150),
+    "et-serve": (ExtraTreesRegressor, "random", 30, 150),
+    # 300 distinct values a column: the search's rank keys take two bytes.
+    "rf-two-byte-keys": (RandomForestRegressor, "best", 300, 20),
 }
 
 
 @pytest.mark.parametrize("case", sorted(FOREST_CASES))
 def test_forest_matches_reference(case):
-    cls, splitter, n = FOREST_CASES[case]
+    cls, splitter, n, trees = FOREST_CASES[case]
     X, y = selection_data(n, seed=n)
-    forest = cls(150, max_features=0.5, rng=5).fit(X, y)
-    ref, oob = reference_forest(X, y, 150, splitter=splitter, rng=5,
+    if n > 255:
+        assert tree_module._rank_keys(X).dtype == np.uint16
+    forest = cls(trees, max_features=0.5, rng=5).fit(X, y)
+    ref, oob = reference_forest(X, y, trees, splitter=splitter, rng=5,
                                 max_features=0.5)
     assert np.array_equal(forest.oob_mask_, oob)
     for got, want in zip(forest.trees_, ref):
@@ -210,3 +217,66 @@ def test_grow_trees_counts_nodes_and_batches():
     # of them in a few hundred calls.
     assert splits > 5000
     assert 0 < event["batches"] < splits / 5
+
+
+def test_rank_keys_order_columns_as_their_values():
+    X = np.array([[0.5, -0.0, 3.0],
+                  [0.1, 0.0, 3.0],
+                  [0.5, -1.0, 3.0],
+                  [np.inf, 2.0, 3.0]])
+    keys = tree_module._rank_keys(X)
+    assert keys.dtype == np.uint8 and keys.shape == (5, 4)
+    assert keys[:4, :3].tolist() == [[1, 1, 0], [0, 1, 0], [1, 0, 0],
+                                     [2, 2, 0]]
+    assert (keys[4] == 3).all() and (keys[:, 3] == 3).all()   # pad key
+    for j in range(3):
+        assert np.array_equal(np.argsort(keys[:4, j], kind="stable"),
+                              np.argsort(X[:, j], kind="stable"))
+
+
+@pytest.mark.parametrize("fit", [
+    lambda X, y: DecisionTreeRegressor(rng=0).fit(X, y),
+    lambda X, y: RandomForestRegressor(5, rng=0).fit(X, y),
+    lambda X, y: ExtraTreesRegressor(5, rng=0).fit(X, y),
+], ids=["tree", "rf", "et"])
+def test_nan_in_X_is_rejected(fit):
+    X, y = selection_data(20, d=12, seed=1)
+    X[7, 2] = np.nan
+    with pytest.raises(ValueError, match="NaN"):
+        fit(X, y)
+
+
+def test_forests_fitted_at_once_from_threads_equal_serial_fits():
+    """Each fit's search buffers are its own: fits that interleave (NumPy
+    drops the GIL inside its loops) change no bit of one another.  Four
+    threads, two per forest, on the switch interval shortened."""
+    data = [selection_data(100, seed=s) for s in (11, 12)]
+
+    def fit(i):
+        X, y = data[i]
+        return RandomForestRegressor(60, max_features=0.5, rng=i).fit(X, y)
+
+    serial = [fit(0), fit(1)]
+    start = threading.Barrier(4)
+    got = {}
+
+    def run(t):
+        start.wait(timeout=30)
+        got[t] = [fit(t % 2) for _ in range(2)]
+
+    threads = [threading.Thread(target=run, args=(t,)) for t in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert sorted(got) == [0, 1, 2, 3]
+    for t, forests in got.items():
+        for forest in forests:
+            for a, b in zip(forest.trees_, serial[t % 2].trees_):
+                assert_same_tree(a, b)

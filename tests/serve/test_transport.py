@@ -226,6 +226,22 @@ class TestRequestLines:
         sid = client.submit(SPEC)
         assert client.status(sid)["sid"] == sid
 
+    def test_a_4_mib_line_gets_the_refusal_not_a_broken_pipe(
+            self, store, live_daemon):
+        """Past what the socket buffers absorb, a client that sent the
+        whole line mostly broke its pipe on the daemon's early close; the
+        refusal is given without connecting."""
+        call = socket_requests(store.daemon_info()["address"])
+        refusal = {"ok": False,
+                   "error": f"bad request: longer than {_MAX_LINE} bytes"}
+        for _ in range(5):
+            assert call({"op": "ping", "pad": "x" * (4 << 20)}) == refusal
+        client = ServiceClient.for_socket("auto", store_root=store.root)
+        for _ in range(5):
+            with pytest.raises(RuntimeError, match="longer than"):
+                client.state("s" * (4 << 20))
+        assert client.ping()
+
     def test_a_handler_that_raises_ends_no_serving(self, store, live_daemon,
                                                    monkeypatch):
         def broken(*args, **kwargs):
