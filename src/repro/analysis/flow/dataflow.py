@@ -8,7 +8,7 @@ over the call graph:
   it is passed (positionally or by keyword) to a project callee whose
   corresponding parameter escapes.  This is the relation that lets
   RPX001 trace a freshly-minted RNG through any number of plain calls
-  into a ``WorkerPool.submit`` in another module.
+  into an ``EvaluationSupervisor.submit`` in another module.
 * **worker reachability** — the set of project functions reachable from
   a worker callable's body through resolved call edges.  RPX002 uses it
   to find engine-state mutations that run on worker threads even though

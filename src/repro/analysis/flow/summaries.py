@@ -8,8 +8,8 @@ function it records, from one AST walk,
 * **RNG births** — local names bound from ``np.random.default_rng`` /
   ``as_generator`` (*fresh* streams) versus ``spawn``/``.spawn`` (*per-
   task children*, the sanctioned way to hand randomness to workers);
-* **submit sites** — callables handed to ``WorkerPool.submit`` /
-  ``EvaluationSupervisor.submit``, with the free names each worker
+* **submit sites** — callables handed to a ``submit`` call (the BO
+  loop's ``EvaluationSupervisor.submit``), with the free names each worker
   captures (closure loads plus lambda/def default values);
 * **self mutations** — assignments, augmented assignments and in-place
   mutator calls on ``self.<attr>`` (the thread-ownership facts);

@@ -51,7 +51,7 @@ class SeedProvenance(FlowRule):
     title = "fresh RNG crosses into a worker"
     rationale = (
         "A Generator born from default_rng/as_generator is one stream; "
-        "capturing it in a callable submitted to a WorkerPool "
+        "capturing it in a callable submitted to an executor "
         "makes draws depend on completion order, which silently changes "
         "the fixed-seed decision sequence.  Spawn a child per task "
         "(repro.utils.rng.spawn / Generator.spawn) and pass children "
@@ -97,7 +97,7 @@ class ThreadOwnership(FlowRule):
     rationale = (
         "BOEngine/EvaluationSupervisor/PoisonQuarantine attributes are "
         "folded by exactly one thread (the _fold_in-style collecting "
-        "side of next_completed()); a method that mutates them and is "
+        "side of next_outcome()); a method that mutates them and is "
         "reachable from a submitted callable runs on a worker thread and "
         "races the owner, making results depend on completion order. "
         "Workers return results; the engine folds them.")

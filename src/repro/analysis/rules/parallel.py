@@ -61,7 +61,7 @@ class WorkerMutatesEngineState(Rule):
         "results depend on completion order, breaking the async engine's "
         "determinism contract. Workers return results; all shared-state "
         "mutation belongs in the engine's fold-in method, on the "
-        "collecting side of next_completed().")
+        "collecting side of next_outcome().")
 
     #: Methods that mutate their receiver in place.
     _MUTATORS = ("append", "extend", "add", "update", "pop", "remove",
@@ -162,7 +162,7 @@ _BLOCKING_ATTRS = ("get", "result", "join")
 
 @register
 class UnboundedBlockingCall(Rule):
-    """RPP005: no unbounded blocking waits outside the pool layer."""
+    """RPP005: no unbounded blocking waits outside ``supervise/``."""
 
     id = "RPP005"
     title = "unbounded blocking call"
@@ -171,18 +171,15 @@ class UnboundedBlockingCall(Rule):
         "wait forever: one hung worker then wedges the whole engine, which "
         "is exactly the failure mode the supervision layer exists to "
         "prevent (docs/ROBUSTNESS.md).  All blocking waits belong in "
-        "utils/parallel.py (whose waits are bounded or abandonable) and "
-        "supervise/ (which owns the deadline machinery); everywhere else, "
-        "pass a timeout and handle the expiry.")
-
-    _ALLOWED_MODULES = ("utils/parallel.py",)
+        "supervise/, the executor that owns the deadline machinery and "
+        "bounds or abandons its waits; everywhere else, pass a timeout "
+        "and handle the expiry.")
 
     def _exempt(self, ctx: ModuleContext) -> bool:
         sub = ctx.repro_subpath
         if sub is None:      # tests, benchmarks, tools — out of scope
             return True
-        return (sub.startswith("supervise/")
-                or ctx.is_module(*self._ALLOWED_MODULES))
+        return sub.startswith("supervise/")
 
     def check(self, ctx: ModuleContext) -> Iterator[Finding]:
         if self._exempt(ctx):
@@ -200,5 +197,4 @@ class UnboundedBlockingCall(Rule):
                 ctx, node,
                 f".{node.func.attr}() call with no timeout blocks "
                 "unboundedly on a hung task; pass timeout= (and handle "
-                "the expiry) or route the wait through utils/parallel "
-                "or repro.supervise")
+                "the expiry) or route the wait through repro.supervise")

@@ -250,11 +250,11 @@ def _common(p: argparse.ArgumentParser) -> None:
 def _async_workers(p: argparse.ArgumentParser) -> None:
     p.add_argument("--async-workers", type=int, default=0, metavar="K",
                    dest="async_workers",
-                   help="asynchronous BO worker count (default: 0 = the "
-                        "paper's serial loop); K >= 1 keeps K evaluations "
-                        "in flight with busy-point penalization and folds "
-                        "completions in as they land — see "
-                        "docs/PERFORMANCE.md")
+                   help="asynchronous BO worker count (default: 0; 0 and "
+                        "1 are the paper's serial loop); K > 1 keeps K "
+                        "evaluations in flight with busy-point "
+                        "penalization and folds completions in as they "
+                        "land — see docs/PERFORMANCE.md")
 
 
 def _resilience(p: argparse.ArgumentParser) -> None:

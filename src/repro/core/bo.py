@@ -33,7 +33,6 @@ from ..supervise import (Completed, DeadlineHit, EvaluationSupervisor,
                          SupervisePolicy)
 from ..supervise.quarantine import vector_key
 from ..tuners.base import Evaluation, can_spawn, censored_write_off
-from ..utils.parallel import WorkerPool
 from ..utils.rng import as_generator
 from .guard import MedianGuard
 from .hedge import GPHedge
@@ -161,20 +160,20 @@ class BOEngine:
         into the GP immediately and its replacement proposal is drawn
         with busy-point penalization over the in-flight set
         (:class:`repro.core.penalize.LocalPenalizer`), so no worker ever
-        waits on a round barrier.  ``0`` (the default) and ``1`` both run
-        the paper's serial Algorithm 1 — one point at a time, the
-        objective called on this thread — and are bit-reproducible;
-        ``0`` additionally leaves out the ``async.*`` instrumentation.
-        At ``k > 1`` results depend on completion order.  ``k > 1``
-        requires the objective to expose class-level ``spawn_view()``;
-        otherwise the engine warns, counts a ``batch.serial_fallback``,
-        and degrades to one worker.  See docs/PERFORMANCE.md.
+        waits on a round barrier.  ``0`` (the default) and ``1`` are one
+        setting: the paper's serial Algorithm 1 — one point at a time,
+        the objective called on this thread — bit-reproducible and
+        without ``async.*`` records.  At ``k > 1`` results depend on
+        completion order.  ``k > 1`` requires the objective to expose
+        class-level ``spawn_view()``; otherwise the engine warns, counts
+        a ``batch.serial_fallback``, and degrades to one worker.  See
+        docs/PERFORMANCE.md.
     supervise:
         Optional :class:`repro.supervise.SupervisePolicy` (requires
-        ``async_workers >= 1``): the loop then takes outcomes from an
-        :class:`~repro.supervise.EvaluationSupervisor` instead of the
-        pool — deadlines, reclaim-and-redispatch, speculative twins and
-        poison-config quarantine (docs/ROBUSTNESS.md).
+        ``async_workers >= 1``): deadlines, reclaim-and-redispatch of
+        worker deaths, speculative twins and poison-config quarantine
+        (docs/ROBUSTNESS.md).  Its evaluations run on threads, one
+        worker included, so a wedged one can be abandoned.
     gp_max_exact:
         Training-set size above which the surrogate switches from the
         exact GP (O(n³) fit) to the low-rank
@@ -225,8 +224,7 @@ class BOEngine:
                                                     SupervisePolicy):
             raise TypeError("supervise must be a SupervisePolicy or None")
         if supervise is not None and async_workers < 1:
-            raise ValueError("supervise requires async_workers >= 1 "
-                             "(deadlines need a worker thread to abandon)")
+            raise ValueError("supervise requires async_workers >= 1")
         if gp_max_exact < 2:
             raise ValueError("gp_max_exact must be >= 2")
         if gp_inducing < 1:
@@ -271,24 +269,27 @@ class BOEngine:
                  ) -> list[Evaluation]:
         """Run the BO loop; returns the evaluations it performed.
 
-        One dispatch/fold loop over a :class:`WorkerPool` drives every
+        One dispatch/fold loop over one
+        :class:`~repro.supervise.EvaluationSupervisor` drives every
         mode.  While a worker is free and budget remains, it proposes a
         point (:meth:`_propose`, with the in-flight points penalized)
-        and dispatches it; then it folds the next completion into the
+        and dispatches it; then it folds the next outcome into the
         shared state (:meth:`_fold_in`).  The serial loop is this loop
-        at one worker on the pool's serial backend, where each task runs
-        on this thread as soon as it is collected.  Under a
-        :class:`~repro.supervise.SupervisePolicy` the loop takes
-        outcomes from an :class:`EvaluationSupervisor` instead of the
-        pool: an evaluation that blows its deadline, or whose worker
-        dies with redispatch exhausted, is folded in as a censored-at-cap
-        write-off (:func:`~repro.tuners.base.censored_write_off`), and
+        at one worker with no policy, where each evaluation runs on this
+        thread when it is collected; every other setting runs each on a
+        thread of its own.  An exception from an evaluation propagates
+        out of this method, except a
+        :class:`~repro.supervise.WorkerDeath` under a
+        :class:`~repro.supervise.SupervisePolicy`: an evaluation that
+        blows its deadline, or whose worker dies with redispatch
+        exhausted, is folded in as a censored-at-cap write-off
+        (:func:`~repro.tuners.base.censored_write_off`), and
         configurations the supervisor quarantines are never proposed
         again this run (:attr:`quarantined`).
 
-        Observability (``async_workers >= 1``): ``async.dispatch`` /
+        Observability (evaluations on threads): ``async.dispatch`` /
         ``async.fold`` events carry the in-flight depth, the
-        ``async.wait`` timer accumulates time blocked on the pool,
+        ``async.wait`` timer accumulates time blocked on the executor,
         ``async.propose`` the proposal time during which free workers
         idle, and the ``async.idle_worker_slots`` counter the number of
         worker slots empty at each dispatch.
@@ -331,15 +332,13 @@ class BOEngine:
             # A twin would run the one shared objective concurrently
             # with its original; without views that is unsafe.
             policy = replace(policy, speculate=False)
-        # Concurrent evaluations, and supervised ones (an abandoned task
-        # may still be running), each get an objective view, spawned on
-        # this thread at dispatch time (the spawn_view contract).
-        views = capable and (k > 1 or policy is not None)
-        # Deadline enforcement needs this thread free to abandon a wedged
-        # task; otherwise one worker needs no thread at all.
-        backend = "thread" if k > 1 or policy is not None else "serial"
-        # async_workers=0 keeps the paper loop's trace: no async.* records.
-        atrace = self._tracer if self.async_workers else NULL_TRACER
+        executor = EvaluationSupervisor(k, policy, tracer=self._tracer)
+        # Evaluations on threads (an abandoned one may still be running)
+        # each get an objective view, spawned on this thread at dispatch
+        # time (the spawn_view contract), and write the async.* records;
+        # the serial loop writes the paper loop's trace.
+        views = capable and executor.threaded
+        atrace = self._tracer if executor.threaded else NULL_TRACER
         record_censored = getattr(evaluate, "record_censored", None)
 
         def task(u: np.ndarray, threshold: float | None):
@@ -352,12 +351,10 @@ class BOEngine:
         blocked: set[bytes] = set()
         issued = 0
         stop = False
-        with WorkerPool(k, backend=backend, tracer=atrace) as pool:
-            supervisor = None if policy is None else EvaluationSupervisor(
-                pool, policy, tracer=self._tracer)
+        with executor:
             while len(evals) < budget:
                 while (not stop and issued < budget and len(pending) < k
-                       and pool.free_workers > 0):
+                       and executor.free_workers > 0):
                     atrace.count("async.idle_worker_slots", k - len(pending))
                     with atrace.timer("async.propose"):
                         u, choice = self._propose(
@@ -366,43 +363,36 @@ class BOEngine:
                     threshold = guard.threshold_s() if guard is not None \
                         else None
                     pending[issued] = (u, choice, threshold)
-                    if supervisor is None:
-                        pool.submit(task(u, threshold), tag=issued)
-                    else:
-                        supervisor.submit(partial(task, u, threshold),
-                                          tag=issued, key=vector_key(u))
+                    executor.submit(partial(task, u, threshold),
+                                    tag=issued, key=vector_key(u))
                     atrace.emit("async.dispatch",
                                 {"i": issued, "in_flight": len(pending)})
                     issued += 1
                 if not pending:
                     break
                 with atrace.timer("async.wait"):
-                    if supervisor is None:
-                        tag, ev = pool.next_completed()
-                    else:
-                        outcome = supervisor.next_outcome()
-                        tag = outcome.tag
-                u, choice, threshold = pending.pop(tag)
-                if supervisor is not None:
-                    if isinstance(outcome, Completed):
-                        ev = outcome.result
-                    else:
-                        # The run never returned: censored "at least
-                        # this bad" and charged the full cap.
-                        status, fault = (RunStatus.TIMEOUT, "deadline") \
-                            if isinstance(outcome, DeadlineHit) \
-                            else (RunStatus.RUNTIME_ERROR, "worker_death")
-                        ev = censored_write_off(evaluate, u, status=status,
-                                                fault=fault)
-                        if record_censored is not None:
-                            record_censored(ev)
-                        if outcome.quarantined:
-                            blocked.add(vector_key(u))
-                            self.quarantined.append(
-                                np.asarray(u, dtype=float).copy())
+                    outcome = executor.next_outcome()
+                u, choice, threshold = pending.pop(outcome.tag)
+                if isinstance(outcome, Completed):
+                    ev = outcome.result
+                else:
+                    # The run never returned: censored "at least this
+                    # bad" and charged the full cap.
+                    status, fault = (RunStatus.TIMEOUT, "deadline") \
+                        if isinstance(outcome, DeadlineHit) \
+                        else (RunStatus.RUNTIME_ERROR, "worker_death")
+                    ev = censored_write_off(evaluate, u, status=status,
+                                            fault=fault)
+                    if record_censored is not None:
+                        record_censored(ev)
+                    if outcome.quarantined:
+                        blocked.add(vector_key(u))
+                        self.quarantined.append(
+                            np.asarray(u, dtype=float).copy())
                 self._fold_in(ev, u, choice, threshold, len(evals), evals,
                               X, y, guard)
-                atrace.emit("async.fold", {"i": tag, "in_flight": len(pending)})
+                atrace.emit("async.fold",
+                            {"i": outcome.tag, "in_flight": len(pending)})
                 if ev.objective < best_so_far - 1e-9:
                     best_so_far = ev.objective
                     since_improve = 0

@@ -195,8 +195,9 @@ class EvaluationJournal:
     def recovery(self) -> tuple[dict[str, Any], list[EvalRecord],
                                 list[DispatchRecord], int] | None:
         """What a resume needs, from one read of the file: (session-
-        identity header, settled records, :meth:`pending_dispatches`,
-        :meth:`next_seq`).
+        identity header, settled records, the dispatches no settle
+        follows — in flight at a crash — and the first unused dispatch
+        sequence number).
 
         None when there is nothing intact to resume: no file, or a crash
         tore the header line.  Raises :class:`ValueError` when intact
@@ -219,16 +220,6 @@ class EvaluationJournal:
         """(meta, settled records); parsing stops at the first corrupt line."""
         meta, records, _ = self._read()
         return meta, records
-
-    def pending_dispatches(self) -> list[DispatchRecord]:
-        """Dispatches with no settling ``eval`` record: in flight at crash."""
-        _, records, dispatches = self._read()
-        return _unsettled(records, dispatches)
-
-    def next_seq(self) -> int:
-        """First unused dispatch sequence number for a resumed session."""
-        _, records, dispatches = self._read()
-        return _next_seq(records, dispatches)
 
     def _read(self, intact: list[dict[str, Any]] | None = None
               ) -> tuple[dict[str, Any], list[EvalRecord],

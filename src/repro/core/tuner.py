@@ -87,8 +87,8 @@ class ROBOTune(Tuner):
         Median multiple for the bad-configuration guard.
     async_workers:
         Asynchronous BO worker count (forwarded to :class:`BOEngine`
-        ``async_workers``).  ``0`` (default) runs the paper's serial
-        loop; ``k >= 1`` keeps ``k`` evaluations in flight with
+        ``async_workers``).  ``0`` (default) and ``1`` run the paper's
+        serial loop; ``k > 1`` keeps ``k`` evaluations in flight with
         busy-point penalization, folding completions into the surrogate
         as they land.
     supervise:

@@ -38,11 +38,12 @@ import numpy as np
 
 from ..obs import as_tracer
 from ..sparksim.result import RunStatus
+from ..supervise import WorkerDeath
 from ..tuners.base import Evaluation, ObjectiveWrapper
 from .plan import FaultEvent, FaultPlan, HangEvent, HangPlan
 from .retry import RetryPolicy
 
-__all__ = ["FaultInjector", "HangInjector", "WorkerDeath"]
+__all__ = ["FaultInjector", "HangInjector"]
 
 
 class _PlanInjector(ObjectiveWrapper):
@@ -222,15 +223,6 @@ class FaultInjector(_PlanInjector):
         return float(limit_s if limit_s is not None else self.time_limit_s)
 
 
-class WorkerDeath(RuntimeError):
-    """An injected worker death: the evaluation's worker died mid-run.
-
-    Raised *before* the wrapped objective executes, so a supervised
-    redispatch re-runs the evaluation from scratch — exactly what a real
-    evaluator process crash looks like to the engine.
-    """
-
-
 class HangInjector(_PlanInjector):
     """Wrap an objective with deterministic liveness faults.
 
@@ -238,9 +230,9 @@ class HangInjector(_PlanInjector):
     perturbs *outcomes* (aborts, slowdowns), this one perturbs
     *liveness* — the evaluation hangs for a bounded stretch of real
     wall-clock time, or its worker dies outright
-    (:class:`WorkerDeath`).  It exists to exercise the supervision layer
-    (``repro.supervise``): deadlines, dead-worker reclaim, speculation and
-    poison-config quarantine.
+    (:class:`~repro.supervise.WorkerDeath`).  It exists to exercise the
+    supervision layer (``repro.supervise``): deadlines, dead-worker
+    reclaim, speculation and poison-config quarantine.
 
     Parameters
     ----------

@@ -114,7 +114,8 @@ COUNTERS: dict[str, str] = {
     "supervise.speculate": "speculative straggler twins launched",
     "supervise.speculate_wins": "races won by the speculative twin",
     "supervise.reclaim": "dead-worker tasks reclaimed and redispatched",
-    "pool.abandoned_tasks": "pool tasks abandoned (deadline or shutdown)",
+    "pool.abandoned_tasks": "executor dispatches abandoned (deadline, "
+                            "lost twin race or shutdown)",
     "serve.submitted": "sessions accepted into the store",
     "serve.claims": "sessions claimed by daemon workers",
     "serve.resumed": "claimed sessions that resumed a prior journal",
@@ -133,7 +134,7 @@ TIMERS: dict[str, str] = {
                 "sweeps (the LHS design and the jittered incumbents)",
     "forest.fit": "tree-ensemble fits",
     "importance": "permutation-importance sweeps",
-    "pool.task": "WorkerPool task bodies",
+    "pool.task": "evaluations run on the BO executor's threads",
     "async.propose": "async replacement-proposal draws",
     "async.wait": "async waits on the next completion",
     "serve.claim": "session-claim attempts against the store (claim latency)",

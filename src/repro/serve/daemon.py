@@ -6,20 +6,23 @@ claim → run → settle: it claims the highest-priority runnable session
 (PENDING, or RUNNING with a free claim lock — the crash-recovery case),
 runs it through :func:`repro.serve.runner.run_session` with the
 session's crash-safe journal, and settles DONE/FAILED/CANCELLED.
-Within a session, supervised execution (``async_workers``/
-``eval_timeout_s`` in the spec) claims individual evaluations through
-the existing :class:`~repro.supervise.EvaluationSupervisor`/`WorkerPool`
-path, so deadlines, speculation, quarantine and redispatch-on-death all
-apply unchanged under the daemon.
+Within a session, the BO loop runs its evaluations through its one
+executor, :class:`~repro.supervise.EvaluationSupervisor`, so supervised
+execution (``async_workers``/``eval_timeout_s`` in the spec) applies
+unchanged under the daemon: deadlines, speculation, quarantine and
+redispatch of a worker death.  Any other exception from an evaluation,
+a cancel's :class:`~repro.serve.session.SessionCancelled` included,
+ends the session's run.
 
 Durability contract: the daemon itself holds **no** state a kill can
 lose.  Sessions live in the store (fsync'd transitions), evaluations in
 per-session journals (every record flushed as it is written, every
 dispatch fsync'd before its evaluation runs), so SIGKILL at any instant
 loses at most the evaluations in flight, and an OS crash at most the
-settles written since the last dispatch.  Journal-v2
-``pending_dispatches()`` recovery re-executes both bit-identically on
-the next daemon's resume (``recover="redispatch"``).  A session's
+settles written since the last dispatch.  The journal's
+:meth:`~repro.core.journal.EvaluationJournal.recovery` names both (the
+dispatches no settle follows), and the next daemon's resume re-executes
+them bit-identically (``recover="redispatch"``).  A session's
 journal and trace are closed, which fsyncs them, before its terminal
 state is written, so a settled session never names records that are
 only in the page cache.

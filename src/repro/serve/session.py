@@ -54,8 +54,11 @@ class SessionSpec:
     two runs of the same spec — served or in-process, interrupted or not
     — produce bit-identical evaluation streams as long as the resilience
     knobs stay on the deterministic defaults (``fault_rate=0``,
-    ``async_workers=0``, no supervision; see docs/ROBUSTNESS.md for why
-    supervised runs trade that guarantee for liveness).
+    ``async_workers`` 0 or 1, no supervision; see docs/ROBUSTNESS.md for
+    why supervised runs trade that guarantee for liveness).  Whatever
+    the knobs, an exception from an evaluation ends the session's run —
+    a cancel's :class:`SessionCancelled` included — except a worker
+    death under supervision, which is written off.
     """
 
     workload: str
@@ -75,7 +78,8 @@ class SessionSpec:
     #: transient-fault injection rate (0 = off) and its retry budget.
     fault_rate: float = 0.0
     retries: int = 2
-    #: asynchronous BO workers (0 = the serial, bit-reproducible loop).
+    #: asynchronous BO workers (0 and 1 = the serial, bit-reproducible
+    #: loop).
     async_workers: int = 0
     #: supervised execution (requires ``async_workers >= 1``).
     eval_timeout_s: float | None = None

@@ -1,16 +1,19 @@
-"""Supervised execution: deadlines, reclaim, speculation, quarantine.
+"""The BO loop's evaluation executor, and supervised execution.
 
-``repro.supervise`` wraps a :class:`repro.utils.parallel.WorkerPool` so
-that every in-flight evaluation is accountable (docs/ROBUSTNESS.md,
-"Supervised execution"):
+:class:`EvaluationSupervisor` runs every evaluation of the BO engine's
+dispatch/fold loop: on the calling thread for one worker with no policy,
+on a daemon thread per dispatch otherwise.  Under a
+:class:`SupervisePolicy` every in-flight evaluation is accountable
+(docs/ROBUSTNESS.md, "Supervised execution"):
 
 * **deadlines** — a wall-clock budget per evaluation, derived from a
   running quantile of completed durations plus an optional hard
   ``eval_timeout_s`` override, counted from the task's latest dispatch;
   a task past its deadline is abandoned and charged to search cost like
   a censored run;
-* **reclaim** — a task whose worker died is redispatched on a fresh
-  slot, up to ``max_redispatch`` times;
+* **reclaim** — a task whose worker died (:class:`WorkerDeath`) is
+  redispatched on a fresh slot, up to ``MAX_REDISPATCH`` times, then
+  written off; any other exception propagates;
 * **speculative re-execution** — a straggler past the straggler
   threshold gets a duplicate on an idle slot; the first completion wins
   and the loser is abandoned;
@@ -20,14 +23,15 @@ that every in-flight evaluation is accountable (docs/ROBUSTNESS.md,
 Supervision reads the wall clock by design (an injected monotonic clock,
 exempted by analysis rule RPD005): deadlines are facts about real
 elapsed time.  It is therefore *not* bit-reproducible and is off by
-default — ``BOEngine(supervise=None)`` keeps every existing code path
-byte-identical to the unsupervised engine.
+default — ``BOEngine(supervise=None)`` applies no deadline and reclaims
+nothing.
 """
 
 from .deadline import DeadlinePolicy
 from .quarantine import PoisonQuarantine
 from .supervisor import (Completed, DeadlineHit, EvaluationSupervisor,
-                         SupervisePolicy, TaskFailed)
+                         SupervisePolicy, TaskFailed, WorkerDeath)
 
 __all__ = ["SupervisePolicy", "EvaluationSupervisor", "DeadlinePolicy",
-           "PoisonQuarantine", "Completed", "DeadlineHit", "TaskFailed"]
+           "PoisonQuarantine", "WorkerDeath", "Completed", "DeadlineHit",
+           "TaskFailed"]

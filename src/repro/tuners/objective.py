@@ -145,8 +145,9 @@ class WorkloadObjective:
         stream.  Views are spawned *serially* (each spawn advances the
         parent stream), so a batch of views produces the same results
         regardless of how many workers later run them or in what order
-        they complete — the determinism contract of
-        ``repro.utils.parallel``.  The simulator itself keeps no per-run
+        they complete — the determinism contract of the BO loop's
+        executor (:class:`repro.supervise.EvaluationSupervisor`).  The
+        simulator itself keeps no per-run
         state, so views may execute concurrently.  Subclasses inherit it
         (views keep the subclass behavior).
         """

@@ -1,4 +1,4 @@
-"""Shared utilities: RNG plumbing, statistics helpers, worker pools."""
+"""Shared utilities: RNG plumbing and statistics helpers."""
 
 from .rng import as_generator, spawn
 from .stats import geometric_mean, percentile, summarize

@@ -2,9 +2,10 @@
 
 The contract under test (docs/PERFORMANCE.md):
 
-* ``async_workers`` 0 and 1 are the serial loop — never more than one
-  point in flight, objective called on the serial pool backend — and
-  must reproduce the serial engine's decision digests bit-for-bit.
+* ``async_workers`` 0 and 1 are one setting, the serial loop — never
+  more than one point in flight, objective called on the caller's
+  thread — and must reproduce the serial engine's decision digests
+  bit-for-bit.
 * ``k > 1`` keeps up to k evaluations in flight, folds completions
   immediately, and penalizes busy points out of the acquisition; results
   then depend on completion order, so only structural invariants hold.

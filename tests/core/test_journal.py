@@ -164,48 +164,52 @@ class TestDispatchSettle:
     def test_live_calls_write_dispatch_then_settle(self, tmp_path):
         path = tmp_path / "run.jsonl"
         journal = EvaluationJournal(path)
+        journal.write_meta({"tuner": "ROBOTune"})
         wrapped = JournaledObjective(RecordingObjective(), journal)
         wrapped(np.array([0.2, 0.8]))
         wrapped(np.array([0.4, 0.6]))
         journal.close()
         with open(path, encoding="utf-8") as fh:
             lines = [json.loads(line) for line in fh]
-        assert [p["kind"] for p in lines] == ["dispatch", "eval",
+        assert [p["kind"] for p in lines] == ["meta", "dispatch", "eval",
                                               "dispatch", "eval"]
         # Each eval settles the dispatch immediately preceding it.
-        assert lines[1]["seq"] == lines[0]["seq"] == 0
-        assert lines[3]["seq"] == lines[2]["seq"] == 1
-        assert journal.pending_dispatches() == []
-        assert journal.next_seq() == 2
+        assert lines[2]["seq"] == lines[1]["seq"] == 0
+        assert lines[4]["seq"] == lines[3]["seq"] == 1
+        _, _, pending, next_seq = journal.recovery()
+        assert pending == []
+        assert next_seq == 2
 
     def test_unsettled_dispatch_is_pending(self, tmp_path):
         journal = EvaluationJournal(tmp_path / "run.jsonl")
+        journal.write_meta({"tuner": "ROBOTune"})
         wrapped = JournaledObjective(RecordingObjective(), journal)
         wrapped(np.array([0.2, 0.8]))
         # Simulate a crash mid-evaluation: dispatch written, no settle.
         journal.append_dispatch(1, np.array([0.4, 0.6]))
         journal.close()
-        pending = journal.pending_dispatches()
+        _, _, pending, next_seq = journal.recovery()
         assert len(pending) == 1
         assert pending[0].seq == 1
         assert pending[0].vector == [0.4, 0.6]
-        assert journal.next_seq() == 2
+        assert next_seq == 2
         assert len(journal) == 1      # only the settled record counts
 
     def test_record_censored_settles_immediately(self, tmp_path):
         path = tmp_path / "run.jsonl"
         journal = EvaluationJournal(path)
+        journal.write_meta({"tuner": "ROBOTune"})
         wrapped = JournaledObjective(RecordingObjective(), journal)
         censored = make_eval(status=RunStatus.TIMEOUT, truncated=True,
                              transient=True, fault="deadline")
         wrapped.record_censored(censored)
         journal.close()
-        assert journal.pending_dispatches() == []
-        _, records = journal.load()
+        _, records, pending, next_seq = journal.recovery()
+        assert pending == []
         assert len(records) == 1
         assert records[0].fault == "deadline"
         assert records[0].seq == 0
-        assert journal.next_seq() == 1
+        assert next_seq == 1
 
     def test_v1_journal_loads_unchanged(self, tmp_path):
         # A pre-supervision journal: eval records with no seq, no dispatches.
@@ -218,8 +222,7 @@ class TestDispatchSettle:
         assert meta == {"tuner": "ROBOTune"}
         assert len(records) == 2
         assert all(rec.seq is None for rec in records)
-        assert journal.pending_dispatches() == []
-        assert journal.next_seq() == 0
+        assert journal.recovery() == (meta, records, [], 0)
 
 
 class TestDurability:
@@ -306,6 +309,7 @@ class TestCrashRecovery:
     def _crashed_session(self, tmp_path, objective_cls=RecordingObjective):
         """One settled evaluation plus one dispatch that never settled."""
         journal = EvaluationJournal(tmp_path / "run.jsonl")
+        journal.write_meta({"tuner": "ROBOTune"})
         inner = objective_cls()
         wrapped = JournaledObjective(inner, journal)
         wrapped(np.array([0.2, 0.8]))
@@ -321,11 +325,10 @@ class TestCrashRecovery:
 
     def test_redispatch_reexecutes_and_reuses_seq(self, tmp_path):
         journal = self._crashed_session(tmp_path)
-        _, records = journal.load()
+        _, records, pending, next_seq = journal.recovery()
         fresh = RecordingObjective()
         resumed = JournaledObjective(fresh, journal, replay=records,
-                                     pending=journal.pending_dispatches(),
-                                     next_seq=journal.next_seq())
+                                     pending=pending, next_seq=next_seq)
         assert resumed.n_pending == 1
         resumed(np.array([0.2, 0.8]))          # served from the journal
         ev = resumed(np.array([0.4, 0.6]))     # re-executes the crashed one
@@ -334,8 +337,8 @@ class TestCrashRecovery:
         assert resumed.n_pending == 0
         journal.close()
         # The re-execution settled the *original* dispatch record.
-        assert journal.pending_dispatches() == []
-        _, records = journal.load()
+        _, records, pending, _ = journal.recovery()
+        assert pending == []
         assert records[-1].seq == 1
         # New work continues from the next unused sequence number.
         resumed(np.array([0.6, 0.4]))
@@ -345,11 +348,10 @@ class TestCrashRecovery:
 
     def test_censor_writes_off_pending_without_execution(self, tmp_path):
         journal = self._crashed_session(tmp_path, RecoverableObjective)
-        _, records = journal.load()
+        _, records, pending, next_seq = journal.recovery()
         fresh = RecoverableObjective()
         resumed = JournaledObjective(fresh, journal, replay=records,
-                                     pending=journal.pending_dispatches(),
-                                     next_seq=journal.next_seq(),
+                                     pending=pending, next_seq=next_seq,
                                      recover="censor")
         resumed(np.array([0.2, 0.8]))
         skipped_before = fresh.skipped
@@ -365,7 +367,7 @@ class TestCrashRecovery:
         assert fresh.skipped == skipped_before + 1
         assert resumed.n_pending == 0
         journal.close()
-        assert journal.pending_dispatches() == []
+        assert journal.recovery()[2] == []
 
     def test_censor_prefers_censor_value_hook(self, tmp_path):
         class Hooked(RecoverableObjective):
@@ -373,10 +375,9 @@ class TestCrashRecovery:
                 return 999.0
 
         journal = self._crashed_session(tmp_path, Hooked)
-        _, records = journal.load()
+        _, records, pending, next_seq = journal.recovery()
         resumed = JournaledObjective(Hooked(), journal, replay=records,
-                                     pending=journal.pending_dispatches(),
-                                     next_seq=journal.next_seq(),
+                                     pending=pending, next_seq=next_seq,
                                      recover="censor")
         resumed(np.array([0.2, 0.8]))
         ev = resumed(np.array([0.4, 0.6]))
@@ -385,11 +386,10 @@ class TestCrashRecovery:
 
     def test_censor_mode_runs_unrelated_vectors_live(self, tmp_path):
         journal = self._crashed_session(tmp_path, RecoverableObjective)
-        _, records = journal.load()
+        _, records, pending, next_seq = journal.recovery()
         fresh = RecoverableObjective()
         resumed = JournaledObjective(fresh, journal, replay=records,
-                                     pending=journal.pending_dispatches(),
-                                     next_seq=journal.next_seq(),
+                                     pending=pending, next_seq=next_seq,
                                      recover="censor")
         resumed(np.array([0.2, 0.8]))
         ev = resumed(np.array([0.9, 0.1]))     # never dispatched pre-crash
@@ -402,16 +402,17 @@ class TestCrashRecovery:
 class TestJournaledViews:
     def test_spawn_view_shares_journal_and_sequence(self, tmp_path):
         journal = EvaluationJournal(tmp_path / "run.jsonl")
+        journal.write_meta({"tuner": "ROBOTune"})
         wrapped = JournaledObjective(SpawnableObjective(), journal)
         assert wrapped.spawn_view_capable
         views = [wrapped.spawn_view() for _ in range(3)]
         for i, view in enumerate(views):
             view(np.array([0.1 * (i + 1), 0.5]))
         journal.close()
-        _, records = journal.load()
+        _, records, pending, next_seq = journal.recovery()
         assert sorted(rec.seq for rec in records) == [0, 1, 2]
-        assert journal.pending_dispatches() == []
-        assert journal.next_seq() == 3
+        assert pending == []
+        assert next_seq == 3
 
     def test_spawn_view_capable_tracks_inner(self, tmp_path):
         journal = EvaluationJournal(tmp_path / "run.jsonl")
@@ -511,11 +512,10 @@ class TestTornTail:
         """The session's first *n* evaluations, fresh or resumed."""
         journal = EvaluationJournal(path)
         if resume:
-            _, records = journal.load()
+            _, records, pending, next_seq = journal.recovery()
             wrapped = JournaledObjective(
                 RecordingObjective(), journal, replay=records,
-                pending=journal.pending_dispatches(),
-                next_seq=journal.next_seq())
+                pending=pending, next_seq=next_seq)
         else:
             journal.write_meta({"tuner": "RandomSearch"})
             wrapped = JournaledObjective(RecordingObjective(), journal)

@@ -176,8 +176,7 @@ class TestSupervision:
         tuner = make_tuner(memo=memo, seed=25, init_samples=6,
                            async_workers=1,
                            supervise=SupervisePolicy(eval_timeout_s=30.0,
-                                                     quarantine_after=1,
-                                                     max_redispatch=0))
+                                                     quarantine_after=1))
         result = tuner.tune(objective, budget=12, rng=26)
         assert result.n_evaluations == 12
         assert len(result.quarantined_configs) == 1

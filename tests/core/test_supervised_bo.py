@@ -2,6 +2,7 @@
 engine-level routing, and guard-kill accounting of write-offs
 (docs/ROBUSTNESS.md)."""
 
+import threading
 import warnings
 
 import numpy as np
@@ -16,6 +17,7 @@ from repro.sparksim.result import RunStatus
 from repro.supervise import SupervisePolicy
 from repro.supervise.quarantine import vector_key
 from repro.tuners import SyntheticObjective, synthetic_space
+from repro.tuners.base import ObjectiveWrapper
 
 
 def make_problem(dim=4, seed=0, n_initial=8):
@@ -25,6 +27,74 @@ def make_problem(dim=4, seed=0, n_initial=8):
     initial = [objective(u) for u in latin_hypercube(n_initial, dim,
                                                      rng=seed)]
     return space, objective, initial
+
+
+class _Probe(ObjectiveWrapper):
+    """Spawnable probe: records the thread of every call, and from call
+    *fail_at* on raises ``ValueError``.  Its views share the record."""
+
+    def __init__(self, inner, *, fail_at=None):
+        super().__init__(inner)
+        self.threads = []
+        self._lock = threading.Lock()
+        self._fail_at = fail_at
+
+    def __call__(self, u, time_limit_s=None):
+        with self._lock:
+            self.threads.append(threading.get_ident())
+            n = len(self.threads)
+        if self._fail_at is not None and n >= self._fail_at:
+            raise ValueError(f"objective failed at call {n}")
+        return self._objective(u, time_limit_s)
+
+
+class TestWhereEvaluationsRun:
+    @pytest.mark.parametrize("async_workers,policy,on_caller", [
+        (0, None, True),
+        (1, None, True),
+        (2, None, False),
+        (1, SupervisePolicy(eval_timeout_s=30.0), False)],
+        ids=["serial-0", "serial-1", "two-workers", "one-worker-policy"])
+    def test_evaluation_thread(self, async_workers, policy, on_caller):
+        space, objective, initial = make_problem(seed=23)
+        probe = _Probe(objective)
+        sink = InMemorySink()
+        tracer = Tracer([sink])
+        engine = BOEngine(rng=24, n_candidates=64, refine=False,
+                          async_workers=async_workers, supervise=policy,
+                          tracer=tracer)
+        evals = engine.minimize(probe, space, initial, budget=5)
+        tracer.close()
+        assert len(evals) == len(probe.threads) == 5
+        caller = threading.get_ident()
+        if on_caller:
+            assert set(probe.threads) == {caller}
+        else:
+            assert caller not in probe.threads
+        # async.* and pool.task records come with the threads, and only
+        # with them: async_workers 0 and 1 are one setting.
+        async_types = {e["type"] for e in sink.events()
+                       if e["type"].startswith("async.")}
+        assert (async_types == set()) is on_caller
+        assert ("pool.task" in tracer.timers) is not on_caller
+
+
+class TestExceptionRule:
+    """Only a worker death is written off: any other exception from an
+    evaluation propagates, supervised or not."""
+
+    @pytest.mark.parametrize("async_workers,policy", [
+        (1, SupervisePolicy(eval_timeout_s=30.0)),
+        (2, SupervisePolicy(eval_timeout_s=30.0, speculate=True)),
+        (0, None), (2, None)],
+        ids=["one-worker-policy", "policy", "serial", "two-workers"])
+    def test_objective_error_propagates(self, async_workers, policy):
+        space, objective, initial = make_problem(seed=25)
+        probe = _Probe(objective, fail_at=3)
+        engine = BOEngine(rng=26, n_candidates=64, refine=False,
+                          async_workers=async_workers, supervise=policy)
+        with pytest.raises(ValueError, match="objective failed at call 3"):
+            engine.minimize(probe, space, initial, budget=8)
 
 
 class TestValidation:
@@ -114,8 +184,7 @@ class TestDeadlinesAndQuarantine:
         tracer = Tracer([sink])
         engine = BOEngine(rng=12, n_candidates=64, async_workers=2,
                           supervise=SupervisePolicy(eval_timeout_s=30.0,
-                                                    quarantine_after=99,
-                                                    max_redispatch=1),
+                                                    quarantine_after=99),
                           tracer=tracer)
         evals = engine.minimize(inj, space, initial, budget=4)
         assert len(evals) == 4
@@ -138,8 +207,7 @@ class TestDeadlinesAndQuarantine:
                            poison_kind="worker_death")
         engine = BOEngine(rng=14, n_candidates=64, async_workers=1,
                           supervise=SupervisePolicy(eval_timeout_s=30.0,
-                                                    quarantine_after=1,
-                                                    max_redispatch=0))
+                                                    quarantine_after=1))
         evals = engine.minimize(inj, space, initial, budget=8)
         assert len(evals) == 8
         assert len(engine.quarantined) == 1
@@ -164,8 +232,7 @@ class TestDeadlinesAndQuarantine:
                                                death_share=1.0))
         engine = BOEngine(rng=16, n_candidates=64, async_workers=1,
                           supervise=SupervisePolicy(eval_timeout_s=30.0,
-                                                    quarantine_after=99,
-                                                    max_redispatch=0))
+                                                    quarantine_after=99))
         evals = engine.minimize(inj, space, initial, budget=2)
         assert all(e.objective == 1234.5 for e in evals)
 
@@ -242,18 +309,17 @@ class TestGuardKillAccounting:
                                                      static_limit_s=480.0))
 
         journal = EvaluationJournal(path)
+        journal.write_meta({"session": "crash-recovery"})
         run(JournaledObjective(make_problem(seed=19)[1], journal))
         journal.close()
         lines = path.read_text().splitlines(keepends=True)
         path.write_text("".join(lines[:-1]))
 
         journal = EvaluationJournal(path)
-        _, records = journal.load()
+        _, records, pending, next_seq = journal.recovery()
         resumed = JournaledObjective(make_problem(seed=19)[1], journal,
-                                     replay=records,
-                                     pending=journal.pending_dispatches(),
-                                     next_seq=journal.next_seq(),
-                                     recover="censor")
+                                     replay=records, pending=pending,
+                                     next_seq=next_seq, recover="censor")
         sink = InMemorySink()
         tracer = Tracer([sink])
         evals = run(resumed, tracer)

@@ -208,10 +208,10 @@ class TestInFlightRecovery:
     def test_kill_leaves_exactly_one_pending_dispatch(self, space, tmp_path):
         journal_path = self._kill_session(space, tmp_path)
         journal = EvaluationJournal(journal_path)
-        pending = journal.pending_dispatches()
+        _, records, pending, next_seq = journal.recovery()
         assert len(pending) == 1          # the evaluation that was executing
-        assert journal.next_seq() == 11
-        assert len(journal) == 10         # only settled records count
+        assert next_seq == 11
+        assert len(records) == 10         # only settled records count
 
     def test_redispatch_resume_settles_the_pending_dispatch(self, space,
                                                             tmp_path):
@@ -219,16 +219,17 @@ class TestInFlightRecovery:
         # TestKillAndResume; here we pin the journal-level accounting.
         straight, resumed = kill_resume_roundtrip(
             "RandomSearch", space, tmp_path, budget=40, kill_after=10)
-        journal = EvaluationJournal(tmp_path / "session.jsonl")
-        assert journal.pending_dispatches() == []
-        assert len(journal) == 40
+        _, records, pending, _ = EvaluationJournal(
+            tmp_path / "session.jsonl").recovery()
+        assert pending == []
+        assert len(records) == 40
         assert all(e.fault is None for e in resumed.evaluations)
 
     def test_censor_resume_writes_off_the_inflight_evaluation(self, space,
                                                               tmp_path):
         journal_path = self._kill_session(space, tmp_path)
         crashed = np.asarray(
-            EvaluationJournal(journal_path).pending_dispatches()[0].vector)
+            EvaluationJournal(journal_path).recovery()[2][0].vector)
         tuner, rng = make_tuner("RandomSearch")
         resumed = tuner.resume(make_objective(space), 40, journal_path,
                                rng=rng, recover="censor")
@@ -238,9 +239,9 @@ class TestInFlightRecovery:
         assert len(censored) == 1
         assert np.array_equal(censored[0].vector, crashed)
         assert censored[0].truncated and censored[0].transient
-        journal = EvaluationJournal(journal_path)
-        assert journal.pending_dispatches() == []
-        assert len(journal) == 40
+        _, records, pending, _ = EvaluationJournal(journal_path).recovery()
+        assert pending == []
+        assert len(records) == 40
 
 
 class TestSupervisedTuningUnderChaos:

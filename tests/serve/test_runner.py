@@ -6,11 +6,14 @@ name one session by (workload, dataset, seed, budget).  These tests pin
 that by evaluation digest, selection phase included.
 """
 
+import pytest
+
 from repro.cli import main
 from repro.core.journal import EvaluationJournal
 from repro.core.selection import ParameterSelector
 from repro.core.tuner import ROBOTune
-from repro.serve import SessionSpec, evaluation_digest, run_session
+from repro.serve import (SessionCancelled, SessionSpec, evaluation_digest,
+                         run_session)
 from repro.space.spark_params import spark_space
 from repro.tuners.objective import WorkloadObjective
 from repro.workloads.registry import get_workload
@@ -51,3 +54,27 @@ class TestTuneCommand:
                                          seed=5, fault_rate=0.2))
         assert evaluation_digest([r.to_evaluation() for r in records]) \
             == digest(served)
+
+
+class TestCancelInBO:
+    """A cancel that lands in the BO phase ends the session, supervised
+    or not: its ``SessionCancelled`` is no worker death to write off."""
+
+    @pytest.mark.parametrize("eval_timeout_s", [None, 30.0],
+                             ids=["unsupervised", "supervised"])
+    def test_cancel_raises_with_nothing_written_off(self, tmp_path,
+                                                    eval_timeout_s):
+        spec = SessionSpec("pagerank", budget=20, seed=1, init_samples=5,
+                           selection_samples=10, selection_repeats=1,
+                           async_workers=1, eval_timeout_s=eval_timeout_s)
+        calls = iter(range(1, 1000))
+        journal = EvaluationJournal(tmp_path / "session.jsonl")
+        with pytest.raises(SessionCancelled):
+            # Calls 1-10 are the selection samples and 11-15 the initial
+            # design, so the 19th call is the BO phase's fourth.
+            run_session(spec, journal=journal,
+                        should_cancel=lambda: next(calls) >= 19)
+        journal.close()
+        _, records = journal.load()
+        assert len(records) == 18
+        assert [r.fault for r in records] == [None] * 18

@@ -13,22 +13,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="eval_timeout_s"):
             DeadlinePolicy(-1.0)
 
-    def test_rejects_bad_quantile(self):
-        with pytest.raises(ValueError, match="quantile"):
-            DeadlinePolicy(quantile=0.0)
-        with pytest.raises(ValueError, match="quantile"):
-            DeadlinePolicy(quantile=1.5)
-
-    def test_rejects_bad_multipliers(self):
-        with pytest.raises(ValueError, match="multipliers"):
-            DeadlinePolicy(multiplier=1.0)
-        with pytest.raises(ValueError, match="multipliers"):
-            DeadlinePolicy(straggler_multiplier=0.5)
-
-    def test_rejects_bad_min_completions(self):
-        with pytest.raises(ValueError, match="min_completions"):
-            DeadlinePolicy(min_completions=0)
-
 
 class TestColdPolicy:
     def test_unbounded_without_cap_or_history(self):
@@ -43,7 +27,7 @@ class TestColdPolicy:
         assert policy.straggler_threshold_s() is None
 
     def test_warmup_counts_completions(self):
-        policy = DeadlinePolicy(min_completions=3)
+        policy = DeadlinePolicy()
         policy.observe(1.0)
         policy.observe(1.0)
         assert policy.deadline_s() is None
@@ -53,45 +37,41 @@ class TestColdPolicy:
 
 class TestAdaptiveThresholds:
     def test_deadline_scales_from_quantile(self):
-        policy = DeadlinePolicy(quantile=0.5, multiplier=3.0,
-                                min_completions=3)
+        policy = DeadlinePolicy()
         for d in (1.0, 2.0, 3.0):
             policy.observe(d)
-        assert policy.deadline_s() == pytest.approx(3.0 * 2.0)
+        # 3 x the 95th percentile of (1, 2, 3), which is 2.9.
+        assert policy.deadline_s() == pytest.approx(3.0 * 2.9)
 
     def test_straggler_uses_its_own_multiplier(self):
-        policy = DeadlinePolicy(quantile=0.5, multiplier=3.0,
-                                straggler_multiplier=2.0, min_completions=3)
+        policy = DeadlinePolicy()
         for d in (1.0, 2.0, 3.0):
             policy.observe(d)
-        assert policy.straggler_threshold_s() == pytest.approx(2.0 * 2.0)
+        assert policy.straggler_threshold_s() == pytest.approx(2.0 * 2.9)
         assert policy.straggler_threshold_s() < policy.deadline_s()
 
     def test_hard_cap_wins_when_tighter(self):
-        policy = DeadlinePolicy(4.0, quantile=0.5, multiplier=3.0,
-                                min_completions=3)
+        policy = DeadlinePolicy(4.0)
         for d in (10.0, 10.0, 10.0):
             policy.observe(d)
         assert policy.deadline_s() == 4.0
         assert policy.straggler_threshold_s() == 4.0
 
     def test_adaptive_wins_when_tighter(self):
-        policy = DeadlinePolicy(100.0, quantile=0.5, multiplier=3.0,
-                                min_completions=3)
+        policy = DeadlinePolicy(100.0)
         for d in (1.0, 1.0, 1.0):
             policy.observe(d)
         assert policy.deadline_s() == pytest.approx(3.0)
 
     def test_zero_durations_floored(self):
         # An all-instant history must not produce a zero deadline.
-        policy = DeadlinePolicy(min_completions=3)
+        policy = DeadlinePolicy()
         for _ in range(3):
             policy.observe(0.0)
         assert policy.deadline_s() > 0.0
 
     def test_quantile_tracks_distribution(self):
-        policy = DeadlinePolicy(quantile=0.95, multiplier=3.0,
-                                min_completions=3)
+        policy = DeadlinePolicy()
         rng = np.random.default_rng(0)
         for d in rng.uniform(1.0, 2.0, size=100):
             policy.observe(float(d))

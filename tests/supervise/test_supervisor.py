@@ -1,30 +1,45 @@
-"""EvaluationSupervisor: deadlines, speculation, reclaim.
+"""EvaluationSupervisor, the BO loop's one executor.
 
-These tests exercise real threads and the wall clock (short, CI-safe
-durations): supervision is exactly the part of the library whose job is
-real elapsed time, which is why ``supervise/`` is exempt from the
-determinism lint and documented as not bit-reproducible.
+Where thunks run, the submit/collect protocol, deadlines, speculation,
+reclaim, the exception rule and bounded shutdown.  These tests exercise
+real threads and the wall clock (short, CI-safe durations): supervision
+is exactly the part of the library whose job is real elapsed time,
+which is why ``supervise/`` is exempt from the determinism lint and
+documented as not bit-reproducible.  Every wait in here is bounded, so a
+regression shows up as a failed assertion, not a hung test run.
 """
 
+import dataclasses
 import threading
 import time
 
 import pytest
 
+import repro.supervise.supervisor as supervisor_module
 from repro.obs import InMemorySink, Tracer
 from repro.supervise import (Completed, DeadlineHit, EvaluationSupervisor,
-                             SupervisePolicy, TaskFailed)
-from repro.utils.parallel import WorkerPool
+                             SupervisePolicy, TaskFailed, WorkerDeath)
 
 
-def make(n_workers=2, tracer=None, **policy_kwargs):
-    pool = WorkerPool(n_workers, backend="thread")
-    policy = SupervisePolicy(**policy_kwargs)
-    return pool, EvaluationSupervisor(pool, policy, tracer=tracer)
+def make(workers=2, tracer=None, **policy_kwargs):
+    return EvaluationSupervisor(workers, SupervisePolicy(**policy_kwargs),
+                                tracer=tracer)
 
 
 def const_factory(value):
     return lambda: (lambda: value)
+
+
+def raising_factory(exc, calls=None):
+    """A factory whose every thunk raises *exc*; counts dispatches."""
+    def factory():
+        if calls is not None:
+            calls.append(1)
+
+        def thunk():
+            raise exc
+        return thunk
+    return factory
 
 
 class TestPolicy:
@@ -33,60 +48,166 @@ class TestPolicy:
             SupervisePolicy(eval_timeout_s=0.0)
         with pytest.raises(ValueError):
             SupervisePolicy(quarantine_after=0)
-        with pytest.raises(ValueError):
-            SupervisePolicy(max_redispatch=-1)
-        with pytest.raises(ValueError):
-            SupervisePolicy(poll_s=0.0)
 
-    def test_deadline_policy_inherits_knobs(self):
-        policy = SupervisePolicy(eval_timeout_s=7.0, deadline_quantile=0.5,
-                                 deadline_multiplier=4.0,
-                                 straggler_multiplier=3.0, min_completions=5)
-        deadlines = policy.deadline_policy()
-        assert deadlines.eval_timeout_s == 7.0
-        assert deadlines.quantile == 0.5
-        assert deadlines.multiplier == 4.0
-        assert deadlines.straggler_multiplier == 3.0
-        assert deadlines.min_completions == 5
+    def test_three_fields(self):
+        assert [f.name for f in dataclasses.fields(SupervisePolicy)] == \
+            ["eval_timeout_s", "speculate", "quarantine_after"]
+
+    def test_rejects_bad_worker_count(self):
+        with pytest.raises(ValueError, match="workers"):
+            EvaluationSupervisor(0)
+
+
+class TestWhereThunksRun:
+    def test_serial_defers_to_the_collector(self):
+        ran = []
+        sup = EvaluationSupervisor(1)
+        with sup:
+            sup.submit(lambda: (lambda: ran.append(threading.get_ident())
+                                or "a"), tag="a")
+            assert ran == []          # nothing executes at submit time
+            assert not sup.threaded
+            outcome = sup.next_outcome()
+        assert isinstance(outcome, Completed)
+        assert (outcome.tag, outcome.result) == ("a", "a")
+        assert ran == [threading.get_ident()]
+
+    def test_serial_collect_empty_raises(self):
+        with EvaluationSupervisor(1) as sup:
+            assert not sup.threaded
+            with pytest.raises(RuntimeError, match="no tasks in flight"):
+                sup.next_outcome()
 
 
 class TestBasicProtocol:
     def test_completion_round_trip(self):
-        pool, sup = make(min_completions=1)
-        with pool:
-            sup.submit(const_factory(41), tag=0)
-            assert sup.in_flight == 1
-            outcome = sup.next_outcome()
-        assert isinstance(outcome, Completed)
-        assert outcome.tag == 0
-        assert outcome.result == 41
-        assert not outcome.speculative
-        assert sup.in_flight == 0
-        # Completion durations feed the adaptive deadline.
+        sup = make()
+        with sup:
+            for tag in range(3):
+                sup.submit(const_factory(40 + tag), tag=tag)
+                assert sup.in_flight == 1
+                outcome = sup.next_outcome()
+                assert isinstance(outcome, Completed)
+                assert outcome.tag == tag
+                assert outcome.result == 40 + tag
+                assert not outcome.speculative
+                assert sup.in_flight == 0
+        # Three completion durations arm the adaptive deadline.
         assert sup.deadlines.deadline_s() is not None
 
+    def test_round_trip_with_tags(self):
+        with EvaluationSupervisor(2) as sup:
+            sup.submit(const_factory(10), tag="a")
+            sup.submit(const_factory(20), tag="b")
+            got = {}
+            for _ in range(2):
+                outcome = sup.next_outcome()
+                got[outcome.tag] = outcome.result
+        assert got == {"a": 10, "b": 20}
+
     def test_duplicate_tag_rejected(self):
-        pool, sup = make()
-        with pool:
+        sup = make()
+        with sup:
             sup.submit(const_factory(1), tag="t")
             with pytest.raises(RuntimeError, match="already supervised"):
                 sup.submit(const_factory(2), tag="t")
             sup.next_outcome()
 
     def test_next_outcome_requires_inflight(self):
-        pool, sup = make()
-        with pool:
-            with pytest.raises(RuntimeError, match="no supervised tasks"):
+        with make() as sup:
+            with pytest.raises(RuntimeError, match="no tasks in flight"):
                 sup.next_outcome()
 
-    def test_serial_pool_degenerates_to_fifo(self):
-        pool = WorkerPool(1, backend="serial")
-        sup = EvaluationSupervisor(pool, SupervisePolicy())
-        with pool:
-            sup.submit(const_factory("ok"), tag=5)
+    def test_collect_without_tasks_raises(self):
+        with EvaluationSupervisor(2) as sup:
+            assert sup.threaded
+            with pytest.raises(RuntimeError, match="no tasks in flight"):
+                sup.next_outcome()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_full_executor_refuses_submit(self, workers):
+        release = threading.Event()
+        with EvaluationSupervisor(workers) as sup:
+            for tag in range(workers):
+                sup.submit(lambda: (lambda: release.wait(10.0)), tag=tag)
+            assert sup.free_workers == 0
+            with pytest.raises(RuntimeError, match="executor is full"):
+                sup.submit(const_factory(1), tag="extra")
+            release.set()
+            for _ in range(workers):
+                sup.next_outcome()
+            assert sup.free_workers == workers
+        assert sup.abandoned_tasks == 0
+
+    def test_ties_settle_in_dispatch_order(self):
+        gate = threading.Event()
+        finished = []
+        with EvaluationSupervisor(3) as sup:
+            for i in (0, 1, 2):
+                sup.submit(lambda v=i: (lambda: gate.wait(10.0)
+                                        and finished.append(v) or v),
+                           tag=i)
+            gate.set()
+            deadline = time.monotonic() + 10.0
+            while len(finished) < 3 and time.monotonic() < deadline:
+                time.sleep(0.01)      # all three done before collecting
+            tags = [sup.next_outcome().tag for _ in range(3)]
+        assert tags == [0, 1, 2]
+
+
+class TestExceptionRule:
+    """Under a policy only a WorkerDeath is reclaimed and written off;
+    every other exception propagates, in every mode."""
+
+    @pytest.mark.parametrize("workers,policy", [
+        (1, None), (2, None), (1, SupervisePolicy(eval_timeout_s=30.0)),
+        (2, SupervisePolicy(eval_timeout_s=30.0, speculate=True))],
+        ids=["serial", "threaded", "one-worker-policy", "policy"])
+    def test_exception_propagates(self, workers, policy):
+        calls = []
+        with EvaluationSupervisor(workers, policy) as sup:
+            sup.submit(raising_factory(ZeroDivisionError(), calls),
+                       tag="boom")
+            with pytest.raises(ZeroDivisionError):
+                sup.next_outcome()
+            assert sup.in_flight == 0
+            assert sup.free_workers == workers
+            sup.submit(const_factory("ok"), tag="next")
+            outcome = sup.next_outcome()
+        assert (outcome.tag, outcome.result) == ("next", "ok")
+        assert len(calls) == 1        # never redispatched
+
+    def test_worker_death_propagates_without_policy(self):
+        with EvaluationSupervisor(2) as sup:
+            sup.submit(raising_factory(WorkerDeath("died")), tag=0)
+            with pytest.raises(WorkerDeath):
+                sup.next_outcome()
+
+    def test_runtime_error_is_no_worker_death(self):
+        with make(quarantine_after=1) as sup:
+            sup.submit(raising_factory(RuntimeError("not a death")), tag=0,
+                       key=b"k")
+            with pytest.raises(RuntimeError, match="not a death"):
+                sup.next_outcome()
+        assert len(sup.quarantine) == 0   # no strike either
+
+
+class TestNoPolicy:
+    def test_threaded_run_never_abandons(self):
+        # Three instant completions would arm DeadlinePolicy(None)'s
+        # adaptive deadline (3 x their 95th percentile, microseconds); a
+        # run with no policy must not consult it.
+        with EvaluationSupervisor(2) as sup:
+            for tag in range(3):
+                sup.submit(const_factory(tag), tag=tag)
+                sup.next_outcome()
+            sup.submit(lambda: (lambda: time.sleep(0.3) or "slow"),
+                       tag="slow")
             outcome = sup.next_outcome()
         assert isinstance(outcome, Completed)
-        assert outcome.result == "ok"
+        assert outcome.result == "slow"
+        assert sup.deadlines is None
+        assert sup.abandoned_tasks == 0
 
 
 class TestDeadlines:
@@ -94,9 +215,8 @@ class TestDeadlines:
         release = threading.Event()
         sink = InMemorySink()
         tracer = Tracer([sink])
-        pool, sup = make(tracer=tracer, eval_timeout_s=0.2,
-                         quarantine_after=1)
-        with pool:
+        sup = make(tracer=tracer, eval_timeout_s=0.2, quarantine_after=1)
+        with sup:
             sup.submit(lambda: (lambda: release.wait(30.0)), tag=0,
                        key=b"poison")
             start = time.monotonic()
@@ -109,21 +229,36 @@ class TestDeadlines:
         assert outcome.elapsed_s >= 0.2
         assert waited < 10.0          # the watchdog gave up, not the test
         assert outcome.quarantined    # quarantine_after=1
-        assert pool.abandoned_tasks == 1
+        assert sup.abandoned_tasks == 1
+        assert tracer.counters["pool.abandoned_tasks"] == 1
         assert tracer.counters["supervise.deadline_hit"] == 1
         assert tracer.counters["supervise.quarantine"] == 1
 
     def test_finished_result_is_not_written_off(self):
         # The driver comes back after the deadline has passed, but the
         # result has been waiting since well before it.
-        pool, sup = make(eval_timeout_s=0.2)
-        with pool:
+        sup = make(eval_timeout_s=0.2)
+        with sup:
             sup.submit(const_factory("done"), tag=0)
             time.sleep(0.5)
             outcome = sup.next_outcome()
         assert isinstance(outcome, Completed)
         assert outcome.result == "done"
-        assert pool.abandoned_tasks == 0
+        assert sup.abandoned_tasks == 0
+
+    def test_late_result_of_abandoned_dispatch_is_dropped(self):
+        release = threading.Event()
+        with make(eval_timeout_s=0.2) as sup:
+            sup.submit(lambda: (lambda: release.wait(10.0) or "stale"),
+                       tag="old")
+            assert isinstance(sup.next_outcome(), DeadlineHit)
+            release.set()             # the orphan thread now finishes
+            time.sleep(0.2)
+            sup.submit(const_factory("live"), tag="new")
+            outcome = sup.next_outcome()
+            assert sup.in_flight == 0
+        # Only the live task's result surfaces; the stale one dropped.
+        assert (outcome.tag, outcome.result) == ("new", "live")
 
 
 class TestWorkerDeath:
@@ -137,12 +272,12 @@ class TestWorkerDeath:
 
             def thunk(attempt=len(calls)):
                 if attempt == 1:
-                    raise RuntimeError("worker died")
+                    raise WorkerDeath("worker died")
                 return "recovered"
             return thunk
 
-        pool, sup = make(tracer=tracer, max_redispatch=1)
-        with pool:
+        sup = make(tracer=tracer)
+        with sup:
             sup.submit(factory, tag=0, key=b"k")
             outcome = sup.next_outcome()
         assert isinstance(outcome, Completed)
@@ -151,61 +286,48 @@ class TestWorkerDeath:
         assert tracer.counters["supervise.reclaim"] == 1
 
     def test_redispatch_exhaustion_fails_task(self):
-        def factory():
-            def thunk():
-                raise RuntimeError("always dies")
-            return thunk
-
-        pool, sup = make(max_redispatch=1, quarantine_after=10)
-        with pool:
-            sup.submit(factory, tag=0, key=b"k")
+        calls = []
+        sup = make(quarantine_after=10)
+        with sup:
+            sup.submit(raising_factory(WorkerDeath("always dies"), calls),
+                       tag=0, key=b"k")
             outcome = sup.next_outcome()
         assert isinstance(outcome, TaskFailed)
-        assert isinstance(outcome.error, RuntimeError)
+        assert isinstance(outcome.error, WorkerDeath)
         assert not outcome.quarantined
+        assert len(calls) == 1 + supervisor_module.MAX_REDISPATCH
 
     def test_quarantined_config_is_not_redispatched(self):
         calls = []
-
-        def factory():
-            calls.append(1)
-
-            def thunk():
-                raise RuntimeError("poison")
-            return thunk
-
-        pool, sup = make(max_redispatch=5, quarantine_after=1)
-        with pool:
-            sup.submit(factory, tag=0, key=b"poison")
+        sup = make(quarantine_after=1)
+        with sup:
+            sup.submit(raising_factory(WorkerDeath("poison"), calls), tag=0,
+                       key=b"poison")
             outcome = sup.next_outcome()
         assert isinstance(outcome, TaskFailed)
         assert outcome.quarantined
         assert len(calls) == 1        # quarantine preempts redispatch
 
     def test_keyless_task_never_quarantined(self):
-        def factory():
-            def thunk():
-                raise RuntimeError("dies")
-            return thunk
-
-        pool, sup = make(max_redispatch=0, quarantine_after=1)
-        with pool:
-            sup.submit(factory, tag=0)  # no key
+        sup = make(quarantine_after=1)
+        with sup:
+            sup.submit(raising_factory(WorkerDeath("dies")), tag=0)  # no key
             outcome = sup.next_outcome()
         assert isinstance(outcome, TaskFailed)
         assert not outcome.quarantined
 
 
-class TestSpeculation:
-    """Straggler twins.  Warm-up completions take ~0.05s so the adaptive
-    thresholds are meaningful: straggler at ~2x, deadline pushed far out
-    with a large multiplier so only speculation (not abandonment) fires.
-    """
+def warm(sup, duration_s):
+    """Feed the adaptive thresholds MIN_COMPLETIONS equal durations: the
+    straggler threshold is then 2x and the deadline 3x *duration_s*."""
+    for _ in range(3):
+        sup.deadlines.observe(duration_s)
 
-    def _warm(self, sup, tag_base=100):
-        sup.submit(lambda: (lambda: time.sleep(0.05) or None),
-                   tag=tag_base)
-        assert isinstance(sup.next_outcome(), Completed)
+
+class TestSpeculation:
+    """Straggler twins.  Warmed at 0.2 s, a task is a straggler after
+    0.4 s, and its deadline is 0.6 s after its latest dispatch — the twin
+    — so an original finishing at 0.7 s still wins its race."""
 
     def test_twin_wins_race(self):
         release = threading.Event()
@@ -218,11 +340,10 @@ class TestSpeculation:
             if len(dispatches) == 1:
                 return lambda: release.wait(30.0)  # the straggler
             return lambda: "twin"
-        pool, sup = make(n_workers=2, tracer=tracer, eval_timeout_s=20.0,
-                         speculate=True, min_completions=1,
-                         deadline_multiplier=1000.0)
-        with pool:
-            self._warm(sup)
+        sup = make(workers=2, tracer=tracer, eval_timeout_s=20.0,
+                   speculate=True)
+        with sup:
+            warm(sup, 0.2)
             sup.submit(factory, tag=0, key=b"k")
             outcome = sup.next_outcome()
             release.set()
@@ -232,7 +353,7 @@ class TestSpeculation:
         assert len(dispatches) == 2
         assert tracer.counters["supervise.speculate"] == 1
         assert tracer.counters["supervise.speculate_wins"] == 1
-        assert pool.abandoned_tasks == 1  # the straggler was dropped
+        assert sup.abandoned_tasks == 1  # the straggler was dropped
 
     def test_original_wins_race(self):
         release = threading.Event()
@@ -241,13 +362,11 @@ class TestSpeculation:
         def factory():
             dispatches.append(1)
             if len(dispatches) == 1:
-                return lambda: time.sleep(0.3) or "original"
+                return lambda: time.sleep(0.7) or "original"
             return lambda: release.wait(30.0)  # twin hangs
-        pool, sup = make(n_workers=2, eval_timeout_s=20.0, speculate=True,
-                         min_completions=1, deadline_multiplier=1000.0,
-                         straggler_multiplier=1.5)
-        with pool:
-            self._warm(sup)
+        sup = make(workers=2, eval_timeout_s=20.0, speculate=True)
+        with sup:
+            warm(sup, 0.2)
             sup.submit(factory, tag=0, key=b"k")
             outcome = sup.next_outcome()
             release.set()
@@ -255,19 +374,90 @@ class TestSpeculation:
         assert outcome.result == "original"
         assert not outcome.speculative
         assert len(dispatches) == 2       # a twin was launched and lost
-        assert pool.abandoned_tasks == 1
+        assert sup.abandoned_tasks == 1
 
-    def test_no_twin_without_free_slot(self):
+    def test_late_twin_result_is_dropped(self):
+        release = threading.Event()
         dispatches = []
 
         def factory():
             dispatches.append(1)
-            return lambda: time.sleep(0.25) or "slow"
-        pool, sup = make(n_workers=1, eval_timeout_s=20.0, speculate=True,
-                         min_completions=1, deadline_multiplier=1000.0)
-        with pool:
-            self._warm(sup)
+            if len(dispatches) == 1:
+                return lambda: time.sleep(0.7) or "original"
+            return lambda: release.wait(30.0) and "twin"
+        with make(workers=2, eval_timeout_s=20.0, speculate=True) as sup:
+            warm(sup, 0.2)
+            sup.submit(factory, tag=0, key=b"k")
+            first = sup.next_outcome()
+            release.set()             # the losing twin finishes now
+            time.sleep(0.2)
+            sup.submit(const_factory("fresh"), tag=0)
+            second = sup.next_outcome()
+            assert sup.in_flight == 0
+        assert (first.result, first.speculative) == ("original", False)
+        assert len(dispatches) == 2
+        assert isinstance(second, Completed)
+        assert (second.tag, second.result) == (0, "fresh")
+
+    def test_no_twin_without_free_slot(self):
+        # Warmed at 0.4 s: a straggler after 0.8 s, written off at 1.2 s.
+        dispatches = []
+        reads = []
+
+        def clock():
+            reads.append(1)
+            return time.monotonic()
+
+        def factory():
+            dispatches.append(1)
+            return lambda: time.sleep(0.85) or "slow"
+        sup = EvaluationSupervisor(
+            1, SupervisePolicy(eval_timeout_s=20.0, speculate=True),
+            clock=clock)
+        with sup:
+            warm(sup, 0.4)
             sup.submit(factory, tag=0)
             outcome = sup.next_outcome()
         assert isinstance(outcome, Completed)
         assert len(dispatches) == 1       # nowhere to put a twin
+        # With no slot for a twin, the wait is for the completion or the
+        # deadline: no re-check every millisecond past the threshold.
+        assert len(reads) < 10
+
+
+class TestBoundedClose:
+    def test_close_does_not_block_on_hung_task(self, monkeypatch):
+        monkeypatch.setattr(supervisor_module, "CLOSE_TIMEOUT_S", 0.2)
+        release = threading.Event()
+        sup = EvaluationSupervisor(2)
+        sup.submit(lambda: (lambda: release.wait(30.0)), tag="hung")
+        start = time.monotonic()
+        sup.close()
+        assert time.monotonic() - start < 2.0
+        assert sup.abandoned_tasks == 1
+        release.set()
+
+    def test_close_joins_finishing_tasks_cleanly(self):
+        sup = EvaluationSupervisor(2)
+        sup.submit(lambda: (lambda: time.sleep(0.05)), tag=0)
+        sup.close()
+        assert sup.abandoned_tasks == 0
+
+    def test_close_is_idempotent(self):
+        sup = EvaluationSupervisor(1)
+        sup.close()
+        sup.close()
+
+    def test_abandoned_dispatch_leaves_the_join_set(self):
+        # The deadline abandons the hung dispatch, so close() has nothing
+        # left to join: it must not wait out CLOSE_TIMEOUT_S on it.
+        release = threading.Event()
+        sup = make(eval_timeout_s=0.2)
+        sup.submit(lambda: (lambda: release.wait(30.0)), tag=0)
+        assert isinstance(sup.next_outcome(), DeadlineHit)
+        start = time.monotonic()
+        sup.close()
+        elapsed = time.monotonic() - start
+        release.set()
+        assert elapsed < supervisor_module.CLOSE_TIMEOUT_S / 5
+        assert sup.abandoned_tasks == 1

@@ -113,15 +113,16 @@ class TestSkipThroughStackedInjectors:
 
         U = [np.full(10, 0.1 * (i + 1)) for i in range(4)]
         journal = EvaluationJournal(tmp_path / "run.jsonl")
+        journal.write_meta({"tuner": "RandomSearch"})
         fault, hang = stack()
         recording = JournaledObjective(fault, journal)
         for u in U[:3]:
             recording(u)
         journal.close()
-        _, records = journal.load()
+        _, records, _, next_seq = journal.recovery()
         fault, hang = stack()
         resumed = JournaledObjective(fault, journal, replay=records,
-                                     next_seq=journal.next_seq())
+                                     next_seq=next_seq)
         for u in U[:3]:
             resumed(u)
         assert resumed.n_replayed == 3
